@@ -125,11 +125,10 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
 
 @pytest.mark.bench
 def test_bench_e1v_batch_backends_table(benchmark, small_workload):
-    """E1v: serial vs vectorized vs 2-process backend throughput rows."""
+    """E1v: serial vs vectorized backend throughput row."""
     rows = benchmark.pedantic(
         run_batched_throughput_experiment,
         args=(small_workload,),
-        kwargs={"workers": 2},
         rounds=1,
         iterations=1,
     )

@@ -2,14 +2,14 @@
 """Batch-align a set of pairs with every BatchExecutor backend.
 
 Demonstrates the three batch backends — the serial loop, the vectorized
-lockstep engine (:mod:`repro.batch`) and a 2-worker spawn pool — and checks
-they produce identical alignments.
+lockstep engine (:mod:`repro.batch`) and the shared-memory pool with two
+workers — and checks they produce identical alignments.
 
 Run with::
 
     python examples/batch_backends.py
 
-The ``__main__`` guard is required: the process backend uses the
+The ``__main__`` guard is required: the shared backend uses the
 multiprocessing *spawn* start method, whose workers re-import this module.
 """
 
@@ -43,17 +43,18 @@ def main() -> None:
     vectorized = BatchExecutor(backend="vectorized").run_alignments(
         pairs, config, name="lockstep-soa"
     )
-    process = BatchExecutor(workers=2, backend="process").run_alignments(
-        pairs, config, name="spawn-pool"
+    shared = BatchExecutor(workers=2, backend="shared").run_alignments(
+        pairs, config, name="shared-pool"
     )
+    assert shared.backend == "shared" and shared.workers == 2
 
-    for batch in (serial, vectorized, process):
+    for batch in (serial, vectorized, shared):
         print(
             f"{batch.name:>14} [{batch.backend}]: "
             f"{batch.items} pairs in {batch.elapsed_seconds:.3f}s "
             f"({batch.items_per_second:.1f} pairs/s)"
         )
-    for batch in (vectorized, process):
+    for batch in (vectorized, shared):
         assert [str(a.cigar) for a in batch.results] == [
             str(a.cigar) for a in serial.results
         ], f"{batch.backend} diverged from serial"

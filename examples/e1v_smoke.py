@@ -78,9 +78,8 @@ def main() -> None:
     print(f"vectorized:            {len(pairs) / vectorized_seconds:8.1f} pairs/s")
     print(f"speedup:               {speedup:8.2f}x")
     print(f"lockstep efficiency:   sorted={sorted_efficiency:.3f} fifo={fifo_efficiency:.3f}")
-    print(f"traceback:             kernel={engine.kernel_backend} "
-          f"walk_steps={tb['walk_steps']} saved={tb['steps_saved']} "
-          f"({tb_steps_per_second:,.0f} walk steps/s)")
+    print(f"traceback:             walk_steps={tb['walk_steps']} "
+          f"saved={tb['steps_saved']} ({tb_steps_per_second:,.0f} walk steps/s)")
     print(f"identical alignments:  True ({len(pairs)} pairs)")
     # Correctness gates the build; the timing comparison is advisory only
     # (shared CI runners are too noisy for a hard wall-clock assertion).
@@ -97,7 +96,6 @@ def main() -> None:
         walk_steps=tb["walk_steps"],
         steps_saved=tb["steps_saved"],
         steps_per_second=tb_steps_per_second,
-        kernel_backend=engine.kernel_backend,
         pairs=len(pairs),
     )
 

@@ -72,7 +72,6 @@ def main() -> None:
         walk_steps=tb["walk_steps"],
         steps_saved=tb["steps_saved"],
         steps_per_second=tb["walk_steps"] / max(1e-9, tb["seconds"]),
-        kernel_backend=engine.kernel_backend,
         pairs=READ_COUNT,
     )
 

@@ -23,8 +23,8 @@ contribution:
     A SIMT execution-model simulator standing in for the NVIDIA A6000 used
     in the paper, plus GenASM GPU kernels expressed against it.
 ``repro.parallel``
-    Batch execution utilities for the CPU evaluation: serial, spawn-pool
-    multiprocessing and vectorized backends behind one executor.
+    Batch execution utilities for the CPU evaluation: serial, vectorized
+    and shared-memory-pool backends behind one executor.
 ``repro.batch``
     The vectorized batched-alignment engine: many window pairs evaluated
     in lockstep as NumPy structure-of-arrays uint64 lanes, byte-identical

@@ -62,12 +62,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.kernels import (
-    FALLBACK_WARNED as _FALLBACK_WARNED,
-    KernelSet,
-    get_kernels,
-    resolve_kernel_backend,
-)
 from repro.batch.soa import MAX_LANE_BITS, LaneJob, SoAWave, lane_words, lockstep_stats
 from repro.batch.traceback import (
     OPS_BY_CODE,
@@ -88,7 +82,6 @@ __all__ = [
     "run_dc_wave_state",
     "align_pairs_vectorized",
     "SCHEDULING_POLICIES",
-    "DEFAULT_SCALAR_TRACEBACK_THRESHOLD",
 ]
 
 #: Wave-scheduling policies accepted by :class:`BatchAlignmentEngine`.
@@ -98,9 +91,8 @@ _U1 = np.uint64(1)
 _U0 = np.uint64(0)
 _U63 = np.uint64(MAX_LANE_BITS - 1)
 
-#: Packed op code per CigarOp (see repro.batch.traceback.OPS_BY_CODE).
-_CODE_BY_OP = {op: code for code, op in enumerate(OPS_BY_CODE)}
-_INSERTION_CODE = _CODE_BY_OP[CigarOp.INSERTION]
+#: Packed op code of an insertion (see repro.batch.traceback.OPS_BY_CODE).
+_INSERTION_CODE = list(OPS_BY_CODE).index(CigarOp.INSERTION)
 
 #: ``_CLEAR_LOW[c]`` clears the ``c`` low bits (``c`` in 0..64); used to
 #: build row 0 (``(ones << d) & ones``) without undefined 64-bit shifts.
@@ -109,17 +101,12 @@ _CLEAR_LOW = np.array(
     dtype=np.uint64,
 )
 
-# _FALLBACK_WARNED (imported above) is the process-wide fallback-warning
-# dedupe set, now owned by repro.batch.kernels so the kernel seam shares
-# it; it is re-exported here under its historical name because tests and
-# services clear it to re-arm warnings.
-
-#: Default lane count below which the scalar per-lane traceback beats the
-#: lockstep walk (see BatchAlignmentEngine.scalar_traceback_threshold).
-#: Measured crossover sits between 16 and 32 lanes for 150-600 bp windows
-#: (at 8-16 lanes the scalar walk is up to ~1.3x faster, at 32 the
-#: lockstep walk is ~1.15-1.2x faster), so the default splits that range.
-DEFAULT_SCALAR_TRACEBACK_THRESHOLD = 24
+#: Fallback reasons already warned about in this process, keyed by the
+#: reason string.  Module-level on purpose: services construct engines per
+#: worker or per request, so a per-instance flag would re-emit the same
+#: ``RuntimeWarning`` endlessly for one configuration problem.  Tests
+#: clear this set to re-arm the warning.
+_FALLBACK_WARNED: set = set()
 
 
 def _shl1(value: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -189,12 +176,11 @@ class WaveDCState:
     def table(self, lane: int) -> DCTable:
         """Materialise the scalar :class:`DCTable` of one lane.
 
-        Used by the compat wrapper (:meth:`tables`) and by the engine's
-        small-wave scalar-traceback path, which trades the lockstep walk's
-        per-step NumPy dispatch overhead for a per-lane Python loop when
-        few lanes need tracing.  The full-width wave rows are band-packed
-        and placeholder-substituted here, reproducing the scalar storage
-        exactly (``tests/test_batch_engine.py`` pins this state for state).
+        Used by the compat wrapper (:meth:`tables`) and the differential
+        tests, never by the engine's hot path.  The full-width wave rows
+        are band-packed and placeholder-substituted here, reproducing the
+        scalar storage exactly (``tests/test_batch_engine.py`` pins this
+        state for state).
         """
         wave = self.wave
         job = wave.jobs[lane]
@@ -299,7 +285,6 @@ def run_dc_wave_state(
     *,
     entry_compression: bool = True,
     early_termination: bool = True,
-    kernels: Optional[KernelSet] = None,
 ) -> WaveDCState:
     """Run GenASM-DC over every lane of ``wave``, keeping the SoA state.
 
@@ -310,16 +295,10 @@ def run_dc_wave_state(
     Lanes are ``wave.words`` ``uint64`` words wide; every shift in the
     recurrence carries bit 63 of word ``w`` into bit 0 of word ``w + 1``
     (:func:`_shl1`), and the solution test probes each lane's
-    ``(msb_word, msb_shift)``.  The per-row match-chain scan — the
-    sequential column dependency NumPy cannot vectorize away — runs
-    through ``kernels.dc_scan`` (:mod:`repro.batch.kernels`), so the
-    compiled backend replaces exactly that loop; everything without the
-    dependency stays hoisted NumPy.  Per-lane DP accounting (entries,
-    rows, writes, skipped rows) is charged to each lane's counter before
+    ``(msb_word, msb_shift)``.  Per-lane DP accounting (entries, rows,
+    writes, skipped rows) is charged to each lane's counter before
     returning.
     """
-    if kernels is None:
-        kernels = get_kernels("auto", warn=False)
     L = wave.lanes
     W = wave.words
     n_max = wave.n_max
@@ -328,6 +307,7 @@ def run_dc_wave_state(
     msb_word, msb_shift = wave.msb_word, wave.msb_shift
     ones_cols = ones[:, :, None]
     word_base = (np.arange(W, dtype=np.int64) * MAX_LANE_BITS)[:, None]
+    multi_word = W > 1
 
     R_prev = np.zeros((W, L, n_max + 1), dtype=np.uint64)
     R_cur = np.zeros((W, L, n_max + 1), dtype=np.uint64)
@@ -352,17 +332,24 @@ def run_dc_wave_state(
         R_cur[:, :, 0] = row0
 
         # Lockstep scan along the text.  The match chain is a sequential
-        # dependency (value[j] needs value[j-1]), so j stays a loop —
-        # delegated to the kernel seam (NumPy reference or compiled twin);
+        # dependency (value[j] needs value[j-1]), so j stays a Python loop;
         # everything without that dependency is hoisted out and vectorized
         # over all columns at once.
-        if d == 0:
-            kernels.dc_scan(R_cur, ones, masks, None)
-        else:
+        partial = None
+        if d > 0:
             subst_all = _shl1(R_prev[:, :, :-1], ones_cols)
             ins_all = _shl1(R_prev[:, :, 1:], ones_cols)
             partial = subst_all & ins_all & R_prev[:, :, :-1]
-            kernels.dc_scan(R_cur, ones, masks, partial)
+        prev_value = row0
+        for j in range(1, n_max + 1):
+            shifted = prev_value << _U1
+            if multi_word:
+                shifted[1:] |= prev_value[:-1] >> _U63
+            value = (shifted & ones) | masks[:, :, j - 1]
+            if partial is not None:
+                value &= partial[:, :, j - 1]
+            R_cur[:, :, j] = value
+            prev_value = value
 
         # Persist the row full-width; the band packing and pruned-column
         # placeholders of the scalar storage are applied lazily (table(),
@@ -437,8 +424,6 @@ class _PairState:
         "rows_total",
         "counter",
         "done",
-        "tb_lockstep",
-        "tb_scalar",
         "tb_walk_steps",
         "tb_steps_saved",
         "tb_match_runs",
@@ -458,25 +443,12 @@ class _PairState:
         self.rows_total = 0
         self.counter = AccessCounter()
         self.done = len(pattern) == 0
-        #: windows traced by each traceback path (metadata diagnostics)
-        self.tb_lockstep = 0
-        self.tb_scalar = 0
         #: traceback walk iterations vs emitted ops (skip-ahead savings),
         #: and the match runs the skip-ahead consumed whole
         self.tb_walk_steps = 0
         self.tb_steps_saved = 0
         self.tb_match_runs = 0
         self.tb_match_run_ops = 0
-
-    def traceback_path(self) -> str:
-        """Which traceback implementation(s) this pair's windows used."""
-        if self.tb_lockstep and self.tb_scalar:
-            return "mixed"
-        if self.tb_scalar:
-            return "scalar"
-        if self.tb_lockstep:
-            return "lockstep"
-        return "none"
 
     def cigar(self) -> Cigar:
         """Run-length encode the accumulated op codes into a CIGAR."""
@@ -502,10 +474,8 @@ class BatchAlignmentEngine:
     All pairs advance through their windows together: each iteration of the
     outer loop assembles one :class:`SoAWave` from every unfinished pair's
     current window, runs the lockstep DC kernel (with per-lane
-    budget-doubling retry sub-waves), traces the solved lanes back — with
-    the lockstep decision-word walk, or the scalar per-lane traceback when
-    few lanes need tracing (see ``scalar_traceback_threshold``) — and
-    advances the per-pair cursors exactly as
+    budget-doubling retry sub-waves), traces the solved lanes back with
+    the lockstep decision-word walk, and advances the per-pair cursors exactly as
     :func:`repro.core.windowing.align_windowed` would.
 
     Parameters
@@ -532,19 +502,6 @@ class BatchAlignmentEngine:
         ``"fifo"`` chunks in input order.  The policy never changes any
         alignment — only the lockstep efficiency of mixed-length batches
         (see :meth:`scheduling_stats`).
-    scalar_traceback_threshold:
-        Small-wave dispatch heuristic: when fewer than this many lanes of a
-        wave need tracing, the traceback runs the scalar per-lane walk
-        (:func:`repro.core.genasm_tb.genasm_traceback` over the wave's
-        stored state) instead of the lockstep decision-word walk, whose
-        per-step NumPy dispatch overhead dominates at small lane counts
-        (the small-batch regression noted in the ROADMAP; the measured
-        crossover sits between 16 and 32 lanes, see
-        :data:`DEFAULT_SCALAR_TRACEBACK_THRESHOLD`).  Both paths are
-        byte-identical — alignments *and* access accounting — so the
-        threshold only moves the crossover; every alignment records which
-        path(s) traced it in ``metadata["traceback_path"]``.  ``0`` forces
-        the lockstep walk always; a very large value forces the scalar walk.
     """
 
     def __init__(
@@ -554,7 +511,6 @@ class BatchAlignmentEngine:
         name: str = "genasm-vectorized",
         max_lanes: Optional[int] = None,
         scheduling: str = "sorted",
-        scalar_traceback_threshold: int = DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
     ) -> None:
         self.config = config if config is not None else GenASMConfig()
         self.name = name
@@ -564,15 +520,8 @@ class BatchAlignmentEngine:
             raise ValueError(
                 f"scheduling must be one of {SCHEDULING_POLICIES}, got {scheduling!r}"
             )
-        if scalar_traceback_threshold < 0:
-            raise ValueError("scalar_traceback_threshold must be non-negative")
         self.max_lanes = max_lanes
         self.scheduling = scheduling
-        self.scalar_traceback_threshold = scalar_traceback_threshold
-        #: resolved hot-loop backend ("numpy" or "numba"); an explicit
-        #: "numba" request without Numba warns once and degrades here
-        self.kernel_backend = resolve_kernel_backend(self.config.kernel_backend)
-        self._kernels = get_kernels(self.kernel_backend, warn=False)
         #: running traceback observability across every wave this engine
         #: ran: lockstep iterations, ops the skip-ahead saved over them,
         #: match runs consumed whole (and their op total), wall-clock
@@ -676,8 +625,7 @@ class BatchAlignmentEngine:
 
         Names live under ``engine_*`` (see :mod:`repro.telemetry.metrics`):
         the running :attr:`traceback_stats` become ``set_total``'d counters
-        (idempotent — re-publishing never double-counts) and the resolved
-        :attr:`kernel_backend` becomes a labelled info-style gauge.
+        (idempotent — re-publishing never double-counts).
         """
         stats = self.traceback_stats
         for field, name in (
@@ -688,9 +636,6 @@ class BatchAlignmentEngine:
         ):
             registry.counter(name).set_total(stats[field])
         registry.gauge("engine_tb_seconds").set(stats["seconds"])
-        registry.gauge(
-            "engine_kernel_backend_info", backend=self.kernel_backend
-        ).set(1)
 
     # ------------------------------------------------------------------ #
     def align_pairs(
@@ -800,10 +745,8 @@ class BatchAlignmentEngine:
                 "dp_accesses": s.counter.total_accesses,
                 "dp_bytes": s.counter.total_bytes,
                 "model_window_bytes": model_bytes,
-                "traceback_path": s.traceback_path(),
                 "vectorized": True,
                 "words_per_lane": self.words_per_lane,
-                "kernel_backend": self.kernel_backend,
                 "tb_walk_steps": s.tb_walk_steps,
                 "tb_walk_steps_saved": s.tb_steps_saved,
                 "tb_match_runs": s.tb_match_runs,
@@ -865,7 +808,6 @@ class BatchAlignmentEngine:
                 wave,
                 entry_compression=config.entry_compression,
                 early_termination=config.early_termination,
-                kernels=self._kernels,
             )
 
             solved = state.min_errors >= 0
@@ -881,26 +823,11 @@ class BatchAlignmentEngine:
 
             if solved.any():
                 start = time.perf_counter()
-                if int(solved.sum()) < self.effective_scalar_threshold():
-                    self._traceback_scalar_lanes(state, pending, solved)
-                else:
-                    self._traceback_lockstep_lanes(state, wave, pending, solved)
+                self._traceback_solved_lanes(state, wave, pending, solved)
                 self.traceback_stats["seconds"] += time.perf_counter() - start
             pending = retries
 
-    def effective_scalar_threshold(self) -> int:
-        """Lane-count crossover of the scalar-vs-lockstep traceback dispatch.
-
-        With match-run skip-ahead active (``traceback_skip_ahead`` and an
-        M-first priority) each lockstep iteration covers a whole match run,
-        so the walk amortises its per-step NumPy dispatch over fewer,
-        fatter steps — the crossover roughly halves.
-        """
-        if self.config.traceback_skip_ahead and self.config.match_priority[0] == "M":
-            return self.scalar_traceback_threshold // 2
-        return self.scalar_traceback_threshold
-
-    def _traceback_lockstep_lanes(
+    def _traceback_solved_lanes(
         self,
         state: WaveDCState,
         wave: SoAWave,
@@ -926,7 +853,6 @@ class BatchAlignmentEngine:
             priority=config.match_priority,
             active=solved,
             skip_ahead=config.traceback_skip_ahead,
-            kernels=self._kernels,
         )
         stored = state.stored_bytes()
         for lane, (s, _rev_p, _rev_t, _commit, wt_len, _budget) in enumerate(pending):
@@ -940,50 +866,9 @@ class BatchAlignmentEngine:
                 text_consumed=wt_len - tb.text_stop,
                 rows=int(state.rows_computed[lane]),
                 stored=int(stored[lane]),
-                path="lockstep",
                 walk_steps=tb.walk_steps,
                 match_runs=tb.match_runs,
                 match_run_ops=tb.match_run_ops,
-            )
-
-    def _traceback_scalar_lanes(
-        self,
-        state: WaveDCState,
-        pending: Sequence[Tuple["_PairState", str, str, int, int, int]],
-        solved: np.ndarray,
-    ) -> None:
-        """Trace solved lanes one by one with the scalar traceback.
-
-        The small-wave path of the dispatch heuristic: below
-        :attr:`scalar_traceback_threshold` traced lanes, materialising each
-        lane's :class:`DCTable` and walking it with
-        :func:`repro.core.genasm_tb.genasm_traceback` beats the lockstep
-        walk's per-step NumPy dispatch.  Decisions and read accounting are
-        identical by construction — the scalar walk reads the same stored
-        state through the same predicates the decision words encode.
-        """
-        from repro.core.genasm_tb import genasm_traceback
-
-        priority = self.config.match_priority
-        stored = state.stored_bytes()
-        for lane, (s, _rev_p, _rev_t, commit, wt_len, _budget) in enumerate(pending):
-            if not solved[lane]:
-                continue
-            table = state.table(lane)
-            ops, text_stop = genasm_traceback(
-                table, priority=priority, max_pattern_columns=commit
-            )
-            codes = np.fromiter(
-                (_CODE_BY_OP[op] for op in ops), dtype=np.int8, count=len(ops)
-            )
-            self._apply_window(
-                s,
-                codes=codes,
-                pattern_consumed=sum(1 for op in ops if op.consumes_pattern),
-                text_consumed=wt_len - text_stop,
-                rows=int(state.rows_computed[lane]),
-                stored=int(stored[lane]),
-                path="scalar",
             )
 
     def _apply_window(
@@ -995,20 +880,14 @@ class BatchAlignmentEngine:
         text_consumed: int,
         rows: int,
         stored: int,
-        path: Optional[str] = None,
         walk_steps: Optional[int] = None,
         match_runs: int = 0,
         match_run_ops: int = 0,
     ) -> None:
         # Single home of window accounting: the E-series counter and the
         # per-pair metadata tally advance together, once per committed
-        # window (never per retry sub-wave).
-        if path == "lockstep":
-            s.tb_lockstep += 1
-        elif path == "scalar":
-            s.tb_scalar += 1
-        # Walk observability: a path that emits one op per iteration (the
-        # scalar walk, or untraced insert-only windows) saves nothing.
+        # window (never per retry sub-wave).  Untraced insert-only windows
+        # count one walk step per op and save nothing.
         if walk_steps is None:
             walk_steps = int(codes.size)
         saved = int(codes.size) - walk_steps

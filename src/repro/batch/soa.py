@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitvector import pattern_bitmasks_zero_match
+from repro.core.bitvector import DNA_ALPHABET, pattern_bitmasks_zero_match
 from repro.core.metrics import AccessCounter
 
 __all__ = [
@@ -52,6 +52,13 @@ MAX_LANE_BITS = 64
 #: undefined in NumPy.
 _LOW_ONES = np.array([(1 << c) - 1 for c in range(MAX_LANE_BITS + 1)], dtype=np.uint64)
 _U0 = np.uint64(0)
+
+#: ``bytes.translate`` tables for :meth:`SoAWave._build_masks`: every byte
+#: outside the DNA alphabet (``N``, lowercase, ``U``, padding) becomes a
+#: pattern-side and a different text-side sentinel, so it matches nothing —
+#: the rule of :func:`pattern_bitmasks_zero_match`.
+_PATTERN_BYTES = bytes(c if chr(c) in DNA_ALPHABET else 1 for c in range(256))
+_TEXT_BYTES = bytes(c if chr(c) in DNA_ALPHABET else 2 for c in range(256))
 
 
 def lane_words(pattern_bits: int) -> int:
@@ -156,9 +163,9 @@ class WaveDescriptor:
 
     Lane sequences travel inside the same buffer (``pattern_data`` /
     ``text_data`` blobs with ``pattern_off`` / ``text_off`` offset arrays,
-    utf-8 encoded), so a rebuilt wave can run the scalar traceback and
-    materialise per-lane :class:`~repro.core.genasm_dc.DCTable` objects
-    without any side channel.  Rebuilt lanes get *fresh* access counters:
+    utf-8 encoded), so a rebuilt wave can materialise per-lane
+    :class:`~repro.core.genasm_dc.DCTable` objects without any side
+    channel.  Rebuilt lanes get *fresh* access counters:
     DP accounting belongs to whichever process executes the wave.
     """
 
@@ -583,11 +590,11 @@ class SoAWave:
             pattern_buffer = b"".join(
                 job.pattern.encode("latin-1").ljust(pad, b"\x00")
                 for job in self.jobs
-            )
+            ).translate(_PATTERN_BYTES)
             text_buffer = b"".join(
                 job.text.encode("latin-1").ljust(self.n_max, b"\x00")
                 for job in self.jobs
-            )
+            ).translate(_TEXT_BYTES)
         except UnicodeEncodeError:
             masks = np.empty((W, L, self.n_max), dtype=np.uint64)
             word_mask = int(_LOW_ONES[MAX_LANE_BITS])
@@ -607,8 +614,7 @@ class SoAWave:
         patterns = np.frombuffer(pattern_buffer, dtype=np.uint8).reshape(L, pad)
         texts = np.frombuffer(text_buffer, dtype=np.uint8).reshape(L, self.n_max)
         # match[lane, j, i]: does pattern bit i match text character j?
-        # (NUL padding never equals a real sequence character, and bits at
-        # or above a lane's pattern length are cleared by `ones` below.)
+        # (Non-ACGT bytes and padding became sentinels that never match.)
         match = patterns[:, None, :] == texts[:, :, None]
         # Explicit little-endian view: packbits(bitorder="little") fills
         # logical bits 8k..8k+7 into byte k, which only matches a native

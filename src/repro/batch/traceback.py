@@ -61,7 +61,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.batch.kernels import KernelSet, get_kernels
 from repro.batch.soa import MAX_LANE_BITS, SoAWave
 from repro.core.cigar import CigarOp
 from repro.core.genasm_tb import TracebackError
@@ -427,7 +426,6 @@ def lockstep_traceback(
     priority: str = "MSDI",
     active: Optional[np.ndarray] = None,
     skip_ahead: bool = True,
-    kernels: Optional[KernelSet] = None,
 ) -> List[Optional[LaneTraceback]]:
     """Walk every live lane's traceback in lockstep NumPy steps.
 
@@ -449,9 +447,6 @@ def lockstep_traceback(
         takes effect when ``M`` leads ``priority`` — otherwise a legal
         match need not be the chosen op and the walk degrades to one
         column per step, byte-identically.
-    kernels:
-        The :class:`~repro.batch.kernels.KernelSet` supplying the per-step
-        gather (``None`` resolves the best available backend).
 
     Each lane's :class:`~repro.core.metrics.AccessCounter` receives exactly
     the ``tb_steps`` / ``dp_reads`` / ``bytes_read`` the scalar traceback
@@ -460,8 +455,6 @@ def lockstep_traceback(
     re-charges the match probe's read under the same gate the scalar loop
     applies).
     """
-    if kernels is None:
-        kernels = get_kernels("auto", warn=False)
     L = wave.lanes
     m, n = wave.m, wave.n
     walk = np.ones(L, dtype=bool) if active is None else active.astype(bool).copy()
@@ -502,7 +495,7 @@ def lockstep_traceback(
     char_flat = decisions.char_eq.reshape(-1)
     weights = np.array(
         [8 >> priority.index(letter) for letter in "MSID"], dtype=np.uint64
-    )
+    )[:, None]
     lanes = np.arange(L)
     lane_cols = lanes * cols
     word_stride = L * cols
@@ -536,9 +529,10 @@ def lockstep_traceback(
 
         word_at = wq * word_stride + lane_cols + jq
         flat = dq * plane_stride + word_at
-        key, char_bit = kernels.tb_gather(
-            planes_flat, char_flat, flat, word_at, shift, weights
-        )
+        words = planes_flat[:, flat]  # (4, L) condition words
+        bits = (words >> shift) & _U1
+        char_bit = (char_flat[word_at] >> shift) & _U1
+        key = (bits * weights).sum(axis=0)
 
         at0 = j == 0
         considered = live & ~at0

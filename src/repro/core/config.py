@@ -56,13 +56,6 @@ class GenASMConfig:
         substitutions, then deletions, then insertions; keeping the order
         configurable lets tests demonstrate that the edit distance is
         invariant to it.
-    kernel_backend:
-        Which hot-loop kernels the batch engine runs: ``"numpy"`` (the
-        reference loops), ``"numba"`` (the compiled twins, degrading to
-        NumPy with a one-time warning when Numba is not importable) or
-        ``"auto"`` (Numba when available).  See
-        :mod:`repro.batch.kernels`; the resolved backend is recorded in
-        batch-result metadata.
     traceback_skip_ahead:
         Consume whole match runs per lockstep traceback step (only
         effective when ``M`` leads :attr:`match_priority`; byte-identical
@@ -80,7 +73,6 @@ class GenASMConfig:
     traceback_band: bool = True
     word_bits: int = 64
     match_priority: str = "MSDI"
-    kernel_backend: str = "auto"
     traceback_skip_ahead: bool = True
 
     def __post_init__(self) -> None:
@@ -96,11 +88,6 @@ class GenASMConfig:
             raise ValueError("text_slack must be non-negative")
         if sorted(self.match_priority) != sorted("MSDI"):
             raise ValueError("match_priority must be a permutation of 'MSDI'")
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            raise ValueError(
-                "kernel_backend must be one of ('auto', 'numpy', 'numba'), "
-                f"got {self.kernel_backend!r}"
-            )
 
     # ------------------------------------------------------------------ #
     @property

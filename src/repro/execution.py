@@ -1,332 +1,74 @@
-"""Unified execution backend seam for batch alignment.
+"""One dispatch over the three batch-alignment backends.
 
-Before this module, three call sites each re-implemented backend dispatch
-with their own ``if backend == ...`` ladders:
 :meth:`repro.parallel.executor.BatchExecutor.run_alignments`,
-:meth:`repro.mapping.mapper.Mapper.align_candidates`, and
-:class:`repro.pipeline.StreamingPipeline`.  They now all resolve names
-through one registry of :class:`ExecutionBackend` implementations, so a
-new execution context (the ROADMAP's ``gpu`` item, a remote service) plugs
-in once via :func:`register_backend` and is immediately reachable from
-every entry point.
+:meth:`repro.mapping.mapper.Mapper.align_candidates` and
+:class:`repro.harness.grid.GridRunner` all align their pairs through
+:func:`align_pairs`.  Every backend returns byte-identical alignments in
+input order for the same pairs and config; they differ only in how the
+work moves:
 
-Every backend honours the same contract: given the same (pattern, text)
-pairs and config it returns byte-identical alignments in input order —
-the differential harness pins this across the registry.  What differs is
-*how* the work moves, captured per backend in
-:class:`BackendCapabilities` (see the README's capability matrix):
+========== ============================== =============================
+backend    copy semantics                 traceback
+========== ============================== =============================
+serial     none (in-process loop)         scalar bitvector walk
+vectorized none (in-process SoA waves)    lockstep decision-word walk
+shared     shared-memory descriptors to   lockstep decision-word walk
+           a warm spawn pool              per worker
+========== ============================== =============================
 
-========== ============================== =========================== =============================
-backend    copy semantics                 ordering                    traceback path
-========== ============================== =========================== =============================
-serial     none (in-process loop)         input order                 scalar bitvector walk
-process    pickle per pair                input order (pool map)      scalar bitvector walk
-vectorized none (in-process SoA waves)    input order                 decision-word wave (scalar
-                                                                      fallback below threshold)
-shared     shared-memory descriptors      input order (chunk concat)  decision-word wave per worker
-streaming  in-process waves, or shared-   bounded reorder buffer      heuristic scalar/vectorized
-           memory descriptors with an     (in order; out-of-order     per wave
-           executor                       emission opt-in)
-service    in-process waves shared        per-request input order     heuristic scalar/vectorized
-           across client requests         (futures resolve            per wave
-           (shared-memory descriptors     independently)
-           with an executor)
-========== ============================== =========================== =============================
+The streaming pipeline and the alignment service are not backends: drive
+:class:`repro.pipeline.StreamingPipeline` and
+:class:`repro.service.AlignmentService` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Sequence, Tuple
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 
-__all__ = [
-    "BackendCapabilities",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "VectorizedBackend",
-    "SharedBackend",
-    "StreamingBackend",
-    "ServiceBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "capability_matrix",
-]
+__all__ = ["BACKENDS", "align_pairs"]
+
+#: Backend names accepted by :func:`align_pairs`.
+BACKENDS = ("serial", "vectorized", "shared")
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend promises about how work and results move."""
+def align_pairs(
+    pairs: Sequence[Tuple[str, str]],
+    config: GenASMConfig,
+    *,
+    backend: str = "serial",
+    workers: int = 1,
+    executor=None,
+) -> Tuple[List[Alignment], str]:
+    """Align ``pairs`` with ``backend``; returns (alignments, backend that ran).
 
-    name: str
-    #: How pair data crosses into the execution context.
-    copy_semantics: str
-    #: Result ordering guarantee relative to the input pair order.
-    ordering: str
-    #: Which traceback implementation produces the CIGARs.
-    traceback: str
-    #: Whether the backend spans multiple OS processes.
-    multiprocess: bool
-    summary: str
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """One way of running a batch of GenASM alignments.
-
-    Implementations are stateless dispatchers: all per-run context arrives
-    as arguments, so one registered instance serves every caller.
-    ``align_pairs`` must return alignments byte-identical to the serial
-    reference, parallel to ``pairs``.
+    ``shared`` runs on ``executor`` (a caller-owned, reusable
+    :class:`repro.parallel.shm.SharedMemoryExecutor` whose config must
+    equal ``config``) or on a temporary ``workers``-process one.  With
+    neither an executor nor more than one worker there is no pool to
+    share, so the in-process engine runs and ``"vectorized"`` is reported.
+    ``workers`` has no effect on ``serial`` and ``vectorized``.
     """
-
-    name: str
-    capabilities: BackendCapabilities
-
-    def align_pairs(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        config: GenASMConfig,
-        *,
-        workers: int = 1,
-        chunk_size: int = 32,
-        mapper=None,
-        executor=None,
-    ) -> List[Alignment]:
-        ...
-
-    def effective_workers(self, workers: int) -> int:
-        """Process count the backend would actually use for ``workers``."""
-        ...
-
-
-# --------------------------------------------------------------------------- #
-class SerialBackend:
-    """Reference implementation: one scalar aligner in a Python loop."""
-
-    name = "serial"
-    capabilities = BackendCapabilities(
-        name="serial",
-        copy_semantics="none (in-process loop)",
-        ordering="input order",
-        traceback="scalar bitvector walk",
-        multiprocess=False,
-        summary="one GenASMAligner applied pair by pair; the ground truth",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend == "serial":
         from repro.core.aligner import GenASMAligner
 
         aligner = GenASMAligner(config)
-        return [aligner.align(pattern, text) for pattern, text in pairs]
-
-    def effective_workers(self, workers: int) -> int:
-        return 1
-
-
-class ProcessBackend:
-    """Spawn pool that pickles each pair to a private per-worker aligner."""
-
-    name = "process"
-    capabilities = BackendCapabilities(
-        name="process",
-        copy_semantics="pickle per pair (config + both sequences)",
-        ordering="input order (pool map)",
-        traceback="scalar bitvector walk",
-        multiprocess=True,
-        summary="the historical everything-by-value pool; superseded by 'shared'",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
-        from functools import partial
-        from multiprocessing import get_context
-
-        from repro.parallel.executor import _align_pair_with_config
-
-        if workers == 1:
-            return SerialBackend().align_pairs(pairs, config)
-        ctx = get_context("spawn")
-        with ctx.Pool(workers) as pool:
-            return pool.map(
-                partial(_align_pair_with_config, config),
-                pairs,
-                chunksize=max(1, chunk_size),
+        return [aligner.align(pattern, text) for pattern, text in pairs], "serial"
+    if backend == "shared" and executor is not None:
+        if executor.config != config:
+            raise ValueError(
+                "provided SharedMemoryExecutor was built with a different config"
             )
-
-    def effective_workers(self, workers: int) -> int:
-        return workers
-
-
-class VectorizedBackend:
-    """In-process lockstep SoA engine (:mod:`repro.batch`)."""
-
-    name = "vectorized"
-    capabilities = BackendCapabilities(
-        name="vectorized",
-        copy_semantics="none (in-process SoA waves)",
-        ordering="input order",
-        traceback="decision-word wave traceback (scalar fallback below threshold)",
-        multiprocess=False,
-        summary="NumPy lockstep waves in one process; the offline mega-batch path",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
-        from repro.batch import BatchAlignmentEngine
-
-        return BatchAlignmentEngine(config).align_pairs(pairs)
-
-    def effective_workers(self, workers: int) -> int:
-        return 1
-
-
-class SharedBackend:
-    """Shared-memory descriptor handoff to a warm spawn pool.
-
-    Dispatches through :class:`repro.parallel.shm.SharedMemoryExecutor`:
-    pairs are packed into per-wave shared segments and only layout
-    metadata crosses the process boundary.  Pass an already-started
-    ``executor`` to amortise pool spawn across calls (it is left running);
-    otherwise a temporary one is created and torn down around the batch.
-    """
-
-    name = "shared"
-    capabilities = BackendCapabilities(
-        name="shared",
-        copy_semantics="shared-memory descriptors (segments packed once per wave)",
-        ordering="input order (contiguous chunks, concatenated)",
-        traceback="decision-word wave traceback per worker",
-        multiprocess=True,
-        summary="zero-copy wave handoff to a reusable warm pool",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
+        return executor.run_alignments(pairs), "shared"
+    if backend == "shared" and workers > 1:
         from repro.parallel.shm import SharedMemoryExecutor
 
-        if executor is not None:
-            if executor.config != config:
-                raise ValueError(
-                    "provided SharedMemoryExecutor was built with a different config"
-                )
-            return executor.run_alignments(pairs)
-        if workers == 1:
-            return VectorizedBackend().align_pairs(pairs, config)
         with SharedMemoryExecutor(workers=workers, config=config) as owned:
-            return owned.run_alignments(pairs)
+            return owned.run_alignments(pairs), "shared"
+    from repro.batch import BatchAlignmentEngine
 
-    def effective_workers(self, workers: int) -> int:
-        return workers
-
-
-class StreamingBackend:
-    """Wave-accumulated streaming execution (:class:`StreamingPipeline`)."""
-
-    name = "streaming"
-    capabilities = BackendCapabilities(
-        name="streaming",
-        copy_semantics=(
-            "in-process waves; shared-memory descriptors when given an executor"
-        ),
-        ordering="bounded reorder buffer (in order; out-of-order emission opt-in)",
-        traceback="heuristic scalar/vectorized per wave",
-        multiprocess=True,
-        summary="overlapped ingest/map/align dataflow; pairs flow through waves",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
-        from repro.pipeline import StreamingPipeline
-
-        pipeline = StreamingPipeline(
-            mapper, config, align_workers=workers, executor=executor
-        )
-        return pipeline.align_pairs(pairs)
-
-    def effective_workers(self, workers: int) -> int:
-        return workers
-
-
-class ServiceBackend:
-    """One-shot request through the alignment-as-a-service front-end.
-
-    Routes the batch through :class:`repro.service.AlignmentService` as a
-    single-tenant request — the same coalescing, routing and latency
-    accounting a long-lived service applies, collapsed to one client.
-    Real multi-client callers construct the service directly and keep it
-    running; this backend exists so the unified seam (and its differential
-    harness) covers the service path too.
-    """
-
-    name = "service"
-    capabilities = BackendCapabilities(
-        name="service",
-        copy_semantics=(
-            "in-process waves shared across client requests "
-            "(shared-memory descriptors with an executor)"
-        ),
-        ordering="per-request input order (futures resolve independently)",
-        traceback="heuristic scalar/vectorized per wave",
-        multiprocess=True,
-        summary="multi-tenant request coalescing over the streaming wave core",
-    )
-
-    def align_pairs(self, pairs, config, *, workers=1, chunk_size=32, mapper=None, executor=None):
-        from repro.service import AlignmentService
-
-        with AlignmentService(
-            config, workers=workers, executor=executor, linger_seconds=None
-        ) as service:
-            return service.submit(pairs).result()
-
-    def effective_workers(self, workers: int) -> int:
-        return workers
-
-
-# --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> None:
-    """Add a backend to the registry under ``backend.name``.
-
-    This is the seam future execution contexts (``gpu``, remote service)
-    plug into: registering makes the name resolvable from
-    ``BatchExecutor``, ``Mapper.align_candidates`` and the pipeline alike.
-    """
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Resolve a backend by name; raises ``ValueError`` for unknown names."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"backend must be one of {available_backends()}, got {name!r}"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def capability_matrix() -> List[BackendCapabilities]:
-    """Capability row for every registered backend (README's matrix)."""
-    return [backend.capabilities for backend in _REGISTRY.values()]
-
-
-for _backend in (
-    SerialBackend(),
-    ProcessBackend(),
-    VectorizedBackend(),
-    SharedBackend(),
-    StreamingBackend(),
-    ServiceBackend(),
-):
-    register_backend(_backend)
-del _backend
+    return BatchAlignmentEngine(config).align_pairs(pairs), "vectorized"

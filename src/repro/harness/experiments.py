@@ -134,27 +134,24 @@ def run_cpu_speed_experiment(
 
 
 # --------------------------------------------------------------------------- #
-# E1v — batched CPU throughput: scalar vs vectorized vs multiprocess backends
+# E1v — batched CPU throughput: scalar vs vectorized backends
 # --------------------------------------------------------------------------- #
 def run_batched_throughput_experiment(
     workload: Optional[AlignmentWorkload] = None,
     *,
     config: Optional[GenASMConfig] = None,
-    workers: int = 2,
-    include_process: bool = True,
     scheduling_lanes: int = 32,
 ) -> List[Dict[str, object]]:
     """E1v: batched variant of the CPU-throughput experiment.
 
-    Runs the same candidate pairs through every
-    :class:`~repro.parallel.executor.BatchExecutor` backend — the serial
-    per-pair loop, the vectorized lockstep engine from :mod:`repro.batch`,
-    and (optionally) a ``workers``-process pool — and reports each batched
-    backend's speedup over the serial path.  The paper has no corresponding
-    number (its batch layer is the 48-thread C++ harness), so ``paper`` is
-    NaN; the rows instead carry an ``identical_results`` flag asserting the
-    backends produced byte-identical CIGARs and edit distances, which is
-    the correctness contract of the vectorized engine.
+    Runs the same candidate pairs through the serial per-pair loop and the
+    vectorized lockstep engine from :mod:`repro.batch` (both via
+    :class:`~repro.parallel.executor.BatchExecutor`) and reports the
+    vectorized speedup over the serial path.  The paper has no
+    corresponding number (its batch layer is the 48-thread C++ harness),
+    so ``paper`` is NaN; the row instead carries an ``identical_results``
+    flag asserting both produced byte-identical CIGARs and edit distances,
+    which is the correctness contract of the vectorized engine.
 
     The vectorized row also reports the wave-scheduling diagnostics: the
     lockstep efficiency of ``scheduling_lanes``-wide waves over this
@@ -170,11 +167,10 @@ def run_batched_throughput_experiment(
         pairs, config, name="vectorized"
     )
 
-    def identical(batch) -> bool:
-        return all(
-            str(a.cigar) == str(b.cigar) and a.edit_distance == b.edit_distance
-            for a, b in zip(serial.results, batch.results)
-        )
+    identical = all(
+        str(a.cigar) == str(b.cigar) and a.edit_distance == b.edit_distance
+        for a, b in zip(serial.results, vectorized.results)
+    )
 
     from repro.batch import BatchAlignmentEngine
 
@@ -184,38 +180,21 @@ def run_batched_throughput_experiment(
         config, max_lanes=lanes, scheduling="fifo"
     ).scheduling_stats(pairs)
 
-    rows = [
+    return [
         {
             "id": "E1v_vectorized_vs_serial",
             "metric": "vectorized batch engine speedup over serial CPU loop",
             "paper": float("nan"),
             "measured": vectorized.speedup_over(serial),
-            "identical_results": identical(vectorized),
+            "identical_results": identical,
             "serial_pairs_per_second": serial.items_per_second,
             "vectorized_pairs_per_second": vectorized.items_per_second,
             "scheduling_lanes": lanes,
             "lockstep_efficiency_sorted": sorted_stats["efficiency"],
             "lockstep_efficiency_fifo": fifo_stats["efficiency"],
+            "pairs": len(pairs),
         }
     ]
-    if include_process and workers > 1:
-        process = BatchExecutor(workers=workers, backend="process").run_alignments(
-            pairs, config, name="process"
-        )
-        rows.append(
-            {
-                "id": "E1v_process_vs_serial",
-                "metric": f"{workers}-process pool speedup over serial CPU loop",
-                "paper": float("nan"),
-                "measured": process.speedup_over(serial),
-                "identical_results": identical(process),
-                "workers": workers,
-                "process_pairs_per_second": process.items_per_second,
-            }
-        )
-    for row in rows:
-        row["pairs"] = len(pairs)
-    return rows
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ not a script):
   with execution backends, GenASM window sizes and wave sizes.  Build one
   in code or from a plain dict/JSON via :meth:`ExperimentGrid.from_dict`.
 * :class:`GridRunner` — executes every cell of the grid, checks each
-  cell's alignments against the vectorized reference path (the registry's
+  cell's alignments against the vectorized reference path (the backends'
   equivalence contract — a fast cell that returns different CIGARs is a
   bug, not a win), and appends one provenance-stamped row per cell
   (date, git SHA, config fingerprint) to a ``BENCH_*.json`` trajectory
@@ -95,12 +95,15 @@ class ExperimentGrid:
         ``{workload_name: build_paper_dataset kwargs}`` — each named
         workload is built once and shared by all its cells.
     backends:
-        Execution backends to sweep (``serial``/``vectorized``/
-        ``streaming``/... — any :mod:`repro.execution` registry name).
-        ``wave_size`` reaches the vectorized engine as ``max_lanes`` and
-        the streaming pipeline as its accumulator wave size; backends
-        without a wave concept (``serial``, ``process``) record the axis
-        value but execute identically across it.
+        Execution backends to sweep: ``streaming`` (the
+        :class:`~repro.pipeline.StreamingPipeline`) or any
+        :data:`repro.execution.BACKENDS` name (``serial``/``vectorized``/
+        ``shared``).  ``wave_size`` reaches the vectorized engine as
+        ``max_lanes`` and the streaming pipeline as its accumulator wave
+        size; ``serial`` and ``shared`` record the axis value but execute
+        identically across it.  A grid runs one process, so a ``shared``
+        cell runs the in-process engine, and its row's ``ran`` field says
+        so.
     window_sizes:
         GenASM ``window_size`` values; each derives a config via
         :meth:`config_for` (overlap clamped below the window).
@@ -190,7 +193,7 @@ class ExperimentGrid:
 
 
 def _same_alignments(got: Sequence[Alignment], want: Sequence[Alignment]) -> bool:
-    """The registry's equivalence contract, as the smokes check it."""
+    """The backends' equivalence contract, as the smokes check it."""
     if len(got) != len(want):
         return False
     return all(
@@ -242,8 +245,8 @@ class GridRunner:
 
     def _run_cell(
         self, cell: GridCell, config: GenASMConfig
-    ) -> Tuple[List[Alignment], float]:
-        """Align the cell's workload through its backend; returns (alignments, seconds)."""
+    ) -> Tuple[List[Alignment], float, str]:
+        """Align the cell's workload; returns (alignments, seconds, backend that ran)."""
         pairs = self._workload(cell.workload).pairs
         if cell.backend == "streaming":
             from repro.pipeline import StreamingPipeline
@@ -253,7 +256,7 @@ class GridRunner:
             )
             start = time.perf_counter()
             alignments = pipeline.align_pairs(pairs)
-            return alignments, time.perf_counter() - start
+            return alignments, time.perf_counter() - start, "streaming"
         if cell.backend == "vectorized":
             from repro.batch.engine import BatchAlignmentEngine
 
@@ -262,21 +265,21 @@ class GridRunner:
             )
             start = time.perf_counter()
             alignments = engine.align_pairs(pairs)
-            return alignments, time.perf_counter() - start
-        from repro.execution import get_backend
+            return alignments, time.perf_counter() - start, "vectorized"
+        from repro.execution import align_pairs
 
-        impl = get_backend(cell.backend)
         start = time.perf_counter()
-        alignments = impl.align_pairs(pairs, config)
-        return alignments, time.perf_counter() - start
+        alignments, ran = align_pairs(pairs, config, backend=cell.backend)
+        return alignments, time.perf_counter() - start, ran
 
     # ------------------------------------------------------------------ #
     def run(self, *, append: bool = True, save: bool = True) -> List[Dict[str, object]]:
         """Run every cell; returns one row dict per cell (axis order).
 
-        Each row carries the cell's axis values, pair count, wall seconds,
-        ``pairs_per_second``, mean alignment identity and the
-        ``identical`` equivalence flag against the vectorized reference.
+        Each row carries the cell's axis values, the backend that ``ran``
+        it, pair count, wall seconds, ``pairs_per_second``, mean alignment
+        identity and the ``identical`` equivalence flag against the
+        vectorized reference.
         With ``append`` (default) rows are also written to the grid's
         history through the recorder, provenance-stamped; ``save``
         persists the bench file afterwards.
@@ -284,7 +287,7 @@ class GridRunner:
         rows: List[Dict[str, object]] = []
         for cell in self.grid.cells():
             config = self.grid.config_for(cell.window_size)
-            alignments, seconds = self._run_cell(cell, config)
+            alignments, seconds, ran = self._run_cell(cell, config)
             reference = self._reference(cell, config)
             pairs = len(alignments)
             identity = (
@@ -294,6 +297,7 @@ class GridRunner:
                 "grid": self.grid.name,
                 "workload": cell.workload,
                 "backend": cell.backend,
+                "ran": ran,
                 "window_size": cell.window_size,
                 "wave_size": cell.wave_size,
                 "pairs": pairs,

@@ -235,28 +235,26 @@ class Mapper:
 
         This is the mapper half of the paper's pipeline joined to the
         aligner half: the candidate regions produced by seed-and-chain are
-        gathered into one batch of (pattern, text) pairs and dispatched
-        through the :mod:`repro.execution` backend registry.  ``backend``
-        names any registered backend (``serial``/``process``/
-        ``vectorized``/``shared``/``streaming`` today); all of them produce
-        identical alignments.  ``workers`` only takes effect on the
-        multiprocess backends, and ``executor`` threads a reusable
-        :class:`repro.parallel.shm.SharedMemoryExecutor` into the backends
-        that accept one.  For full ingest/map/align overlap, drive
+        gathered into one batch of (pattern, text) pairs and aligned
+        through :func:`repro.execution.align_pairs`.  ``backend`` is
+        ``serial``, ``vectorized`` or ``shared``; all three produce
+        identical alignments.  ``workers`` and ``executor`` (a reusable
+        :class:`repro.parallel.shm.SharedMemoryExecutor`) only take effect
+        on ``shared``.  For full ingest/map/align overlap, drive
         :meth:`repro.pipeline.StreamingPipeline.run` with the reads
         directly instead.  The returned list is parallel to ``candidates``.
         """
-        from repro.execution import get_backend
+        from repro.execution import align_pairs
 
         pairs = [
             self.candidate_region_sequence(c, read_sequences[c.read_name])
             for c in candidates
         ]
-        impl = get_backend(backend)
-        return impl.align_pairs(
+        alignments, _ = align_pairs(
             pairs,
             config if config is not None else GenASMConfig(),
+            backend=backend,
             workers=workers,
-            mapper=self,
             executor=executor,
         )
+        return alignments

@@ -1,11 +1,10 @@
 """Batch execution utilities for the CPU evaluation.
 
-:class:`BatchExecutor` runs alignment batches through the
-:mod:`repro.execution` backend registry — ``serial`` (Python loop),
-``process`` (pickle-per-pair spawn pool), ``vectorized`` (the lockstep SoA
-engine from :mod:`repro.batch`), ``shared`` (zero-copy shared-memory pool,
-:mod:`repro.parallel.shm`) and ``streaming`` (the wave pipeline) — all of
-which produce identical alignments for the same pairs and config.
+:class:`BatchExecutor` times alignment batches run through the
+:mod:`repro.execution` dispatch — ``serial`` (Python loop), ``vectorized``
+(the lockstep SoA engine from :mod:`repro.batch`) and ``shared``
+(zero-copy shared-memory pool, :mod:`repro.parallel.shm`) — all of which
+produce identical alignments for the same pairs and config.
 :class:`SharedMemoryExecutor` is the warm pool behind ``shared``: it hosts
 the reference genome and minimizer index in shared segments built once and
 ships waves as descriptors, not arrays.
@@ -16,7 +15,6 @@ from repro.parallel.executor import (
     BatchExecutor,
     BatchResult,
     Stopwatch,
-    chunk_items,
 )
 from repro.parallel.shm import (
     SegmentLayout,
@@ -36,5 +34,4 @@ __all__ = [
     "SharedMinimizerIndex",
     "SharedSegment",
     "Stopwatch",
-    "chunk_items",
 ]

@@ -1,57 +1,42 @@
-"""Chunked batch execution of alignment workloads.
+"""Timed batch execution of alignment workloads.
 
 The paper's CPU evaluation runs every aligner over the full candidate-pair
 set with 48 threads.  :class:`BatchExecutor` provides the equivalent batch
-layer for this library.  It supports three backends:
+layer for this library: :meth:`BatchExecutor.run_alignments` aligns a
+batch of (pattern, text) pairs through the :mod:`repro.execution` dispatch
+and times it.  Three backends are accepted:
 
 ``serial``
-    A plain Python loop (the default, and the mode used by the automated
-    benchmarks to keep them deterministic).
-``process``
-    A spawn-context :mod:`multiprocessing` pool over ``workers`` processes.
-    Everything shipped to the pool is a module-level callable (or a
-    :func:`functools.partial` over one), so it pickles under the spawn
-    start method — the historical lambda-based implementation crashed with
-    ``workers > 1``.
+    A plain Python loop over the scalar aligner (the default, and the
+    mode used by the automated benchmarks to keep them deterministic).
 ``vectorized``
     The NumPy structure-of-arrays engine from :mod:`repro.batch`, which
     evaluates many window pairs in lockstep and produces byte-identical
-    alignments to the serial path.  Only :meth:`BatchExecutor.run_alignments`
-    uses it (arbitrary callables cannot be vectorized).
-
-``run``/``run_pairs`` execute arbitrary callables (serially or with the
-pool); :meth:`run_alignments` is the GenASM-specific entry point, and it
-dispatches through the :mod:`repro.execution` backend registry — so the
-``shared`` (zero-copy shared-memory pool) and ``streaming`` (wave
-pipeline) backends, and anything registered later (``gpu``), are reachable
-from here without this module knowing about them.
+    alignments to the serial path.
+``shared``
+    The vectorized engine on a warm spawn pool
+    (:class:`repro.parallel.shm.SharedMemoryExecutor`), with waves shipped
+    as shared-memory descriptors.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
+from repro.execution import BACKENDS, align_pairs
 
 __all__ = [
     "Stopwatch",
     "BatchResult",
     "BatchExecutor",
-    "chunk_items",
     "BACKENDS",
 ]
 
-T = TypeVar("T")
 R = TypeVar("R")
-
-#: Backends accepted by :class:`BatchExecutor` (the execution registry's
-#: built-ins; see :func:`repro.execution.available_backends` for the live
-#: set including late registrations).
-BACKENDS = ("serial", "process", "vectorized", "shared", "streaming")
 
 
 class Stopwatch:
@@ -86,13 +71,6 @@ class Stopwatch:
         """Forget any accumulated time (and any running split)."""
         self._start = None
         self.elapsed = 0.0
-
-
-def chunk_items(items: Sequence[T], chunk_size: int) -> List[Sequence[T]]:
-    """Split ``items`` into chunks of at most ``chunk_size`` elements."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
 @dataclass
@@ -136,105 +114,26 @@ class BatchResult(Generic[R]):
         return mine / theirs
 
 
-def _invoke_pair(align: Callable[[str, str], R], pair: Tuple[str, str]) -> R:
-    """Apply a two-argument aligner to a (pattern, text) tuple.
-
-    Module-level (rather than a lambda inside :meth:`BatchExecutor.run_pairs`)
-    so that ``functools.partial(_invoke_pair, align)`` pickles under the
-    multiprocessing spawn context.
-    """
-    return align(pair[0], pair[1])
-
-
-def _align_pair_with_config(config: GenASMConfig, pair: Tuple[str, str]) -> Alignment:
-    """Align one (pattern, text) pair with a fresh GenASM aligner.
-
-    Module-level worker for the process backend: only the (picklable)
-    config crosses the process boundary, and each worker builds its own
-    aligner.
-    """
-    from repro.core.aligner import GenASMAligner
-
-    return GenASMAligner(config).align(pair[0], pair[1])
-
-
 class BatchExecutor:
-    """Run a callable over a batch of items, serially or in parallel.
+    """Align batches of (pattern, text) pairs and time each run.
 
     Parameters
     ----------
     workers:
-        Process count for the ``process`` backend (and for ``run``/
-        ``run_pairs`` when > 1).
-    chunk_size:
-        Items per pool task in process mode.
+        Process count for the ``shared`` backend.
     backend:
         Default backend for :meth:`run_alignments` — one of
-        :data:`BACKENDS`.  ``run``/``run_pairs`` derive their mode from
-        ``workers`` alone (they cannot be vectorized).
+        :data:`BACKENDS`.
     """
 
-    def __init__(
-        self, workers: int = 1, chunk_size: int = 32, backend: str = "serial"
-    ) -> None:
-        from repro.execution import get_backend
-
+    def __init__(self, workers: int = 1, backend: str = "serial") -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        get_backend(backend)  # raises ValueError for unregistered names
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.backend = backend
 
-    # ------------------------------------------------------------------ #
-    def _pool_map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # Imported lazily so the serial path has no multiprocessing cost.
-        from multiprocessing import get_context
-
-        ctx = get_context("spawn")
-        with ctx.Pool(self.workers) as pool:
-            return pool.map(func, items, chunksize=max(1, self.chunk_size))
-
-    def run(
-        self,
-        func: Callable[[T], R],
-        items: Sequence[T],
-        *,
-        name: str = "batch",
-    ) -> BatchResult[R]:
-        """Apply ``func`` to every item and time the whole batch.
-
-        With ``workers > 1`` the callable is shipped to a spawn-context
-        pool, so it must be picklable (a module-level function, a partial
-        over one, or a bound method of a picklable object).
-        """
-        watch = Stopwatch()
-        watch.start()
-        if self.workers == 1:
-            results = [func(item) for item in items]
-        else:
-            results = self._pool_map(func, items)
-        elapsed = watch.stop()
-        return BatchResult(
-            results=list(results),
-            elapsed_seconds=elapsed,
-            items=len(items),
-            workers=self.workers,
-            name=name,
-            backend="serial" if self.workers == 1 else "process",
-        )
-
-    def run_pairs(
-        self,
-        align: Callable[[str, str], R],
-        pairs: Sequence[Tuple[str, str]],
-        *,
-        name: str = "align-batch",
-    ) -> BatchResult[R]:
-        """Convenience wrapper for (pattern, text) alignment callables."""
-        return self.run(partial(_invoke_pair, align), pairs, name=name)
-
-    # ------------------------------------------------------------------ #
     def run_alignments(
         self,
         pairs: Sequence[Tuple[str, str]],
@@ -246,54 +145,35 @@ class BatchExecutor:
     ) -> BatchResult[Alignment]:
         """Align a batch of (pattern, text) pairs with GenASM.
 
-        ``backend`` (defaulting to the executor's) names any entry in the
-        :mod:`repro.execution` registry — ``serial``, ``process``,
-        ``vectorized``, ``shared``, ``streaming``, plus whatever has been
-        registered since.  Every backend produces identical alignments
+        ``backend`` (defaulting to the executor's) is one of
+        :data:`BACKENDS`.  Every backend produces identical alignments
         (CIGAR, edit distance, consumed text span) for the same pairs and
-        config; they differ only in how the work moves (see
-        :func:`repro.execution.capability_matrix`).  ``executor`` threads a
-        reusable :class:`repro.parallel.shm.SharedMemoryExecutor` into the
-        backends that can use one (``shared``, ``streaming``).
+        config; they differ only in how the work moves.  ``executor``
+        threads a reusable :class:`repro.parallel.shm.SharedMemoryExecutor`
+        into ``shared``.  The result's ``backend`` and ``workers`` name
+        what actually ran: ``shared`` with one worker and no executor runs
+        the in-process engine and reports ``vectorized``.
         """
-        from repro.execution import get_backend
-
-        backend_name = backend if backend is not None else self.backend
-        impl = get_backend(backend_name)
         config = config if config is not None else GenASMConfig()
-
-        if backend_name == "process" and self.workers == 1:
-            # Be honest about what actually runs: a 1-worker "pool" is the
-            # serial loop, and reporting it as "process" would misattribute
-            # throughput numbers.
-            backend_name = "serial"
-            impl = get_backend(backend_name)
-
         watch = Stopwatch()
         watch.start()
-        results = impl.align_pairs(
+        results, ran = align_pairs(
             pairs,
             config,
+            backend=backend if backend is not None else self.backend,
             workers=self.workers,
-            chunk_size=self.chunk_size,
             executor=executor,
         )
         elapsed = watch.stop()
-        from repro.batch.kernels import resolve_kernel_backend
-
+        workers = 1
+        if ran == "shared":
+            workers = executor.workers if executor is not None else self.workers
         return BatchResult(
             results=list(results),
             elapsed_seconds=elapsed,
             items=len(pairs),
-            workers=impl.effective_workers(self.workers),
+            workers=workers,
             name=name,
-            backend=backend_name,
-            metadata={
-                "config": config,
-                # which hot-loop kernels the config resolves to here (the
-                # graceful-degradation answer when "numba" was requested)
-                "kernel_backend": resolve_kernel_backend(
-                    config.kernel_backend, warn=False
-                ),
-            },
+            backend=ran,
+            metadata={"config": config},
         )

@@ -1,12 +1,12 @@
 """Shared-memory execution: ship descriptors between processes, not arrays.
 
-The historical ``process`` backend and the PR-3 align-stage pool pickle
-their entire payload into every spawn worker — sequence pairs per task,
-and (for mapping) nothing at all, because the reference genome and
-:class:`~repro.mapping.index.MinimizerIndex` were too expensive to ship,
-which is why mapping stayed on GIL-bound threads.  This module inverts
-that, the way the paper's GPU design keeps wave state resident and moves
-*work*:
+The align-stage pool (:class:`repro.pipeline.AlignStage` with
+``workers > 1``) pickles its entire payload into every spawn worker —
+sequence pairs per task, and (for mapping) nothing at all, because the
+reference genome and :class:`~repro.mapping.index.MinimizerIndex` were too
+expensive to ship, which is why mapping stayed on GIL-bound threads.  This
+module inverts that, the way the paper's GPU design keeps wave state
+resident and moves *work*:
 
 * **Segments** (:class:`SharedSegment`) own one
   :mod:`multiprocessing.shared_memory` block with a deterministic

@@ -4,8 +4,8 @@ The offline harness runs the paper's pipeline in strict phases — simulate
 or load every read, map every read to its candidate list, then push one
 materialised pair list through
 :meth:`repro.parallel.executor.BatchExecutor.run_alignments`.  Nothing
-aligns until everything has mapped, and the ``process`` backend re-builds
-a scalar aligner per worker.  This package is the streaming counterpart:
+aligns until everything has mapped.  This package is the streaming
+counterpart:
 
 * :mod:`~repro.pipeline.ingest` — lazy read records from simulators,
   iterables or FASTA/FASTQ files (:func:`stream_reads`);

@@ -4,11 +4,8 @@ With ``workers == 1`` each wave runs on an in-process
 :class:`repro.batch.BatchAlignmentEngine`.  With ``workers > 1`` waves are
 sharded across a spawn-context process pool: each worker receives the
 (picklable) config plus the wave's pre-built (pattern, text) pairs and runs
-the engine on exactly that wave — unlike the historical ``process`` backend
-of :class:`repro.parallel.executor.BatchExecutor`, which shipped individual
-pairs and rebuilt a scalar aligner per worker, workers here execute whole
-lockstep waves, so the vectorized path and multiprocessing compose instead
-of competing.  With an ``executor``
+the engine on exactly that wave, so the vectorized path and
+multiprocessing compose instead of competing.  With an ``executor``
 (:class:`repro.parallel.shm.SharedMemoryExecutor`) the pickling goes away
 too: each wave is packed into a shared-memory segment and only its layout
 descriptor crosses the process boundary, into workers holding warm,
@@ -20,23 +17,25 @@ lanes by the engine's windows × words/lane cost model
 
 Results are collected in wave submission order behind a bounded in-flight
 window; the pipeline's reorder buffer (keyed by global candidate ordinal)
-restores input order regardless.
+restores input order regardless.  A wave whose execution raised is
+collected with the exception in place of its alignments, so one failing
+wave never strands the waves queued behind it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.batch.engine import (
-    DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
-    BatchAlignmentEngine,
-)
+from repro.batch.engine import BatchAlignmentEngine
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 from repro.pipeline.window import InflightWindow
 from repro.telemetry.trace import get_tracer
 
 __all__ = ["AlignStage"]
+
+#: A collected wave's alignments, or the exception its execution raised.
+WaveResult = Union[List[Alignment], Exception]
 
 
 def _align_wave(
@@ -49,6 +48,28 @@ def _align_wave(
     the process boundary.
     """
     return BatchAlignmentEngine(config, **engine_kwargs).align_pairs(pairs)
+
+
+class _Settled:
+    """A wave's pool or executor future whose failure is its result.
+
+    :class:`~repro.pipeline.window.InflightWindow` raises whatever
+    ``result()`` raises, which would lose the waves collected behind a
+    failed one; returning the exception lets :meth:`AlignStage.collect`
+    hand it back with its wave instead.
+    """
+
+    __slots__ = ("future",)
+
+    def __init__(self, future) -> None:
+        self.future = future
+
+    def done(self) -> bool:
+        return self.future.done()
+
+    def result(self):
+        error = self.future.exception()
+        return error if error is not None else self.future.result()
 
 
 class AlignStage:
@@ -71,7 +92,7 @@ class AlignStage:
         pickled pairs.  The executor stays caller-owned: :meth:`close`
         does not shut it down, so one warm pool can serve many runs.  Its
         config must equal this stage's.
-    max_lanes, scheduling, scalar_traceback_threshold, name:
+    max_lanes, scheduling, name:
         Forwarded to :class:`BatchAlignmentEngine`.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  Each submitted
@@ -91,7 +112,6 @@ class AlignStage:
         executor=None,
         max_lanes: Optional[int] = None,
         scheduling: str = "sorted",
-        scalar_traceback_threshold: int = DEFAULT_SCALAR_TRACEBACK_THRESHOLD,
         name: str = "genasm-streaming",
         tracer=None,
     ) -> None:
@@ -107,7 +127,6 @@ class AlignStage:
         self._engine_kwargs = {
             "max_lanes": max_lanes,
             "scheduling": scheduling,
-            "scalar_traceback_threshold": scalar_traceback_threshold,
             "name": name,
         }
         # The in-process engine also validates config/options eagerly for
@@ -136,20 +155,29 @@ class AlignStage:
 
     # ------------------------------------------------------------------ #
     def submit(self, wave: Sequence) -> None:
-        """Dispatch one wave (items must expose ``pattern`` and ``text``)."""
+        """Dispatch one wave (items must expose ``pattern`` and ``text``).
+
+        A wave that fails — in-process, at handoff, or in a worker — is
+        queued with its exception, which :meth:`collect` returns in place
+        of the wave's alignments.
+        """
         pairs = [(item.pattern, item.text) for item in wave]
         wave_id = self.waves_submitted
         self.waves_submitted += 1
+        try:
+            pending = self._dispatch(pairs, wave_id)
+        except Exception as error:
+            pending = error
+        self._window.append(list(wave), pending)
+
+    def _dispatch(self, pairs: List[Tuple[str, str]], wave_id: int):
+        """The wave's alignments (in-process) or its settled future."""
         if self.executor is not None:
             with self.tracer.span("align.dispatch", wave_id=wave_id, lanes=len(pairs)):
-                future = self.executor.submit_wave(pairs, wave_id=wave_id)
-            self._window.append(list(wave), future)
-            return
+                return _Settled(self.executor.submit_wave(pairs, wave_id=wave_id))
         if self.workers == 1:
             with self.tracer.span("align.wave", wave_id=wave_id, lanes=len(pairs)):
-                alignments = self.engine.align_pairs(pairs)
-            self._window.append(list(wave), alignments)
-            return
+                return self.engine.align_pairs(pairs)
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
@@ -158,21 +186,21 @@ class AlignStage:
                 max_workers=self.workers, mp_context=get_context("spawn")
             )
         with self.tracer.span("align.dispatch", wave_id=wave_id, lanes=len(pairs)):
-            future = self._pool.submit(
-                _align_wave, self.config, self._engine_kwargs, pairs
+            return _Settled(
+                self._pool.submit(_align_wave, self.config, self._engine_kwargs, pairs)
             )
-        self._window.append(list(wave), future)
 
-    def collect(self, *, block: bool = False) -> List[Tuple[List, List[Alignment]]]:
+    def collect(self, *, block: bool = False) -> List[Tuple[List, WaveResult]]:
         """Pop completed waves from the front of the queue, submission order.
 
         Non-blocking by default: returns the finished prefix, waiting only
         when more than ``inflight`` waves are queued.  ``block=True`` waits
-        for everything (the end-of-stream drain).
+        for everything (the end-of-stream drain).  A failed wave comes back
+        with its exception in place of its alignments.
         """
-        out: List[Tuple[List, List[Alignment]]] = []
+        out: List[Tuple[List, WaveResult]] = []
         for wave, alignments in self._window.collect(block=block):
-            if len(alignments) != len(wave):
+            if not isinstance(alignments, Exception) and len(alignments) != len(wave):
                 raise AssertionError(
                     "align stage returned a wave of the wrong width "
                     f"({len(alignments)} != {len(wave)})"
@@ -180,7 +208,7 @@ class AlignStage:
             out.append((wave, alignments))
         return out
 
-    def drain(self) -> List[Tuple[List, List[Alignment]]]:
+    def drain(self) -> List[Tuple[List, WaveResult]]:
         """Wait for and return every wave still in flight."""
         return self.collect(block=True)
 

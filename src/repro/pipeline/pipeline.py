@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 from repro.mapping.mapper import CandidateMapping, Mapper
-from repro.pipeline.alignstage import AlignStage
+from repro.pipeline.alignstage import AlignStage, WaveResult
 from repro.pipeline.batcher import WaveAccumulator
 from repro.pipeline.ingest import ReadRecord, stream_reads
 from repro.pipeline.mapstage import MapStage
@@ -120,8 +120,6 @@ class StreamingPipeline:
         :attr:`MappedAlignment.order` for callers that reorder downstream.
         (:meth:`align_pairs` always returns input order; out-of-order mode
         only changes *when* results become visible to :meth:`run`.)
-    scalar_traceback_threshold:
-        Forwarded to :class:`repro.batch.BatchAlignmentEngine`.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, each
         stage block records a ``stage.{ingest,map,batch,align,emit}`` span,
@@ -152,7 +150,6 @@ class StreamingPipeline:
         executor=None,
         max_reorder: Optional[int] = None,
         ordered: bool = True,
-        scalar_traceback_threshold: Optional[int] = None,
         tracer=None,
         name: str = "genasm-streaming",
     ) -> None:
@@ -174,7 +171,6 @@ class StreamingPipeline:
         self.executor = executor
         self.max_reorder = max_reorder
         self.ordered = ordered
-        self.scalar_traceback_threshold = scalar_traceback_threshold
         self.tracer = get_tracer(tracer)
         self.name = name
         #: Stats of the most recent run (populated even on partial
@@ -187,7 +183,8 @@ class StreamingPipeline:
         # accumulator, and a merged tail wave (wave_size + remainder lanes)
         # must run as one engine chunk, not get re-split back into the
         # partial dispatch the merge existed to avoid.
-        kwargs = dict(
+        return AlignStage(
+            self.config,
             workers=self.align_workers,
             inflight=self.align_inflight,
             executor=self.executor,
@@ -196,9 +193,6 @@ class StreamingPipeline:
             name=self.name,
             tracer=self.tracer,
         )
-        if self.scalar_traceback_threshold is not None:
-            kwargs["scalar_traceback_threshold"] = self.scalar_traceback_threshold
-        return AlignStage(self.config, **kwargs)
 
     def _build_accumulator(self, stats: PipelineStats, align: AlignStage) -> WaveAccumulator:
         # The sorted policy groups lanes by the same expected-work model the
@@ -361,7 +355,7 @@ class StreamingPipeline:
         next_emit = 0
 
         def absorb(
-            completed: List[Tuple[List[CandidateWork], List[Alignment]]]
+            completed: List[Tuple[List[CandidateWork], WaveResult]]
         ) -> List[MappedAlignment]:
             nonlocal next_emit
             with stats.timer("emit"), tracer.span(
@@ -369,6 +363,8 @@ class StreamingPipeline:
             ):
                 ready: List[MappedAlignment] = []
                 for wave, alignments in completed:
+                    if isinstance(alignments, Exception):
+                        raise alignments
                     for work, alignment in zip(wave, alignments):
                         stats.record_traceback(alignment.metadata)
                         mapped = MappedAlignment(

@@ -199,9 +199,10 @@ class PipelineStats:
         """Fold one alignment's traceback walk observability into the run.
 
         Reads the ``tb_*`` keys the batch engine attaches to alignment
-        metadata (absent on scalar-fallback alignments — they contribute
-        nothing): lockstep walk iterations, the ops match-run skip-ahead
-        saved over them, and the match runs consumed whole.
+        metadata (absent when a ``word_bits != 64`` config ran the scalar
+        aligner — those contribute nothing): lockstep walk iterations, the
+        ops match-run skip-ahead saved over them, and the match runs
+        consumed whole.
         """
         self.tb_walk_steps += int(metadata.get("tb_walk_steps", 0))
         self.tb_walk_steps_saved += int(metadata.get("tb_walk_steps_saved", 0))

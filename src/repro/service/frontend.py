@@ -54,7 +54,7 @@ from concurrent.futures import Future
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import GenASMConfig
-from repro.pipeline.alignstage import AlignStage
+from repro.pipeline.alignstage import AlignStage, WaveResult
 from repro.pipeline.batcher import WaveAccumulator
 from repro.pipeline.stats import PipelineStats
 from repro.service.registry import ReferenceRegistry
@@ -410,23 +410,40 @@ class AlignmentService:
             for tenant, queue in self._queues.items()
         )
 
-    def _route(self, completed: List[Tuple[List[ServiceWork], List[object]]]) -> None:
-        """Hand each finished lane back to its request; resolve futures."""
+    def _route(self, completed: List[Tuple[List[ServiceWork], WaveResult]]) -> None:
+        """Hand each finished lane back to its request; resolve futures.
+
+        A wave that raised fails every request with a lane in it, with
+        that exception; the requests' other lanes are dropped as they
+        arrive, and every other request is served as usual.
+        """
         now = self._clock()
         finished: List[ServiceRequest] = []
+        failed: List[Tuple[ServiceRequest, Exception]] = []
         with self._wake:
             for wave, alignments in completed:
-                for work, alignment in zip(wave, alignments):
-                    self.stats.pipeline.record_traceback(alignment.metadata)
+                error = alignments if isinstance(alignments, Exception) else None
+                for position, work in enumerate(wave):
                     request = work.request
+                    self._inflight[request.tenant] -= 1
+                    if request.remaining == 0:
+                        continue  # the request already failed
+                    if error is not None:
+                        request.remaining = 0
+                        failed.append((request, error))
+                        self._open_requests -= 1
+                        continue
+                    alignment = alignments[position]
+                    self.stats.pipeline.record_traceback(alignment.metadata)
                     request.results[work.index] = alignment
                     request.remaining -= 1
-                    self._inflight[request.tenant] -= 1
                     if request.remaining == 0:
                         finished.append(request)
                         self._open_requests -= 1
-            if finished:
+            if finished or failed:
                 self._wake.notify_all()
+        for request, error in failed:
+            request.future.set_exception(error)
         for request in finished:
             self.stats.record_request_done(
                 request.tenant, request.id, now - request.submitted_at, len(request.pairs)

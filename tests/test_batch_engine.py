@@ -1,10 +1,10 @@
-"""Tests for the vectorized batch engine, the repaired batch executor and
-the degenerate-input windowing paths.
+"""Tests for the vectorized batch engine, the batch executor and the
+degenerate-input windowing paths.
 
-The central contract (the PR's acceptance criterion): the vectorized
-lockstep engine produces byte-identical CIGARs and edit distances to the
-scalar path on the simulated-read corpus, and a 2-worker
-``BatchExecutor.run_pairs`` call completes without error.
+The central contract: the vectorized lockstep engine produces
+byte-identical CIGARs and edit distances to the scalar path on the
+simulated-read corpus, and every :class:`BatchExecutor` backend —
+``shared`` with two workers included — agrees with ``serial``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.batch import (
     lockstep_stats,
     run_dc_wave,
 )
-from repro.core.aligner import GenASMAligner, align_pair
+from repro.core.aligner import GenASMAligner
 from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc
@@ -221,6 +221,39 @@ class TestDCWave:
         assert wave.words == 2
 
 
+class TestWaveMasks:
+    """Bulk wave masks follow the scalar zero-match rule for any alphabet."""
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        ["ACGT", "ACGTN", "ACGTacgt", "ACGU", "ACGT-*", "ACGTΩ"],
+        ids=["dna", "n", "lowercase", "rna", "punctuation", "non-latin-1"],
+    )
+    def test_masks_follow_zero_match_rule(self, rng, alphabet):
+        # Bit i of text character c's mask is 0 iff pattern[i] == c and c
+        # is one of ACGT: a character outside ACGT matches nothing, itself
+        # included.  Non-Latin-1 sequences take the per-lane path.
+        jobs = []
+        for length in (5, 64, 65, 130):
+            pattern = "".join(rng.choice(alphabet) for _ in range(length))
+            noise = "".join(rng.choice(alphabet) for _ in range(9))
+            jobs.append(
+                LaneJob(pattern=pattern, text=pattern[: length // 2] + noise, max_errors=4)
+            )
+        wave = SoAWave(jobs, traceback_band=True)
+        for lane, job in enumerate(jobs):
+            ones = (1 << len(job.pattern)) - 1
+            columns = [
+                ones
+                ^ sum(1 << i for i, p in enumerate(job.pattern) if p == c and c in "ACGT")
+                for c in job.text
+            ]
+            columns += [ones] * (wave.n_max - len(job.text))
+            for w in range(wave.words):
+                want = [(value >> (64 * w)) & (2**64 - 1) for value in columns]
+                assert [int(v) for v in wave.masks[w, lane]] == want, (lane, w)
+
+
 class TestDegenerateWindowing:
     """Degenerate inputs through align_window / align_windowed."""
 
@@ -262,34 +295,22 @@ class TestDegenerateWindowing:
 
 
 class TestBatchExecutor:
-    def test_run_pairs_with_two_workers(self):
-        """Regression: the lambda-based implementation was unpicklable under spawn."""
-        pairs = [("ACGT", "ACGTA"), ("ACCT", "ACGTT"), ("TTTT", "TTAT")]
-        executor = BatchExecutor(workers=2, chunk_size=1)
-        result = executor.run_pairs(align_pair, pairs)
-        assert result.items == 3
-        assert result.workers == 2
-        serial = BatchExecutor(workers=1).run_pairs(align_pair, pairs)
-        for got, want in zip(result.results, serial.results):
-            assert str(got.cigar) == str(want.cigar)
-            assert got.edit_distance == want.edit_distance
-
     def test_run_alignments_backends_identical(self, rng):
         pairs = _random_pairs(rng, [(60, 4), (90, 7)])
         serial = BatchExecutor(backend="serial").run_alignments(pairs)
         vectorized = BatchExecutor(backend="vectorized").run_alignments(pairs)
-        process = BatchExecutor(workers=2, backend="process").run_alignments(pairs)
+        shared = BatchExecutor(workers=2, backend="shared").run_alignments(pairs)
         assert serial.backend == "serial"
         assert vectorized.backend == "vectorized"
-        assert process.backend == "process" and process.workers == 2
-        for batch in (vectorized, process):
-            for got, want in zip(batch.results, serial.results):
-                assert str(got.cigar) == str(want.cigar)
-                assert got.edit_distance == want.edit_distance
+        assert shared.backend == "shared" and shared.workers == 2
+        for batch in (vectorized, shared):
+            _assert_identical(serial.results, batch.results)
 
-    def test_process_backend_with_one_worker_reports_serial(self):
-        result = BatchExecutor(backend="process").run_alignments([("ACG", "ACG")])
-        assert result.backend == "serial"
+    def test_shared_backend_with_one_worker_reports_vectorized(self):
+        # One worker and no executor means no pool: the in-process engine
+        # runs, and the result must say so.
+        result = BatchExecutor(backend="shared").run_alignments([("ACG", "ACG")])
+        assert result.backend == "vectorized"
         assert result.workers == 1
 
     def test_invalid_backend_rejected(self):
@@ -353,11 +374,8 @@ class TestHarnessBatchedExperiment:
         workload = build_paper_dataset(
             read_count=3, read_length=400, seed=5, max_pairs=4
         )
-        rows = run_batched_throughput_experiment(
-            workload, workers=2, include_process=True
-        )
-        by_id = {row["id"]: row for row in rows}
-        assert set(by_id) == {"E1v_vectorized_vs_serial", "E1v_process_vs_serial"}
+        rows = run_batched_throughput_experiment(workload)
+        assert [row["id"] for row in rows] == ["E1v_vectorized_vs_serial"]
         for row in rows:
             assert row["identical_results"] is True
             assert row["measured"] > 0
@@ -379,7 +397,9 @@ class TestMapperBatch:
         assert candidates, "workload produced no candidates"
         vectorized = mapper.align_candidates(candidates, read_sequences)
         serial = mapper.align_candidates(candidates, read_sequences, backend="serial")
+        shared = mapper.align_candidates(
+            candidates, read_sequences, backend="shared", workers=2
+        )
         assert len(vectorized) == len(candidates)
-        for got, want in zip(vectorized, serial):
-            assert str(got.cigar) == str(want.cigar)
-            assert got.edit_distance == want.edit_distance
+        for batch in (vectorized, shared):
+            _assert_identical(serial, batch)

@@ -27,12 +27,6 @@ from repro.batch import (
     build_wave_decisions,
     run_dc_wave_state,
 )
-from repro.batch.kernels import (
-    FALLBACK_WARNED,
-    HAVE_NUMBA,
-    get_kernels,
-    resolve_kernel_backend,
-)
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.core.genasm_tb import traceback_conditions
@@ -51,6 +45,10 @@ PRIORITIES = ["MSDI", "MDIS", "DIMS", "ISDM"]
 #: Window widths spanning 1, 2 and 3 uint64 words per lane, including the
 #: exact single-word boundary (64) and the first multi-word width (65).
 WINDOW_SIZES = [32, 64, 65, 96, 128, 150]
+#: Engine ``max_lanes``: whole-batch waves, and one-lane waves in which the
+#: lockstep walk traces a single lane at a time.
+WAVE_WIDTHS = [None, 1]
+WAVE_WIDTH_IDS = ["full-waves", "one-lane-waves"]
 
 
 def window_config(window_size: int, **overrides) -> GenASMConfig:
@@ -70,8 +68,9 @@ def adversarial_pairs():
     All-match (pure diagonal runs), all-mismatch with starved text (budget
     doubling to the full window plus trailing insertions), homopolymer
     (every tie-break order is live at every step), empty-window shapes
-    (text exhausted mid-alignment, empty pattern, empty text), and a
-    single-character window.
+    (text exhausted mid-alignment, empty pattern, empty text), a
+    single-character window, and characters outside ACGT (``N``,
+    lowercase, ``U``), which match nothing — not even themselves.
     """
     return [
         ("ACGT" * 32, "ACGT" * 32 + "ACGT"),
@@ -81,6 +80,10 @@ def adversarial_pairs():
         ("", "ACGT"),
         ("ACGT" * 20, ""),
         ("A", "A"),
+        ("ACGTNACGT", "ACGTNACGT"),
+        ("acgtacgt", "acgtacgt"),
+        ("ACGUACGU", "ACGUACGU"),
+        ("ACGTN" * 30, "ACGTN" * 30 + "AC"),
     ]
 
 
@@ -143,13 +146,8 @@ class TestDifferentialEquivalence:
             pair_counter = AccessCounter()
             scalar.append(aligner.align(pattern, text, counter=pair_counter))
             scalar_counter.merge(pair_counter)
-        # threshold 0 forces the lockstep walk for every wave (the default
-        # small-wave heuristic would route these few-lane test batches to
-        # the scalar traceback and mask lockstep regressions).
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=batch_counter)
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
 
         assert_pairwise_identical(scalar, batch, context)
         # Every AccessCounter field over the whole batch, including the
@@ -157,8 +155,23 @@ class TestDifferentialEquivalence:
         # lockstep walk replicates via its read-accounting tables.
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
-    def test_alignments_validate_against_sequences(self, rng):
+    def test_one_lane_waves(self, rng):
+        # Each pair in its own chunk: every wave, retry sub-waves included,
+        # traces exactly one lane.
+        config = GenASMConfig()
         pairs = random_pairs(rng) + adversarial_pairs()
+        aligner = GenASMAligner(config)
+        scalar = [aligner.align(pattern, text) for pattern, text in pairs]
+        batch = BatchAlignmentEngine(config, max_lanes=1).align_pairs(pairs)
+        assert_pairwise_identical(scalar, batch, "one-lane waves")
+
+    def test_alignments_validate_against_sequences(self, rng):
+        # validate() compares raw characters, while GenASM never matches a
+        # character outside ACGT (N against N is an X), so those pairs are
+        # left to the differential tests.
+        pairs = random_pairs(rng) + [
+            pair for pair in adversarial_pairs() if set("".join(pair)) <= set("ACGT")
+        ]
         for alignment in BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs):
             alignment.validate()
 
@@ -228,7 +241,7 @@ class TestMultiWordDifferential:
         )
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(config)
         batch = engine.align_pairs(pairs, counter=batch_counter)
         assert_pairwise_identical(scalar, batch, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -244,13 +257,10 @@ class TestMultiWordDifferential:
         pairs = window_boundary_pairs(rng, window_size)
         context = f"window={window_size} priority={priority}"
         scalar, scalar_counter = self._scalar_reference(config, pairs)
-        for threshold in (0, 10**9):  # both traceback paths of the heuristic
-            batch_counter = AccessCounter()
-            batch = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=threshold
-            ).align_pairs(pairs, counter=batch_counter)
-            assert_pairwise_identical(scalar, batch, f"{context} thr={threshold}")
-            assert batch_counter.as_dict() == scalar_counter.as_dict(), context
+        batch_counter = AccessCounter()
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
+        assert_pairwise_identical(scalar, batch, context)
+        assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("window_size", [65, 96, 150])
     @pytest.mark.parametrize("scheduling", ["sorted", "fifo"])
@@ -261,7 +271,7 @@ class TestMultiWordDifferential:
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
         chunked = BatchAlignmentEngine(
-            config, max_lanes=3, scheduling=scheduling, scalar_traceback_threshold=0
+            config, max_lanes=3, scheduling=scheduling
         ).align_pairs(pairs, counter=batch_counter)
         assert_pairwise_identical(scalar, chunked, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -270,7 +280,7 @@ class TestMultiWordDifferential:
         # The acceptance criterion of the multi-word PR: short_read(150)
         # batches run 3-word lanes with no scalar fallback.
         config = GenASMConfig.short_read(150)
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(config)
         assert engine.vectorizable
         assert engine.words_per_lane == 3
         pattern = random_dna(rng, 150)
@@ -278,7 +288,6 @@ class TestMultiWordDifferential:
         for alignment in engine.align_pairs(pairs):
             assert alignment.metadata["vectorized"] is True
             assert alignment.metadata["words_per_lane"] == 3
-            assert alignment.metadata["traceback_path"] == "lockstep"
 
 
 class TestDecisionWords:
@@ -352,15 +361,10 @@ class TestGoldenCorpus:
             assert alignment.edit_distance == entry["edit_distance"]
             assert alignment.text_end == entry["text_end"]
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_vectorized_reproduces_golden(self, corpus, threshold):
-        # Both traceback paths of the dispatch heuristic reproduce the
-        # corpus: 0 forces the lockstep walk, the huge threshold forces
-        # the scalar per-lane walk.
+    @pytest.mark.parametrize("max_lanes", WAVE_WIDTHS, ids=WAVE_WIDTH_IDS)
+    def test_vectorized_reproduces_golden(self, corpus, max_lanes):
         pairs = [(e["pattern"], e["text"]) for e in corpus["entries"]]
-        engine = BatchAlignmentEngine(
-            GenASMConfig(), scalar_traceback_threshold=threshold
-        )
+        engine = BatchAlignmentEngine(GenASMConfig(), max_lanes=max_lanes)
         for entry, alignment in zip(corpus["entries"], engine.align_pairs(pairs)):
             assert str(alignment.cigar) == entry["cigar"]
             assert alignment.edit_distance == entry["edit_distance"]
@@ -407,11 +411,11 @@ class TestShortReadGoldenCorpus:
             entries, [aligner.align(e["pattern"], e["text"]) for e in entries]
         )
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_vectorized_reproduces_short_read_golden(self, corpus, config, threshold):
+    @pytest.mark.parametrize("max_lanes", WAVE_WIDTHS, ids=WAVE_WIDTH_IDS)
+    def test_vectorized_reproduces_short_read_golden(self, corpus, config, max_lanes):
         entries = corpus["short_read_entries"]
         pairs = [(e["pattern"], e["text"]) for e in entries]
-        engine = BatchAlignmentEngine(config, scalar_traceback_threshold=threshold)
+        engine = BatchAlignmentEngine(config, max_lanes=max_lanes)
         alignments = engine.align_pairs(pairs)
         self._assert_reproduces(entries, alignments)
         # No silent scalar fallback: every alignment went through the
@@ -512,12 +516,12 @@ class TestWaveScheduling:
 class TestWindowAccounting:
     """Window accounting lives in one spot and survives retry sub-waves."""
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_retry_subwave_metrics_match_scalar(self, rng, threshold):
+    @pytest.mark.parametrize("max_lanes", WAVE_WIDTHS, ids=WAVE_WIDTH_IDS)
+    def test_retry_subwave_metrics_match_scalar(self, rng, max_lanes):
         # k = 1 forces budget-doubling retries on any window with >= 2
         # edits; the engine must still count each window once and charge
-        # exactly the scalar path's retry DP traffic — under either
-        # traceback path of the dispatch heuristic.
+        # exactly the scalar path's retry DP traffic — in shared waves and
+        # in one-lane waves, whose retry sub-waves trace a single lane.
         config = GenASMConfig(max_errors=1)
         pairs = []
         for length in (60, 96, 130):
@@ -532,70 +536,14 @@ class TestWindowAccounting:
             scalar.append(aligner.align(pattern, text, counter=pair_counter))
             scalar_counter.merge(pair_counter)
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=threshold
-        ).align_pairs(pairs, counter=batch_counter)
+        engine = BatchAlignmentEngine(config, max_lanes=max_lanes)
+        batch = engine.align_pairs(pairs, counter=batch_counter)
 
         assert_pairwise_identical(scalar, batch, "retry sub-waves")
         assert batch_counter.as_dict() == scalar_counter.as_dict()
         # The workload actually exercised retries (more rows than a single
         # k=1 attempt could compute over the counted windows).
         assert batch_counter.rows_computed > 2 * batch_counter.windows
-
-    def test_heuristic_threshold_never_changes_results_or_accounting(self, rng):
-        # The small-wave dispatch heuristic moves only the crossover
-        # between the two byte-identical traceback implementations:
-        # results AND counters are invariant to the threshold.
-        pairs = random_pairs(rng) + adversarial_pairs()
-        config = GenASMConfig()
-        reference_counter = AccessCounter()
-        reference = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=reference_counter)
-        for threshold in (1, 4, 10**9):
-            counter = AccessCounter()
-            engine = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=threshold
-            )
-            got = engine.align_pairs(pairs, counter=counter)
-            assert_pairwise_identical(reference, got, f"threshold={threshold}")
-            assert counter.as_dict() == reference_counter.as_dict(), threshold
-
-    def test_traceback_path_recorded_in_metadata(self, rng):
-        pattern = random_dna(rng, 200)
-        pairs = [(pattern, mutate(rng, pattern, 12) + "ACGT")] * 4
-        lockstep = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
-        for alignment in lockstep.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "lockstep"
-        scalar = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=10**9)
-        for alignment in scalar.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "scalar"
-        # Below the default threshold a small batch routes to the scalar
-        # walk; a pair with no DP windows at all reports "none".
-        default = BatchAlignmentEngine(GenASMConfig())
-        assert default.scalar_traceback_threshold > len(pairs)
-        for alignment in default.align_pairs(pairs):
-            assert alignment.metadata["traceback_path"] == "scalar"
-        empty = default.align_pairs([("", "ACGT")])[0]
-        assert empty.metadata["traceback_path"] == "none"
-
-    def test_mixed_traceback_path_on_shrinking_waves(self, rng):
-        # A wide wave of short pairs plus a few long pairs: early windows
-        # trace >= threshold lanes in lockstep, and once the short lanes
-        # finish, the surviving long lanes drop below the threshold and
-        # switch to the scalar walk — the long pairs record "mixed".
-        short_pattern = random_dna(rng, 40)
-        long_pattern = random_dna(rng, 400)
-        pairs = [(short_pattern, mutate(rng, short_pattern, 3) + "ACGT")] * 8
-        pairs += [(long_pattern, mutate(rng, long_pattern, 30) + "ACGT")] * 2
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=6)
-        alignments = engine.align_pairs(pairs)
-        assert all(a.metadata["traceback_path"] == "lockstep" for a in alignments[:8])
-        assert all(a.metadata["traceback_path"] == "mixed" for a in alignments[8:])
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=-1)
 
     def test_windows_counted_once_per_window(self):
         # One multi-window pair with the text exhausted halfway: both the
@@ -615,7 +563,7 @@ class TestWindowAccounting:
 
 
 # --------------------------------------------------------------------------- #
-# Match-run skip-ahead and the compiled-kernel seam (kernel speed pack)
+# Match-run skip-ahead
 # --------------------------------------------------------------------------- #
 class TestSkipAheadTraceback:
     """Skip-ahead consumes whole match runs yet stays byte-identical."""
@@ -639,9 +587,7 @@ class TestSkipAheadTraceback:
             scalar_counter.merge(pair_counter)
 
         batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs, counter=batch_counter)
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
 
         assert_pairwise_identical(scalar, batch, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -658,9 +604,9 @@ class TestSkipAheadTraceback:
                 match_priority=priority, traceback_skip_ahead=skip
             )
             counter = AccessCounter()
-            alignments = BatchAlignmentEngine(
-                config, scalar_traceback_threshold=0
-            ).align_pairs(pairs, counter=counter)
+            alignments = BatchAlignmentEngine(config).align_pairs(
+                pairs, counter=counter
+            )
             outcomes[skip] = (alignments, counter.as_dict())
         assert_pairwise_identical(outcomes[False][0], outcomes[True][0], priority)
         assert outcomes[False][1] == outcomes[True][1], priority
@@ -669,7 +615,7 @@ class TestSkipAheadTraceback:
         pattern = random_dna(rng, 120)
         pairs = [(pattern, mutate(rng, pattern, 6) + "ACGT") for _ in range(4)]
 
-        on = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
+        on = BatchAlignmentEngine(GenASMConfig())
         on_alignments = on.align_pairs(pairs)
         saved = sum(a.metadata["tb_walk_steps_saved"] for a in on_alignments)
         assert saved > 0
@@ -681,9 +627,7 @@ class TestSkipAheadTraceback:
             assert meta["tb_match_run_ops"] >= meta["tb_match_runs"]
             assert meta["tb_walk_steps"] > 0
 
-        off = BatchAlignmentEngine(
-            GenASMConfig(traceback_skip_ahead=False), scalar_traceback_threshold=0
-        )
+        off = BatchAlignmentEngine(GenASMConfig(traceback_skip_ahead=False))
         off_alignments = off.align_pairs(pairs)
         assert all(
             a.metadata["tb_walk_steps_saved"] == 0 for a in off_alignments
@@ -701,90 +645,9 @@ class TestSkipAheadTraceback:
     def test_scheduling_stats_fold_traceback_counters(self, rng):
         pattern = random_dna(rng, 90)
         pairs = [(pattern, mutate(rng, pattern, 4) + "AC")] * 3
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=0)
+        engine = BatchAlignmentEngine(GenASMConfig())
         engine.align_pairs(pairs)
         stats = engine.scheduling_stats(pairs)
         assert stats["tb_walk_steps"] > 0
         assert stats["tb_steps_saved"] >= 0
         assert stats["tb_seconds"] >= 0
-
-    def test_dispatch_threshold_halved_when_skip_active(self):
-        engine = BatchAlignmentEngine(GenASMConfig(), scalar_traceback_threshold=24)
-        assert engine.effective_scalar_threshold() == 12
-        no_skip = BatchAlignmentEngine(
-            GenASMConfig(traceback_skip_ahead=False), scalar_traceback_threshold=24
-        )
-        assert no_skip.effective_scalar_threshold() == 24
-        # A non-M-first priority never takes runs, so the lockstep step
-        # cost is unchanged and the threshold must not shift.
-        non_m_first = BatchAlignmentEngine(
-            GenASMConfig(match_priority="SMDI"), scalar_traceback_threshold=24
-        )
-        assert non_m_first.effective_scalar_threshold() == 24
-
-
-class TestKernelBackendSeam:
-    """Backend resolution, fallback warning dedupe, and equivalence."""
-
-    def test_resolve_backends(self):
-        assert resolve_kernel_backend("numpy") == "numpy"
-        assert resolve_kernel_backend("auto", warn=False) in ("numpy", "numba")
-        with pytest.raises(ValueError, match="kernel_backend"):
-            resolve_kernel_backend("cython")
-
-    def test_config_validates_backend(self):
-        assert GenASMConfig().kernel_backend == "auto"
-        assert GenASMConfig(kernel_backend="numpy").kernel_backend == "numpy"
-        with pytest.raises(ValueError):
-            GenASMConfig(kernel_backend="cython")
-
-    def test_kernel_set_shape(self):
-        kernels = get_kernels("numpy")
-        assert kernels.name == "numpy"
-        assert callable(kernels.dc_scan)
-        assert callable(kernels.tb_gather)
-
-    def test_numba_absent_fallback_warns_once(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed; fallback path not reachable")
-        FALLBACK_WARNED.discard("kernel_backend=numba")
-        with pytest.warns(RuntimeWarning, match="numba"):
-            assert resolve_kernel_backend("numba") == "numpy"
-        # Deduped on the second request: no warning at all.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_kernel_backend("numba") == "numpy"
-
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_backend_differential(self, rng, backend):
-        if backend == "numba" and not HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        pairs = random_pairs(rng) + adversarial_pairs()
-        config = GenASMConfig(kernel_backend=backend)
-        scalar = [GenASMAligner(config).align(p, t) for p, t in pairs]
-        batch = BatchAlignmentEngine(
-            config, scalar_traceback_threshold=0
-        ).align_pairs(pairs)
-        assert_pairwise_identical(scalar, batch, f"backend={backend}")
-
-    def test_alignment_metadata_reports_backend(self, rng):
-        pattern = random_dna(rng, 80)
-        pairs = [(pattern, mutate(rng, pattern, 4))]
-        engine = BatchAlignmentEngine(GenASMConfig(kernel_backend="numpy"))
-        alignment = engine.align_pairs(pairs)[0]
-        assert alignment.metadata["kernel_backend"] == "numpy"
-        resolved = BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs)[0]
-        assert resolved.metadata["kernel_backend"] in ("numpy", "numba")
-
-    def test_run_alignments_metadata_reports_backend(self):
-        from repro.parallel.executor import BatchExecutor
-
-        result = BatchExecutor(backend="vectorized").run_alignments(
-            [("ACGTACGT", "ACGTACGT")]
-        )
-        backend = result.metadata["kernel_backend"]
-        assert backend in ("numpy", "numba")
-        if not HAVE_NUMBA:
-            assert backend == "numpy"

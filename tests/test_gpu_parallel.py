@@ -6,7 +6,7 @@ from repro.core.config import GenASMConfig
 from repro.gpu.device import A6000, RTX_3090, XEON_GOLD_5118
 from repro.gpu.kernel import GenASMKernelSpec, KernelCost
 from repro.gpu.simulator import CpuModel, GpuSimulator
-from repro.parallel.executor import BatchExecutor, Stopwatch, chunk_items
+from repro.parallel.executor import BatchExecutor, Stopwatch
 from tests.conftest import mutate, random_dna
 
 
@@ -148,22 +148,16 @@ class TestParallel:
         with pytest.raises(RuntimeError):
             watch.stop()
 
-    def test_chunk_items(self):
-        assert chunk_items(list(range(10)), 4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        with pytest.raises(ValueError):
-            chunk_items([1], 0)
-
-    def test_batch_executor_serial(self):
-        executor = BatchExecutor(workers=1)
-        result = executor.run(lambda x: x * 2, list(range(50)), name="double")
-        assert result.results == [x * 2 for x in range(50)]
-        assert result.items == 50
-        assert result.items_per_second > 0
-
-    def test_batch_executor_pairs(self):
-        executor = BatchExecutor(workers=1)
-        result = executor.run_pairs(lambda a, b: a + b, [("A", "B"), ("C", "D")])
-        assert result.results == ["AB", "CD"]
+    def test_run_alignments_times_the_batch(self, rng):
+        pairs = _make_pairs(rng, count=3, length=120)
+        config = GenASMConfig()
+        result = BatchExecutor().run_alignments(pairs, config, name="timed")
+        assert result.name == "timed"
+        assert result.backend == "serial" and result.workers == 1
+        assert result.items == len(result.results) == 3
+        assert result.elapsed_seconds > 0
+        assert result.items_per_second == pytest.approx(3 / result.elapsed_seconds)
+        assert result.metadata["config"] is config
 
     def test_invalid_workers_raise(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,27 @@ class TestGridRunner:
         assert len(rows) == 1
         assert bench_path.read_text() == before
 
+    def test_rows_record_the_backend_that_ran(self, bench_path):
+        # A grid runs in one process: its shared cell has no pool, so the
+        # in-process engine runs and the row's `ran` says so.
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(backends=["serial", "vectorized", "shared", "streaming"], gate=None)
+        )
+        rows = GridRunner(grid, bench_path).run(append=False)
+        assert [row["backend"] for row in rows] == list(grid.backends)
+        assert [row["ran"] for row in rows] == [
+            "serial",
+            "vectorized",
+            "vectorized",
+            "streaming",
+        ]
+        assert all(row["identical"] for row in rows)
+
+    def test_unknown_backend_cell_raises(self, bench_path):
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=["process"], gate=None))
+        with pytest.raises(ValueError, match="serial"):
+            GridRunner(grid, bench_path).run(append=False)
+
     def test_recorder_instance_accepted(self, bench_path):
         recorder = BenchRecorder(bench_path)
         grid = ExperimentGrid.from_dict(tiny_spec(backends=["serial"], gate=None))

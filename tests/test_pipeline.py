@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,12 +306,6 @@ class TestStreamingEquivalence:
         results = pipeline.run_all(workload.reads)
         assert_same_alignments(reference, [m.alignment for m in results])
 
-    def test_mapper_align_candidates_streaming_backend(self, workload, mapper, offline):
-        candidates, _pairs, reference = offline
-        sequences = {read.name: read.sequence for read in workload.reads}
-        streamed = mapper.align_candidates(candidates, sequences, backend="streaming")
-        assert_same_alignments(reference, streamed)
-
     def test_run_without_mapper_raises(self):
         with pytest.raises(ValueError):
             list(StreamingPipeline().run(["ACGT"]))
@@ -328,6 +323,63 @@ class TestStreamingEquivalence:
         assert max(pipeline.stats.wave_lane_counts) <= 4
         with pytest.raises(ValueError):
             StreamingPipeline(max_pending=0)
+
+
+class TestWaveFailure:
+    """A wave that raises reaches the caller without stranding later waves."""
+
+    MARKED = ("ACGTACGTACGT", "TTTTTTTTTTTT")
+    GOOD = [("ACGTACGTAC", "ACGTACGTACGG"), ("ACGTTGCAAC", "ACGTAGCAACTT")]
+
+    @pytest.fixture
+    def failing_engine(self, monkeypatch):
+        from repro.batch.engine import BatchAlignmentEngine
+
+        original = BatchAlignmentEngine.align_pairs
+
+        def align_pairs(engine, pairs, **kwargs):
+            if self.MARKED in pairs:
+                raise RuntimeError("marked pair")
+            return original(engine, pairs, **kwargs)
+
+        monkeypatch.setattr(BatchAlignmentEngine, "align_pairs", align_pairs)
+
+    @staticmethod
+    def _drain(stage, waves):
+        try:
+            for wave in waves:
+                stage.submit([SimpleNamespace(pattern=p, text=t) for p, t in wave])
+            return stage.drain()
+        finally:
+            stage.close()
+
+    def _assert_failure_between_good_waves(self, collected, error_type):
+        assert [len(wave) for wave, _ in collected] == [1, 1, 1]
+        first, failed, last = (result for _, result in collected)
+        assert isinstance(failed, error_type)
+        reference = BatchExecutor(backend="serial").run_alignments(self.GOOD).results
+        assert_same_alignments(reference, first + last)
+
+    def test_align_stage_queues_the_error_in_wave_order(self, failing_engine):
+        from repro.pipeline.alignstage import AlignStage
+
+        waves = [[self.GOOD[0]], [self.MARKED], [self.GOOD[1]]]
+        collected = self._drain(AlignStage(GenASMConfig()), waves)
+        self._assert_failure_between_good_waves(collected, RuntimeError)
+
+    def test_worker_failure_comes_back_with_its_wave(self):
+        # A pattern the engine cannot encode fails inside a pool worker,
+        # where the failure must travel back through the wave's future.
+        from repro.pipeline.alignstage import AlignStage
+
+        waves = [[self.GOOD[0]], [(b"ACGTACGT", "ACGTACGT")], [self.GOOD[1]]]
+        collected = self._drain(AlignStage(GenASMConfig(), workers=2), waves)
+        self._assert_failure_between_good_waves(collected, AttributeError)
+
+    def test_pipeline_raises_the_wave_error(self, failing_engine):
+        pairs = [self.GOOD[0], self.MARKED, self.GOOD[1]]
+        with pytest.raises(RuntimeError, match="marked pair"):
+            StreamingPipeline(wave_size=1).align_pairs(pairs)
 
 
 class TestGoldenCorpusStreaming:

@@ -154,8 +154,7 @@ def test_multi_word_vectorized_alignment_equals_scalar(pattern, edits):
     text = (pattern[:edits] + pattern[edits:][::-1])[: len(pattern)] + "ACGT"
     config = GenASMConfig.short_read(len(pattern))
     want = GenASMAligner(config).align(pattern, text)
-    engine = BatchAlignmentEngine(config, scalar_traceback_threshold=0)
-    got = engine.align_pairs([(pattern, text)])[0]
+    got = BatchAlignmentEngine(config).align_pairs([(pattern, text)])[0]
     assert str(got.cigar) == str(want.cigar)
     assert got.edit_distance == want.edit_distance
     assert got.text_end == want.text_end

@@ -6,8 +6,8 @@ module-level fallback-warning dedupe), the accumulator's push-free timeout
 poll, and the service itself: byte-identical results versus offline runs,
 round-robin fairness and per-tenant in-flight caps, deterministic
 linger-timeout flushes under an injected clock, per-tenant latency
-percentiles, the cached reference registry, and the ``service`` backend on
-the unified execution seam.
+percentiles, the cached reference registry, and a failing wave that must
+fail only the requests riding in it.
 """
 
 from __future__ import annotations
@@ -325,21 +325,48 @@ class TestAlignmentService:
             AlignmentService(CONFIG, max_inflight_per_tenant=-1, autostart=False)
 
 
-class TestServiceBackend:
-    def test_registered_and_byte_identical(self):
-        from repro.execution import available_backends, get_backend
+class TestWaveFailure:
+    """A wave that raises fails its own requests; everything else is served."""
 
-        assert "service" in available_backends()
-        pairs = _simulate_short_read_pairs(6, 150, 0.05, 9)
-        got = get_backend("service").align_pairs(pairs, CONFIG)
-        assert_same_alignments(offline_alignments(pairs), got)
+    MARKED = ("ACGTACGTACGT", "TTTTTTTTTTTT")
 
-    def test_capability_row_present(self):
-        from repro.execution import capability_matrix
+    def test_failed_wave_fails_its_requests_and_serves_the_rest(self, monkeypatch):
+        from repro.batch.engine import BatchAlignmentEngine
 
-        rows = {caps.name: caps for caps in capability_matrix()}
-        assert rows["service"].multiprocess is True
-        assert "request" in rows["service"].ordering
+        original = BatchAlignmentEngine.align_pairs
+
+        def align_pairs(engine, pairs, **kwargs):
+            if self.MARKED in pairs:
+                raise RuntimeError("marked pair")
+            return original(engine, pairs, **kwargs)
+
+        monkeypatch.setattr(BatchAlignmentEngine, "align_pairs", align_pairs)
+        good = _simulate_short_read_pairs(4, 150, 0.05, 3)
+        # One lane per wave, so the marked pair's wave carries no one else.
+        service = AlignmentService(CONFIG, wave_size=1, linger_seconds=None)
+        try:
+            before = service.submit(good[:2], tenant="a")
+            doomed = service.submit([good[2], self.MARKED], tenant="b")
+            with pytest.raises(RuntimeError, match="marked pair"):
+                doomed.result(timeout=10)
+            after = service.submit(good[2:], tenant="c")
+            want_a, want_c = offline_alignments(good[:2]), offline_alignments(good[2:])
+            assert_same_alignments(want_a, before.result(timeout=10))
+            assert_same_alignments(want_c, after.result(timeout=10))
+        finally:
+            service.close()
+        assert all(future.done() for future in (before, doomed, after))
+
+    def test_worker_failure_reaches_the_request(self):
+        # A pattern the engine cannot encode fails inside a pool worker;
+        # the failure comes back through the wave's future.
+        good = _simulate_short_read_pairs(2, 150, 0.05, 4)
+        with AlignmentService(CONFIG, wave_size=1, workers=2) as service:
+            doomed = service.submit([(b"ACGTACGT", "ACGTACGT")], tenant="b")
+            served = service.submit(good, tenant="a")
+            with pytest.raises(AttributeError):
+                doomed.result(timeout=60)
+            assert_same_alignments(offline_alignments(good), served.result(timeout=60))
 
 
 # --------------------------------------------------------------------------- #

@@ -534,8 +534,13 @@ class TestPublishConsistency:
         assert snapshot["engine_tb_match_runs_total"] == stats["match_runs"]
         assert snapshot["engine_tb_match_run_ops_total"] == stats["match_run_ops"]
         assert snapshot["engine_tb_seconds"] == pytest.approx(stats["seconds"])
-        backend = engine.kernel_backend
-        assert snapshot[f'engine_kernel_backend_info{{backend="{backend}"}}'] == 1
+        assert {key for key in snapshot if key.startswith("engine_")} == {
+            "engine_tb_walk_steps_total",
+            "engine_tb_steps_saved_total",
+            "engine_tb_match_runs_total",
+            "engine_tb_match_run_ops_total",
+            "engine_tb_seconds",
+        }
 
 
 # --------------------------------------------------------------------------- #
