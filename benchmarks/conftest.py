@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's reported results (see
-DESIGN.md §4).  The workload is the scaled-down equivalent of the paper's
+Every benchmark regenerates one of the paper's reported results (each row
+id keys the paper's number in ``repro.harness.experiments.PAPER_CLAIMS``;
+the README's "Experiments" section lists how to run them).  The workload is the scaled-down equivalent of the paper's
 dataset produced by the same pipeline; its size is chosen so the whole
 benchmark suite completes in a few minutes of pure-Python execution while
 still containing multi-window long-read alignments.

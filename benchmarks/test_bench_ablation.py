@@ -1,6 +1,6 @@
 """A1 — ablation of the three algorithmic improvements.
 
-DESIGN.md calls out the three improvements as separable design choices;
+The paper presents the three improvements as separable design choices;
 this benchmark measures DP-traffic, footprint and runtime with each one
 enabled in isolation and with all three combined.
 """

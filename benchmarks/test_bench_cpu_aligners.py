@@ -2,9 +2,9 @@
 
 Benchmarks the per-pair alignment throughput of the improved GenASM CPU
 implementation against the three CPU baselines on the same candidate pairs,
-and reports the speedup rows of experiment E1.  The E1v benchmarks compare
-the batch backends (serial loop vs the vectorized lockstep engine vs a
-multiprocess pool) on the same pairs.
+and reports the speedup rows of experiment E1.  The vectorized benchmarks
+time the lockstep wave engine on the same pairs and on a mixed-length
+batch, checking it against the scalar aligner.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from repro.baselines.ksw2 import Ksw2Aligner
 from repro.batch import BatchAlignmentEngine
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
-from repro.harness.experiments import (
-    run_batched_throughput_experiment,
-    run_cpu_speed_experiment,
-)
+from repro.harness.experiments import run_cpu_speed_experiment
 
 from conftest import report_rows
 
@@ -121,19 +118,6 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
         reference = scalar.align(pattern, text)
         assert str(result[index].cigar) == str(reference.cigar)
         assert result[index].edit_distance == reference.edit_distance
-
-
-@pytest.mark.bench
-def test_bench_e1v_batch_backends_table(benchmark, small_workload):
-    """E1v: serial vs vectorized backend throughput row."""
-    rows = benchmark.pedantic(
-        run_batched_throughput_experiment,
-        args=(small_workload,),
-        rounds=1,
-        iterations=1,
-    )
-    report_rows(benchmark, rows, keys=("id", "metric", "measured", "identical_results"))
-    assert all(row["identical_results"] for row in rows)
 
 
 @pytest.mark.bench

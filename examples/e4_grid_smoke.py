@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""E4g smoke: declarative experiment grid + SAM/PAF emission self-checks.
+"""The one smoke: a declared experiment grid plus SAM/PAF self-checks.
 
-A CI gate for the two halves of the scenario layer:
+CI's single end-to-end gate, in two halves:
 
 * **the grid** — runs a declared backend × window × wave sweep
-  (:mod:`repro.harness.grid`) over one simulated long-read workload,
-  appends one provenance-stamped row per cell to the checked-in
-  ``BENCH_pipeline.json`` trajectory (``grid_history``), and **fails** if
-  any cell's alignments differ from the vectorized reference or the
-  declared vectorized-vs-serial throughput gate drops below the ``grid``
-  section's regression floor;
+  (:mod:`repro.harness.grid`) over one simulated long-read workload: the
+  serial loop, the vectorized engine, a warm two-worker shared-memory
+  pool and the streaming pipeline, three timed trials per cell.  It
+  appends one provenance-stamped row per cell (median, min and max
+  seconds) to the checked-in ``BENCH_pipeline.json`` trajectory
+  (``grid_history``) and **fails** if any trial of any cell differs from
+  the vectorized reference, if a cell did not run the backend it
+  declares, or if either declared gate drops below its floor:
+  vectorized over serial (0.55) and shared over vectorized (0.72);
 * **the emitters** — streams the same workload through
   :class:`repro.pipeline.StreamingPipeline` with SAM and PAF sinks and
   **fails** unless the output passes spec-level self-checks (header
@@ -21,13 +24,15 @@ A CI gate for the two halves of the scenario layer:
 Run with::
 
     python examples/e4_grid_smoke.py [bench_path]
+
+``shared`` cells start worker processes, hence the ``__main__`` guard.
 """
 
 import io
 import sys
 
 from repro.core.cigar import Cigar
-from repro.harness.grid import ExperimentGrid, GridRunner
+from repro.harness.grid import HISTORY_KEY, ExperimentGrid, GridRunner
 from repro.io import PafSink, SamSink, write_paf, write_sam
 from repro.mapping.mapper import Mapper
 from repro.pipeline import StreamingPipeline
@@ -38,14 +43,23 @@ GRID_SPEC = {
     "workloads": {
         "long_read": {"read_count": 96, "read_length": 500, "seed": 7},
     },
-    "backends": ["serial", "vectorized", "streaming"],
+    "backends": ["serial", "vectorized", "shared", "streaming"],
     "window_sizes": [64],
     "wave_sizes": [64, 256],
-    "gate": {
-        "metric": "pairs_per_second",
-        "cell": {"backend": "vectorized", "wave_size": 256},
-        "reference_cell": {"backend": "serial", "wave_size": 256},
-    },
+    "gates": [
+        {
+            "metric": "pairs_per_second",
+            "cell": {"backend": "vectorized", "wave_size": 256},
+            "reference_cell": {"backend": "serial", "wave_size": 256},
+            "floor": 0.55,
+        },
+        {
+            "metric": "pairs_per_second",
+            "cell": {"backend": "shared", "wave_size": 256},
+            "reference_cell": {"backend": "vectorized", "wave_size": 256},
+            "floor": 0.72,
+        },
+    ],
 }
 
 
@@ -129,21 +143,25 @@ def main() -> None:
         print(
             f"{row['workload']:>10s} {row['backend']:>10s} "
             f"wave={row['wave_size']:<4d} {row['pairs']:4d} pairs "
-            f"{row['pairs_per_second']:8.1f} pairs/s "
+            f"{row['pairs_per_second']:8.1f} pairs/s (median of {row['trials']}, "
+            f"{row['min_seconds']:.3f}-{row['max_seconds']:.3f}s) "
             f"identical={row['identical']}"
         )
+        trend = runner.recorder.trend(HISTORY_KEY, "pairs_per_second", cell=row)
+        if trend is not None:
+            print(
+                f"{'':>27s}trend: latest {trend['latest']:.1f} vs trailing mean "
+                f"{trend['trailing_mean']:.1f} of this cell (delta {trend['delta']:+.1f})"
+            )
     verdict = runner.check(rows)
-    gate = verdict["gate"]
-    print(
-        f"gate: {gate['metric']} {gate['value']:.1f} vs {gate['reference_value']:.1f} "
-        f"-> ratio {verdict['ratio']:.2f} (floor {verdict['floor']})"
-    )
-    trend = runner.recorder.trend(grid.history_key, "pairs_per_second")
-    if trend is not None:
+    for gate in verdict["gates"]:
         print(
-            f"trend: pairs/s latest {trend['latest']:.1f} vs trailing mean "
-            f"{trend['trailing_mean']:.1f} (delta {trend['delta']:+.1f})"
+            f"gate: {gate['metric']} {gate['cell']} {gate['value']:.1f} vs "
+            f"{gate['reference_cell']} {gate['reference_value']:.1f} -> ratio "
+            f"{gate['ratio']:.2f} (floor {gate['floor']}) {'ok' if gate['ok'] else 'FAIL'}"
         )
+    wrong = [(row["backend"], row["ran"]) for row in rows if row["ran"] != row["backend"]]
+    assert not wrong, f"cells ran a different backend than declared: {wrong}"
     assert verdict["ok"], f"grid gate failed: {verdict}"
 
     # ---------------------------------------------------------------- #

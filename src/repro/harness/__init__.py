@@ -5,14 +5,10 @@ from repro.harness.experiments import (
     PAPER_CLAIMS,
     run_accuracy_experiment,
     run_ablation_experiment,
-    run_batched_throughput_experiment,
     run_cpu_speed_experiment,
     run_gpu_speed_experiment,
     run_memory_access_experiment,
     run_memory_footprint_experiment,
-    run_service_mixed_workload_experiment,
-    run_short_read_throughput_experiment,
-    run_streaming_throughput_experiment,
 )
 from repro.harness.grid import ExperimentGrid, GridCell, GridRunner
 from repro.harness.report import format_table, generate_experiments_markdown
@@ -25,10 +21,6 @@ __all__ = [
     "GridRunner",
     "PAPER_CLAIMS",
     "run_cpu_speed_experiment",
-    "run_batched_throughput_experiment",
-    "run_streaming_throughput_experiment",
-    "run_short_read_throughput_experiment",
-    "run_service_mixed_workload_experiment",
     "run_gpu_speed_experiment",
     "run_memory_footprint_experiment",
     "run_memory_access_experiment",

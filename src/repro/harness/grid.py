@@ -1,72 +1,88 @@
 """Declarative experiment-grid runner with a persistent perf trajectory.
 
-The E-series experiments were, until this module, hand-rolled one-off
-scripts: each smoke picked its own workload, backend and wave size, timed
-one configuration and printed numbers.  ``repro.harness.grid`` turns that
-into *declared* sweeps (py_experimenter-style: the experiment is a config,
-not a script):
+An experiment here is a config, not a script (py_experimenter-style):
 
 * :class:`ExperimentGrid` — the declarative spec: named workloads
   (:func:`~repro.harness.dataset.build_paper_dataset` parameters) crossed
   with execution backends, GenASM window sizes and wave sizes.  Build one
   in code or from a plain dict/JSON via :meth:`ExperimentGrid.from_dict`.
-* :class:`GridRunner` — executes every cell of the grid, checks each
-  cell's alignments against the vectorized reference path (the backends'
-  equivalence contract — a fast cell that returns different CIGARs is a
-  bug, not a win), and appends one provenance-stamped row per cell
-  (date, git SHA, config fingerprint) to a ``BENCH_*.json`` trajectory
-  through :class:`repro.telemetry.bench.BenchRecorder`.
-* the **gate** — a grid may declare a throughput ratio between two of its
-  cells (e.g. streaming vs serial on the same workload); :meth:`GridRunner.check`
-  evaluates it against the ``grid`` section's regression floor in the
-  bench file (:meth:`BenchRecorder.check_ratio` with ``section=``), which
-  is what the ``e4_grid`` CI smoke fails on.
+  A misdeclared spec (unknown backend, repeated or non-positive size, a
+  gate selector that does not name exactly one cell, a missing floor) is
+  rejected at construction, before anything runs or is saved.
+* :class:`GridRunner` — runs every cell :data:`TRIALS` times, checks every
+  trial's alignments against the vectorized reference path (the
+  backends' equivalence contract — a fast cell that returns different
+  CIGARs is a bug, not a win), and appends one provenance-stamped row per
+  cell (date, git SHA, config fingerprint; median, min and max seconds) to
+  the ``grid_history`` of a ``BENCH_*.json`` trajectory through
+  :class:`repro.telemetry.bench.BenchRecorder`.
+* the **gates** — a grid may declare throughput ratios between pairs of
+  its cells, each with its own floor (e.g. shared vs vectorized on the
+  same workload must stay at or above 0.72); :meth:`GridRunner.check`
+  reports every gate, and the grid smoke fails on any of them.
 
 Example::
 
     grid = ExperimentGrid.from_dict({
         "name": "e4_smoke",
         "workloads": {"long_read": {"read_count": 12, "read_length": 600}},
-        "backends": ["serial", "vectorized", "streaming"],
+        "backends": ["serial", "vectorized", "shared"],
         "window_sizes": [64],
         "wave_sizes": [128],
-        "gate": {
+        "gates": [{
             "metric": "pairs_per_second",
             "cell": {"backend": "vectorized"},
             "reference_cell": {"backend": "serial"},
-        },
+            "floor": 0.55,
+        }],
     })
     rows = GridRunner(grid, "BENCH_pipeline.json").run()
+
+Cells with the ``shared`` backend start worker processes, so a script that
+runs such a grid needs an ``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
+from repro.execution import BACKENDS
 from repro.harness.dataset import AlignmentWorkload, build_paper_dataset
-from repro.telemetry.bench import BenchRecorder
+from repro.telemetry.bench import CELL_FIELDS, BenchRecorder
 
 __all__ = ["ExperimentGrid", "GridRunner", "GridCell"]
 
-#: Axis names, in the (deterministic) order cells are enumerated.
-GRID_AXES = ("workload", "backend", "window_size", "wave_size")
+#: Axis names, in the (deterministic) order cells are enumerated: the bench
+#: rows' cell fields after the grid name.
+GRID_AXES = CELL_FIELDS[1:]
 
-_SPEC_KEYS = {
-    "name",
-    "workloads",
-    "backends",
-    "window_sizes",
-    "wave_sizes",
-    "history_key",
-    "section",
-    "gate",
-}
+#: Backends a cell may name: the batch backends plus the streaming pipeline.
+GRID_BACKENDS = BACKENDS + ("streaming",)
+
+#: Bench-file history every grid row is appended to.
+HISTORY_KEY = "grid_history"
+
+#: Timed runs per cell; rows report their median, min and max.
+TRIALS = 3
+
+#: Worker processes of the warm pool that ``shared`` cells run on.
+SHARED_WORKERS = 2
+
+_SPEC_KEYS = {"name", "workloads", "backends", "window_sizes", "wave_sizes", "gates"}
+
+_GATE_KEYS = {"metric", "cell", "reference_cell", "floor"}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -101,25 +117,21 @@ class ExperimentGrid:
         ``shared``).  ``wave_size`` reaches the vectorized engine as
         ``max_lanes`` and the streaming pipeline as its accumulator wave
         size; ``serial`` and ``shared`` record the axis value but execute
-        identically across it.  A grid runs one process, so a ``shared``
-        cell runs the in-process engine, and its row's ``ran`` field says
-        so.
+        identically across it.  ``shared`` cells run on a warm
+        :data:`SHARED_WORKERS`-process
+        :class:`~repro.parallel.shm.SharedMemoryExecutor`, one per window
+        size.
     window_sizes:
         GenASM ``window_size`` values; each derives a config via
         :meth:`config_for` (overlap clamped below the window).
     wave_sizes:
         Lanes per dispatched wave.
-    history_key:
-        Bench-file history the rows append to (must end in ``history``).
-    section:
-        Bench-file section holding this grid's gate config
-        (``regression_threshold`` + ``baseline.ratio``).
-    gate:
-        Optional declared regression gate:
-        ``{"metric": <row field>, "cell": <selector>, "reference_cell":
-        <selector>}``.  The gate ratio is ``metric(cell) /
-        metric(reference_cell)``; selectors are partial axis dicts that
-        must match exactly one cell each.
+    gates:
+        Declared throughput gates, each ``{"metric": <row field>, "cell":
+        <selector>, "reference_cell": <selector>, "floor": <number>}``.  A
+        gate holds when ``metric(cell) / metric(reference_cell) >= floor``;
+        selectors are partial axis dicts that must match exactly one cell
+        each.
     """
 
     name: str
@@ -127,22 +139,35 @@ class ExperimentGrid:
     backends: Sequence[str] = ("vectorized",)
     window_sizes: Sequence[int] = (64,)
     wave_sizes: Sequence[int] = (128,)
-    history_key: str = "grid_history"
-    section: str = "grid"
-    gate: Optional[Dict[str, object]] = None
+    gates: Sequence[Dict[str, object]] = ()
     base_config: GenASMConfig = field(default_factory=GenASMConfig)
 
     def __post_init__(self) -> None:
         if not self.workloads:
             raise ValueError("grid needs at least one workload")
-        if not self.history_key.endswith("history"):
+        unknown = [backend for backend in self.backends if backend not in GRID_BACKENDS]
+        if unknown:
             raise ValueError(
-                f"history_key must end in 'history', got {self.history_key!r}"
+                f"unknown backends {unknown}; expected any of {list(GRID_BACKENDS)}"
             )
-        if self.gate is not None:
-            missing = {"metric", "cell", "reference_cell"} - set(self.gate)
+        for axis in ("backends", "window_sizes", "wave_sizes"):
+            values = list(getattr(self, axis))
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis} repeats a value: {values}")
+        for axis in ("window_sizes", "wave_sizes"):
+            values = list(getattr(self, axis))
+            if not all(_is_number(v) and isinstance(v, int) and v > 0 for v in values):
+                raise ValueError(f"{axis} must be positive integers, got {values}")
+        for gate in self.gates:
+            missing = _GATE_KEYS - set(gate)
             if missing:
                 raise ValueError(f"gate spec is missing {sorted(missing)}")
+            if not _is_number(gate["floor"]) or not gate["floor"] > 0:
+                raise ValueError(
+                    f"gate floor must be a positive number, got {gate['floor']!r}"
+                )
+            self.select_cell(gate["cell"])
+            self.select_cell(gate["reference_cell"])
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, object]) -> "ExperimentGrid":
@@ -173,8 +198,6 @@ class ExperimentGrid:
 
     def config_for(self, window_size: int) -> GenASMConfig:
         """The GenASM config of one window-size axis value."""
-        from dataclasses import replace
-
         overlap = min(self.base_config.window_overlap, max(0, window_size - 1))
         return replace(self.base_config, window_size=window_size, window_overlap=overlap)
 
@@ -193,7 +216,7 @@ class ExperimentGrid:
 
 
 def _same_alignments(got: Sequence[Alignment], want: Sequence[Alignment]) -> bool:
-    """The backends' equivalence contract, as the smokes check it."""
+    """The backends' equivalence contract: CIGAR, distance and span per pair."""
     if len(got) != len(want):
         return False
     return all(
@@ -244,9 +267,9 @@ class GridRunner:
         return self._references[key]
 
     def _run_cell(
-        self, cell: GridCell, config: GenASMConfig
+        self, cell: GridCell, config: GenASMConfig, pool
     ) -> Tuple[List[Alignment], float, str]:
-        """Align the cell's workload; returns (alignments, seconds, backend that ran)."""
+        """Align the cell's workload once: (alignments, seconds, backend that ran)."""
         pairs = self._workload(cell.workload).pairs
         if cell.backend == "streaming":
             from repro.pipeline import StreamingPipeline
@@ -269,92 +292,119 @@ class GridRunner:
         from repro.execution import align_pairs
 
         start = time.perf_counter()
-        alignments, ran = align_pairs(pairs, config, backend=cell.backend)
+        alignments, ran = align_pairs(pairs, config, backend=cell.backend, executor=pool)
         return alignments, time.perf_counter() - start, ran
+
+    def _measure(self, cell: GridCell, config: GenASMConfig, pool) -> Dict[str, object]:
+        """Time :data:`TRIALS` runs of one cell and summarise them as a row."""
+        reference = self._reference(cell, config)
+        seconds: List[float] = []
+        identical = True
+        for _ in range(TRIALS):
+            alignments, elapsed, ran = self._run_cell(cell, config, pool)
+            seconds.append(elapsed)
+            identical = identical and _same_alignments(alignments, reference)
+        median = statistics.median(seconds)
+        pairs = len(alignments)
+        identity = sum(a.identity for a in alignments) / pairs if pairs else 1.0
+        return {
+            "grid": self.grid.name,
+            "workload": cell.workload,
+            "backend": cell.backend,
+            "ran": ran,
+            "window_size": cell.window_size,
+            "wave_size": cell.wave_size,
+            "pairs": pairs,
+            "trials": TRIALS,
+            "seconds": round(median, 4),
+            "min_seconds": round(min(seconds), 4),
+            "max_seconds": round(max(seconds), 4),
+            "pairs_per_second": round(pairs / max(1e-9, median), 2),
+            "mean_identity": round(identity, 4),
+            "identical": identical,
+        }
 
     # ------------------------------------------------------------------ #
     def run(self, *, append: bool = True, save: bool = True) -> List[Dict[str, object]]:
-        """Run every cell; returns one row dict per cell (axis order).
+        """Run every cell :data:`TRIALS` times; returns one row per cell (axis order).
 
         Each row carries the cell's axis values, the backend that ``ran``
-        it, pair count, wall seconds, ``pairs_per_second``, mean alignment
-        identity and the ``identical`` equivalence flag against the
-        vectorized reference.
-        With ``append`` (default) rows are also written to the grid's
-        history through the recorder, provenance-stamped; ``save``
-        persists the bench file afterwards.
+        it, pair count, ``trials``, the median wall ``seconds`` with
+        ``min_seconds``/``max_seconds``, ``pairs_per_second`` at the
+        median, mean alignment identity and the ``identical`` flag: every
+        trial matched the vectorized reference.  ``shared`` cells share
+        one warm pool per window size, started and warmed outside the
+        timed region and closed before this returns or raises.
+        With ``append`` (default) rows are also written to
+        ``grid_history`` through the recorder, provenance-stamped;
+        ``save`` persists the bench file afterwards.
         """
+        from repro.parallel.shm import SharedMemoryExecutor
+
         rows: List[Dict[str, object]] = []
-        for cell in self.grid.cells():
-            config = self.grid.config_for(cell.window_size)
-            alignments, seconds, ran = self._run_cell(cell, config)
-            reference = self._reference(cell, config)
-            pairs = len(alignments)
-            identity = (
-                sum(a.identity for a in alignments) / pairs if pairs else 1.0
-            )
-            row: Dict[str, object] = {
-                "grid": self.grid.name,
-                "workload": cell.workload,
-                "backend": cell.backend,
-                "ran": ran,
-                "window_size": cell.window_size,
-                "wave_size": cell.wave_size,
-                "pairs": pairs,
-                "seconds": round(seconds, 4),
-                "pairs_per_second": round(pairs / max(1e-9, seconds), 2),
-                "mean_identity": round(identity, 4),
-                "identical": _same_alignments(alignments, reference),
-            }
-            if append:
-                self.recorder.append(self.grid.history_key, row, config=config)
-            rows.append(row)
+        with ExitStack() as stack:
+            pools: Dict[int, SharedMemoryExecutor] = {}
+            for cell in self.grid.cells():
+                config = self.grid.config_for(cell.window_size)
+                pool = None
+                if cell.backend == "shared":
+                    if cell.window_size not in pools:
+                        pools[cell.window_size] = stack.enter_context(
+                            SharedMemoryExecutor(workers=SHARED_WORKERS, config=config)
+                        )
+                        pools[cell.window_size].warm()
+                    pool = pools[cell.window_size]
+                row = self._measure(cell, config, pool)
+                if append:
+                    self.recorder.append(HISTORY_KEY, row, config=config)
+                rows.append(row)
         if save and append:
             self.recorder.save()
         return rows
 
     def check(self, rows: Sequence[Mapping[str, object]]) -> Dict[str, object]:
-        """Evaluate the grid's declared gate over a :meth:`run` result.
+        """Evaluate every declared gate over a :meth:`run` result.
 
-        Returns the :meth:`BenchRecorder.check_ratio` verdict augmented
-        with the gate's cells and metric values; ``{"ok": True}`` -shaped
-        when the grid declares no gate.  Also fails (``ok=False``) when
+        Returns ``{"ok", "gates", "non_identical"}``: one entry per gate
+        with its metric, selectors, both metric values, ``ratio``,
+        ``floor`` and its own ``ok``.  The overall ``ok`` also fails when
         any cell's alignments were not identical to the reference —
         equivalence is part of the gate, not just a row field.
         """
-        broken = [row for row in rows if not row.get("identical", False)]
-        if self.grid.gate is None:
-            return {"ok": not broken, "gate": None, "non_identical": len(broken)}
-        metric = str(self.grid.gate["metric"])
-        cell = self.grid.select_cell(self.grid.gate["cell"])
-        reference = self.grid.select_cell(self.grid.gate["reference_cell"])
+        broken = sum(1 for row in rows if not row.get("identical", False))
 
-        def metric_of(target: GridCell) -> float:
+        def metric_of(metric: str, target: GridCell) -> float:
             for row in rows:
                 if all(row.get(axis) == getattr(target, axis) for axis in GRID_AXES):
                     value = row.get(metric)
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    if not _is_number(value):
                         raise ValueError(
                             f"gate metric {metric!r} is not numeric in row for {target}"
                         )
                     return float(value)
             raise ValueError(f"no row for gate cell {target}")
 
-        numerator = metric_of(cell)
-        denominator = metric_of(reference)
-        ratio = numerator / max(1e-9, denominator)
-        verdict = self.recorder.check_ratio(ratio, section=self.grid.section)
-        verdict.update(
-            {
-                "ok": bool(verdict["ok"]) and not broken,
-                "gate": {
+        verdicts = []
+        for gate in self.grid.gates:
+            metric = str(gate["metric"])
+            value = metric_of(metric, self.grid.select_cell(gate["cell"]))
+            reference = self.grid.select_cell(gate["reference_cell"])
+            reference_value = metric_of(metric, reference)
+            ratio = value / max(1e-9, reference_value)
+            verdicts.append(
+                {
                     "metric": metric,
-                    "cell": dict(self.grid.gate["cell"]),
-                    "reference_cell": dict(self.grid.gate["reference_cell"]),
-                    "value": numerator,
-                    "reference_value": denominator,
-                },
-                "non_identical": len(broken),
-            }
-        )
-        return verdict
+                    "cell": dict(gate["cell"]),
+                    "reference_cell": dict(gate["reference_cell"]),
+                    "value": value,
+                    "reference_value": reference_value,
+                    "ratio": ratio,
+                    "floor": float(gate["floor"]),
+                    "ok": ratio >= float(gate["floor"]),
+                }
+            )
+        return {
+            "ok": not broken and all(verdict["ok"] for verdict in verdicts),
+            "gates": verdicts,
+            "non_identical": broken,
+        }

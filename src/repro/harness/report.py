@@ -76,8 +76,10 @@ def generate_experiments_markdown(
     parts: List[str] = []
     parts.append("# EXPERIMENTS — paper vs. measured\n")
     parts.append(
-        "Regenerate with `python -m repro.harness.report --write` "
-        "(see DESIGN.md §4 for the experiment index).\n"
+        "Regenerate with `python -m repro.harness.report --write`. Each row "
+        "id keys the paper's reported number in "
+        "`repro.harness.experiments.PAPER_CLAIMS`; the README's Experiments "
+        "section lists how to run them.\n"
     )
     parts.append("## Workload\n")
     parts.append(
@@ -110,8 +112,8 @@ def generate_experiments_markdown(
         "with the measured E1 ratios.\n"
         "- E3/E4 are algorithmic properties measured exactly (bytes touched "
         "and DP-table accesses); their magnitude depends on the window "
-        "configuration and the per-window error rate, as discussed in "
-        "DESIGN.md.\n"
+        "configuration and the per-window error rate (see the known "
+        "limitations below).\n"
         "- E5 checks that the improved algorithm returns the same distances "
         "as the baseline and how often the windowed heuristic attains the "
         "full-DP optimum.\n"

@@ -3,9 +3,9 @@
 :class:`PipelineStats` is the observability half of :mod:`repro.pipeline`:
 it records how long the driver spent waiting on each stage, how full the
 wave accumulator ran (queue occupancy, backpressure and timeout flushes),
-and how well-packed the dispatched waves were (fill efficiency).  The E1s
-experiment and ``examples/e1s_smoke.py`` report it; the differential tests
-use the counts to assert the pipeline saw every read and candidate.
+and how well-packed the dispatched waves were (fill efficiency).  The
+differential tests use the counts to assert the pipeline saw every read
+and candidate.
 
 Stage times are *driver wait times*: with worker pools attached to the map
 or align stage, a stage's seconds measure how long the pipeline loop
@@ -347,7 +347,7 @@ class PipelineStats:
         ).load(self.wave_lane_counts)
 
     def summary(self) -> str:
-        """Human-readable multi-line summary (used by the smoke examples)."""
+        """Human-readable multi-line summary."""
         stages = "  ".join(
             f"{stage}={self.stage_seconds[stage]:.3f}s" for stage in PIPELINE_STAGES
         )

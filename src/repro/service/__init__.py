@@ -16,7 +16,7 @@ one warm execution core:
   request latency alongside the wave-level throughput accounting.
 
 Results are byte-identical to offline runs over the same pairs; see
-``examples/e3_service_smoke.py`` and ``tests/test_service.py``.
+``tests/test_service.py``.
 """
 
 from repro.service.frontend import AlignmentService, ServiceRequest, ServiceWork

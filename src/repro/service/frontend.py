@@ -41,7 +41,7 @@ Design:
 Every alignment stays byte-identical to an offline
 :meth:`~repro.parallel.executor.BatchExecutor.run_alignments` call over
 the same pairs — coalescing moves scheduling, never results — which the
-service tests and ``examples/e3_service_smoke.py`` assert.
+service tests assert.
 """
 
 from __future__ import annotations

@@ -283,7 +283,7 @@ class ServiceStats:
         }
 
     def summary(self) -> str:
-        """Human-readable multi-line summary (used by the service smoke)."""
+        """Human-readable multi-line summary."""
         lines = [
             f"requests={self.requests_completed}/{self.requests_submitted} "
             f"pairs={self.pairs_completed}/{self.pairs_submitted} "

@@ -21,8 +21,8 @@ persisted measurements.  This package is the one seam they plug into:
   human :func:`~repro.telemetry.exporters.summary`;
 * :mod:`~repro.telemetry.bench` — the perf-trajectory recorder over
   ``BENCH_*.json``: schema validation, provenance-stamped appends
-  (git SHA + config fingerprint), trailing-window trend deltas, and the
-  regression-floor check the smokes gate on.
+  (git SHA + config fingerprint) and per-cell trailing-window trend
+  deltas.
 
 Quickstart::
 

@@ -1,37 +1,31 @@
 """Perf-trajectory recorder: validate, append and trend ``BENCH_*.json``.
 
 ``BENCH_pipeline.json`` is the repo's checked-in performance memory: the
-smokes append measurement rows so speed is tracked *over time*, not just
-gated one-off per run.  Until this module every smoke hand-rolled the
-same load / append / truncate / dump sequence and reimplemented the
-regression floor check, and nothing validated the file's shape — a
-malformed edit surfaced only as a smoke crash much later.
-
-:class:`BenchRecorder` owns that loop:
+grid smoke (``examples/e4_grid_smoke.py``) appends one row per grid cell
+to its ``grid_history``, so speed is tracked *over time*, not just gated
+per run.  :class:`BenchRecorder` owns the load / append / save loop:
 
 * **Schema validation** (:func:`validate_bench`) — the file must be a
   JSON object whose ``*history`` keys hold lists of flat row objects,
-  each with an ISO-ish ``date`` string and scalar fields only;
-  ``regression_threshold`` and ``baseline.ratio`` are checked when
-  present.  Validation is deliberately tolerant of *extra* keys so the
-  trajectory can grow new sections without schema churn.
+  each with an ISO-ish ``date`` string and scalar fields only.
+  Validation is deliberately tolerant of *extra* keys so the trajectory
+  can grow new sections without schema churn.
 * **Provenance-stamped appends** (:meth:`BenchRecorder.append`) — every
   row gets a ``date``, the current ``git_sha`` and, when a config object
   is supplied, a short ``config_fingerprint``
   (:func:`config_fingerprint`), so any history row can be traced back to
   the exact code and configuration that produced it.  Histories stay
   bounded (``limit`` newest rows kept).
-* **Trend deltas** (:meth:`BenchRecorder.trend`) — the latest row's
-  numeric field compared against the trailing-window mean, the quantity
-  ROADMAP's "persistent perf trajectory" item asks for.
-* **The regression check** (:meth:`BenchRecorder.regression_floor` /
-  :meth:`BenchRecorder.check_ratio`) — the
-  ``ratio >= regression_threshold * baseline.ratio`` gate the
-  shared-memory smoke previously reimplemented inline.
+* **Per-cell trend deltas** (:meth:`BenchRecorder.trend`) — a cell's
+  latest value of a numeric field compared against the mean of that
+  cell's earlier rows; rows of other cells (:data:`CELL_FIELDS`) never
+  enter the window.
+
+Throughput floors live with the grid gates that declare them
+(:class:`repro.harness.grid.ExperimentGrid`).
 
 Run ``python -m repro.telemetry.bench [path]`` to validate a bench file
-and print its trajectories (CI's ``bench-schema`` step; exits non-zero on
-schema violations).
+and print one trend per cell (exits non-zero on schema violations).
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import subprocess
 import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "BenchRecorder",
@@ -53,14 +47,30 @@ __all__ = [
     "validate_bench",
 ]
 
-#: Rows retained per history by default (matches the smokes' historical cap).
+#: Rows retained per history by default.
 DEFAULT_HISTORY_LIMIT = 50
 
-#: ``date`` rows must at least lead with an ISO date (the smokes write
-#: ``%Y-%m-%dT%H:%M:%S``; a bare date is accepted for baselines).
+#: ``date`` rows must at least lead with an ISO date (appends write
+#: ``%Y-%m-%dT%H:%M:%S``; a bare date is accepted too).
 _DATE_PATTERN = re.compile(r"^\d{4}-\d{2}-\d{2}([T ].*)?$")
 
 _SCALAR = (str, int, float, bool, type(None))
+
+#: Row fields naming one grid cell; a trend compares a row only with
+#: earlier rows that agree on all of them.
+CELL_FIELDS = ("grid", "workload", "backend", "window_size", "wave_size")
+
+#: The throughput field the CLI trends, one line per cell.
+TREND_FIELD = "pairs_per_second"
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def cell_of(row: Mapping[str, object]) -> Tuple[object, ...]:
+    """The cell a history row belongs to: its :data:`CELL_FIELDS` values."""
+    return tuple(row.get(name) for name in CELL_FIELDS)
 
 
 class BenchSchemaError(ValueError):
@@ -90,18 +100,10 @@ def _check_row(path: str, row: object, problems: List[str]) -> None:
 def validate_bench(data: object) -> None:
     """Raise :class:`BenchSchemaError` unless ``data`` fits the bench schema.
 
-    Checks, per section:
-
-    * top level must be a JSON object;
-    * every key ending in ``history`` must hold a list of flat row
-      objects, each with an ISO-ish ``date`` and scalar-only fields;
-    * ``regression_threshold`` (when present, anywhere an object carries
-      it) must be a number in ``(0, 1]``;
-    * any ``baseline`` object must carry a numeric ``ratio`` or other
-      scalar fields only.
-
-    Unknown keys are allowed everywhere — the trajectory grows new
-    sections (service, traceback, future GPU/numba histories) without
+    The top level must be a JSON object, and every key ending in
+    ``history`` (at any depth) must hold a list of flat row objects, each
+    with an ISO-ish ``date`` and scalar-only fields.  Unknown keys are
+    allowed everywhere, so the trajectory can grow new sections without
     schema edits.
     """
     problems: List[str] = []
@@ -121,22 +123,6 @@ def validate_bench(data: object) -> None:
                     continue
                 for index, row in enumerate(value):
                     _check_row(f"{here}[{index}]", row, problems)
-            elif key == "regression_threshold":
-                if not isinstance(value, (int, float)) or isinstance(value, bool) or not (
-                    0 < value <= 1
-                ):
-                    problems.append(
-                        f"{here}: must be a number in (0, 1], got {value!r}"
-                    )
-            elif key == "baseline":
-                if not isinstance(value, dict):
-                    problems.append(f"{here}: must be an object")
-                else:
-                    ratio = value.get("ratio")
-                    if ratio is not None and (
-                        not isinstance(ratio, (int, float)) or isinstance(ratio, bool)
-                    ):
-                        problems.append(f"{here}.ratio: must be a number, got {ratio!r}")
             elif isinstance(value, dict):
                 walk(here, value)
 
@@ -187,9 +173,8 @@ class BenchRecorder:
 
     ``BenchRecorder(path)`` loads and validates immediately; mutate via
     :meth:`append` and persist with :meth:`save` (which re-validates, so
-    a recorder can never write a file the CI ``bench-schema`` step would
-    reject).  ``data`` is the live dict for read access (baselines,
-    workload sections).
+    a recorder can never write a file the CI schema check would reject).
+    ``data`` is the live dict for read access.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -200,22 +185,22 @@ class BenchRecorder:
     # ------------------------------------------------------------------ #
     def append(
         self,
-        history_key: str,
+        key: str,
         row: Dict[str, object],
         *,
         config: Optional[object] = None,
         limit: int = DEFAULT_HISTORY_LIMIT,
     ) -> Dict[str, object]:
-        """Append one provenance-stamped row to ``history_key``.
+        """Append one provenance-stamped row to ``key``.
 
         The stored row is ``row`` plus ``date`` (now; kept if the caller
         already set one), ``git_sha``, and — when ``config`` is given —
         ``config_fingerprint``.  The history is truncated to the newest
         ``limit`` rows.  Returns the stored row.
         """
-        if not history_key.endswith("history"):
+        if not key.endswith("history"):
             raise ValueError(
-                f"history keys end in 'history' (schema contract), got {history_key!r}"
+                f"history keys end in 'history' (schema contract), got {key!r}"
             )
         stored: Dict[str, object] = {
             "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -224,12 +209,12 @@ class BenchRecorder:
         if config is not None:
             stored["config_fingerprint"] = config_fingerprint(config)
         stored.update(row)
-        history = self.data.setdefault(history_key, [])
+        history = self.data.setdefault(key, [])
         if not isinstance(history, list):
-            raise BenchSchemaError([f"{history_key}: must be a list of rows"])
+            raise BenchSchemaError([f"{key}: must be a list of rows"])
         history.append(stored)
-        self.data[history_key] = history[-limit:]
-        _check_row(history_key, stored, problems := [])
+        self.data[key] = history[-limit:]
+        _check_row(key, stored, problems := [])
         if problems:
             raise BenchSchemaError(problems)
         return stored
@@ -240,26 +225,37 @@ class BenchRecorder:
         self.path.write_text(json.dumps(self.data, indent=2) + "\n")
 
     # ------------------------------------------------------------------ #
-    def history(self, history_key: str) -> List[Dict[str, object]]:
-        value = self.data.get(history_key, [])
+    def history(self, key: str) -> List[Dict[str, object]]:
+        value = self.data.get(key, [])
         return value if isinstance(value, list) else []
 
     def trend(
-        self, history_key: str, field: str, *, window: int = 5
+        self,
+        key: str,
+        field: str,
+        *,
+        cell: Optional[Mapping[str, object]] = None,
+        window: int = 5,
     ) -> Optional[Dict[str, float]]:
-        """Latest value of ``field`` vs the trailing-window mean.
+        """One cell's latest value of ``field`` vs that cell's trailing mean.
 
+        A cell is the rows that agree on every :data:`CELL_FIELDS` value;
+        ``cell`` is any row of the cell to trend and defaults to the
+        history's newest row.  Rows of other cells never enter the window,
+        so a grid's serial and streaming rows are not averaged together.
         Returns ``{"latest", "trailing_mean", "delta", "ratio", "rows"}``
         where ``delta = latest - trailing_mean`` and ``ratio`` is their
-        quotient — or ``None`` when fewer than two rows carry the field
-        (no trailing window to compare against).
+        quotient — or ``None`` when fewer than two of the cell's rows
+        carry the field (no trailing window to compare against).
         """
+        rows = [row for row in self.history(key) if isinstance(row, dict)]
+        if not rows:
+            return None
+        wanted = cell_of(rows[-1] if cell is None else cell)
         values = [
             float(row[field])
-            for row in self.history(history_key)
-            if isinstance(row, dict)
-            and isinstance(row.get(field), (int, float))
-            and not isinstance(row.get(field), bool)
+            for row in rows
+            if cell_of(row) == wanted and _is_number(row.get(field))
         ]
         if len(values) < 2:
             return None
@@ -272,52 +268,6 @@ class BenchRecorder:
             "delta": latest - mean,
             "ratio": (latest / mean) if mean else float("inf"),
             "rows": float(len(trailing)),
-        }
-
-    # ------------------------------------------------------------------ #
-    def _gate_scope(self, section: Optional[str]) -> Dict[str, object]:
-        """The dict holding the gate config: the file root, or a section.
-
-        Multiple benchmarks share one trajectory file (the shared-memory
-        smoke at the root, ``service``, ``grid``, ...); each can carry its
-        own ``regression_threshold`` + ``baseline`` inside its section.
-        """
-        if section is None:
-            return self.data
-        scope = self.data.get(section)
-        return scope if isinstance(scope, dict) else {}
-
-    def regression_floor(self, *, section: Optional[str] = None) -> Optional[float]:
-        """``regression_threshold * baseline.ratio`` (``None`` if unset)."""
-        scope = self._gate_scope(section)
-        threshold = scope.get("regression_threshold")
-        baseline = scope.get("baseline")
-        if not isinstance(threshold, (int, float)) or not isinstance(baseline, dict):
-            return None
-        ratio = baseline.get("ratio")
-        if not isinstance(ratio, (int, float)):
-            return None
-        return float(threshold) * float(ratio)
-
-    def check_ratio(
-        self, ratio: float, *, section: Optional[str] = None
-    ) -> Dict[str, object]:
-        """The smokes' regression gate: is ``ratio`` above the floor?
-
-        Returns ``{"ok", "ratio", "floor", "baseline", "threshold"}``;
-        ``ok`` is ``True`` when no floor is configured (nothing to gate).
-        ``section`` reads the gate config from a nested section of the
-        bench file instead of the root (e.g. ``section="grid"``).
-        """
-        scope = self._gate_scope(section)
-        floor = self.regression_floor(section=section)
-        baseline = scope.get("baseline", {})
-        return {
-            "ok": floor is None or ratio >= floor,
-            "ratio": float(ratio),
-            "floor": floor,
-            "baseline": baseline.get("ratio") if isinstance(baseline, dict) else None,
-            "threshold": scope.get("regression_threshold"),
         }
 
 
@@ -349,31 +299,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     for key in sorted(recorder.data):
         if not key.endswith("history"):
             continue
-        rows = recorder.history(key)
-        print(f"  {key}: {len(rows)} rows")
-        if not rows:
-            continue
-        latest = rows[-1]
-        numeric = [
-            field
-            for field, value in latest.items()
-            if isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and field not in ("trials",)
-        ]
-        for field in numeric:
-            trend = recorder.trend(key, field)
+        rows = [row for row in recorder.history(key) if isinstance(row, dict)]
+        latest = {cell_of(row): row for row in rows}
+        print(f"  {key}: {len(rows)} rows, {len(latest)} cells")
+        for cell, row in latest.items():
+            label = "/".join(str(value) for value in cell if value is not None) or "-"
+            if not _is_number(row.get(TREND_FIELD)):
+                print(f"    {label}: no {TREND_FIELD}")
+                continue
+            trend = recorder.trend(key, TREND_FIELD, cell=row)
             if trend is None:
-                print(f"    {field}: {latest[field]} (no trailing window yet)")
+                print(
+                    f"    {label}: {TREND_FIELD} {row[TREND_FIELD]:g} "
+                    "(no trailing window yet)"
+                )
             else:
                 print(
-                    f"    {field}: {trend['latest']:g} "
-                    f"(trailing mean {trend['trailing_mean']:g}, "
+                    f"    {label}: {TREND_FIELD} {trend['latest']:g} "
+                    f"(trailing mean {trend['trailing_mean']:g}, n={trend['rows']:g}, "
                     f"delta {trend['delta']:+g})"
                 )
-    floor = recorder.regression_floor()
-    if floor is not None:
-        print(f"  regression floor: {floor:g}")
     return 0
 
 

@@ -17,8 +17,8 @@ Design constraints, in order:
    does ``with tracer.span("stage.align"):`` unconditionally; when the
    tracer is the module-level :data:`NULL_TRACER` (the default everywhere)
    that is one method call returning a shared no-op context manager — no
-   allocation, no clock read, no branch at the call site.  The E1v smoke's
-   <2 % disabled-overhead budget is met by keeping the hot engine loops
+   allocation, no clock read, no branch at the call site.  The <2 %
+   disabled-overhead budget is met by keeping the hot engine loops
    untraced entirely (the engine publishes *metrics*, not spans) and the
    pipeline/service instrumentation behind this no-op path.
 2. **Cross-process timelines.**  Worker processes build their own

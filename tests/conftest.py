@@ -52,6 +52,21 @@ def baseline_config() -> GenASMConfig:
     return GenASMConfig.baseline()
 
 
+def segment_exists(name: str) -> bool:
+    """True if the named shared-memory segment still exists system-wide."""
+    from multiprocessing import resource_tracker, shared_memory
+
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    # Probing attached us; undo the tracker registration and detach so the
+    # probe itself neither leaks nor double-unlinks.
+    resource_tracker.unregister(shm._name, "shared_memory")
+    shm.close()
+    return True
+
+
 def related_pair(rng: random.Random, length: int, error_rate: float = 0.1):
     """A (pattern, text) pair where text is a mutated copy of pattern plus slack."""
     pattern = random_dna(rng, length)

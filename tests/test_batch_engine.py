@@ -32,7 +32,6 @@ from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
-from repro.harness.experiments import run_batched_throughput_experiment
 from repro.parallel.executor import BatchExecutor, BatchResult, Stopwatch
 from tests.conftest import mutate, random_dna
 
@@ -367,19 +366,6 @@ class TestWarpModel:
         assert 0.0 < diverged.lane_efficiency <= 1.0
         assert diverged.compute_seconds >= uniform.compute_seconds
         assert "lane_efficiency" in diverged.summary()
-
-
-class TestHarnessBatchedExperiment:
-    def test_batched_throughput_rows(self):
-        workload = build_paper_dataset(
-            read_count=3, read_length=400, seed=5, max_pairs=4
-        )
-        rows = run_batched_throughput_experiment(workload)
-        assert [row["id"] for row in rows] == ["E1v_vectorized_vs_serial"]
-        for row in rows:
-            assert row["identical_results"] is True
-            assert row["measured"] > 0
-            assert row["pairs"] == workload.pair_count
 
 
 class TestMapperBatch:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.harness.grid import GRID_AXES, ExperimentGrid, GridCell, GridRunner
+from repro.harness.grid import GRID_AXES, TRIALS, ExperimentGrid, GridCell, GridRunner
+from repro.parallel.shm import SharedMemoryExecutor
 from repro.telemetry.bench import BenchRecorder
+from tests.conftest import segment_exists
 
 TINY_WORKLOAD = {
     "read_count": 6,
@@ -13,6 +15,22 @@ TINY_WORKLOAD = {
     "genome_length": 20_000,
     "seed": 1,
 }
+
+# Correctness (identical alignments) is the real gate in these tests; the
+# throughput floor is far below any plausible ratio so timing noise cannot
+# flake them.
+TINY_FLOOR = 0.01
+
+
+def tiny_gate(**overrides):
+    gate = {
+        "metric": "pairs_per_second",
+        "cell": {"backend": "vectorized"},
+        "reference_cell": {"backend": "serial"},
+        "floor": TINY_FLOOR,
+    }
+    gate.update(overrides)
+    return gate
 
 
 def tiny_spec(**overrides):
@@ -22,11 +40,7 @@ def tiny_spec(**overrides):
         "backends": ["serial", "vectorized"],
         "window_sizes": [64],
         "wave_sizes": [32],
-        "gate": {
-            "metric": "pairs_per_second",
-            "cell": {"backend": "vectorized"},
-            "reference_cell": {"backend": "serial"},
-        },
+        "gates": [tiny_gate()],
     }
     spec.update(overrides)
     return spec
@@ -35,22 +49,7 @@ def tiny_spec(**overrides):
 @pytest.fixture
 def bench_path(tmp_path):
     path = tmp_path / "BENCH_grid.json"
-    path.write_text(
-        json.dumps(
-            {
-                "grid": {
-                    "benchmark": "unit grid",
-                    # Correctness (identical alignments) is the real gate
-                    # here; the throughput floor is set far below any
-                    # plausible ratio so timing noise cannot flake the test.
-                    "regression_threshold": 0.01,
-                    "baseline": {"date": "2026-08-07", "ratio": 1.0},
-                }
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    path.write_text("{}\n")
     return path
 
 
@@ -59,8 +58,7 @@ class TestExperimentGridSpec:
         grid = ExperimentGrid.from_dict(tiny_spec())
         assert grid.name == "unit_grid"
         assert grid.backends == ["serial", "vectorized"]
-        assert grid.history_key == "grid_history"
-        assert grid.section == "grid"
+        assert grid.gates == [tiny_gate()]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown grid spec keys"):
@@ -76,19 +74,13 @@ class TestExperimentGridSpec:
         with pytest.raises(ValueError, match="at least one workload"):
             ExperimentGrid(name="x", workloads={})
 
-    def test_history_key_must_end_in_history(self):
-        with pytest.raises(ValueError, match="must end in 'history'"):
-            ExperimentGrid.from_dict(tiny_spec(history_key="grid_rows"))
-
     def test_gate_keys_validated(self):
         with pytest.raises(ValueError, match="missing"):
-            ExperimentGrid.from_dict(
-                tiny_spec(gate={"metric": "pairs_per_second"})
-            )
+            ExperimentGrid.from_dict(tiny_spec(gates=[{"metric": "pairs_per_second"}]))
 
     def test_cells_cartesian_product_in_axis_order(self):
         grid = ExperimentGrid.from_dict(
-            tiny_spec(backends=["serial", "vectorized"], wave_sizes=[32, 64])
+            tiny_spec(backends=["serial", "vectorized"], wave_sizes=[32, 64], gates=[])
         )
         cells = grid.cells()
         assert len(cells) == 4
@@ -112,21 +104,52 @@ class TestExperimentGridSpec:
             grid.select_cell({"window_size": 64})
 
 
+class TestMisdeclaredGridRejectedAtConstruction:
+    """A misdeclared spec fails before any cell runs or any row is saved."""
+
+    def test_unknown_backend_cell_raises(self):
+        with pytest.raises(ValueError, match=r"unknown backends \['proces'\]"):
+            ExperimentGrid.from_dict(tiny_spec(backends=["serial", "proces"], gates=[]))
+
+    @pytest.mark.parametrize("axis", ["window_sizes", "wave_sizes"])
+    @pytest.mark.parametrize("bad", [0, -64])
+    def test_non_positive_size_rejected(self, axis, bad):
+        with pytest.raises(ValueError, match=f"{axis} must be positive integers"):
+            ExperimentGrid.from_dict(tiny_spec(**{axis: [64, bad]}))
+
+    @pytest.mark.parametrize("axis", ["window_sizes", "wave_sizes"])
+    def test_repeated_size_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} repeats a value"):
+            ExperimentGrid.from_dict(tiny_spec(**{axis: [64, 64]}))
+
+    @pytest.mark.parametrize("selector", ["cell", "reference_cell"])
+    def test_gate_selector_matching_no_cell_rejected(self, selector):
+        gate = tiny_gate(**{selector: {"backend": "vectorised"}})
+        with pytest.raises(ValueError, match="matches 0 cells"):
+            ExperimentGrid.from_dict(tiny_spec(gates=[gate]))
+
+    def test_gate_selector_matching_two_cells_rejected(self):
+        gate = tiny_gate(cell={"window_size": 64})
+        with pytest.raises(ValueError, match="matches 2 cells"):
+            ExperimentGrid.from_dict(tiny_spec(gates=[gate]))
+
+    def test_missing_floor_rejected(self):
+        gate = tiny_gate()
+        del gate["floor"]
+        with pytest.raises(ValueError, match=r"missing \['floor'\]"):
+            ExperimentGrid.from_dict(tiny_spec(gates=[gate]))
+
+    @pytest.mark.parametrize("floor", [0, -0.5, "0.55", True])
+    def test_non_positive_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor must be a positive number"):
+            ExperimentGrid.from_dict(tiny_spec(gates=[tiny_gate(floor=floor)]))
+
+
 class TestGridRunner:
     @pytest.fixture(scope="class")
     def run_result(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bench") / "BENCH_grid.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "grid": {
-                        "regression_threshold": 0.01,
-                        "baseline": {"date": "2026-08-07", "ratio": 1.0},
-                    }
-                }
-            )
-            + "\n"
-        )
+        path.write_text("{}\n")
         grid = ExperimentGrid.from_dict(tiny_spec())
         runner = GridRunner(grid, path)
         rows = runner.run()
@@ -142,10 +165,19 @@ class TestGridRunner:
             assert row["identical"] is True
             assert 0.0 <= row["mean_identity"] <= 1.0
 
+    def test_rows_report_median_of_trials(self, run_result):
+        _, _, rows, _ = run_result
+        for row in rows:
+            assert row["trials"] == TRIALS
+            assert row["min_seconds"] <= row["seconds"] <= row["max_seconds"]
+            assert row["pairs_per_second"] == pytest.approx(
+                row["pairs"] / row["seconds"], rel=0.01
+            )
+
     def test_rows_persisted_with_provenance(self, run_result):
         grid, _, rows, path = run_result
         data = json.loads(path.read_text())
-        stored = data[grid.history_key]
+        stored = data["grid_history"]
         assert len(stored) == len(rows)
         for row in stored:
             assert row["date"] and row["git_sha"]
@@ -157,10 +189,22 @@ class TestGridRunner:
         verdict = runner.check(rows)
         assert verdict["ok"] is True
         assert verdict["non_identical"] == 0
-        gate = verdict["gate"]
+        (gate,) = verdict["gates"]
         assert gate["metric"] == "pairs_per_second"
         assert gate["value"] > 0 and gate["reference_value"] > 0
-        assert verdict["floor"] == pytest.approx(0.01)
+        assert gate["ratio"] == pytest.approx(gate["value"] / gate["reference_value"])
+        assert gate["floor"] == pytest.approx(TINY_FLOOR)
+        assert gate["ok"] is True
+
+    def test_each_gate_compares_with_its_own_floor(self, run_result, bench_path):
+        _, _, rows, _ = run_result
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(gates=[tiny_gate(), tiny_gate(floor=1e9)])
+        )
+        verdict = GridRunner(grid, bench_path).check(rows)
+        assert [gate["ok"] for gate in verdict["gates"]] == [True, False]
+        assert [gate["floor"] for gate in verdict["gates"]] == [TINY_FLOOR, 1e9]
+        assert verdict["ok"] is False
 
     def test_check_fails_on_non_identical_cell(self, run_result):
         _, runner, rows, _ = run_result
@@ -170,52 +214,78 @@ class TestGridRunner:
         assert verdict["ok"] is False
         assert verdict["non_identical"] == 1
 
-    def test_check_without_gate(self, run_result):
-        _, _, rows, path = run_result
-        grid = ExperimentGrid.from_dict(tiny_spec(gate=None))
-        verdict = GridRunner(grid, path).check(rows)
-        assert verdict == {"ok": True, "gate": None, "non_identical": 0}
+    def test_check_without_gate(self, run_result, bench_path):
+        _, _, rows, _ = run_result
+        grid = ExperimentGrid.from_dict(tiny_spec(gates=[]))
+        verdict = GridRunner(grid, bench_path).check(rows)
+        assert verdict == {"ok": True, "gates": [], "non_identical": 0}
 
     def test_run_without_append_leaves_file_untouched(self, bench_path):
-        grid = ExperimentGrid.from_dict(
-            tiny_spec(backends=["vectorized"], gate=None)
-        )
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=["vectorized"], gates=[]))
         before = bench_path.read_text()
         rows = GridRunner(grid, bench_path).run(append=False)
         assert len(rows) == 1
         assert bench_path.read_text() == before
 
     def test_rows_record_the_backend_that_ran(self, bench_path):
-        # A grid runs in one process: its shared cell has no pool, so the
-        # in-process engine runs and the row's `ran` says so.
+        # Every cell runs the backend it declares: shared cells on a real
+        # two-worker pool, not the in-process engine.
         grid = ExperimentGrid.from_dict(
-            tiny_spec(backends=["serial", "vectorized", "shared", "streaming"], gate=None)
+            tiny_spec(backends=["serial", "vectorized", "shared", "streaming"], gates=[])
         )
         rows = GridRunner(grid, bench_path).run(append=False)
-        assert [row["backend"] for row in rows] == list(grid.backends)
-        assert [row["ran"] for row in rows] == [
-            "serial",
-            "vectorized",
-            "vectorized",
-            "streaming",
-        ]
+        assert [row["ran"] for row in rows] == list(grid.backends)
         assert all(row["identical"] for row in rows)
-
-    def test_unknown_backend_cell_raises(self, bench_path):
-        grid = ExperimentGrid.from_dict(tiny_spec(backends=["process"], gate=None))
-        with pytest.raises(ValueError, match="serial"):
-            GridRunner(grid, bench_path).run(append=False)
 
     def test_recorder_instance_accepted(self, bench_path):
         recorder = BenchRecorder(bench_path)
-        grid = ExperimentGrid.from_dict(tiny_spec(backends=["serial"], gate=None))
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=["serial"], gates=[]))
         runner = GridRunner(grid, recorder)
         assert runner.recorder is recorder
 
-    def test_section_scoped_floor(self, bench_path):
-        recorder = BenchRecorder(bench_path)
-        assert recorder.regression_floor() is None  # nothing at the root
-        assert recorder.regression_floor(section="grid") == pytest.approx(0.01)
-        verdict = recorder.check_ratio(0.005, section="grid")
-        assert verdict["ok"] is False
-        assert recorder.check_ratio(0.5, section="grid")["ok"] is True
+
+class TestSharedCellPool:
+    """The shared cells' pool leaves no segment behind, however run() ends."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+        real_init = SharedMemoryExecutor.__init__
+
+        def spy_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(SharedMemoryExecutor, "__init__", spy_init)
+        return created
+
+    @staticmethod
+    def assert_closed_without_leaks(pools):
+        assert len(pools) == 1  # one pool per window size
+        (pool,) = pools
+        assert not pool.started
+        assert pool.segment_names()  # the shared cells really sent waves
+        assert not [name for name in pool.segment_names() if segment_exists(name)]
+
+    def test_pool_closed_when_run_returns(self, bench_path, pools):
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(backends=["shared"], wave_sizes=[32, 64], gates=[])
+        )
+        rows = GridRunner(grid, bench_path).run(append=False)
+        assert [row["ran"] for row in rows] == ["shared", "shared"]
+        self.assert_closed_without_leaks(pools)
+
+    def test_pool_closed_when_run_raises(self, bench_path, pools, monkeypatch):
+        from repro.pipeline import StreamingPipeline
+
+        def boom(self, pairs):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(StreamingPipeline, "align_pairs", boom)
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(backends=["shared", "streaming"], gates=[])
+        )
+        with pytest.raises(RuntimeError, match="cell failed"):
+            GridRunner(grid, bench_path).run()
+        self.assert_closed_without_leaks(pools)
+        assert bench_path.read_text() == "{}\n"

@@ -489,26 +489,3 @@ class TestPipelineStats:
         assert_same_alignments(reference, streamed)
         assert pipeline.stats.flushes["size"] > 0
 
-
-class TestStreamingExperiment:
-    def test_e1s_rows(self):
-        from repro.harness.experiments import run_streaming_throughput_experiment
-
-        rows = run_streaming_throughput_experiment(
-            read_count=6, read_length=400, seed=3
-        )
-        assert {row["id"] for row in rows} == {
-            "E1s_streaming_vs_offline_serial",
-            "E1s_streaming_vs_offline_vectorized",
-        }
-        for row in rows:
-            assert row["identical_results"] is True
-            assert row["measured"] > 0
-            assert set(row["stage_seconds"]) == {
-                "ingest",
-                "map",
-                "batch",
-                "align",
-                "emit",
-            }
-            assert row["pipeline_stats"]["aligned"] == row["pairs"]

@@ -12,6 +12,7 @@ fail only the requests riding in it.
 
 from __future__ import annotations
 
+import random
 import re
 import threading
 import warnings
@@ -19,7 +20,6 @@ import warnings
 import pytest
 
 from repro.core.config import GenASMConfig
-from repro.harness.experiments import _simulate_short_read_pairs
 from repro.parallel.executor import BatchExecutor
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
 from repro.service import (
@@ -31,6 +31,29 @@ from repro.service import (
 )
 
 CONFIG = GenASMConfig()
+
+
+def _simulate_short_read_pairs(read_count, read_length, error_rate, seed):
+    """Deterministic Illumina-like (read, reference-region) pairs."""
+    rng = random.Random(seed)
+    alphabet = "ACGT"
+    pairs = []
+    for _ in range(read_count):
+        pattern = "".join(rng.choice(alphabet) for _ in range(read_length))
+        text = list(pattern)
+        for _ in range(max(1, int(read_length * error_rate))):
+            position = rng.randrange(len(text)) if text else 0
+            roll = rng.random()
+            if not text:
+                text.insert(0, rng.choice(alphabet))
+            elif roll < 0.6:
+                text[position] = rng.choice(alphabet)
+            elif roll < 0.8:
+                text.insert(position, rng.choice(alphabet))
+            else:
+                del text[position]
+        pairs.append((pattern, "".join(text) + "ACGTAC"))
+    return pairs
 
 
 def offline_alignments(pairs, config=CONFIG):
@@ -493,21 +516,3 @@ class TestLatencyPrimitives:
         # Percentiles describe the bounded recent window (6..9).
         assert summary["p50_ms"] == pytest.approx(7000.0)
 
-
-class TestServiceExperiment:
-    def test_e3s_mixed_workload_row(self):
-        from repro.harness.experiments import run_service_mixed_workload_experiment
-
-        rows = run_service_mixed_workload_experiment(
-            clients=3, pairs_per_client=4, wave_size=8, linger_seconds=0.002
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["id"] == "E3s_service_mixed_workload"
-        assert row["identical_results"] is True
-        assert row["paper"] != row["paper"]  # NaN
-        assert row["clients"] == 3
-        latency = row["latency"]
-        assert set(latency) == {"tenant-0", "tenant-1", "tenant-2", "*"}
-        for summary in latency.values():
-            assert summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]

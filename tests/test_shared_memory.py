@@ -9,13 +9,15 @@ Covers the zero-copy execution core end to end:
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
   executor ever creates is gone from the system after a normal close,
   after a worker crash mid-stream, and after a cancellation close;
+* a traced streaming pipeline driven by a two-worker pool: offline-equal
+  results, every stage plus the worker wave spans on one timeline;
 * the streaming pipeline's bounded-reorder and out-of-order emission
   modes staying byte-identical to the offline vectorized path under a
   work-sorted stress mix.
 
 The executor tests spawn real worker processes; they are kept small
-(single-worker pools, short pair lists) so the whole module stays in
-tier-1 time budgets.
+(mostly single-worker pools, short pair lists) so the whole module stays
+in tier-1 time budgets.
 """
 
 from __future__ import annotations
@@ -45,22 +47,8 @@ from repro.parallel.shm import (
     unpack_pairs,
 )
 from repro.pipeline import StreamingPipeline
-from tests.conftest import mutate, random_dna
-
-
-def segment_exists(name: str) -> bool:
-    """True if the named shared-memory segment still exists system-wide."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    # Probing attached us; undo the tracker registration and detach so the
-    # probe itself neither leaks nor double-unlinks.
-    resource_tracker.unregister(shm._name, "shared_memory")
-    shm.close()
-    return True
+from repro.telemetry import Tracer, chrome_trace
+from tests.conftest import mutate, random_dna, segment_exists
 
 
 def assert_same_alignments(got, want):
@@ -342,6 +330,51 @@ class TestExecutorLifecycle:
                 ex.submit_map("r", "ACGT")
         finally:
             ex.close()
+
+
+# --------------------------------------------------------------------------- #
+# A traced streaming pipeline driven by a two-worker pool
+# --------------------------------------------------------------------------- #
+#: Every driver stage of the pipeline plus the cross-process worker wave span.
+REQUIRED_SPANS = {
+    "stage.ingest",
+    "stage.map",
+    "stage.batch",
+    "stage.align",
+    "stage.emit",
+    "worker.align.wave",
+}
+
+
+class TestTracedPoolPipeline:
+    def test_pool_driven_pipeline_matches_offline_and_traces_workers(self, corpus):
+        _, mapper, reads, pairs = corpus
+        config = GenASMConfig()
+        expected = BatchAlignmentEngine(config).align_pairs(pairs)
+        tracer = Tracer(process_name="driver")
+        with SharedMemoryExecutor(
+            workers=2, config=config, mapper=mapper, tracer=tracer
+        ) as executor:
+            executor.warm()
+            pipeline = StreamingPipeline(
+                mapper,
+                config,
+                wave_size=512,
+                max_pending=512,
+                executor=executor,
+                tracer=tracer,
+            )
+            results = pipeline.run_all(reads)
+            names = executor.segment_names()
+        assert_same_alignments([mapped.alignment for mapped in results], expected)
+        assert REQUIRED_SPANS <= {record.name for record in tracer.records()}
+        tracks = {
+            event["pid"]
+            for event in chrome_trace(tracer)["traceEvents"]
+            if event["name"] == "process_name"
+        }
+        assert len(tracks) >= 2
+        assert not [name for name in names if segment_exists(name)]
 
 
 # --------------------------------------------------------------------------- #

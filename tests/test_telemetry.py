@@ -260,8 +260,7 @@ def _bench_file(tmp_path, data):
 
 GOOD_BENCH = {
     "benchmark": "unit",
-    "regression_threshold": 0.8,
-    "baseline": {"date": "2026-01-01", "ratio": 0.9},
+    "workload": {"reads": 8, "read_length": 300},
     "history": [{"date": "2026-01-02T00:00:00", "ratio": 0.95}],
 }
 
@@ -281,8 +280,6 @@ class TestBench:
             validate_bench({"history": [{"date": "2026-01-01", "nested": {}}]})
         with pytest.raises(BenchSchemaError):
             validate_bench({"history": "not-a-list"})
-        with pytest.raises(BenchSchemaError):
-            validate_bench({"regression_threshold": 1.5})
         with pytest.raises(BenchSchemaError):
             validate_bench([])
 
@@ -306,7 +303,7 @@ class TestBench:
         recorder.save()
         reloaded = BenchRecorder(path)  # validate → append → re-validate
         assert reloaded.history("history")[0] == GOOD_BENCH["history"][0]
-        assert reloaded.data["baseline"] == GOOD_BENCH["baseline"]
+        assert reloaded.data["workload"] == GOOD_BENCH["workload"]
 
     def test_trend_compares_latest_to_trailing_mean(self, tmp_path):
         recorder = BenchRecorder(_bench_file(tmp_path, GOOD_BENCH))
@@ -318,14 +315,52 @@ class TestBench:
         assert trend["trailing_mean"] == pytest.approx((0.95 + 1.0 + 1.1) / 3)
         assert trend["delta"] == pytest.approx(1.5 - (0.95 + 1.0 + 1.1) / 3)
 
-    def test_regression_gate(self, tmp_path):
-        recorder = BenchRecorder(_bench_file(tmp_path, GOOD_BENCH))
-        assert recorder.regression_floor() == pytest.approx(0.72)
-        assert recorder.check_ratio(0.73)["ok"]
-        failed = recorder.check_ratio(0.71)
-        assert not failed["ok"]
-        assert failed["floor"] == pytest.approx(0.72)
-        assert failed["baseline"] == pytest.approx(0.9)
+    def test_trend_compares_only_rows_of_the_same_cell(self, tmp_path):
+        recorder = BenchRecorder(_bench_file(tmp_path, {}))
+        cell = {"grid": "g", "workload": "w", "window_size": 64, "wave_size": 256}
+        for backend, rate in (
+            ("serial", 100.0),
+            ("streaming", 10.0),
+            ("serial", 110.0),
+            ("streaming", 12.0),
+            ("streaming", 14.0),
+            ("serial", 120.0),
+        ):
+            recorder.append(
+                "grid_history", {**cell, "backend": backend, "pairs_per_second": rate}
+            )
+        # The newest row is serial: only the earlier serial rows form its
+        # window, never the interleaved streaming rows.
+        trend = recorder.trend("grid_history", "pairs_per_second")
+        assert trend["latest"] == pytest.approx(120.0)
+        assert trend["trailing_mean"] == pytest.approx(105.0)
+        assert trend["rows"] == 2
+        streaming = recorder.trend(
+            "grid_history", "pairs_per_second", cell={**cell, "backend": "streaming"}
+        )
+        assert streaming["latest"] == pytest.approx(14.0)
+        assert streaming["trailing_mean"] == pytest.approx(11.0)
+        # Another wave size is another cell, with no trailing window yet.
+        recorder.append(
+            "grid_history",
+            {**cell, "wave_size": 64, "backend": "serial", "pairs_per_second": 90.0},
+        )
+        assert recorder.trend("grid_history", "pairs_per_second") is None
+
+    def test_cli_prints_one_trend_per_cell(self, tmp_path, capsys):
+        recorder = BenchRecorder(_bench_file(tmp_path, {}))
+        for backend, rate in (("serial", 100.0), ("shared", 150.0), ("serial", 110.0)):
+            recorder.append(
+                "grid_history",
+                {"grid": "g", "workload": "w", "backend": backend,
+                 "window_size": 64, "wave_size": 256, "pairs_per_second": rate},
+            )
+        recorder.save()
+        assert bench_main([str(recorder.path)]) == 0
+        out = capsys.readouterr().out
+        assert "grid_history: 3 rows, 2 cells" in out
+        assert "g/w/serial/64/256: pairs_per_second 110 (trailing mean 100, n=1" in out
+        assert "g/w/shared/64/256: pairs_per_second 150 (no trailing window yet)" in out
 
     def test_save_refuses_invalid_mutation(self, tmp_path):
         recorder = BenchRecorder(_bench_file(tmp_path, GOOD_BENCH))
