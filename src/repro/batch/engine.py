@@ -55,7 +55,6 @@ once per process per reason (see :data:`_FALLBACK_WARNED` and
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -522,17 +521,6 @@ class BatchAlignmentEngine:
             )
         self.max_lanes = max_lanes
         self.scheduling = scheduling
-        #: running traceback observability across every wave this engine
-        #: ran: lockstep iterations, ops the skip-ahead saved over them,
-        #: match runs consumed whole (and their op total), wall-clock
-        #: seconds in the traceback phase
-        self.traceback_stats: Dict[str, float] = {
-            "walk_steps": 0,
-            "steps_saved": 0,
-            "match_runs": 0,
-            "match_run_ops": 0,
-            "seconds": 0.0,
-        }
 
     @property
     def vectorizable(self) -> bool:
@@ -612,30 +600,7 @@ class BatchAlignmentEngine:
             float(self.expected_work(len(pairs[index][0])))
             for index in self.schedule(pairs)
         ]
-        stats = lockstep_stats(work, group)
-        # Fold in the engine's running traceback observability (zeros
-        # until this engine has aligned something) so one call reports
-        # both the schedule model and the realised walk savings.
-        for key, value in self.traceback_stats.items():
-            stats[f"tb_{key}"] = value
-        return stats
-
-    def publish_metrics(self, registry) -> None:
-        """Publish this engine's counters into a telemetry ``MetricsRegistry``.
-
-        Names live under ``engine_*`` (see :mod:`repro.telemetry.metrics`):
-        the running :attr:`traceback_stats` become ``set_total``'d counters
-        (idempotent — re-publishing never double-counts).
-        """
-        stats = self.traceback_stats
-        for field, name in (
-            ("walk_steps", "engine_tb_walk_steps_total"),
-            ("steps_saved", "engine_tb_steps_saved_total"),
-            ("match_runs", "engine_tb_match_runs_total"),
-            ("match_run_ops", "engine_tb_match_run_ops_total"),
-        ):
-            registry.counter(name).set_total(stats[field])
-        registry.gauge("engine_tb_seconds").set(stats["seconds"])
+        return lockstep_stats(work, group)
 
     # ------------------------------------------------------------------ #
     def align_pairs(
@@ -822,9 +787,7 @@ class BatchAlignmentEngine:
                     retries.append((s, rev_p, rev_t, commit, wt_len, min(m, budget * 2)))
 
             if solved.any():
-                start = time.perf_counter()
                 self._traceback_solved_lanes(state, wave, pending, solved)
-                self.traceback_stats["seconds"] += time.perf_counter() - start
             pending = retries
 
     def _traceback_solved_lanes(
@@ -895,11 +858,6 @@ class BatchAlignmentEngine:
         s.tb_steps_saved += saved
         s.tb_match_runs += match_runs
         s.tb_match_run_ops += match_run_ops
-        stats = self.traceback_stats
-        stats["walk_steps"] += walk_steps
-        stats["steps_saved"] += saved
-        stats["match_runs"] += match_runs
-        stats["match_run_ops"] += match_run_ops
         s.windows += 1
         s.counter.windows += 1
         s.peak_bytes = max(s.peak_bytes, stored)

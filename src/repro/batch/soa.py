@@ -28,7 +28,7 @@ to model warp divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from repro.core.metrics import AccessCounter
 __all__ = [
     "LaneJob",
     "SoAWave",
-    "WaveDescriptor",
-    "SharedWave",
     "lockstep_stats",
     "lane_words",
 ]
@@ -64,23 +62,6 @@ _TEXT_BYTES = bytes(c if chr(c) in DNA_ALPHABET else 2 for c in range(256))
 def lane_words(pattern_bits: int) -> int:
     """Number of ``uint64`` words a lane of ``pattern_bits`` bits occupies."""
     return max(1, -(-max(pattern_bits, 1) // MAX_LANE_BITS))
-
-
-def _unregister_attachment(shm) -> None:
-    """Stop the resource tracker from adopting an *attached* segment.
-
-    On Python ≤ 3.12, ``SharedMemory(name=...)`` registers the segment with
-    the attaching process's resource tracker, which then unlinks it when
-    that process exits — destroying a segment the creating process still
-    owns (bpo-39959).  Attachments therefore unregister immediately;
-    unlinking stays the creator's sole responsibility.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout is CPython detail
-        pass
 
 
 def _per_word_ones(m: np.ndarray, words: int) -> np.ndarray:
@@ -119,142 +100,6 @@ class LaneJob:
             raise ValueError("lane pattern must be non-empty")
         if len(self.text) == 0:
             raise ValueError("lane text must be non-empty (empty windows are handled scalar-side)")
-
-
-#: The array fields a wave descriptor lays out, in buffer order:
-#: ``name -> (dtype, shape builder)``.  Widest dtypes first keeps every
-#: offset naturally aligned without padding games; the two ``*_data``
-#: blobs (latin-1/utf-8 encoded lane sequences) close the buffer because
-#: their byte alignment is 1.
-_WAVE_ARRAY_FIELDS: Tuple[Tuple[str, type], ...] = (
-    ("masks", np.uint64),
-    ("ones", np.uint64),
-    ("msb_shift", np.uint64),
-    ("m", np.int64),
-    ("n", np.int64),
-    ("k", np.int64),
-    ("msb_word", np.int64),
-    ("store_from", np.int64),
-    ("band_lo", np.int64),
-    ("band_width", np.int64),
-    ("entry_store", np.int64),
-    ("pattern_off", np.int64),
-    ("text_off", np.int64),
-    ("store_col", np.bool_),
-    ("pattern_data", np.uint8),
-    ("text_data", np.uint8),
-)
-
-#: Buffer alignment of every non-blob field offset (bytes).
-_ALIGN = 8
-
-
-@dataclass(frozen=True)
-class WaveDescriptor:
-    """Plain-buffer layout of one :class:`SoAWave` — metadata, no arrays.
-
-    A descriptor plus the buffer it describes is everything needed to
-    materialise a wave: ``arrays`` maps each SoA field to its
-    ``(dtype, shape, offset)`` inside a contiguous ``nbytes`` buffer, and
-    the scalar fields carry the wave geometry.  Descriptors are tiny and
-    picklable, which is what lets the shared-memory execution layer ship
-    *descriptors* across process boundaries while the arrays stay put in a
-    :mod:`multiprocessing.shared_memory` segment (``segment`` names it).
-
-    Lane sequences travel inside the same buffer (``pattern_data`` /
-    ``text_data`` blobs with ``pattern_off`` / ``text_off`` offset arrays,
-    utf-8 encoded), so a rebuilt wave can materialise per-lane
-    :class:`~repro.core.genasm_dc.DCTable` objects without any side
-    channel.  Rebuilt lanes get *fresh* access counters:
-    DP accounting belongs to whichever process executes the wave.
-    """
-
-    lanes: int
-    words: int
-    n_max: int
-    k_max: int
-    traceback_band: bool
-    word_bits: int
-    nbytes: int
-    #: ``(name, dtype string, shape, byte offset)`` per packed array.
-    arrays: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
-    #: Shared-memory segment name holding the buffer (``None`` = caller
-    #: supplies the buffer).
-    segment: Optional[str] = None
-
-    def with_segment(self, segment: Optional[str]) -> "WaveDescriptor":
-        """Copy of this descriptor pointing at a named shared segment."""
-        return WaveDescriptor(
-            lanes=self.lanes,
-            words=self.words,
-            n_max=self.n_max,
-            k_max=self.k_max,
-            traceback_band=self.traceback_band,
-            word_bits=self.word_bits,
-            nbytes=self.nbytes,
-            arrays=self.arrays,
-            segment=segment,
-        )
-
-    def views(self, buffer) -> Dict[str, np.ndarray]:
-        """Materialise every packed array as a view over ``buffer``.
-
-        No bytes are copied: each returned array aliases ``buffer`` at its
-        recorded offset (read-only if the buffer is).
-        """
-        out: Dict[str, np.ndarray] = {}
-        for name, dtype, shape, offset in self.arrays:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            out[name] = np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=count, offset=offset
-            ).reshape(shape)
-        return out
-
-
-@dataclass
-class SharedWave:
-    """Owned handle of one wave exported to a shared-memory segment.
-
-    The creating process keeps this handle and is responsible for the
-    segment's end of life: :meth:`unlink` (or the context-manager exit)
-    removes the segment from the system once every attached consumer is
-    done with it.  Consumers attach with :meth:`SoAWave.from_shared` and
-    only ever :meth:`~SoAWave.close` their attachment.
-    """
-
-    descriptor: WaveDescriptor
-    shm: object  # multiprocessing.shared_memory.SharedMemory
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def close(self) -> None:
-        """Detach the creator's mapping (the segment stays alive)."""
-        try:
-            self.shm.close()
-        except BufferError:  # arrays still alias the mapping
-            pass
-
-    def unlink(self) -> None:
-        """Detach and remove the segment (idempotent)."""
-        self.close()
-        try:
-            # Re-register first: if this process also attached the segment,
-            # the attach-side tracker workaround unregistered the name and
-            # unlink()'s unregister would log a KeyError in the tracker.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(self.shm._name, "shared_memory")
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    def __enter__(self) -> "SharedWave":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink()
 
 
 class SoAWave:
@@ -315,8 +160,6 @@ class SoAWave:
         self.msb_shift = ((self.m - 1) % MAX_LANE_BITS).astype(np.uint64)
         self.masks = self._build_masks()
         self._zero_view_mask: Optional[np.ndarray] = None
-        self._shm = None  # set when this wave is an attachment (from_shared)
-        self._blobs: Optional[Tuple[np.ndarray, ...]] = None
 
         if traceback_band:
             self.store_from = np.array(
@@ -354,192 +197,6 @@ class SoAWave:
             self.entry_store = (
                 (unit // 8) * np.maximum(1, -(-self.band_width // unit))
             ).astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Descriptor / shared-memory lifecycle
-    # ------------------------------------------------------------------ #
-    def _sequence_blobs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Encode lane sequences as offset + data arrays (cached)."""
-        if self._blobs is None:
-            patterns = [job.pattern.encode("utf-8") for job in self.jobs]
-            texts = [job.text.encode("utf-8") for job in self.jobs]
-            pattern_off = np.zeros(self.lanes + 1, dtype=np.int64)
-            text_off = np.zeros(self.lanes + 1, dtype=np.int64)
-            np.cumsum([len(b) for b in patterns], out=pattern_off[1:])
-            np.cumsum([len(b) for b in texts], out=text_off[1:])
-            pattern_data = np.frombuffer(b"".join(patterns), dtype=np.uint8)
-            text_data = np.frombuffer(b"".join(texts), dtype=np.uint8)
-            self._blobs = (pattern_off, pattern_data, text_off, text_data)
-        return self._blobs
-
-    def _packable(self) -> Dict[str, np.ndarray]:
-        """Every array the descriptor lays out, keyed by field name."""
-        pattern_off, pattern_data, text_off, text_data = self._sequence_blobs()
-        return {
-            "masks": self.masks,
-            "ones": self.ones,
-            "msb_shift": self.msb_shift,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "msb_word": self.msb_word,
-            "store_from": self.store_from,
-            "band_lo": self.band_lo,
-            "band_width": self.band_width,
-            "entry_store": self.entry_store,
-            "pattern_off": pattern_off,
-            "text_off": text_off,
-            "store_col": self.store_col,
-            "pattern_data": pattern_data,
-            "text_data": text_data,
-        }
-
-    def descriptor(self) -> WaveDescriptor:
-        """The plain-buffer layout of this wave (no arrays, picklable)."""
-        arrays = self._packable()
-        entries = []
-        offset = 0
-        for name, dtype in _WAVE_ARRAY_FIELDS:
-            array = arrays[name]
-            offset = -(-offset // _ALIGN) * _ALIGN
-            entries.append((name, np.dtype(dtype).str, tuple(array.shape), offset))
-            offset += array.nbytes
-        return WaveDescriptor(
-            lanes=self.lanes,
-            words=self.words,
-            n_max=self.n_max,
-            k_max=self.k_max,
-            traceback_band=self.traceback_band,
-            word_bits=self.word_bits,
-            nbytes=max(1, offset),
-            arrays=tuple(entries),
-        )
-
-    def pack_into(self, buffer, descriptor: Optional[WaveDescriptor] = None) -> WaveDescriptor:
-        """Copy every SoA array into ``buffer`` at the descriptor's offsets.
-
-        ``buffer`` is any writable buffer of at least ``descriptor.nbytes``
-        bytes (a bytearray, an mmap, a shared-memory segment's ``buf``).
-        Returns the descriptor describing what was written.
-        """
-        descriptor = descriptor if descriptor is not None else self.descriptor()
-        arrays = self._packable()
-        for name, view in descriptor.views(buffer).items():
-            view[...] = arrays[name]
-        return descriptor
-
-    def to_shared(self) -> SharedWave:
-        """Export this wave into a fresh shared-memory segment (one copy).
-
-        Returns the owning :class:`SharedWave` handle; the caller unlinks
-        it when every consumer is done.  Consumers rebuild the wave with
-        :meth:`from_shared` — array *views* over the segment, no copies.
-        """
-        from multiprocessing import shared_memory
-
-        descriptor = self.descriptor()
-        shm = shared_memory.SharedMemory(create=True, size=descriptor.nbytes)
-        self.pack_into(shm.buf, descriptor)
-        return SharedWave(descriptor=descriptor.with_segment(shm.name), shm=shm)
-
-    @classmethod
-    def from_buffer(cls, descriptor: WaveDescriptor, buffer) -> "SoAWave":
-        """Materialise a wave over ``buffer`` without recomputing anything.
-
-        The returned wave's arrays are views of ``buffer``; its lanes are
-        rebuilt :class:`LaneJob` objects (same sequences and budgets, fresh
-        counters).  Equivalent, state for state, to the wave that produced
-        the descriptor — the shared-memory tests pin this.
-        """
-        views = descriptor.views(buffer)
-        pattern_off = views["pattern_off"]
-        text_off = views["text_off"]
-        pattern_bytes = views["pattern_data"].tobytes()
-        text_bytes = views["text_data"].tobytes()
-        jobs = [
-            LaneJob(
-                pattern=pattern_bytes[pattern_off[i] : pattern_off[i + 1]].decode("utf-8"),
-                text=text_bytes[text_off[i] : text_off[i + 1]].decode("utf-8"),
-                max_errors=int(views["k"][i]),
-                store_from=int(views["store_from"][i]),
-            )
-            for i in range(descriptor.lanes)
-        ]
-
-        wave = object.__new__(cls)
-        wave.jobs = jobs
-        wave.lanes = descriptor.lanes
-        wave.traceback_band = descriptor.traceback_band
-        wave.word_bits = descriptor.word_bits
-        wave.n_max = descriptor.n_max
-        wave.k_max = descriptor.k_max
-        wave.words = descriptor.words
-        for name in (
-            "m",
-            "n",
-            "k",
-            "ones",
-            "masks",
-            "msb_word",
-            "msb_shift",
-            "store_from",
-            "band_lo",
-            "band_width",
-            "store_col",
-            "entry_store",
-        ):
-            setattr(wave, name, views[name])
-        wave._zero_view_mask = None
-        wave._shm = None
-        wave._blobs = None
-        return wave
-
-    @classmethod
-    def from_shared(cls, descriptor: WaveDescriptor) -> "SoAWave":
-        """Attach to a shared wave by descriptor (zero-copy views).
-
-        The attachment is closed with :meth:`close`; removing the segment
-        itself is the creator's job (:meth:`SharedWave.unlink`).
-        """
-        if descriptor.segment is None:
-            raise ValueError("descriptor does not name a shared-memory segment")
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=descriptor.segment)
-        _unregister_attachment(shm)
-        wave = cls.from_buffer(descriptor, shm.buf)
-        wave._shm = shm
-        return wave
-
-    def close(self) -> None:
-        """Release an attachment created by :meth:`from_shared` (idempotent).
-
-        Drops every array view so the mapping can unmap; a no-op for waves
-        that own their arrays.
-        """
-        if self._shm is None:
-            return
-        for name in (
-            "m",
-            "n",
-            "k",
-            "ones",
-            "masks",
-            "msb_word",
-            "msb_shift",
-            "store_from",
-            "band_lo",
-            "band_width",
-            "store_col",
-            "entry_store",
-        ):
-            setattr(self, name, None)
-        self._zero_view_mask = None
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except BufferError:  # a caller still holds a view; unmapped at exit
-            pass
 
     # ------------------------------------------------------------------ #
     def zero_view_mask(self) -> np.ndarray:

@@ -11,7 +11,7 @@ resident and moves *work*:
 * **Segments** (:class:`SharedSegment`) own one
   :mod:`multiprocessing.shared_memory` block with a deterministic
   close-and-unlink lifecycle (the creator unlinks; attachments never do —
-  see :func:`repro.batch.soa._unregister_attachment`).
+  see :func:`_unregister_attachment`).
 * **Layouts** (:class:`SegmentLayout`) describe named arrays packed into a
   segment — dtype/shape/offset metadata only, tiny and picklable.  What
   crosses a process boundary is the layout; the bytes stay put.
@@ -41,8 +41,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.soa import _unregister_attachment
-
 __all__ = [
     "SharedSegment",
     "SegmentLayout",
@@ -58,6 +56,23 @@ __all__ = [
 
 #: Byte alignment of every array offset inside a segment.
 _ALIGN = 8
+
+
+def _unregister_attachment(shm) -> None:
+    """Stop the resource tracker from adopting an *attached* segment.
+
+    On Python ≤ 3.12, ``SharedMemory(name=...)`` registers the segment with
+    the attaching process's resource tracker, which then unlinks it when
+    that process exits — destroying a segment the creating process still
+    owns (bpo-39959).  Attachments therefore unregister immediately;
+    unlinking stays the creator's sole responsibility.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.unregister(shm._name, "shared_memory")
+    except Exception:  # pragma: no cover - tracker layout is CPython detail
+        pass
 
 
 class SharedSegment:

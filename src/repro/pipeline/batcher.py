@@ -21,7 +21,7 @@ implements the PR-2 sorted-scheduling policy incrementally:
   instead of paying full per-wave dispatch overhead for a handful of
   lanes — the ROADMAP's adaptive wave sizing.  Merged waves exceed
   ``wave_size``; the engine runs them as one chunk (the align stage
-  leaves ``max_lanes`` unset), and :attr:`scheduling_stats` counts them.
+  leaves ``max_lanes`` unset), and the stats' ``wave_merges`` count them.
 
 Wave grouping never changes any alignment (each pair's result is
 independent of which wave carries it — the engine is byte-identical to the
@@ -68,8 +68,8 @@ class WaveAccumulator:
     clock:
         Monotonic time source (injectable for deterministic timeout tests).
     stats:
-        Optional :class:`PipelineStats` receiving occupancy samples and
-        flush causes.
+        The :class:`PipelineStats` receiving occupancy samples, flush
+        causes and merges (a fresh one when not given).
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`; every flush emits
         a ``wave.flush`` instant event (cause, waves, lanes) on it.
@@ -107,12 +107,8 @@ class WaveAccumulator:
         self.merge_below = merge_below if merge_below is not None else wave_size // 2
         self.work_key = work_key if work_key is not None else (lambda item: 0.0)
         self.clock = clock
-        self.stats = stats
+        self.stats = stats if stats is not None else PipelineStats(wave_size=wave_size)
         self.tracer = get_tracer(tracer)
-        #: Wave-shaping diagnostics, mirroring the engine's scheduling
-        #: vocabulary: how many trailing partial waves were folded into
-        #: their predecessor, and how many lanes rode along.
-        self.scheduling_stats = {"merged_waves": 0, "merged_lanes": 0}
         self._pending: List[object] = []  # arrival order
         #: per-item arrival timestamps, parallel to ``_pending`` — kept
         #: per item (not just the oldest) so a cut that dispatches the
@@ -137,8 +133,7 @@ class WaveAccumulator:
         """Buffer one item; returns the waves this push flushed (often [])."""
         self._arrivals.append(self.clock())
         self._pending.append(item)
-        if self.stats is not None:
-            self.stats.sample_pending(len(self._pending))
+        self.stats.sample_pending(len(self._pending))
 
         if (
             self.linger_seconds is not None
@@ -216,13 +211,9 @@ class WaveAccumulator:
         if len(waves) >= 2 and 0 < len(waves[-1]) < self.merge_below:
             tail = waves.pop()
             waves[-1].extend(tail)
-            self.scheduling_stats["merged_waves"] += 1
-            self.scheduling_stats["merged_lanes"] += len(tail)
-            if self.stats is not None:
-                self.stats.record_merge(len(tail))
-        if self.stats is not None:
-            for wave in waves:
-                self.stats.record_wave(len(wave), reason)
+            self.stats.record_merge(len(tail))
+        for wave in waves:
+            self.stats.record_wave(len(wave), reason)
         if self.tracer.enabled and waves:
             self.tracer.instant(
                 "wave.flush",

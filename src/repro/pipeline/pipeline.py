@@ -324,7 +324,7 @@ class StreamingPipeline:
                     record = next(records, None)
                 if record is None:
                     break
-                stats.reads += 1
+                stats.record_read()
                 with stats.timer("map"), tracer.span("stage.map", read=record.name):
                     map_stage.submit(record)
                     completed = map_stage.collect()
@@ -374,7 +374,7 @@ class StreamingPipeline:
                             buffer[work.order] = mapped
                         else:
                             ready.append(mapped)
-                    stats.aligned += len(wave)
+                    stats.record_aligned(len(wave))
                 while next_emit in buffer:
                     ready.append(buffer.pop(next_emit))
                     next_emit += 1
@@ -387,7 +387,7 @@ class StreamingPipeline:
 
         try:
             for work in works:
-                stats.candidates += 1
+                stats.record_candidate()
                 with stats.timer("batch"), tracer.span("stage.batch"):
                     waves = accumulator.push(work)
                 with stats.timer("align"), tracer.span(

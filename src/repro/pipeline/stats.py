@@ -13,11 +13,13 @@ blocked on that stage (submission plus waiting for results), so overlapped
 work shows up as ``wall_seconds`` smaller than the sum of the equivalent
 offline phases rather than as inflated per-stage numbers.
 
-Beyond the flat :meth:`PipelineStats.as_dict` view, every counter here
-publishes into the unified metrics registry via
-:meth:`PipelineStats.publish` (see :mod:`repro.telemetry.metrics` for the
-naming scheme and :mod:`repro.telemetry.exporters` for the Prometheus
-text exposition); per-event timelines are the trace layer's job
+Every number lives in :attr:`PipelineStats.registry`, a
+:class:`~repro.telemetry.metrics.MetricsRegistry` under ``pipeline_*``
+names: the attributes read it, the ``record_*``/``sample_*`` methods
+change it one metric call at a time, and
+:func:`~repro.telemetry.exporters.prometheus_text` exports it.  Derived
+values (fill efficiency, mean occupancy, throughput) are computed on
+read.  Per-event timelines are the trace layer's job
 (:class:`repro.telemetry.trace.Tracer`), which the pipeline threads
 alongside these aggregates.
 """
@@ -27,8 +29,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List
+from typing import Deque, Dict, Iterator, Optional
+
+from repro.telemetry.metrics import Stored, MetricsRegistry
 
 __all__ = ["FLUSH_CAUSES", "PIPELINE_STAGES", "PipelineStats"]
 
@@ -43,13 +46,23 @@ PIPELINE_STAGES = ("ingest", "map", "batch", "align", "emit")
 #: (``tests/test_service.py`` asserts the two stay in sync).
 FLUSH_CAUSES = ("size", "timeout", "final", "reorder", "idle")
 
+#: The alignment-metadata keys :meth:`PipelineStats.record_traceback` folds in.
+_TRACEBACK_KEYS = (
+    "tb_walk_steps",
+    "tb_walk_steps_saved",
+    "tb_match_runs",
+    "tb_match_run_ops",
+)
 
-@dataclass
+
 class PipelineStats:
     """Counters and timings of one :class:`~repro.pipeline.StreamingPipeline` run.
 
     Attributes
     ----------
+    registry:
+        The :class:`~repro.telemetry.metrics.MetricsRegistry` holding every
+        number below (a fresh one unless the caller shares theirs).
     wave_size:
         Configured lanes per wave (the denominator of fill efficiency).
     reads, candidates, waves, aligned:
@@ -65,7 +78,7 @@ class PipelineStats:
         order, bounded to the last :attr:`wave_window` entries — a
         long-lived service stream dispatches waves forever, so the full
         history cannot be retained.  :attr:`full_waves` and
-        :attr:`wave_fill_efficiency` are computed from running aggregates
+        :attr:`wave_fill_efficiency` are computed from running totals
         (:attr:`lanes_total`, :attr:`capacity_total`,
         :attr:`full_wave_count`) and stay exact over the whole run
         regardless of the window.
@@ -96,50 +109,64 @@ class PipelineStats:
         it consumed whole (plus their op total).
     """
 
-    wave_size: int = 0
-    reads: int = 0
-    candidates: int = 0
-    waves: int = 0
-    aligned: int = 0
-    stage_seconds: Dict[str, float] = field(
-        default_factory=lambda: {stage: 0.0 for stage in PIPELINE_STAGES}
-    )
-    wall_seconds: float = 0.0
-    wave_window: int = 1024
-    wave_lane_counts: Deque[int] = field(default_factory=deque)
-    lanes_total: int = 0
-    capacity_total: int = 0
-    full_wave_count: int = 0
-    max_pending: int = 0
-    pending_samples: int = 0
-    pending_total: int = 0
-    max_reorder_buffer: int = 0
-    reorder_bound: int = 0
-    wave_merges: int = 0
-    merged_lanes: int = 0
-    flushes: Dict[str, int] = field(
-        default_factory=lambda: {cause: 0 for cause in FLUSH_CAUSES}
-    )
-    tb_walk_steps: int = 0
-    tb_walk_steps_saved: int = 0
-    tb_match_runs: int = 0
-    tb_match_run_ops: int = 0
+    reads = Stored("pipeline_reads_total", "reads ingested")
+    candidates = Stored("pipeline_candidates_total", "candidate pairs mapped")
+    aligned = Stored("pipeline_aligned_total", "pairs aligned")
+    wall_seconds = Stored("pipeline_wall_seconds", "end-to-end wall time", float)
+    lanes_total = Stored("pipeline_wave_lanes_total", "lanes of waves")
+    capacity_total = Stored("pipeline_wave_capacity_total", "lane capacity of waves")
+    full_wave_count = Stored("pipeline_full_waves_total", "waves dispatched full")
+    max_pending = Stored("pipeline_max_pending", "accumulator high-water mark")
+    pending_samples = Stored("pipeline_pending_samples_total", "occupancy samples")
+    pending_total = Stored("pipeline_pending_items_total", "sampled occupancy sum")
+    max_reorder_buffer = Stored("pipeline_max_reorder_buffer", "reorder buffer peak")
+    wave_merges = Stored("pipeline_wave_merges_total", "trailing waves merged")
+    merged_lanes = Stored("pipeline_merged_lanes_total", "lanes riding merges")
+    tb_walk_steps = Stored("pipeline_tb_walk_steps_total", "traceback walk steps")
+    tb_walk_steps_saved = Stored("pipeline_tb_walk_steps_saved_total", "steps skipped")
+    tb_match_runs = Stored("pipeline_tb_match_runs_total", "match runs skipped whole")
+    tb_match_run_ops = Stored("pipeline_tb_match_run_ops_total", "ops in those runs")
 
-    def __post_init__(self) -> None:
-        if self.wave_window < 1:
+    def __init__(
+        self,
+        *,
+        wave_size: int = 0,
+        wave_window: int = 1024,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        if wave_window < 1:
             raise ValueError("wave_window must be at least 1")
-        seed = list(self.wave_lane_counts)
-        self.wave_lane_counts = deque(seed, maxlen=self.wave_window)
-        for lanes in seed:
-            self._aggregate_wave(lanes)
+        self.wave_size = wave_size
+        self.wave_window = wave_window
+        self.wave_lane_counts: Deque[int] = deque(maxlen=wave_window)
+        self.reorder_bound = 0
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._metrics = Stored.bind(self, self.registry)
+        self._stage_seconds = {
+            stage: self.registry.counter(
+                "pipeline_stage_seconds_total", "driver wait per stage", stage=stage
+            )
+            for stage in PIPELINE_STAGES
+        }
+        self._flushes = {
+            cause: self.registry.counter(
+                "pipeline_flushes_total", "wave flushes by cause", cause=cause
+            )
+            for cause in FLUSH_CAUSES
+        }
 
-    def _aggregate_wave(self, lanes: int) -> None:
-        self.lanes_total += lanes
-        self.capacity_total += max(self.wave_size, lanes)
-        # Tail-merged waves legitimately exceed wave_size and count as
-        # full (see wave_fill_efficiency); an unset wave_size counts none.
-        if 0 < self.wave_size <= lanes:
-            self.full_wave_count += 1
+    @property
+    def stage_seconds(self) -> Dict[str, float]:
+        return {stage: c.value() for stage, c in self._stage_seconds.items()}
+
+    @property
+    def flushes(self) -> Dict[str, int]:
+        return {cause: int(c.value()) for cause, c in self._flushes.items()}
+
+    @property
+    def waves(self) -> int:
+        """Waves dispatched: every wave is flushed for exactly one cause."""
+        return sum(self.flushes.values())
 
     # ------------------------------------------------------------------ #
     @contextmanager
@@ -149,11 +176,11 @@ class PipelineStats:
         ``stage`` must be one of :data:`PIPELINE_STAGES` — the same
         validate-before-mutate contract :meth:`record_wave` applies to
         flush causes, so a typo'd stage name fails with a clear
-        :class:`ValueError` instead of a bare ``KeyError`` from the
-        accumulation dict (and instead of silently growing an
-        undocumented stage key).
+        :class:`ValueError` instead of silently growing an undocumented
+        stage metric.
         """
-        if stage not in PIPELINE_STAGES:
+        counter = self._stage_seconds.get(stage)
+        if counter is None:
             raise ValueError(
                 f"unknown pipeline stage {stage!r}; must be one of {PIPELINE_STAGES}"
             )
@@ -161,17 +188,29 @@ class PipelineStats:
         try:
             yield
         finally:
-            self.stage_seconds[stage] += time.perf_counter() - start
+            counter.inc(time.perf_counter() - start)
+
+    def record_read(self) -> None:
+        """Record one read ingested."""
+        self._metrics["reads"].inc()
+
+    def record_candidate(self) -> None:
+        """Record one candidate pair produced by mapping."""
+        self._metrics["candidates"].inc()
+
+    def record_aligned(self, pairs: int) -> None:
+        """Record ``pairs`` aligned pairs absorbed from a completed wave."""
+        self._metrics["aligned"].inc(pairs)
 
     def sample_pending(self, pending: int) -> None:
         """Record one accumulator occupancy observation."""
-        self.max_pending = max(self.max_pending, pending)
-        self.pending_samples += 1
-        self.pending_total += pending
+        self._metrics["max_pending"].set_max(pending)
+        self._metrics["pending_samples"].inc()
+        self._metrics["pending_total"].inc(pending)
 
     def sample_reorder(self, buffered: int) -> None:
         """Record one emission-buffer occupancy observation."""
-        self.max_reorder_buffer = max(self.max_reorder_buffer, buffered)
+        self._metrics["max_reorder_buffer"].set_max(buffered)
 
     def record_wave(self, lanes: int, reason: str) -> None:
         """Record one dispatched wave and why it was flushed.
@@ -179,21 +218,26 @@ class PipelineStats:
         ``reason`` must be one of :data:`FLUSH_CAUSES` — the seeded-dict
         guarantee (every documented cause readable, nothing undocumented)
         only holds if unknown causes are rejected rather than silently
-        creating new keys.
+        creating new metrics.
         """
-        if reason not in FLUSH_CAUSES:
+        flushes = self._flushes.get(reason)
+        if flushes is None:
             raise ValueError(
                 f"unknown flush cause {reason!r}; must be one of {FLUSH_CAUSES}"
             )
-        self.waves += 1
-        self.wave_lane_counts.append(lanes)  # bounded; aggregates stay exact
-        self._aggregate_wave(lanes)
-        self.flushes[reason] += 1
+        self.wave_lane_counts.append(lanes)  # bounded; the totals stay exact
+        self._metrics["lanes_total"].inc(lanes)
+        self._metrics["capacity_total"].inc(max(self.wave_size, lanes))
+        # Tail-merged waves legitimately exceed wave_size and count as
+        # full (see wave_fill_efficiency); an unset wave_size counts none.
+        if 0 < self.wave_size <= lanes:
+            self._metrics["full_wave_count"].inc()
+        flushes.inc()
 
     def record_merge(self, lanes: int) -> None:
         """Record one trailing partial wave folded into its predecessor."""
-        self.wave_merges += 1
-        self.merged_lanes += lanes
+        self._metrics["wave_merges"].inc()
+        self._metrics["merged_lanes"].inc(lanes)
 
     def record_traceback(self, metadata: Dict[str, object]) -> None:
         """Fold one alignment's traceback walk observability into the run.
@@ -204,18 +248,17 @@ class PipelineStats:
         ops match-run skip-ahead saved over them, and the match runs
         consumed whole.
         """
-        self.tb_walk_steps += int(metadata.get("tb_walk_steps", 0))
-        self.tb_walk_steps_saved += int(metadata.get("tb_walk_steps_saved", 0))
-        self.tb_match_runs += int(metadata.get("tb_match_runs", 0))
-        self.tb_match_run_ops += int(metadata.get("tb_match_run_ops", 0))
+        for key in _TRACEBACK_KEYS:
+            self._metrics[key].inc(int(metadata.get(key, 0)))
 
     # ------------------------------------------------------------------ #
     @property
     def mean_pending(self) -> float:
         """Average accumulator occupancy over all push samples."""
-        if self.pending_samples == 0:
+        samples = self.pending_samples
+        if samples == 0:
             return 0.0
-        return self.pending_total / self.pending_samples
+        return self.pending_total / samples
 
     @property
     def full_waves(self) -> int:
@@ -229,28 +272,31 @@ class PipelineStats:
         Each wave's capacity is ``max(wave_size, lanes)``: tail-merged
         waves legitimately exceed ``wave_size`` and count as full rather
         than pushing the ratio past 1.0.  Computed from the running
-        aggregates, so the bounded :attr:`wave_lane_counts` window never
+        totals, so the bounded :attr:`wave_lane_counts` window never
         skews it.
         """
-        if self.capacity_total <= 0 or self.wave_size <= 0:
+        capacity = self.capacity_total
+        if capacity <= 0 or self.wave_size <= 0:
             return 1.0
-        return self.lanes_total / self.capacity_total
+        return self.lanes_total / capacity
 
     @property
     def reads_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return float("inf") if self.reads else 0.0
-        return self.reads / self.wall_seconds
+        wall, reads = self.wall_seconds, self.reads
+        if wall <= 0:
+            return float("inf") if reads else 0.0
+        return reads / wall
 
     @property
     def pairs_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return float("inf") if self.aligned else 0.0
-        return self.aligned / self.wall_seconds
+        wall, aligned = self.wall_seconds, self.aligned
+        if wall <= 0:
+            return float("inf") if aligned else 0.0
+        return aligned / wall
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, object]:
-        """Flat report-friendly view (what the E1s experiment rows embed)."""
+        """Flat report-friendly view: counts ``int``, seconds ``float``."""
         return {
             "reads": self.reads,
             "candidates": self.candidates,
@@ -260,14 +306,14 @@ class PipelineStats:
             "full_waves": self.full_waves,
             "wave_fill_efficiency": self.wave_fill_efficiency,
             "wall_seconds": self.wall_seconds,
-            "stage_seconds": dict(self.stage_seconds),
+            "stage_seconds": self.stage_seconds,
             "max_pending": self.max_pending,
             "mean_pending": self.mean_pending,
             "max_reorder_buffer": self.max_reorder_buffer,
             "reorder_bound": self.reorder_bound,
             "wave_merges": self.wave_merges,
             "merged_lanes": self.merged_lanes,
-            "flushes": dict(self.flushes),
+            "flushes": self.flushes,
             "reads_per_second": self.reads_per_second,
             "pairs_per_second": self.pairs_per_second,
             "tb_walk_steps": self.tb_walk_steps,
@@ -276,80 +322,11 @@ class PipelineStats:
             "tb_match_run_ops": self.tb_match_run_ops,
         }
 
-    def publish(self, registry) -> None:
-        """Publish every metric of this run into a telemetry registry.
-
-        The registry-side twin of :meth:`as_dict` — same quantities, under
-        the ``pipeline_*`` metric names of the unified naming scheme
-        (counters carry exact running totals via
-        :meth:`~repro.telemetry.metrics.Counter.set_total`, so publishing
-        is idempotent; gauges hold the derived/point-in-time values; the
-        bounded recent-wave window loads a lane-count histogram).  The
-        telemetry tests assert ``as_dict()`` and the registry snapshot
-        agree for every published metric.
-        """
-        counters = {
-            "pipeline_reads_total": (self.reads, "reads ingested"),
-            "pipeline_candidates_total": (self.candidates, "candidate pairs mapped"),
-            "pipeline_waves_total": (self.waves, "waves dispatched"),
-            "pipeline_aligned_total": (self.aligned, "pairs aligned"),
-            "pipeline_full_waves_total": (self.full_waves, "waves dispatched full"),
-            "pipeline_wave_merges_total": (self.wave_merges, "trailing waves merged"),
-            "pipeline_merged_lanes_total": (self.merged_lanes, "lanes riding merges"),
-            "pipeline_tb_walk_steps_total": (self.tb_walk_steps, "traceback walk steps"),
-            "pipeline_tb_walk_steps_saved_total": (
-                self.tb_walk_steps_saved,
-                "walk steps skip-ahead saved",
-            ),
-            "pipeline_tb_match_runs_total": (
-                self.tb_match_runs,
-                "match runs consumed whole",
-            ),
-            "pipeline_tb_match_run_ops_total": (
-                self.tb_match_run_ops,
-                "ops inside consumed match runs",
-            ),
-        }
-        for name, (value, help_text) in counters.items():
-            registry.counter(name, help_text).set_total(value)
-        for stage in PIPELINE_STAGES:
-            registry.counter(
-                "pipeline_stage_seconds_total", "driver wait seconds per stage",
-                stage=stage,
-            ).set_total(self.stage_seconds[stage])
-        for cause in FLUSH_CAUSES:
-            registry.counter(
-                "pipeline_flushes_total", "wave flushes by cause", cause=cause
-            ).set_total(self.flushes[cause])
-        gauges = {
-            "pipeline_wave_size": (self.wave_size, "configured lanes per wave"),
-            "pipeline_wave_fill_efficiency": (
-                self.wave_fill_efficiency,
-                "occupied lane fraction",
-            ),
-            "pipeline_wall_seconds": (self.wall_seconds, "end-to-end wall time"),
-            "pipeline_max_pending": (self.max_pending, "accumulator high-water mark"),
-            "pipeline_mean_pending": (self.mean_pending, "mean accumulator occupancy"),
-            "pipeline_max_reorder_buffer": (
-                self.max_reorder_buffer,
-                "reorder-buffer high-water mark",
-            ),
-            "pipeline_reorder_bound": (self.reorder_bound, "configured reorder bound"),
-            "pipeline_reads_per_second": (self.reads_per_second, "read throughput"),
-            "pipeline_pairs_per_second": (self.pairs_per_second, "pair throughput"),
-        }
-        for name, (value, help_text) in gauges.items():
-            registry.gauge(name, help_text).set(value)
-        registry.histogram(
-            "pipeline_wave_lanes",
-            "lane counts of recent dispatched waves",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-        ).load(self.wave_lane_counts)
-
     def summary(self) -> str:
         """Human-readable multi-line summary."""
+        stage_seconds = self.stage_seconds
         stages = "  ".join(
-            f"{stage}={self.stage_seconds[stage]:.3f}s" for stage in PIPELINE_STAGES
+            f"{stage}={stage_seconds[stage]:.3f}s" for stage in PIPELINE_STAGES
         )
         return (
             f"reads={self.reads} candidates={self.candidates} "

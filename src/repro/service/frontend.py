@@ -56,7 +56,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import GenASMConfig
 from repro.pipeline.alignstage import AlignStage, WaveResult
 from repro.pipeline.batcher import WaveAccumulator
-from repro.pipeline.stats import PipelineStats
 from repro.service.registry import ReferenceRegistry
 from repro.service.stats import ServiceStats
 from repro.telemetry.trace import get_tracer
@@ -184,7 +183,7 @@ class AlignmentService:
             2 * wave_size if max_inflight_per_tenant is None else max_inflight_per_tenant
         )
         self.linger_seconds = linger_seconds
-        self.stats = ServiceStats(pipeline=PipelineStats(wave_size=wave_size))
+        self.stats = ServiceStats(wave_size=wave_size)
         self.tracer = get_tracer(tracer)
         self._align = AlignStage(
             config,
@@ -258,8 +257,11 @@ class AlignmentService:
         order** (each pair's result is independent of which shared wave
         carried it, so results are byte-identical to an offline run over
         the same pairs).  Thread-safe: any number of client threads may
-        submit concurrently, under any tenant label.
+        submit concurrently, under any tenant label but ``"*"``, which the
+        latency report uses for its cross-tenant aggregate.
         """
+        if tenant == "*":
+            raise ValueError('tenant "*" is reserved for the cross-tenant aggregate')
         pairs = [(pattern, text) for pattern, text in pairs]
         with self._wake:
             if self._closed:
@@ -443,6 +445,7 @@ class AlignmentService:
             if finished or failed:
                 self._wake.notify_all()
         for request, error in failed:
+            self.stats.record_request_failed()
             request.future.set_exception(error)
         for request in finished:
             self.stats.record_request_done(

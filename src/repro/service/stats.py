@@ -10,32 +10,32 @@ reports nearest-rank percentiles (p50/p95/p99) per tenant and overall.
 Samples are kept in a bounded per-tenant window (a long-lived service
 serves requests forever); the running count/sum/max stay exact over the
 whole run, and the percentiles describe the recent window — the same
-bounded-window-plus-exact-aggregates contract
+bounded-window-plus-exact-totals contract
 :attr:`PipelineStats.wave_lane_counts <repro.pipeline.stats.PipelineStats.wave_lane_counts>`
 follows.
 
 :class:`ServiceStats` bundles both axes: the wave-level
 :class:`PipelineStats` the accumulator feeds, the per-tenant
-:class:`LatencyStats`, request/pair counters (overall and per submitting
-tenant, so fairness analysis can compare submitted vs completed), per-
-tenant in-flight high-water marks (the fairness-limit evidence), and a
-bounded request-completion order trace that the starvation regression
-test reads.
+:class:`LatencyStats`, request/pair counters (per submitting tenant, so
+fairness analysis can compare submitted vs completed), per-tenant
+in-flight high-water marks (the fairness-limit evidence), and a bounded
+request-completion order trace that the starvation regression test reads.
 
-Like :class:`PipelineStats`, everything here also publishes into the
-unified metrics registry via :meth:`ServiceStats.publish` (names under
-``service_*``; see :mod:`repro.telemetry.metrics` for the scheme and
-:mod:`repro.telemetry.exporters` for the text exposition).
+All three share one :class:`~repro.telemetry.metrics.MetricsRegistry`
+(``service.stats.registry``), which stores every count, so one
+:func:`~repro.telemetry.exporters.prometheus_text` exports the
+``service_*`` and ``pipeline_*`` families of a service together.  Only
+the sample windows and the completion trace live outside it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.pipeline.stats import PipelineStats
+from repro.telemetry.metrics import MetricsRegistry, Stored
 
 __all__ = [
     "DEFAULT_LATENCY_WINDOW",
@@ -46,6 +46,12 @@ __all__ = [
 
 #: Per-tenant latency samples retained for percentile estimation.
 DEFAULT_LATENCY_WINDOW = 4096
+
+#: Bucket bounds of the per-tenant request-latency histogram (seconds).
+LATENCY_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+
+_LATENCY = "service_request_latency_seconds"
+_LATENCY_MAX = "service_request_latency_max_seconds"
 
 
 def percentile(samples, q: float) -> float:
@@ -68,44 +74,56 @@ def percentile(samples, q: float) -> float:
 
 
 class LatencyStats:
-    """Bounded per-tenant request-latency samples with exact aggregates.
+    """Bounded per-tenant request-latency samples with exact totals.
 
     ``record(tenant, seconds)`` once per completed request;
     ``summary(tenant)`` (or ``as_dict()`` for every tenant plus the
     cross-tenant ``"*"`` view) reports request counts and p50/p95/p99 /
-    mean / max latency in milliseconds.
+    mean / max latency in milliseconds.  Counts and sums live in the
+    ``service_request_latency_seconds{tenant}`` histograms, maxima in
+    ``service_request_latency_max_seconds{tenant}`` gauges.
     """
 
-    def __init__(self, *, window: int = DEFAULT_LATENCY_WINDOW) -> None:
+    def __init__(
+        self,
+        *,
+        window: int = DEFAULT_LATENCY_WINDOW,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
         if window < 1:
             raise ValueError("window must be at least 1")
         self.window = window
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._samples: Dict[str, Deque[float]] = {}
-        self._count: Dict[str, int] = {}
-        self._sum: Dict[str, float] = {}
-        self._max: Dict[str, float] = {}
 
     def record(self, tenant: str, seconds: float) -> None:
         """Record one request's submit-to-complete latency."""
-        window = self._samples.get(tenant)
-        if window is None:
-            window = self._samples[tenant] = deque(maxlen=self.window)
-            self._count[tenant] = 0
-            self._sum[tenant] = 0.0
-            self._max[tenant] = 0.0
-        window.append(seconds)
-        self._count[tenant] += 1
-        self._sum[tenant] += seconds
-        self._max[tenant] = max(self._max[tenant], seconds)
+        self._samples.setdefault(tenant, deque(maxlen=self.window)).append(seconds)
+        self.registry.histogram(
+            _LATENCY,
+            "submit-to-complete request latency",
+            buckets=LATENCY_BUCKETS,
+            tenant=tenant,
+        ).observe(seconds)
+        self.registry.gauge(
+            _LATENCY_MAX, "slowest request latency", tenant=tenant
+        ).set_max(seconds)
 
     def tenants(self) -> List[str]:
-        return sorted(self._samples)
+        return sorted(h.labels["tenant"] for h in self.registry.family(_LATENCY))
+
+    def _totals(self, tenant: str) -> Tuple[int, float, float]:
+        """Exact ``(count, sum, max)`` of one tenant's latencies (zeros if none)."""
+        histogram = self.registry.get(_LATENCY, tenant=tenant)
+        if histogram is None:
+            return 0, 0.0, 0.0
+        peak = self.registry.get(_LATENCY_MAX, tenant=tenant) or 0.0
+        return histogram["count"], histogram["sum"], peak
 
     def count(self, tenant: Optional[str] = None) -> int:
         """Requests recorded for ``tenant`` (every tenant when ``None``)."""
-        if tenant is not None:
-            return self._count.get(tenant, 0)
-        return sum(self._count.values())
+        tenants = self.tenants() if tenant is None else [tenant]
+        return sum(self._totals(name)[0] for name in tenants)
 
     def summary(self, tenant: Optional[str] = None) -> Dict[str, float]:
         """Latency summary for one tenant (or across all when ``None``).
@@ -113,16 +131,14 @@ class LatencyStats:
         Percentiles come from the bounded recent window; ``requests`` /
         ``mean_ms`` / ``max_ms`` are exact over the whole run.
         """
-        if tenant is not None:
-            samples: List[float] = list(self._samples.get(tenant, ()))
-            count = self._count.get(tenant, 0)
-            total = self._sum.get(tenant, 0.0)
-            peak = self._max.get(tenant, 0.0)
-        else:
-            samples = [s for window in self._samples.values() for s in window]
-            count = sum(self._count.values())
-            total = sum(self._sum.values())
-            peak = max(self._max.values(), default=0.0)
+        samples: List[float] = []
+        count, total, peak = 0, 0.0, 0.0
+        for name in self.tenants() if tenant is None else [tenant]:
+            samples.extend(self._samples.get(name, ()))
+            tenant_count, tenant_sum, tenant_max = self._totals(name)
+            count += tenant_count
+            total += tenant_sum
+            peak = max(peak, tenant_max)
         return {
             "requests": count,
             "p50_ms": percentile(samples, 50) * 1e3,
@@ -144,20 +160,23 @@ class LatencyStats:
 _COMPLETION_TRACE = 4096
 
 
-@dataclass
 class ServiceStats:
     """Both axes of one service run: wave throughput and request latency.
 
     Attributes
     ----------
+    registry:
+        The :class:`~repro.telemetry.metrics.MetricsRegistry` that
+        :attr:`pipeline`, :attr:`latency` and these counters share.
     pipeline:
         The :class:`PipelineStats` the service's accumulator and align
         stage feed — waves, fill efficiency, flush causes.
     latency:
         Per-tenant request-latency percentiles (:class:`LatencyStats`).
-    requests_submitted, requests_completed:
-        Requests accepted by :meth:`~repro.service.AlignmentService.submit`
-        and requests whose futures resolved.
+    requests_submitted, requests_completed, requests_failed:
+        Requests accepted by :meth:`~repro.service.AlignmentService.submit`,
+        requests whose futures resolved with alignments, and requests
+        whose futures failed because a wave carrying them raised.
     pairs_submitted, pairs_admitted, pairs_completed:
         Pair-granular progress: queued by clients, admitted into the
         accumulator by the round-robin sweep, and routed back.
@@ -174,129 +193,107 @@ class ServiceStats:
         the most recent entries (the starvation regression reads this).
     """
 
-    pipeline: PipelineStats = field(default_factory=PipelineStats)
-    latency: LatencyStats = field(default_factory=LatencyStats)
-    requests_submitted: int = 0
-    requests_completed: int = 0
-    pairs_submitted: int = 0
-    pairs_admitted: int = 0
-    pairs_completed: int = 0
-    tenant_requests_submitted: Dict[str, int] = field(default_factory=dict)
-    tenant_pairs_submitted: Dict[str, int] = field(default_factory=dict)
-    max_inflight: Dict[str, int] = field(default_factory=dict)
-    completion_order: Deque[Tuple[str, int]] = field(
-        default_factory=lambda: deque(maxlen=_COMPLETION_TRACE)
-    )
+    pairs_admitted = Stored("service_pairs_admitted_total", "pairs admitted")
+    pairs_completed = Stored("service_pairs_completed_total", "pairs routed back")
+    requests_failed = Stored("service_requests_failed_total", "requests failed")
 
+    def __init__(self, *, wave_size: int = 0) -> None:
+        self.registry = MetricsRegistry()
+        self.pipeline = PipelineStats(wave_size=wave_size, registry=self.registry)
+        self.latency = LatencyStats(registry=self.registry)
+        self.completion_order: Deque[Tuple[str, int]] = deque(maxlen=_COMPLETION_TRACE)
+        self._metrics = Stored.bind(self, self.registry)
+
+    def _per_tenant(self, name: str) -> Dict[str, int]:
+        return {m.labels["tenant"]: int(m.value()) for m in self.registry.family(name)}
+
+    @property
+    def tenant_requests_submitted(self) -> Dict[str, int]:
+        return self._per_tenant("service_requests_submitted_total")
+
+    @property
+    def tenant_pairs_submitted(self) -> Dict[str, int]:
+        return self._per_tenant("service_pairs_submitted_total")
+
+    @property
+    def max_inflight(self) -> Dict[str, int]:
+        return self._per_tenant("service_max_inflight_pairs")
+
+    @property
+    def requests_submitted(self) -> int:
+        return sum(self.tenant_requests_submitted.values())
+
+    @property
+    def pairs_submitted(self) -> int:
+        return sum(self.tenant_pairs_submitted.values())
+
+    @property
+    def requests_completed(self) -> int:
+        return self.latency.count()
+
+    # ------------------------------------------------------------------ #
     def record_submit(self, tenant: str, pairs: int) -> None:
         """One request of ``pairs`` pairs accepted under ``tenant``."""
-        self.requests_submitted += 1
-        self.pairs_submitted += pairs
-        self.tenant_requests_submitted[tenant] = (
-            self.tenant_requests_submitted.get(tenant, 0) + 1
-        )
-        self.tenant_pairs_submitted[tenant] = (
-            self.tenant_pairs_submitted.get(tenant, 0) + pairs
-        )
+        self.registry.counter(
+            "service_requests_submitted_total", "requests accepted", tenant=tenant
+        ).inc()
+        self.registry.counter(
+            "service_pairs_submitted_total", "pairs accepted", tenant=tenant
+        ).inc(pairs)
 
     def record_admitted(self, tenant: str, inflight: int) -> None:
         """One pair entered the accumulator; ``inflight`` is the tenant's new depth."""
-        self.pairs_admitted += 1
-        if inflight > self.max_inflight.get(tenant, 0):
-            self.max_inflight[tenant] = inflight
+        self._metrics["pairs_admitted"].inc()
+        self.registry.gauge(
+            "service_max_inflight_pairs",
+            "admitted-but-unrouted pairs high-water mark",
+            tenant=tenant,
+        ).set_max(inflight)
 
     def record_request_done(
         self, tenant: str, request_id: int, seconds: float, pairs: int
     ) -> None:
-        self.requests_completed += 1
-        self.pairs_completed += pairs
+        self._metrics["pairs_completed"].inc(pairs)
         self.latency.record(tenant, seconds)
         self.completion_order.append((tenant, request_id))
 
-    # ------------------------------------------------------------------ #
-    def publish(self, registry) -> None:
-        """Publish service counters into a telemetry ``MetricsRegistry``.
-
-        Names live under ``service_*`` (and the embedded wave-level stats
-        under ``pipeline_*`` via :meth:`PipelineStats.publish
-        <repro.pipeline.stats.PipelineStats.publish>`).  Publishing is a
-        snapshot — counters are ``set_total``'d, so re-publishing the same
-        stats never double-counts.  See :mod:`repro.telemetry.metrics`.
-        """
-        for name, value in (
-            ("service_requests_submitted_total", self.requests_submitted),
-            ("service_requests_completed_total", self.requests_completed),
-            ("service_pairs_submitted_total", self.pairs_submitted),
-            ("service_pairs_admitted_total", self.pairs_admitted),
-            ("service_pairs_completed_total", self.pairs_completed),
-        ):
-            registry.counter(name).set_total(value)
-        for tenant, count in sorted(self.tenant_requests_submitted.items()):
-            registry.counter(
-                "service_tenant_requests_submitted_total", tenant=tenant
-            ).set_total(count)
-        for tenant, pairs in sorted(self.tenant_pairs_submitted.items()):
-            registry.counter(
-                "service_tenant_pairs_submitted_total", tenant=tenant
-            ).set_total(pairs)
-        for tenant in self.latency.tenants():
-            registry.counter(
-                "service_tenant_requests_completed_total", tenant=tenant
-            ).set_total(self.latency.count(tenant))
-        for tenant, peak in sorted(self.max_inflight.items()):
-            registry.gauge(
-                "service_max_inflight_pairs", tenant=tenant
-            ).set(peak)
-        for tenant, latency in self.latency.as_dict().items():
-            label = {"tenant": tenant}
-            for quantile in ("p50", "p95", "p99"):
-                registry.gauge(
-                    "service_request_latency_ms", quantile=quantile, **label
-                ).set(latency[f"{quantile}_ms"])
-            registry.gauge(
-                "service_request_latency_ms", quantile="mean", **label
-            ).set(latency["mean_ms"])
-            registry.gauge(
-                "service_request_latency_ms", quantile="max", **label
-            ).set(latency["max_ms"])
-        self.pipeline.publish(registry)
+    def record_request_failed(self) -> None:
+        """One request's future failed with its wave's exception."""
+        self._metrics["requests_failed"].inc()
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, object]:
-        """Flat report-friendly view (what the E3 experiment rows embed)."""
+        """Flat report-friendly view: counts ``int``, latencies in ms."""
+        requests, pairs = self.tenant_requests_submitted, self.tenant_pairs_submitted
         return {
-            "requests_submitted": self.requests_submitted,
+            "requests_submitted": sum(requests.values()),
             "requests_completed": self.requests_completed,
-            "pairs_submitted": self.pairs_submitted,
+            "requests_failed": self.requests_failed,
+            "pairs_submitted": sum(pairs.values()),
             "pairs_admitted": self.pairs_admitted,
             "pairs_completed": self.pairs_completed,
             "tenant_submitted": {
-                tenant: {
-                    "requests": self.tenant_requests_submitted.get(tenant, 0),
-                    "pairs": self.tenant_pairs_submitted.get(tenant, 0),
-                }
-                for tenant in sorted(self.tenant_requests_submitted)
+                tenant: {"requests": requests[tenant], "pairs": pairs.get(tenant, 0)}
+                for tenant in sorted(requests)
             },
-            "max_inflight": dict(self.max_inflight),
+            "max_inflight": self.max_inflight,
             "latency": self.latency.as_dict(),
             "pipeline": self.pipeline.as_dict(),
         }
 
     def summary(self) -> str:
         """Human-readable multi-line summary."""
+        submitted = self.tenant_requests_submitted
         lines = [
-            f"requests={self.requests_completed}/{self.requests_submitted} "
+            f"requests={self.requests_completed}/{sum(submitted.values())} "
             f"pairs={self.pairs_completed}/{self.pairs_submitted} "
+            f"failed={self.requests_failed} "
             f"waves={self.pipeline.waves} "
             f"fill={self.pipeline.wave_fill_efficiency:.3f} "
             f"flushes={self.pipeline.flushes}"
         ]
         for tenant, summary in sorted(self.latency.as_dict().items()):
-            if tenant == "*":
-                submitted_part = ""
-            else:
-                submitted = self.tenant_requests_submitted.get(tenant, 0)
-                submitted_part = f"/{submitted}"
+            submitted_part = "" if tenant == "*" else f"/{submitted.get(tenant, 0)}"
             lines.append(
                 f"  tenant {tenant}: requests={summary['requests']}"
                 f"{submitted_part} "

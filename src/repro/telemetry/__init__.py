@@ -11,11 +11,9 @@ persisted measurements.  This package is the one seam they plug into:
   worker-side spans (:mod:`repro.parallel.shm` ships them back with wave
   results, so one timeline covers driver stages and worker waves);
 * :mod:`~repro.telemetry.metrics` — :class:`MetricsRegistry` of named,
-  labelled counters/gauges/histograms that
-  :meth:`PipelineStats.publish <repro.pipeline.stats.PipelineStats.publish>`,
-  :meth:`ServiceStats.publish <repro.service.stats.ServiceStats.publish>`
-  and :meth:`BatchAlignmentEngine.publish_metrics
-  <repro.batch.engine.BatchAlignmentEngine.publish_metrics>` feed;
+  labelled counters/gauges/histograms: the one store behind
+  :class:`~repro.pipeline.stats.PipelineStats` and
+  :class:`~repro.service.stats.ServiceStats` (``stats.registry``);
 * :mod:`~repro.telemetry.exporters` — Chrome-trace JSON
   (``chrome://tracing`` / Perfetto), Prometheus text exposition, and a
   human :func:`~repro.telemetry.exporters.summary`;
@@ -26,16 +24,13 @@ persisted measurements.  This package is the one seam they plug into:
 
 Quickstart::
 
-    from repro.telemetry import MetricsRegistry, Tracer, write_chrome_trace
+    from repro.telemetry import Tracer, prometheus_text, write_chrome_trace
 
     tracer = Tracer()
     pipeline = StreamingPipeline(mapper, tracer=tracer)
     results = pipeline.run_all(reads)
     write_chrome_trace("pipeline_trace.json", tracer)
-
-    registry = MetricsRegistry()
-    pipeline.stats.publish(registry)
-    print(prometheus_text(registry))
+    print(prometheus_text(pipeline.stats.registry))
 """
 
 from repro.telemetry.bench import (

@@ -24,7 +24,7 @@ import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, escape_label_value
 from repro.telemetry.trace import SpanRecord, Tracer
 
 __all__ = [
@@ -117,7 +117,7 @@ def _label_text(labels: Dict[str, object], extra: Sequence = ()) -> str:
     items = [(k, labels[k]) for k in sorted(labels)] + list(extra)
     if not items:
         return ""
-    return "{" + ",".join(f'{k}="{v}"' for k, v in items) + "}"
+    return "{" + ",".join(f'{k}="{escape_label_value(v)}"' for k, v in items) + "}"
 
 
 def prometheus_text(registry: MetricsRegistry) -> str:

@@ -1,46 +1,47 @@
-"""Metrics registry: named counters, gauges and histograms, one snapshot.
+"""Metrics registry: the one store of every counter, gauge and histogram.
 
-Before this module every observability surface grew its own ``as_dict()``
-— :class:`~repro.pipeline.stats.PipelineStats`,
-:class:`~repro.service.stats.ServiceStats`, the engine's
-``traceback_stats`` — and every consumer (smokes, experiments, benches)
-re-plumbed those dicts by hand.  A :class:`MetricsRegistry` is the one
-place they all publish into: metrics are identified by a **name plus a
-small label set** (Prometheus-style, e.g.
-``pipeline_flushes_total{cause="size"}``), and one
-:meth:`MetricsRegistry.snapshot` (or the text exposition in
+:class:`~repro.pipeline.stats.PipelineStats`,
+:class:`~repro.service.stats.ServiceStats` and
+:class:`~repro.service.stats.LatencyStats` keep no numbers of their own:
+each holds a :class:`MetricsRegistry` (``stats.registry``), reads every
+attribute it reports from it, and changes a number with one call on one
+metric.  Metrics are identified by a **name plus a small label set**
+(Prometheus-style, e.g. ``pipeline_flushes_total{cause="size"}``), and
+one :meth:`MetricsRegistry.snapshot` (or the text exposition in
 :mod:`repro.telemetry.exporters`) reads everything.
 
 Metric types follow the Prometheus vocabulary:
 
-* :class:`Counter` — monotonically increasing totals (``inc``).  Stats
-  objects that already hold exact running totals publish them with
-  :meth:`Counter.set_total` — documented as snapshot-publishing, which
-  keeps re-publishing idempotent (the value *is* the running total, it
-  never double-counts).
-* :class:`Gauge` — point-in-time values (``set``): fill efficiency,
-  high-water marks, latency percentiles.
-* :class:`Histogram` — bucketed distributions (``observe``), with
-  :meth:`Histogram.load` for idempotent snapshot publishing from a
-  bounded sample window (e.g. recent wave lane counts).
+* :class:`Counter` — monotonically increasing totals (``inc``).
+* :class:`Gauge` — point-in-time values (``set``, ``inc``) and
+  high-water marks (``set_max``).
+* :class:`Histogram` — bucketed distributions (``observe``) with exact
+  running count and sum.
 
-Naming scheme (asserted by the consistency tests): ``<subsystem>_<what>``
-with ``_total`` suffixing counters, ``_seconds``/``_ms``/``_bytes``
-suffixing unit-carrying values, and labels for the enumerable dimensions
-(``stage``, ``cause``, ``tenant``, ``backend``) rather than name-mangling
-them in.
+Every update holds its metric's own lock, and get-or-create holds the
+registry's, so threads that update the same stats concurrently — the
+service's client threads and its dispatcher — lose nothing.
+
+Naming scheme: ``<subsystem>_<what>`` with ``_total`` suffixing counters,
+``_seconds``/``_ms``/``_bytes`` suffixing unit-carrying values, and labels
+for the enumerable dimensions (``stage``, ``cause``, ``tenant``) rather
+than name-mangling them in.  Label values may come from clients (tenant
+names), so :func:`metric_key` and the text exposition escape them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Stored",
+    "escape_label_value",
     "metric_key",
 ]
 
@@ -51,16 +52,27 @@ DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
 _TYPES = ("counter", "gauge", "histogram")
 
 
+def escape_label_value(value: object) -> str:
+    """A label value as the text exposition format writes it.
+
+    Backslash, double quote and newline are escaped, so a value cannot
+    close its label set or start a new sample line.
+    """
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def metric_key(name: str, labels: Dict[str, object]) -> str:
     """Canonical ``name{k="v",...}`` identity of one labelled metric."""
     if not labels:
         return name
-    inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
+    inner = ",".join(
+        f'{k}="{escape_label_value(labels[k])}"' for k in sorted(labels)
+    )
     return f"{name}{{{inner}}}"
 
 
 class _Metric:
-    """Shared identity/value plumbing of the three metric types."""
+    """Shared identity and lock of the three metric types."""
 
     metric_type = "untyped"
 
@@ -68,6 +80,7 @@ class _Metric:
         self.name = name
         self.labels = dict(labels)
         self.key = metric_key(name, labels)
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.key}={self.value()!r}>"
@@ -85,18 +98,8 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a Gauge for ups and downs")
-        self._value += amount
-
-    def set_total(self, value: float) -> None:
-        """Publish an externally-accumulated running total (idempotent).
-
-        For stats objects that already keep exact totals
-        (:class:`~repro.pipeline.stats.PipelineStats` counts,
-        ``traceback_stats`` sums): re-publishing replaces rather than
-        re-adds.  The monotonicity contract is the caller's — these totals
-        only grow over a run.
-        """
-        self._value = float(value)
+        with self._lock:
+            self._value += amount
 
     def value(self) -> float:
         return self._value
@@ -112,10 +115,18 @@ class Gauge(_Metric):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        self._value = float(value)
+        with self._lock:
+            self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
+        with self._lock:
+            self._value += amount
+
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if that is higher (a high-water mark)."""
+        with self._lock:
+            if value > self._value:
+                self._value = float(value)
 
     def value(self) -> float:
         return self._value
@@ -147,40 +158,66 @@ class Histogram(_Metric):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        self._sum += value
-        self._count += 1
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self._counts[index] += 1
-                return
-        self._counts[-1] += 1
-
-    def clear(self) -> None:
-        self._counts = [0] * (len(self.bounds) + 1)
-        self._sum = 0.0
-        self._count = 0
-
-    def load(self, samples: Iterable[float]) -> None:
-        """Replace the distribution with ``samples`` (snapshot publishing).
-
-        The idempotent twin of :meth:`observe` for stats that keep a
-        bounded recent window (wave lane counts, latency samples):
-        publishing the window twice must not double every bucket.
-        """
-        self.clear()
-        for sample in samples:
-            self.observe(sample)
+        index = bisect_left(self.bounds, value)  # first bound >= value
+        with self._lock:
+            self._sum += value
+            self._count += 1
+            self._counts[index] += 1
 
     def value(self) -> Dict[str, object]:
+        with self._lock:
+            counts, total, count = list(self._counts), self._sum, self._count
         cumulative: List[Tuple[float, int]] = []
         running = 0
-        for bound, count in zip(self.bounds, self._counts[:-1]):
-            running += count
+        for bound, bucket in zip(self.bounds, counts[:-1]):
+            running += bucket
             cumulative.append((bound, running))
         return {
-            "count": self._count,
-            "sum": self._sum,
+            "count": count,
+            "sum": total,
             "buckets": cumulative,  # (+Inf cumulative == count)
+        }
+
+
+class Stored:
+    """A stats-class attribute whose value lives in the instance's registry.
+
+    Declared once in the class body —
+    ``reads = Stored("pipeline_reads_total", "reads ingested")`` — it names
+    a counter when the name ends in ``_total`` (the naming scheme) and a
+    gauge otherwise.  The owner's ``__init__`` keeps
+    ``self._metrics = Stored.bind(self, registry)``, which creates every
+    declared metric up front (so the exposition lists them all, even at
+    zero) and maps attribute names to metrics for the owner's updates.
+    Reading the attribute returns the metric's value through ``cast``
+    (``int`` for counts, ``float`` for seconds).  Assigning is one
+    ``Gauge.set`` and only gauges allow it; counters change by ``inc``.
+    """
+
+    def __init__(self, name: str, help: str = "", cast: type = int) -> None:
+        self.kind = "counter" if name.endswith("_total") else "gauge"
+        self.name, self.help, self.cast = name, help, cast
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return self.cast(obj._metrics[self.attr].value())
+
+    def __set__(self, obj, value: float) -> None:
+        if self.kind != "gauge":
+            raise AttributeError(f"{self.attr} is a counter; it changes only by inc()")
+        obj._metrics[self.attr].set(value)
+
+    @staticmethod
+    def bind(obj, registry: "MetricsRegistry") -> Dict[str, _Metric]:
+        """Create the metrics ``obj``'s class declares; attribute -> metric."""
+        return {
+            attr: getattr(registry, spec.kind)(spec.name, spec.help)
+            for attr, spec in vars(type(obj)).items()
+            if isinstance(spec, Stored)
         }
 
 
@@ -189,10 +226,10 @@ class MetricsRegistry:
 
     ``counter(name, **labels)`` (and ``gauge``/``histogram``) returns the
     existing metric for that exact name+labels identity or creates it —
-    so publishers need no registration phase, and two publishers naming
-    the same metric share it.  Re-registering a name as a different type
-    raises (one name, one type, any labels).  Thread-safe: the service
-    publishes from its dispatcher thread while exporters snapshot.
+    so writers need no registration phase, and two writers naming the
+    same metric share it.  Re-registering a name as a different type
+    raises (one name, one type, any labels).  Thread-safe: get-or-create
+    holds the registry lock, and each update holds its metric's lock.
     """
 
     def __init__(self) -> None:
@@ -272,13 +309,17 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics.values(), key=lambda m: m.key)
 
+    def family(self, name: str) -> List[_Metric]:
+        """Every metric named ``name`` (one per label set), sorted by key."""
+        with self._lock:
+            members = [m for m in self._metrics.values() if m.name == name]
+        return sorted(members, key=lambda m: m.key)
+
     def snapshot(self) -> Dict[str, object]:
         """Flat ``canonical key -> value`` view of every metric.
 
         Counter/gauge values are floats; histogram values are their
-        ``{"count", "sum", "buckets"}`` dicts.  This is the registry-side
-        half of the ``as_dict()`` ↔ snapshot consistency contract the
-        telemetry tests assert for every published metric.
+        ``{"count", "sum", "buckets"}`` dicts.
         """
         with self._lock:
             return {key: metric.value() for key, metric in sorted(self._metrics.items())}

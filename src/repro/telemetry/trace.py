@@ -19,8 +19,9 @@ Design constraints, in order:
    that is one method call returning a shared no-op context manager — no
    allocation, no clock read, no branch at the call site.  The <2 %
    disabled-overhead budget is met by keeping the hot engine loops
-   untraced entirely (the engine publishes *metrics*, not spans) and the
-   pipeline/service instrumentation behind this no-op path.
+   untraced entirely (the engine reports per-alignment counts in
+   alignment metadata, not spans) and the pipeline/service
+   instrumentation behind this no-op path.
 2. **Cross-process timelines.**  Worker processes build their own
    :class:`Tracer` (:mod:`repro.parallel.shm` enables it via the worker
    bundle), record wave spans, and :meth:`Tracer.drain` them into the

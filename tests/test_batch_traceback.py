@@ -619,9 +619,7 @@ class TestSkipAheadTraceback:
         on_alignments = on.align_pairs(pairs)
         saved = sum(a.metadata["tb_walk_steps_saved"] for a in on_alignments)
         assert saved > 0
-        assert on.traceback_stats["steps_saved"] == saved
-        assert on.traceback_stats["match_runs"] > 0
-        assert on.traceback_stats["seconds"] > 0
+        assert sum(a.metadata["tb_match_runs"] for a in on_alignments) > 0
         for alignment in on_alignments:
             meta = alignment.metadata
             assert meta["tb_match_run_ops"] >= meta["tb_match_runs"]
@@ -632,7 +630,7 @@ class TestSkipAheadTraceback:
         assert all(
             a.metadata["tb_walk_steps_saved"] == 0 for a in off_alignments
         )
-        assert off.traceback_stats["match_runs"] == 0
+        assert all(a.metadata["tb_match_runs"] == 0 for a in off_alignments)
         assert_pairwise_identical(on_alignments, off_alignments, "skip on vs off")
         # Each emitted op either came from a walk iteration or was skipped.
         for on_a, off_a in zip(on_alignments, off_alignments):
@@ -641,13 +639,3 @@ class TestSkipAheadTraceback:
                 + on_a.metadata["tb_walk_steps_saved"]
                 == off_a.metadata["tb_walk_steps"]
             )
-
-    def test_scheduling_stats_fold_traceback_counters(self, rng):
-        pattern = random_dna(rng, 90)
-        pairs = [(pattern, mutate(rng, pattern, 4) + "AC")] * 3
-        engine = BatchAlignmentEngine(GenASMConfig())
-        engine.align_pairs(pairs)
-        stats = engine.scheduling_stats(pairs)
-        assert stats["tb_walk_steps"] > 0
-        assert stats["tb_steps_saved"] >= 0
-        assert stats["tb_seconds"] >= 0

@@ -12,23 +12,30 @@ fail only the requests riding in it.
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import sys
 import threading
+import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.config import GenASMConfig
 from repro.parallel.executor import BatchExecutor
+from repro.parallel.shm import SharedMemoryExecutor
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
 from repro.service import (
     AlignmentService,
     LatencyStats,
     ReferenceRegistry,
+    ServiceStats,
     genome_key,
     percentile,
 )
+from tests.conftest import segment_exists
 
 CONFIG = GenASMConfig()
 
@@ -115,13 +122,9 @@ class TestStatsBugfixes:
             (100 * 4 + 50 * 2) / (150 * 4)
         )
 
-    def test_wave_window_validation_and_seeding(self):
+    def test_wave_window_validation(self):
         with pytest.raises(ValueError, match="wave_window"):
             PipelineStats(wave_window=0)
-        # Seeding wave_lane_counts at construction aggregates the seeds.
-        stats = PipelineStats(wave_size=2, wave_lane_counts=[2, 1])
-        assert stats.full_waves == 1
-        assert stats.lanes_total == 3
 
     def test_merged_wave_counts_as_full_capacity(self):
         stats = PipelineStats(wave_size=4)
@@ -347,6 +350,14 @@ class TestAlignmentService:
         with pytest.raises(ValueError, match="max_inflight_per_tenant"):
             AlignmentService(CONFIG, max_inflight_per_tenant=-1, autostart=False)
 
+    def test_aggregate_tenant_name_is_reserved(self):
+        # "*" keys the cross-tenant aggregate in the latency report; a
+        # tenant of that name would vanish into it.
+        with AlignmentService(CONFIG, autostart=False) as service:
+            with pytest.raises(ValueError, match="reserved"):
+                service.submit([("ACGT", "ACGT")], tenant="*")
+        assert service.stats.requests_submitted == 0
+
 
 class TestWaveFailure:
     """A wave that raises fails its own requests; everything else is served."""
@@ -379,6 +390,39 @@ class TestWaveFailure:
         finally:
             service.close()
         assert all(future.done() for future in (before, doomed, after))
+
+    def test_worker_death_fails_in_flight_requests_and_counts_them(self):
+        served_pairs = _simulate_short_read_pairs(3, 150, 0.05, 5)
+        doomed_pairs = _simulate_short_read_pairs(5, 150, 0.05, 6)
+        executor = SharedMemoryExecutor(workers=1, config=CONFIG)
+        try:
+            executor.warm(delay=0.0)
+            service = AlignmentService(CONFIG, wave_size=4, executor=executor)
+            served = [service.submit([pair], tenant="a") for pair in served_pairs]
+            assert_same_alignments(
+                offline_alignments(served_pairs),
+                [future.result(timeout=60)[0] for future in served],
+            )
+            # Kill the pool's only worker; once its task has failed, the
+            # pool is broken for every wave submitted after it.
+            with pytest.raises(BrokenProcessPool):
+                executor._pool.submit(os._exit, 1).result(timeout=60)
+            doomed = [service.submit([pair], tenant="b") for pair in doomed_pairs]
+            start = time.monotonic()
+            service.close()
+            assert time.monotonic() - start < 30
+            for future in doomed:
+                assert future.done()
+                with pytest.raises(BrokenProcessPool):
+                    future.result(timeout=0)
+        finally:
+            executor.close()
+        assert not [name for name in executor.segment_names() if segment_exists(name)]
+        stats = service.stats
+        assert (stats.requests_submitted, stats.requests_completed) == (8, 3)
+        assert stats.requests_failed == 5
+        assert stats.as_dict()["requests_failed"] == 5
+        assert "failed=5" in stats.summary()
 
     def test_worker_failure_reaches_the_request(self):
         # A pattern the engine cannot encode fails inside a pool worker;
@@ -516,3 +560,44 @@ class TestLatencyPrimitives:
         # Percentiles describe the bounded recent window (6..9).
         assert summary["p50_ms"] == pytest.approx(7000.0)
 
+
+class TestConcurrentStats:
+    """Client threads and the dispatcher complete requests concurrently."""
+
+    THREADS = 8
+    TENANTS = 3000
+
+    def _round(self) -> None:
+        # Every thread completes one request per fresh tenant, so each
+        # tenant's first sample is raced by all eight threads at once.
+        stats = ServiceStats()
+        tenants = [f"tenant-{index}" for index in range(self.TENANTS)]
+        start = threading.Barrier(self.THREADS)
+
+        def complete():
+            start.wait()
+            for request_id, tenant in enumerate(tenants):
+                stats.record_request_done(tenant, request_id, 0.001, 1)
+
+        workers = [threading.Thread(target=complete) for _ in range(self.THREADS)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        expected = self.THREADS * self.TENANTS
+        assert stats.requests_completed == stats.latency.count() == expected
+        latency = stats.latency.as_dict()
+        assert [t for t in tenants if latency[t]["requests"] != self.THREADS] == []
+
+    def test_concurrent_completions_lose_no_latency_samples(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            deadline = time.monotonic() + 3.0
+            for _ in range(100):
+                self._round()
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(previous)

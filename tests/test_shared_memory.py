@@ -2,8 +2,7 @@
 
 Covers the zero-copy execution core end to end:
 
-* descriptor / pair-block round trips (:mod:`repro.parallel.shm`,
-  :class:`repro.batch.soa.SoAWave` export/attach);
+* segment-layout and pair-block round trips (:mod:`repro.parallel.shm`);
 * the hosted genome and minimizer index matching their dict-based
   originals hit for hit;
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
@@ -28,8 +27,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch.engine import BatchAlignmentEngine, run_dc_wave
-from repro.batch.soa import LaneJob, SoAWave
+from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import PacBioSimulator
@@ -139,55 +137,6 @@ class TestSegmentsAndLayouts:
         with SharedSegment(64) as segment:
             name = segment.name
             segment.buf[:4] = b"ping"
-        assert not segment_exists(name)
-
-
-# --------------------------------------------------------------------------- #
-# Wave descriptors
-# --------------------------------------------------------------------------- #
-def _make_wave(rng, lengths=(12, 40, 64, 65, 100)):
-    jobs = []
-    for length in lengths:
-        pattern = random_dna(rng, length)
-        text = mutate(rng, pattern, max(1, length // 8)) + random_dna(rng, 4)
-        jobs.append(LaneJob(pattern=pattern, text=text, max_errors=max(1, length // 10)))
-    return SoAWave(jobs, traceback_band=True)
-
-
-class TestWaveDescriptor:
-    def test_plain_buffer_round_trip(self, rng):
-        wave = _make_wave(rng)
-        descriptor = wave.descriptor()
-        buffer = bytearray(descriptor.nbytes)
-        wave.pack_into(buffer, descriptor)
-        rebuilt = SoAWave.from_buffer(descriptor, buffer)
-        assert [(j.pattern, j.text, j.max_errors) for j in rebuilt.jobs] == [
-            (j.pattern, j.text, j.max_errors) for j in wave.jobs
-        ]
-        # Reference tables come from a fresh wave (same seed) in case the
-        # first run mutated wave state in place.
-        want = run_dc_wave(_make_wave(random.Random(1234)))
-        got = run_dc_wave(rebuilt)
-        for a, b in zip(got, want):
-            assert a.min_errors == b.min_errors
-            assert a.final_column == b.final_column
-
-    def test_shared_export_attach_unlink(self, rng):
-        wave = _make_wave(rng)
-        reference = run_dc_wave(_make_wave(random.Random(1234)))
-        shared = wave.to_shared()
-        name = shared.descriptor.segment
-        assert name is not None
-        attached = SoAWave.from_shared(shared.descriptor)
-        try:
-            got = run_dc_wave(attached)
-            for a, b in zip(got, reference):
-                assert a.min_errors == b.min_errors
-                assert a.stored_bytes() == b.stored_bytes()
-        finally:
-            attached.close()
-            shared.unlink()
-        shared.unlink()  # idempotent
         assert not segment_exists(name)
 
 
@@ -394,7 +343,7 @@ class TestTailMerge:
             assert acc.push(_Item(i)) == []
         waves = acc.flush()
         assert [len(w) for w in waves] == [8, 10]
-        assert acc.scheduling_stats == {"merged_waves": 1, "merged_lanes": 2}
+        assert (acc.stats.wave_merges, acc.stats.merged_lanes) == (1, 2)
 
     def test_tail_at_or_above_threshold_not_merged(self):
         from repro.pipeline.batcher import WaveAccumulator
@@ -403,7 +352,7 @@ class TestTailMerge:
         for i in range(12):  # tail of 4 == merge_below stays its own wave
             acc.push(_Item(i))
         assert [len(w) for w in acc.flush()] == [8, 4]
-        assert acc.scheduling_stats["merged_waves"] == 0
+        assert acc.stats.wave_merges == 0
 
     def test_merge_disabled_with_zero_threshold(self):
         from repro.pipeline.batcher import WaveAccumulator
@@ -412,7 +361,7 @@ class TestTailMerge:
         for i in range(17):
             acc.push(_Item(i))
         assert [len(w) for w in acc.flush()] == [8, 8, 1]
-        assert acc.scheduling_stats["merged_waves"] == 0
+        assert acc.stats.wave_merges == 0
 
     def test_single_partial_wave_never_merges(self):
         from repro.pipeline.batcher import WaveAccumulator
@@ -421,7 +370,7 @@ class TestTailMerge:
         for i in range(3):
             acc.push(_Item(i))
         assert [len(w) for w in acc.flush()] == [3]
-        assert acc.scheduling_stats["merged_waves"] == 0
+        assert acc.stats.wave_merges == 0
 
     def test_negative_merge_below_rejected(self):
         from repro.pipeline.batcher import WaveAccumulator

@@ -2,14 +2,14 @@
 
 Covers the :class:`~repro.telemetry.trace.Tracer` span/instant/absorb
 surface (deterministic under an injected clock) and the no-op
-:data:`NULL_TRACER` contract, the :class:`MetricsRegistry` metric types
-and their idempotent snapshot-publishing semantics, the Chrome-trace and
-Prometheus exporters, the ``BENCH_*.json`` perf-trajectory recorder
-(schema validation, provenance stamps, round-trip stability, trends, the
-regression gate), the telemetry satellites of this PR — the
-``PipelineStats.timer`` stage validation and the per-tenant
-``ServiceStats.record_submit`` accounting — plus the ``as_dict()`` ↔
-registry-snapshot consistency contract for every published metric and
+:data:`NULL_TRACER` contract, the :class:`MetricsRegistry` metric types,
+the Chrome-trace and Prometheus exporters (label values escaped), the
+``BENCH_*.json`` perf-trajectory recorder (schema validation, provenance
+stamps, round-trip stability, trends), the stats objects as views of
+their registry — the ``PipelineStats.timer`` stage validation, the
+per-tenant ``ServiceStats.record_submit`` accounting, attributes that
+read what the registry holds, every stored metric reported by
+``as_dict()`` and one exposition per service — plus
 end-to-end tracing through the streaming pipeline and the service.
 """
 
@@ -19,9 +19,7 @@ import json
 
 import pytest
 
-from repro.batch.engine import BatchAlignmentEngine
 from repro.pipeline import PIPELINE_STAGES, PipelineStats, StreamingPipeline
-from repro.pipeline.stats import FLUSH_CAUSES
 from repro.service import AlignmentService
 from repro.service.stats import ServiceStats
 from repro.telemetry import (
@@ -140,7 +138,7 @@ class TestMetrics:
         assert metric_key("m", {}) == "m"
         assert metric_key("m", {"b": 2, "a": 1}) == 'm{a="1",b="2"}'
 
-    def test_counter_inc_and_idempotent_set_total(self):
+    def test_counter_inc(self):
         registry = MetricsRegistry()
         counter = registry.counter("pairs_total")
         counter.inc()
@@ -148,9 +146,6 @@ class TestMetrics:
         assert registry.get("pairs_total") == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
-        counter.set_total(42)
-        counter.set_total(42)  # re-publishing never double-counts
-        assert registry.get("pairs_total") == 42
 
     def test_gauge_set_and_inc(self):
         registry = MetricsRegistry()
@@ -159,7 +154,7 @@ class TestMetrics:
         gauge.inc(1.5)
         assert registry.get("depth") == 5.0
 
-    def test_histogram_observe_and_load(self):
+    def test_histogram_observe(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("lanes", buckets=(2, 8))
         for value in (1, 2, 5, 100):
@@ -168,8 +163,6 @@ class TestMetrics:
         assert value["count"] == 4
         assert value["sum"] == 108
         assert value["buckets"] == [(2, 2), (8, 3)]
-        histogram.load([4, 4])  # snapshot semantics: replaces, no double count
-        assert histogram.value()["count"] == 2
 
     def test_labelled_metrics_are_distinct(self):
         registry = MetricsRegistry()
@@ -186,7 +179,7 @@ class TestMetrics:
 
     def test_snapshot_uses_canonical_keys(self):
         registry = MetricsRegistry()
-        registry.counter("a_total").set_total(1)
+        registry.counter("a_total").inc(1)
         registry.gauge("b", tenant="x").set(2)
         snapshot = registry.snapshot()
         assert snapshot["a_total"] == 1
@@ -228,7 +221,7 @@ class TestExporters:
 
     def test_prometheus_text_format(self):
         registry = MetricsRegistry()
-        registry.counter("reads_total", "reads ingested").set_total(7)
+        registry.counter("reads_total", "reads ingested").inc(7)
         registry.gauge("fill", tenant="a").set(0.5)
         registry.histogram("lanes", buckets=(2,)).observe(1)
         text = prometheus_text(registry)
@@ -240,9 +233,22 @@ class TestExporters:
         assert 'lanes_bucket{le="+Inf"} 1' in text
         assert "lanes_count 1" in text
 
+    def test_label_values_cannot_forge_exposition_lines(self):
+        # Tenant names are client input: quote, backslash and newline are
+        # escaped, so a name cannot close its label set or start a line.
+        evil = 'acme"}\nfake_metric 1 #'
+        registry = MetricsRegistry()
+        registry.counter("requests_total", tenant=evil).inc(2)
+        registry.counter("requests_total", tenant="a\\b").inc()
+        lines = prometheus_text(registry).splitlines()
+        assert not any(line.startswith("fake_metric") for line in lines)
+        assert 'requests_total{tenant="acme\\"}\\nfake_metric 1 #"} 2' in lines
+        assert 'requests_total{tenant="a\\\\b"} 1' in lines
+        assert metric_key("m", {"t": evil}) == 'm{t="acme\\"}\\nfake_metric 1 #"}'
+
     def test_summary_lists_every_metric(self):
         registry = MetricsRegistry()
-        registry.counter("a_total").set_total(3)
+        registry.counter("a_total").inc(3)
         registry.histogram("h", buckets=(1,)).observe(2)
         text = registry_summary(registry)
         assert "a_total  3" in text
@@ -419,10 +425,10 @@ class TestStatsSatellites:
 
     def test_pipeline_summary_string(self):
         stats = PipelineStats(wave_size=4)
-        stats.reads = 10
-        stats.candidates = 12
+        stats.registry.counter("pipeline_reads_total").inc(10)
+        stats.registry.counter("pipeline_candidates_total").inc(12)
         stats.record_wave(4, "size")
-        stats.aligned = 4
+        stats.record_aligned(4)
         stats.wall_seconds = 2.0
         text = stats.summary()
         assert "reads=10 candidates=12 waves=1 aligned=4" in text
@@ -433,7 +439,7 @@ class TestStatsSatellites:
             assert f"{stage}=" in text
 
     def test_service_summary_shows_submitted_vs_completed(self):
-        stats = ServiceStats(pipeline=PipelineStats(wave_size=4))
+        stats = ServiceStats(wave_size=4)
         stats.record_submit("alpha", 4)
         stats.record_submit("alpha", 4)
         stats.record_request_done("alpha", 0, 0.010, 4)
@@ -447,135 +453,145 @@ class TestStatsSatellites:
 
 
 # --------------------------------------------------------------------------- #
-# as_dict() ↔ registry-snapshot consistency for every published metric
+# The registry is the store: attributes read it, one exposition per service
 # --------------------------------------------------------------------------- #
-def _expected_pipeline_entries(stats: PipelineStats) -> dict:
-    d = stats.as_dict()
-    expected = {
-        "pipeline_reads_total": d["reads"],
-        "pipeline_candidates_total": d["candidates"],
-        "pipeline_waves_total": d["waves"],
-        "pipeline_aligned_total": d["aligned"],
-        "pipeline_full_waves_total": d["full_waves"],
-        "pipeline_wave_merges_total": d["wave_merges"],
-        "pipeline_merged_lanes_total": d["merged_lanes"],
-        "pipeline_tb_walk_steps_total": d["tb_walk_steps"],
-        "pipeline_tb_walk_steps_saved_total": d["tb_walk_steps_saved"],
-        "pipeline_tb_match_runs_total": d["tb_match_runs"],
-        "pipeline_tb_match_run_ops_total": d["tb_match_run_ops"],
-        "pipeline_wave_size": d["wave_size"],
-        "pipeline_wave_fill_efficiency": d["wave_fill_efficiency"],
-        "pipeline_wall_seconds": d["wall_seconds"],
-        "pipeline_max_pending": d["max_pending"],
-        "pipeline_mean_pending": d["mean_pending"],
-        "pipeline_max_reorder_buffer": d["max_reorder_buffer"],
-        "pipeline_reorder_bound": d["reorder_bound"],
-        "pipeline_reads_per_second": d["reads_per_second"],
-        "pipeline_pairs_per_second": d["pairs_per_second"],
-    }
-    for stage, seconds in d["stage_seconds"].items():
-        expected[f'pipeline_stage_seconds_total{{stage="{stage}"}}'] = seconds
-    for cause, count in d["flushes"].items():
-        expected[f'pipeline_flushes_total{{cause="{cause}"}}'] = count
-    return expected
+class TestRegistryIsTheStore:
+    def test_attributes_read_what_the_registry_holds(self):
+        stats = PipelineStats(wave_size=4)
+        stats.registry.counter("pipeline_reads_total").inc(3)
+        stats.registry.counter("pipeline_flushes_total", cause="timeout").inc()
+        stats.registry.counter("pipeline_stage_seconds_total", stage="map").inc(0.5)
+        assert stats.reads == 3
+        assert stats.flushes["timeout"] == 1
+        assert stats.waves == 1
+        assert stats.stage_seconds["map"] == 0.5
+        service = ServiceStats(wave_size=4)
+        service.registry.counter("service_requests_failed_total").inc()
+        assert service.requests_failed == 1
+        assert service.as_dict()["requests_failed"] == 1
+        # Counters change only through the registry; gauges may be set.
+        with pytest.raises(AttributeError, match="counter"):
+            stats.reads = 5
+        stats.wall_seconds = 2.0
+        assert stats.registry.get("pipeline_wall_seconds") == 2.0
 
-
-class TestPublishConsistency:
-    def _run_pipeline(self) -> PipelineStats:
-        pipeline = StreamingPipeline(wave_size=4, max_pending=8)
-        pipeline.align_pairs([("ACGTACGT", "ACGTTCGT")] * 10)
-        return pipeline.stats
+    def test_one_exposition_holds_the_whole_service(self):
+        service = AlignmentService(wave_size=4, autostart=False, linger_seconds=None)
+        future = service.submit([("ACGTACGT", "ACGTTCGT")] * 6, tenant="alpha")
+        service.drain()
+        assert len(future.result()) == 6
+        service.close()
+        stats = service.stats
+        assert stats.pipeline.registry is stats.registry is stats.latency.registry
+        lines = prometheus_text(stats.registry).splitlines()
+        for sample in (
+            'service_requests_submitted_total{tenant="alpha"} 1',
+            'service_pairs_submitted_total{tenant="alpha"} 6',
+            "service_pairs_completed_total 6",
+            'service_request_latency_seconds_count{tenant="alpha"} 1',
+            f"pipeline_wave_lanes_total {stats.pipeline.lanes_total}",
+            f'pipeline_flushes_total{{cause="final"}} {stats.pipeline.flushes["final"]}',
+            f"pipeline_tb_walk_steps_total {stats.pipeline.tb_walk_steps}",
+        ):
+            assert sample in lines, sample
+        assert stats.pipeline.lanes_total == 6
+        assert stats.pipeline.tb_walk_steps > 0
 
     def test_pipeline_as_dict_matches_snapshot_for_every_metric(self):
-        stats = self._run_pipeline()
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        snapshot = registry.snapshot()
-        expected = _expected_pipeline_entries(stats)
+        pipeline = StreamingPipeline(wave_size=4, max_pending=8)
+        pipeline.align_pairs([("ACGTACGT", "ACGTTCGT")] * 10)
+        stats = pipeline.stats
+        snapshot = stats.registry.snapshot()
+        d = stats.as_dict()
+        expected = {
+            "pipeline_reads_total": d["reads"],
+            "pipeline_candidates_total": d["candidates"],
+            "pipeline_aligned_total": d["aligned"],
+            "pipeline_full_waves_total": d["full_waves"],
+            "pipeline_wave_merges_total": d["wave_merges"],
+            "pipeline_merged_lanes_total": d["merged_lanes"],
+            "pipeline_tb_walk_steps_total": d["tb_walk_steps"],
+            "pipeline_tb_walk_steps_saved_total": d["tb_walk_steps_saved"],
+            "pipeline_tb_match_runs_total": d["tb_match_runs"],
+            "pipeline_tb_match_run_ops_total": d["tb_match_run_ops"],
+            "pipeline_wall_seconds": d["wall_seconds"],
+            "pipeline_max_pending": d["max_pending"],
+            "pipeline_max_reorder_buffer": d["max_reorder_buffer"],
+        }
+        for stage, seconds in d["stage_seconds"].items():
+            expected[f'pipeline_stage_seconds_total{{stage="{stage}"}}'] = seconds
+        for cause, count in d["flushes"].items():
+            expected[f'pipeline_flushes_total{{cause="{cause}"}}'] = count
         for key, value in expected.items():
             assert snapshot[key] == pytest.approx(value), key
-        # Every published metric is covered: nothing in the snapshot is
-        # unaccounted for (the lane histogram is checked separately below).
-        unchecked = set(snapshot) - set(expected) - {"pipeline_wave_lanes"}
-        assert not unchecked
-        lanes = snapshot["pipeline_wave_lanes"]
-        assert lanes["count"] == len(stats.wave_lane_counts)
-        assert lanes["sum"] == sum(stats.wave_lane_counts)
-
-    def test_publish_is_idempotent(self):
-        stats = self._run_pipeline()
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        first = registry.snapshot()
-        stats.publish(registry)
-        assert registry.snapshot() == first
+        # The totals behind the derived values are stored, not the ratios.
+        lanes = snapshot["pipeline_wave_lanes_total"]
+        capacity = snapshot["pipeline_wave_capacity_total"]
+        pending = snapshot["pipeline_pending_items_total"]
+        samples = snapshot["pipeline_pending_samples_total"]
+        assert lanes == sum(stats.wave_lane_counts) == 10
+        assert d["wave_fill_efficiency"] == pytest.approx(lanes / capacity)
+        assert d["mean_pending"] == pytest.approx(pending / samples)
+        assert d["waves"] == sum(d["flushes"].values()) == len(stats.wave_lane_counts)
+        # Every stored metric is accounted for: nothing in the registry is
+        # a number the report does not read.
+        derived = {
+            "pipeline_wave_lanes_total",
+            "pipeline_wave_capacity_total",
+            "pipeline_pending_items_total",
+            "pipeline_pending_samples_total",
+        }
+        assert set(snapshot) == set(expected) | derived
 
     def test_service_as_dict_matches_snapshot_for_every_metric(self):
-        stats = ServiceStats(pipeline=PipelineStats(wave_size=4))
+        stats = ServiceStats(wave_size=4)
         stats.record_submit("alpha", 4)
         stats.record_submit("beta", 2)
         stats.record_admitted("alpha", 3)
         stats.record_request_done("alpha", 0, 0.010, 4)
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        snapshot = registry.snapshot()
+        stats.record_request_failed()
+        snapshot = stats.registry.snapshot()
         d = stats.as_dict()
         expected = {
-            "service_requests_submitted_total": d["requests_submitted"],
-            "service_requests_completed_total": d["requests_completed"],
-            "service_pairs_submitted_total": d["pairs_submitted"],
+            "service_requests_failed_total": d["requests_failed"],
             "service_pairs_admitted_total": d["pairs_admitted"],
             "service_pairs_completed_total": d["pairs_completed"],
         }
         for tenant, sub in d["tenant_submitted"].items():
-            expected[
-                f'service_tenant_requests_submitted_total{{tenant="{tenant}"}}'
-            ] = sub["requests"]
-            expected[
-                f'service_tenant_pairs_submitted_total{{tenant="{tenant}"}}'
-            ] = sub["pairs"]
+            expected[f'service_requests_submitted_total{{tenant="{tenant}"}}'] = sub[
+                "requests"
+            ]
+            expected[f'service_pairs_submitted_total{{tenant="{tenant}"}}'] = sub[
+                "pairs"
+            ]
         for tenant, peak in d["max_inflight"].items():
             expected[f'service_max_inflight_pairs{{tenant="{tenant}"}}'] = peak
+        histograms = set()
         for tenant, latency in d["latency"].items():
-            expected[
-                f'service_tenant_requests_completed_total{{tenant="{tenant}"}}'
-            ] = latency["requests"]
-            for quantile in ("p50", "p95", "p99", "mean", "max"):
-                expected[
-                    "service_request_latency_ms"
-                    f'{{quantile="{quantile}",tenant="{tenant}"}}'
-                ] = latency[f"{quantile}_ms"]
-        # The "*" aggregate publishes latency but is not a real tenant, so
-        # it has no submitted/completed counters of its own.
-        expected.pop('service_tenant_requests_completed_total{tenant="*"}')
+            if tenant == "*":  # the aggregate is computed, not stored
+                continue
+            key = f'{{tenant="{tenant}"}}'
+            histogram = snapshot[f"service_request_latency_seconds{key}"]
+            assert histogram["count"] == latency["requests"], tenant
+            assert histogram["sum"] * 1e3 == pytest.approx(
+                latency["mean_ms"] * latency["requests"]
+            )
+            expected[f"service_request_latency_max_seconds{key}"] = (
+                latency["max_ms"] / 1e3
+            )
+            histograms.add(f"service_request_latency_seconds{key}")
         for key, value in expected.items():
             assert snapshot[key] == pytest.approx(value), key
+        assert d["requests_submitted"] == 2
+        assert d["requests_completed"] == d["latency"]["*"]["requests"] == 1
+        assert d["pairs_submitted"] == 6
         unchecked = {
             key
-            for key in set(snapshot) - set(expected)
+            for key in set(snapshot) - set(expected) - histograms
             if key.startswith("service_")
         }
+        assert histograms == {'service_request_latency_seconds{tenant="alpha"}'}
         assert not unchecked
-
-    def test_engine_publish_metrics(self):
-        engine = BatchAlignmentEngine()
-        engine.align_pairs([("ACGTACGT", "ACGTTCGT")] * 4)
-        registry = MetricsRegistry()
-        engine.publish_metrics(registry)
-        snapshot = registry.snapshot()
-        stats = engine.traceback_stats
-        assert snapshot["engine_tb_walk_steps_total"] == stats["walk_steps"]
-        assert snapshot["engine_tb_steps_saved_total"] == stats["steps_saved"]
-        assert snapshot["engine_tb_match_runs_total"] == stats["match_runs"]
-        assert snapshot["engine_tb_match_run_ops_total"] == stats["match_run_ops"]
-        assert snapshot["engine_tb_seconds"] == pytest.approx(stats["seconds"])
-        assert {key for key in snapshot if key.startswith("engine_")} == {
-            "engine_tb_walk_steps_total",
-            "engine_tb_steps_saved_total",
-            "engine_tb_match_runs_total",
-            "engine_tb_match_run_ops_total",
-            "engine_tb_seconds",
-        }
 
 
 # --------------------------------------------------------------------------- #
