@@ -6,10 +6,12 @@ identical across pairs — the GenASM recurrence is the same five bitvector
 operations regardless of the sequences — so this engine evaluates **many
 window pairs in lockstep**: one multi-word lane per pair
 (``W = ceil(window_size / 64)`` ``uint64`` words, see
-:mod:`repro.batch.soa`), with the DP step ``(d, j)`` applied to all lanes
-at once as NumPy array operations.  The Python interpreter then executes
-``rows × n_max`` steps per *wave* instead of ``rows × n`` steps per
-*pair*, amortising interpreter overhead across the wave width.
+:mod:`repro.batch.soa`), with the DP applied to all lanes at once as
+NumPy array operations.  The DC scan walks the anti-diagonals of the
+``(d, j)`` grid, one NumPy step per diagonal over every row and lane, so
+the Python interpreter executes ``n_max + rows`` steps per *wave* instead
+of ``rows × n`` steps per *pair*, amortising interpreter overhead across
+the wave width and the error levels.
 
 Equivalence contract
 --------------------
@@ -31,8 +33,9 @@ widths (32..150).
 Structure
 ---------
 * :func:`run_dc_wave_state` — the lockstep GenASM-DC kernel over a
-  :class:`repro.batch.soa.SoAWave`; returns a :class:`WaveDCState` keeping
-  the stored rows in SoA layout (what the lockstep traceback consumes).
+  :class:`repro.batch.soa.SoAWave`, scanned by anti-diagonals; returns a
+  :class:`WaveDCState` keeping the stored rows in SoA layout (what the
+  lockstep traceback consumes).
   The recurrence carries the shifted bit across lane words, so windows
   wider than 64 characters (short-read configs) vectorize too.
 * :func:`run_dc_wave` — compatibility wrapper materialising one scalar
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.batch.soa import MAX_LANE_BITS, LaneJob, SoAWave, lane_words, lockstep_stats
 from repro.batch.traceback import (
@@ -108,16 +112,17 @@ _CLEAR_LOW = np.array(
 _FALLBACK_WARNED: set = set()
 
 
-def _shl1(value: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Multi-word ``(value << 1) & ones`` with cross-word carry.
+def _shl1(value: np.ndarray) -> np.ndarray:
+    """Multi-word ``value << 1`` with cross-word carry.
 
-    ``value`` has the word axis first; bit 63 of word ``w`` shifts into bit
-    0 of word ``w + 1``.  ``ones`` must broadcast against ``value``.
+    ``value`` has the word axis second (``(rows, W, ...)``); bit 63 of word
+    ``w`` shifts into bit 0 of word ``w + 1``.  Bits shifted past a lane's
+    pattern are kept: callers clear them by ANDing the lane's ``ones`` or
+    a term that is already clean.
     """
     out = value << _U1
-    if out.shape[0] > 1:
-        out[1:] |= value[:-1] >> _U63
-    out &= ones
+    if out.shape[1] > 1:
+        out[:, 1:] |= value[:, :-1] >> _U63
     return out
 
 
@@ -141,7 +146,8 @@ class WaveDCState:
     wave: SoAWave
     entry_compression: bool
     early_termination: bool
-    #: per evaluated row: full-width R ``(W, L, n_max + 1)`` or 4-tuple of
+    #: per row up to ``rows_computed.max()``: full-width R
+    #: ``(W, L, n_max + 1)`` (a view of the scan's one table) or 4-tuple of
     #: ``(W, L, n_max)`` intermediates, in SoA layout
     stored_rows: List[object]
     #: final-column value per evaluated row, ``(W, L)`` each
@@ -269,8 +275,9 @@ def run_dc_wave(
     Returns one :class:`DCTable` per lane with exactly the stored state,
     ``min_errors``, ``rows_computed`` and access accounting the scalar
     :func:`repro.core.genasm_dc.genasm_dc` produces for the same inputs.
-    Lanes terminate independently (budget exhausted, or solution found when
-    early termination is on); the wave stops once every lane is done.
+    Each lane keeps its own budget and, with early termination, its own
+    stopping row; the wave itself is one anti-diagonal scan (see
+    :func:`run_dc_wave_state`).
     """
     return run_dc_wave_state(
         wave,
@@ -291,93 +298,91 @@ def run_dc_wave_state(
     :class:`WaveDCState` feeds the lockstep traceback directly (via
     :func:`repro.batch.traceback.build_wave_decisions`), avoiding the
     per-lane Python-list materialisation :func:`run_dc_wave` performs.
-    Lanes are ``wave.words`` ``uint64`` words wide; every shift in the
-    recurrence carries bit 63 of word ``w`` into bit 0 of word ``w + 1``
-    (:func:`_shl1`), and the solution test probes each lane's
-    ``(msb_word, msb_shift)``.  Per-lane DP accounting (entries, rows,
-    writes, skipped rows) is charged to each lane's counter before
+    Row ``d`` depends only on row ``d - 1``, so the scan walks
+    anti-diagonals: one NumPy step evaluates cell ``(d, t - d)`` of every
+    row and lane from diagonals ``t - 1`` and ``t - 2``, ``n_max + k_max``
+    steps per wave.  Shifts carry bit 63 of word ``w`` into bit 0 of word
+    ``w + 1`` (:func:`_shl1`).  All ``k_max + 1`` rows are evaluated; each
+    lane's ``min_errors``, ``rows_computed`` (early termination included)
+    and stored rows are read off the finished table, exactly where a
+    row-by-row scan would have stopped.  Per-lane DP accounting (entries,
+    rows, writes, skipped rows) is charged to each lane's counter before
     returning.
     """
     L = wave.lanes
     W = wave.words
     n_max = wave.n_max
-    m, n, k, ones, masks = wave.m, wave.n, wave.k, wave.ones, wave.masks
+    rows = wave.k_max + 1
+    n, k, ones, masks = wave.n, wave.k, wave.ones, wave.masks
     lane_idx = np.arange(L)
-    msb_word, msb_shift = wave.msb_word, wave.msb_shift
-    ones_cols = ones[:, :, None]
-    word_base = (np.arange(W, dtype=np.int64) * MAX_LANE_BITS)[:, None]
-    multi_word = W > 1
+    row_idx = np.arange(rows)
 
-    R_prev = np.zeros((W, L, n_max + 1), dtype=np.uint64)
-    R_cur = np.zeros((W, L, n_max + 1), dtype=np.uint64)
+    # Column 0: pattern prefixes alignable against the empty text suffix —
+    # (ones << d) & ones, i.e. ones with the d low bits cleared; per word w
+    # that clears clamp(d - 64 w, 0, 64) bits (rows at or past a lane's
+    # pattern length come out all zero).
+    cleared = np.clip(row_idx[:, None] - np.arange(W) * MAX_LANE_BITS, 0, MAX_LANE_BITS)
+    column0 = ones & _CLEAR_LOW[cleared][:, :, None]  # (rows, W, L)
 
-    rows_computed = np.zeros(L, dtype=np.int64)
-    min_errors = np.full(L, -1, dtype=np.int64)
-    done = np.zeros(L, dtype=bool)
+    table = np.empty((rows, W, L, n_max + 1), dtype=np.uint64)
+    table[..., 0] = column0
+    # diagonal[t, d] is table[d, :, :, t - d], touched only for 0 <= t - d <= n_max.
+    s_row, s_word, s_lane, s_col = table.strides
+    diagonal = as_strided(
+        table, (n_max + rows, rows, W, L), (s_col, s_row - s_col, s_word, s_lane)
+    )
+    # masks_rev[n_max - j] is the mask of text column j: a diagonal reads a
+    # forward slice.
+    masks_rev = np.ascontiguousarray(masks.transpose(2, 0, 1)[::-1])
 
-    stored_rows: List[object] = []  # per row: R (W, L, n_max+1) or 4-tuple of (W, L, n_max)
-    final_cols: List[np.ndarray] = []
+    # Diagonals t - 1 and t by row, and (R << 1) & R of diagonal t - 1:
+    # the subst & del term of the next step.
+    prev, cur, subst_del = np.empty((3, rows, W, L), dtype=np.uint64)
+    prev[0] = column0[0]
+    for t in range(1, n_max + rows):
+        lo, hi = max(0, t - n_max), min(rows - 1, t - 1)  # rows with 1 <= t - d <= n_max
+        first = max(0, lo - 1)  # diagonal t - 1 holds rows first..hi
+        before = prev[first : hi + 1]
+        shifted = _shl1(before)
+        # match = (R[d][j-1] << 1) | mask[j-1]; rows past 0 AND in ins
+        # (R[d-1][j] << 1) and subst & del.  Every other term is clean, so
+        # they clear the bits shifted past a lane's pattern (ones does, in
+        # row 0).
+        value = cur[lo : hi + 1]
+        column_masks = masks_rev[n_max - t + lo : n_max - t + hi + 1]
+        np.bitwise_or(shifted[lo - first :], column_masks, out=value)
+        if lo == 0:
+            value[0] &= ones
+        value[first + 1 - lo :] &= shifted[:-1] & subst_del[first:hi]
+        np.bitwise_and(shifted, before, out=subst_del[first : hi + 1])
+        diagonal[t, lo : hi + 1] = value
+        if t < rows:
+            cur[t] = column0[t]
+        prev, cur = cur, prev
 
-    for d in range(wave.k_max + 1):
-        computing = (~done) & (d <= k)
-        if not computing.any():
-            break
+    # Where a row-by-row scan stops, read off the finished table: the first
+    # row within each lane's budget whose final column holds the pattern.
+    final = table[:, :, lane_idx, n]  # (rows, W, L)
+    solution = ((final[:, wave.msb_word, lane_idx] >> wave.msb_shift) & _U1) == _U0
+    solution &= row_idx[:, None] <= k
+    found = solution.any(axis=0)
+    min_errors = np.where(found, solution.argmax(axis=0), -1)
+    rows_computed = np.where(found & early_termination, min_errors + 1, k + 1)
+    evaluated = int(rows_computed.max())
 
-        # Column 0: pattern prefixes alignable against the empty text
-        # suffix — (ones << d) & ones, i.e. ones with the d low bits
-        # cleared; per word w that clears clamp(d - 64 w, 0, 64) bits
-        # (rows at or past a lane's pattern length come out all zero).
-        row0 = ones & _CLEAR_LOW[np.clip(d - word_base, 0, MAX_LANE_BITS)]
-        R_cur[:, :, 0] = row0
-
-        # Lockstep scan along the text.  The match chain is a sequential
-        # dependency (value[j] needs value[j-1]), so j stays a Python loop;
-        # everything without that dependency is hoisted out and vectorized
-        # over all columns at once.
-        partial = None
-        if d > 0:
-            subst_all = _shl1(R_prev[:, :, :-1], ones_cols)
-            ins_all = _shl1(R_prev[:, :, 1:], ones_cols)
-            partial = subst_all & ins_all & R_prev[:, :, :-1]
-        prev_value = row0
-        for j in range(1, n_max + 1):
-            shifted = prev_value << _U1
-            if multi_word:
-                shifted[1:] |= prev_value[:-1] >> _U63
-            value = (shifted & ones) | masks[:, :, j - 1]
-            if partial is not None:
-                value &= partial[:, :, j - 1]
-            R_cur[:, :, j] = value
-            prev_value = value
-
-        # Persist the row full-width; the band packing and pruned-column
-        # placeholders of the scalar storage are applied lazily (table(),
-        # zero_view_mask), so the hot loop never pays per-column packing.
-        if entry_compression:
-            stored_rows.append(R_cur.copy())
-        else:
-            if d == 0:
-                match_row = R_cur[:, :, 1:].copy()
-                placeholder = np.broadcast_to(ones_cols, (W, L, n_max))
-                subst_row = ins_row = del_row = placeholder
-            else:
-                match_row = _shl1(R_cur[:, :, :-1], ones_cols) | masks
-                subst_row, ins_row = subst_all, ins_all
-                del_row = R_prev[:, :, :-1].copy()
-            stored_rows.append((match_row, subst_row, ins_row, del_row))
-
-        final_val = R_cur[:, lane_idx, n]  # (W, L)
-        final_cols.append(final_val)
-        rows_computed[computing] += 1
-
-        solution = ((final_val[msb_word, lane_idx] >> msb_shift) & _U1) == _U0
-        newly = computing & solution & (min_errors < 0)
-        min_errors[newly] = d
-        if early_termination:
-            done |= newly
-        done |= computing & (d >= k)
-
-        R_prev, R_cur = R_cur, R_prev
+    # Persist the rows full-width; the band packing and pruned-column
+    # placeholders of the scalar storage are applied lazily (table(),
+    # zero_view_mask), so the scan never pays per-column packing.
+    if entry_compression:
+        stored_rows: List[object] = list(table[:evaluated])
+    else:
+        # Row 0 is the match term alone; ones stand in for the other three.
+        shifted = _shl1(table[:evaluated]) & ones[:, :, None]
+        match = shifted[..., :-1] | masks
+        placeholder = np.broadcast_to(ones[:, :, None], (W, L, n_max))
+        stored_rows = [(match[0], placeholder, placeholder, placeholder)]
+        subst, ins = shifted[:-1, ..., :-1], shifted[:-1, ..., 1:]
+        stored_rows.extend(zip(match[1:], subst, ins, table[: evaluated - 1, ..., :-1]))
 
     # Bulk per-lane accounting, identical in total to the scalar per-row
     # updates (per-row quantities are constant per lane).
@@ -402,7 +407,7 @@ def run_dc_wave_state(
         entry_compression=entry_compression,
         early_termination=early_termination,
         stored_rows=stored_rows,
-        final_cols=final_cols,
+        final_cols=list(final[:evaluated]),
         rows_computed=rows_computed,
         min_errors=min_errors,
     )

@@ -179,8 +179,9 @@ class WaveDecisions:
     char_eq: np.ndarray
     compressed: bool
     #: lazily built diagonal-packed match plane (see :func:`_diagonal_pack`);
-    #: built on the first skip-ahead walk and reused across retry walks of
-    #: the same wave
+    #: built on the first skip-ahead walk or :meth:`match_run_length` probe
+    #: and reused by later probes of the same decisions (every retry
+    #: sub-wave builds its own decisions, so walks never share it)
     _match_diag: Optional[np.ndarray] = None
 
     @property

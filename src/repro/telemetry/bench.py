@@ -11,11 +11,11 @@ per run.  :class:`BenchRecorder` owns the load / append / save loop:
   Validation is deliberately tolerant of *extra* keys so the trajectory
   can grow new sections without schema churn.
 * **Provenance-stamped appends** (:meth:`BenchRecorder.append`) — every
-  row gets a ``date``, the current ``git_sha`` and, when a config object
-  is supplied, a short ``config_fingerprint``
+  row gets a ``date``, the current ``git_sha``, the host's ``cpu_count``
+  and, when a config object is supplied, a short ``config_fingerprint``
   (:func:`config_fingerprint`), so any history row can be traced back to
-  the exact code and configuration that produced it.  Histories stay
-  bounded (``limit`` newest rows kept).
+  the exact code, configuration and core count that produced it.
+  Histories stay bounded (``limit`` newest rows kept).
 * **Per-cell trend deltas** (:meth:`BenchRecorder.trend`) — a cell's
   latest value of a numeric field compared against the mean of that
   cell's earlier rows; rows of other cells (:data:`CELL_FIELDS`) never
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import time
@@ -194,9 +195,10 @@ class BenchRecorder:
         """Append one provenance-stamped row to ``key``.
 
         The stored row is ``row`` plus ``date`` (now; kept if the caller
-        already set one), ``git_sha``, and — when ``config`` is given —
-        ``config_fingerprint``.  The history is truncated to the newest
-        ``limit`` rows.  Returns the stored row.
+        already set one), ``git_sha``, ``cpu_count`` (:func:`os.cpu_count`,
+        so rows from hosts of different core counts stay apart) and — when
+        ``config`` is given — ``config_fingerprint``.  The history is
+        truncated to the newest ``limit`` rows.  Returns the stored row.
         """
         if not key.endswith("history"):
             raise ValueError(
@@ -205,6 +207,7 @@ class BenchRecorder:
         stored: Dict[str, object] = {
             "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "git_sha": git_sha(self.path.parent),
+            "cpu_count": os.cpu_count(),
         }
         if config is not None:
             stored["config_fingerprint"] = config_fingerprint(config)

@@ -34,6 +34,14 @@ def mutate(rng: random.Random, sequence: str, edits: int) -> str:
     return "".join(out)
 
 
+def assert_same_dc_table(got, want, context=None) -> None:
+    """Field-for-field equality of two GenASM-DC tables and their counters."""
+    for name in ("min_errors", "rows_computed", "final_column", "stored_r", "stored_quad"):
+        assert getattr(got, name) == getattr(want, name), (name, context)
+    assert got.stored_bytes() == want.stored_bytes(), context
+    assert got.counter.as_dict() == want.counter.as_dict(), context
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """Deterministic RNG for test data."""

@@ -33,7 +33,7 @@ from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
 from repro.parallel.executor import BatchExecutor, BatchResult, Stopwatch
-from tests.conftest import mutate, random_dna
+from tests.conftest import assert_same_dc_table, mutate, random_dna
 
 
 def _random_pairs(rng, specs):
@@ -169,15 +169,46 @@ class TestVectorizedEquivalence:
 class TestDCWave:
     """The lockstep DC kernel against the scalar genasm_dc, state for state."""
 
+    @staticmethod
+    def _edge_lanes(rng):
+        """(pattern, text, k) lanes at the edges of the anti-diagonal scan."""
+        p30 = random_dna(rng, 30)
+        p50 = random_dna(rng, 50)
+        p129 = random_dna(rng, 129)
+        return [
+            # A failing budget: min_errors is None, so the lane's rows run to k.
+            ("A" * 30, "C" * 30, 3),
+            # max_errors=0, solved and failing (a solution must end at the
+            # text's last column).
+            (p30, "GATT" + p30, 0),
+            (p30, mutate(rng, p30, 3), 0),
+            # A 1-base text.
+            ("ACGTACGT", "T", 8),
+            # A text shorter than its pattern.
+            (p50, p50[:30], 25),
+            # A text much shorter than the wave's n_max: the lane's cells
+            # finish while the scan ramps down over the longer lanes.
+            ("GATTACA", "GATAC", 4),
+            # A 129-base pattern: three words per lane.
+            (p129, mutate(rng, p129, 8) + random_dna(rng, 4), 12),
+        ]
+
+    @pytest.mark.parametrize("early_termination", [False, True])
     @pytest.mark.parametrize("entry_compression", [False, True])
     @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_stored_state_matches_scalar(self, rng, entry_compression, traceback_band):
-        jobs = []
-        scalar_tables = []
+    def test_stored_state_matches_scalar(
+        self, rng, entry_compression, traceback_band, early_termination
+    ):
+        lanes = []
         for length, k in [(12, 3), (40, 7), (64, 9), (1, 1), (65, 6), (100, 11), (150, 9)]:
             pattern = random_dna(rng, length)
             text = mutate(rng, pattern, max(1, length // 8)) + random_dna(rng, 4)
-            store_from = 2 if traceback_band and length > 4 else 0
+            lanes.append((pattern, text, k))
+        lanes.extend(self._edge_lanes(rng))
+        jobs = []
+        scalar_tables = []
+        for pattern, text, k in lanes:
+            store_from = 2 if traceback_band and len(pattern) > 4 else 0
             jobs.append(
                 LaneJob(pattern=pattern, text=text, max_errors=k, store_from=store_from)
             )
@@ -187,23 +218,26 @@ class TestDCWave:
                     text,
                     k,
                     entry_compression=entry_compression,
-                    early_termination=True,
+                    early_termination=early_termination,
                     traceback_band=traceback_band,
                     store_from_column=store_from,
                 )
             )
+        # The edges are really exercised: a failing budget and a k=0 lane
+        # of each outcome, and lanes far shorter than the longest text.
+        assert scalar_tables[7].min_errors is None
+        assert scalar_tables[8].min_errors == 0
+        assert scalar_tables[9].min_errors is None
+        assert scalar_tables[10].min_errors is not None
         wave = SoAWave(jobs, traceback_band=traceback_band)
+        assert wave.words == 3 and wave.n_max > 100
         tables = run_dc_wave(
-            wave, entry_compression=entry_compression, early_termination=True
+            wave,
+            entry_compression=entry_compression,
+            early_termination=early_termination,
         )
         for got, want in zip(tables, scalar_tables):
-            assert got.min_errors == want.min_errors
-            assert got.rows_computed == want.rows_computed
-            assert got.final_column == want.final_column
-            assert got.stored_r == want.stored_r
-            assert got.stored_quad == want.stored_quad
-            assert got.stored_bytes() == want.stored_bytes()
-            assert got.counter.as_dict() == want.counter.as_dict()
+            assert_same_dc_table(got, want)
 
     def test_lane_job_validation(self):
         with pytest.raises(ValueError):

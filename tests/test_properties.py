@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for the core alignment invariants,
 plus the multi-word lane invariants of the vectorized batch engine (the
-cross-word carry at pattern bits ``i % 64 == 0``)."""
+cross-word carry at pattern bits ``i % 64 == 0``) and generated waves for
+its DC kernel."""
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,12 +18,14 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     build_wave_decisions,
+    run_dc_wave,
     run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
-from repro.core.genasm_dc import genasm_distance_only
+from repro.core.genasm_dc import genasm_dc, genasm_distance_only
 from repro.core.genasm_tb import traceback_conditions
+from tests.conftest import assert_same_dc_table
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=48)
 dna_nonempty = st.text(alphabet="ACGT", min_size=1, max_size=48)
@@ -236,3 +241,82 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
                 assert decisions.match_run_length(0, d, j, i) == brute, (
                     f"d={d} j={j} i={i} ec={entry_compression}"
                 )
+
+
+# --------------------------------------------------------------------------- #
+# Generated waves for the DC kernel: lanes of mixed widths (straddling the
+# 64- and 128-bit word boundaries), texts that end before, at or past their
+# pattern, non-ACGT input, budgets from 0 to m, and any store_from column.
+# --------------------------------------------------------------------------- #
+@st.composite
+def _dc_lane(draw, alphabet):
+    """One lane ``(pattern, text, k, store_from)`` over ``alphabet``."""
+    m = draw(
+        st.one_of(
+            st.sampled_from((63, 64, 65, 128, 129)), st.integers(min_value=1, max_value=150)
+        )
+    )
+    pattern = draw(st.text(alphabet=alphabet, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # A mutated and/or truncated copy of the pattern, 1..m+20 characters.
+        text = list(pattern)
+        edits = st.tuples(
+            st.sampled_from("sid"), st.integers(min_value=0), st.sampled_from(alphabet)
+        )
+        for op, position, char in draw(st.lists(edits, max_size=m // 6 + 1)):
+            position %= len(text) + 1
+            if op == "i" or not text:
+                text.insert(position, char)
+            elif op == "s":
+                text[min(position, len(text) - 1)] = char
+            else:
+                del text[min(position, len(text) - 1)]
+        text += draw(st.text(alphabet=alphabet, max_size=20))
+        text = "".join(text)[: draw(st.integers(min_value=1, max_value=m + 20))]
+        text = text or alphabet[0]
+    else:
+        text = draw(st.text(alphabet=alphabet, min_size=1, max_size=12))
+    k = draw(st.integers(min_value=0, max_value=m))
+    store_from = draw(st.integers(min_value=0, max_value=len(text)))
+    return pattern, text, k, store_from
+
+
+@st.composite
+def _dc_wave(draw):
+    alphabet = draw(st.sampled_from(("ACGT", "ACGTN", "ACGTacgt")))
+    return draw(st.lists(_dc_lane(alphabet), min_size=1, max_size=6))
+
+
+# Bounded for tier-1: each example checks 8 toggle combinations against the
+# scalar kernel, so 30 examples take a few seconds.
+@settings(max_examples=30, deadline=None)
+@given(_dc_wave())
+def test_generated_dc_waves_equal_scalar_genasm_dc(lanes):
+    for entry_compression, early_termination, traceback_band in itertools.product(
+        (False, True), repeat=3
+    ):
+        wave = SoAWave(
+            [
+                LaneJob(pattern=p, text=t, max_errors=k, store_from=s)
+                for p, t, k, s in lanes
+            ],
+            traceback_band=traceback_band,
+        )
+        tables = run_dc_wave(
+            wave,
+            entry_compression=entry_compression,
+            early_termination=early_termination,
+        )
+        for got, (pattern, text, k, store_from) in zip(tables, lanes):
+            want = genasm_dc(
+                pattern,
+                text,
+                k,
+                entry_compression=entry_compression,
+                early_termination=early_termination,
+                traceback_band=traceback_band,
+                store_from_column=store_from,
+            )
+            assert_same_dc_table(
+                got, want, (entry_compression, early_termination, traceback_band)
+            )

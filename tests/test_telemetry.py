@@ -16,6 +16,7 @@ end-to-end tracing through the streaming pipeline and the service.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -301,6 +302,13 @@ class TestBench:
         history = recorder.history("history")
         assert len(history) == 2  # truncated to the newest rows
         assert [row["ratio"] for row in history] == [1.0, 1.1]
+
+    def test_append_stamps_cpu_count(self, tmp_path):
+        recorder = BenchRecorder(_bench_file(tmp_path, GOOD_BENCH))
+        stored = recorder.append("history", {"ratio": 1.0})
+        assert stored["cpu_count"] == os.cpu_count()
+        assert recorder.history("history")[-1]["cpu_count"] == os.cpu_count()
+        recorder.save()  # a scalar field, so the schema accepts it
 
     def test_round_trip_leaves_existing_histories_unchanged(self, tmp_path):
         path = _bench_file(tmp_path, GOOD_BENCH)
