@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.edlib_like import EdlibLikeAligner
 from repro.baselines.ksw2 import Ksw2Aligner
-from repro.batch import BatchAlignmentEngine
+from repro.batch import BatchAlignmentEngine, lockstep_stats
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.harness.experiments import run_cpu_speed_experiment
@@ -86,8 +86,8 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
     This is the workload shape the wave scheduler targets: lanes of very
     different window counts, chunked into ``max_lanes``-wide waves.  The
     benchmark reports the lockstep efficiency of the sorted schedule
-    against fifo chunking and spot-checks equivalence against the scalar
-    aligner.
+    against chunking in input order and spot-checks equivalence against
+    the scalar aligner.
     """
     import random
 
@@ -106,12 +106,12 @@ def test_bench_genasm_vectorized_mixed_lengths(benchmark):
     result = benchmark.pedantic(engine.align_pairs, args=(pairs,), rounds=2, iterations=1)
     assert len(result) == len(pairs)
 
-    fifo = BatchAlignmentEngine(GenASMConfig(), max_lanes=16, scheduling="fifo")
+    in_order = [float(engine.expected_work(len(pattern))) for pattern, _ in pairs]
     benchmark.extra_info["lockstep_efficiency_sorted"] = round(
         engine.scheduling_stats(pairs)["efficiency"], 3
     )
     benchmark.extra_info["lockstep_efficiency_fifo"] = round(
-        fifo.scheduling_stats(pairs)["efficiency"], 3
+        lockstep_stats(in_order, 16)["efficiency"], 3
     )
     scalar = GenASMAligner(GenASMConfig(), name="genasm-improved")
     for index, (pattern, text) in enumerate(pairs[:6]):

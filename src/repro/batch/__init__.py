@@ -48,7 +48,6 @@ that mask dense on mixed-length batches.
 """
 
 from repro.batch.engine import (
-    SCHEDULING_POLICIES,
     BatchAlignmentEngine,
     WaveDCState,
     align_pairs_vectorized,
@@ -69,7 +68,6 @@ __all__ = [
     "align_pairs_vectorized",
     "run_dc_wave",
     "run_dc_wave_state",
-    "SCHEDULING_POLICIES",
     "LaneJob",
     "SoAWave",
     "lane_words",

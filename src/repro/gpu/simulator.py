@@ -172,8 +172,8 @@ class GpuSimulator:
         a warp (one problem per lane, the :mod:`repro.batch` layout) run in
         lockstep, so the issued work is the per-warp maximum, not the mean.
         ``warp_schedule`` selects how problems are packed into warps for
-        that divergence charge (``"fifo"`` or ``"sorted"``, matching the
-        CPU engine's wave-scheduling policies).
+        that divergence charge (``"fifo"``, or ``"sorted"`` — the order the
+        CPU engine cuts waves in).
         """
         if warp_schedule not in ("fifo", "sorted"):
             raise ValueError(

@@ -67,10 +67,8 @@ class PafEmitter:
 class PafSink(GroupingSink):
     """Streaming PAF sink for ``StreamingPipeline.run(reads, sink=...)``."""
 
-    def __init__(
-        self, handle: IO[str], genome: SyntheticGenome, *, eager: bool = True
-    ) -> None:
-        super().__init__(PafEmitter(handle, genome), eager=eager)
+    def __init__(self, handle: IO[str], genome: SyntheticGenome) -> None:
+        super().__init__(PafEmitter(handle, genome))
 
 
 def write_paf(

@@ -259,18 +259,15 @@ class GroupingSink:
     the shapes :func:`as_pair` takes, buffers them per read, and hands
     complete groups to the emitter.
 
-    With ``eager=True`` (default, for in-order streams) a group is
-    emitted as soon as a result for a *different* read arrives — records
-    hit the output handle while the pipeline is still running.  A read
-    reappearing after its group was emitted raises ``ValueError`` (the
-    stream was not grouped); pass ``eager=False`` for out-of-order
-    pipelines (``ordered=False``), which buffers everything until
-    :meth:`finish`.
+    The pipeline emits in candidate input order, so each read's results
+    arrive contiguously: a group is emitted as soon as a result for a
+    *different* read arrives — records hit the output handle while the
+    pipeline is still running.  A read reappearing after its group was
+    emitted raises ``ValueError`` (the stream was not grouped).
     """
 
-    def __init__(self, emitter, *, eager: bool = True) -> None:
+    def __init__(self, emitter) -> None:
         self.emitter = emitter
-        self.eager = eager
         self._groups: "OrderedDict[str, List[Tuple[CandidateMapping, Alignment]]]" = (
             OrderedDict()
         )
@@ -284,9 +281,9 @@ class GroupingSink:
         if name in self._emitted:
             raise ValueError(
                 f"read {name!r} reappeared after its group was emitted; "
-                "pass eager=False to buffer out-of-order streams"
+                "the stream must keep each read's results together"
             )
-        if self.eager and self._groups and name not in self._groups:
+        if self._groups and name not in self._groups:
             self.flush()
         self._groups.setdefault(name, []).append((candidate, alignment))
 

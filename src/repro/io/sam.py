@@ -153,13 +153,10 @@ class SamSink(GroupingSink):
         genome: SyntheticGenome,
         *,
         qualities: Optional[Mapping[str, str]] = None,
-        eager: bool = True,
         **emitter_kwargs,
     ) -> None:
-        super().__init__(
-            SamEmitter(handle, genome, qualities=qualities, **emitter_kwargs),
-            eager=eager,
-        )
+        emitter = SamEmitter(handle, genome, qualities=qualities, **emitter_kwargs)
+        super().__init__(emitter)
 
 
 def write_sam(

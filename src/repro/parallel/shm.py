@@ -1,12 +1,10 @@
 """Shared-memory execution: ship descriptors between processes, not arrays.
 
-The align-stage pool (:class:`repro.pipeline.AlignStage` with
-``workers > 1``) pickles its entire payload into every spawn worker —
-sequence pairs per task, and (for mapping) nothing at all, because the
-reference genome and :class:`~repro.mapping.index.MinimizerIndex` were too
-expensive to ship, which is why mapping stayed on GIL-bound threads.  This
-module inverts that, the way the paper's GPU design keeps wave state
-resident and moves *work*:
+A plain spawn pool pickles its entire payload into every worker —
+sequence pairs per task, and for mapping the reference genome and
+:class:`~repro.mapping.index.MinimizerIndex`, which are too expensive to
+ship per task.  This module inverts that, the way the paper's GPU design
+keeps wave state resident and moves *work*:
 
 * **Segments** (:class:`SharedSegment`) own one
   :mod:`multiprocessing.shared_memory` block with a deterministic
@@ -26,6 +24,7 @@ resident and moves *work*:
   as pair-block layouts (:func:`pack_pairs`), mapping tasks as bare read
   records; both the streaming pipeline's map and align stages and the
   ``shared`` batch backend (:mod:`repro.execution`) dispatch through it.
+  It is the one way work leaves the calling process.
 
 Alignments still return by pickle — results are small and owned by the
 caller — and both sides of every handoff stay byte-identical to the
@@ -466,7 +465,7 @@ class _WorkerState:
         from repro.telemetry.trace import NULL_TRACER, Tracer
 
         self.config = bundle["config"]
-        self.engine = BatchAlignmentEngine(self.config, **bundle["engine_kwargs"])
+        self.engine = BatchAlignmentEngine(self.config)
         # Worker-side tracer: spans recorded here are drained and shipped
         # back with each wave's alignments, so the driver-side tracer can
         # absorb them onto one timeline (separate pid tracks).
@@ -563,13 +562,13 @@ class SharedMemoryExecutor:
     config:
         Aligner configuration shipped once at pool start (defaults to the
         paper's improved GenASM).
-    engine_kwargs:
-        Forwarded to each worker's :class:`BatchAlignmentEngine`.
     mapper:
         Optional :class:`~repro.mapping.mapper.Mapper`; when given, its
         genome and minimizer index are hosted in shared segments and every
         worker rebuilds an identical mapper over them, enabling
-        :meth:`submit_map`.
+        :meth:`submit_map`.  A :class:`~repro.pipeline.StreamingPipeline`
+        given this executor maps its reads here exactly when this is its
+        own mapper; build without ``mapper=`` to keep mapping inline.
     shared_layouts:
         Optional ``(genome_layout, index_layout)`` pair of already-hosted
         segments (e.g. from a
@@ -585,11 +584,9 @@ class SharedMemoryExecutor:
         ``worker.align.wave`` span per wave, and ships the span records
         back with the wave's alignments; this executor absorbs them so one
         exported timeline covers driver stages and worker waves.
-    eager:
-        Start the pool at construction (default starts lazily on first
-        submit).
 
-    The executor is reusable across pipeline runs — keeping it alive keeps
+    The pool starts on first submit, :meth:`warm` or :meth:`start`.  The
+    executor is reusable across pipeline runs — keeping it alive keeps
     the pool warm and the resource segments hosted, which is the intended
     mode for service-style callers; :meth:`close` (or the context-manager
     exit) tears everything down and unlinks every segment this executor
@@ -601,11 +598,9 @@ class SharedMemoryExecutor:
         workers: int = 2,
         *,
         config=None,
-        engine_kwargs: Optional[Dict[str, object]] = None,
         mapper=None,
         shared_layouts: Optional[Tuple[SegmentLayout, SegmentLayout]] = None,
         tracer=None,
-        eager: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -620,7 +615,6 @@ class SharedMemoryExecutor:
         self.workers = workers
         self.config = config if config is not None else GenASMConfig()
         self.tracer = get_tracer(tracer)
-        self.engine_kwargs = dict(engine_kwargs or {})
         self.mapper = mapper
         self.shared_layouts = shared_layouts
         self._pool = None
@@ -628,8 +622,6 @@ class SharedMemoryExecutor:
         self._wave_segments: Dict[object, SharedSegment] = {}
         self._segment_names: List[str] = []
         self._closed = False
-        if eager:
-            self.start()
 
     # ------------------------------------------------------------------ #
     @property
@@ -647,7 +639,6 @@ class SharedMemoryExecutor:
 
         bundle: Dict[str, object] = {
             "config": self.config,
-            "engine_kwargs": self.engine_kwargs,
             "trace": self.tracer.enabled,
         }
         if self.mapper is not None:

@@ -10,15 +10,16 @@ counterpart:
 * :mod:`~repro.pipeline.ingest` — lazy read records from simulators,
   iterables or FASTA/FASTQ files (:func:`stream_reads`);
 * :mod:`~repro.pipeline.mapstage` — candidate generation behind a
-  submit/collect window, optionally on mapping threads
-  (:class:`MapStage`);
+  submit/collect window, inline or on the worker processes of a
+  :class:`~repro.parallel.shm.SharedMemoryExecutor` hosting the mapper's
+  genome and index (:class:`MapStage`);
 * :mod:`~repro.pipeline.batcher` — the wave accumulator: sorted
   expected-work grouping with a ``max_pending`` backpressure bound and
   flush-on-size / flush-on-timeout (:class:`WaveAccumulator`);
 * :mod:`~repro.pipeline.alignstage` — wave-granular dispatch to
-  :class:`repro.batch.BatchAlignmentEngine`, optionally sharded across
-  spawn processes that receive pre-built wave inputs
-  (:class:`AlignStage`);
+  :class:`repro.batch.BatchAlignmentEngine`, in process or on a
+  shared-memory executor's workers, which receive pre-built waves as
+  shared-memory descriptors (:class:`AlignStage`);
 * :mod:`~repro.pipeline.stats` — per-stage wall time, queue occupancy and
   wave fill efficiency (:class:`PipelineStats`);
 * :mod:`~repro.pipeline.pipeline` — the driver

@@ -3,30 +3,30 @@
 The vectorized engine amortises interpreter overhead across wave width, so
 the pipeline wants waves as full — and as uniform in per-lane work — as
 possible, without stalling forever waiting for lanes.  The accumulator
-implements the PR-2 sorted-scheduling policy incrementally:
+cuts waves incrementally, by fixed rules:
 
 * items buffer up to ``max_pending`` (the backpressure bound);
 * when the buffer hits the bound, complete ``wave_size`` waves are cut
   from the pending pool *in expected-work order* (stable sort by the
-  ``work_key``, the same windows × words/lane quantity
-  (:meth:`repro.batch.BatchAlignmentEngine.expected_work`) the engine's
-  own :meth:`~repro.batch.BatchAlignmentEngine.schedule` sorts by), so
-  each dispatched wave runs lanes of similar lifetime in lockstep;
+  ``work_key``, ties in arrival order — the same windows × words/lane
+  quantity (:meth:`repro.batch.BatchAlignmentEngine.expected_work`) the
+  engine's own :meth:`~repro.batch.BatchAlignmentEngine.schedule` sorts
+  by), so each dispatched wave runs lanes of similar lifetime in lockstep;
 * a ``linger_seconds`` timeout flushes everything pending (including a
   partial trailing wave) once the oldest buffered item has waited too
   long — the latency escape hatch for sparse streams;
 * :meth:`flush` drains the remainder at end of stream;
-* when a drain would end in a *sub-threshold* trailing wave (fewer than
-  ``merge_below`` lanes), the tail is merged into the preceding wave
+* when a drain would end in a trailing wave of fewer than
+  ``wave_size // 2`` lanes, the tail is merged into the preceding wave
   instead of paying full per-wave dispatch overhead for a handful of
-  lanes — the ROADMAP's adaptive wave sizing.  Merged waves exceed
-  ``wave_size``; the engine runs them as one chunk (the align stage
-  leaves ``max_lanes`` unset), and the stats' ``wave_merges`` count them.
+  lanes.  Merged waves exceed ``wave_size``; the engine runs them as one
+  chunk (the align stage leaves ``max_lanes`` unset), and the stats'
+  ``wave_merges`` count them.
 
 Wave grouping never changes any alignment (each pair's result is
 independent of which wave carries it — the engine is byte-identical to the
-scalar path per pair); the policy only moves lockstep efficiency and
-latency, which :class:`~repro.pipeline.stats.PipelineStats` records.
+scalar path per pair); it only moves lockstep efficiency and latency,
+which :class:`~repro.pipeline.stats.PipelineStats` records.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence
 
-from repro.batch.engine import SCHEDULING_POLICIES
 from repro.pipeline.stats import PipelineStats
 from repro.telemetry.trace import get_tracer
 
@@ -50,21 +49,13 @@ class WaveAccumulator:
         Target lanes per dispatched wave.
     max_pending:
         Backpressure bound: a push that fills the buffer to this size
-        flushes waves.  Larger values give the sorted policy a deeper pool
-        to cut uniform waves from (at the cost of latency and memory).
+        flushes waves.  Larger values give a deeper pool to cut uniform
+        waves from (at the cost of latency and memory).
     linger_seconds:
         Flush everything pending once the oldest buffered item is this old
         (checked at push time).  ``None`` disables the timeout.
-    scheduling:
-        ``"sorted"`` (work-ordered waves) or ``"fifo"`` (arrival order) —
-        the same policies :class:`repro.batch.BatchAlignmentEngine` accepts.
-    merge_below:
-        Partial-drain tail merging: when a drain cuts several waves and
-        the trailing one has fewer than this many lanes, it is folded into
-        the preceding wave.  Defaults to ``wave_size // 2``; ``0``
-        disables merging.
     work_key:
-        Expected-work estimate per item used by the sorted policy.
+        Expected-work estimate per item; waves are cut in this order.
     clock:
         Monotonic time source (injectable for deterministic timeout tests).
     stats:
@@ -81,8 +72,6 @@ class WaveAccumulator:
         wave_size: int = 64,
         max_pending: int = 256,
         linger_seconds: Optional[float] = None,
-        scheduling: str = "sorted",
-        merge_below: Optional[int] = None,
         work_key: Optional[Callable[[object], float]] = None,
         clock: Callable[[], float] = time.monotonic,
         stats: Optional[PipelineStats] = None,
@@ -94,17 +83,9 @@ class WaveAccumulator:
             raise ValueError("max_pending must be at least 1")
         if linger_seconds is not None and linger_seconds < 0:
             raise ValueError("linger_seconds must be non-negative")
-        if scheduling not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"scheduling must be one of {SCHEDULING_POLICIES}, got {scheduling!r}"
-            )
-        if merge_below is not None and merge_below < 0:
-            raise ValueError("merge_below must be non-negative")
         self.wave_size = wave_size
         self.max_pending = max_pending
         self.linger_seconds = linger_seconds
-        self.scheduling = scheduling
-        self.merge_below = merge_below if merge_below is not None else wave_size // 2
         self.work_key = work_key if work_key is not None else (lambda item: 0.0)
         self.clock = clock
         self.stats = stats if stats is not None else PipelineStats(wave_size=wave_size)
@@ -179,16 +160,13 @@ class WaveAccumulator:
         """Drain everything pending, partial wave included.
 
         ``reason`` labels the flush in the stats — ``"final"`` at end of
-        stream (the default), ``"reorder"`` when the pipeline force-drains
-        to keep its bounded reorder buffer progressing, ``"idle"`` when
-        the service front-end drains a wave no admissible work can fill.
+        stream (the default), ``"idle"`` when the service front-end drains
+        a wave no admissible work can fill.
         """
         return self._cut(partial=True, reason=reason)
 
     # ------------------------------------------------------------------ #
     def _order(self) -> List[int]:
-        if self.scheduling == "fifo":
-            return list(range(len(self._pending)))
         return sorted(
             range(len(self._pending)),
             key=lambda index: (self.work_key(self._pending[index]), index),
@@ -208,7 +186,7 @@ class WaveAccumulator:
         remainder = sorted(order[take:])  # keep arrival order for determinism
         self._pending = [self._pending[index] for index in remainder]
         self._arrivals = [self._arrivals[index] for index in remainder]
-        if len(waves) >= 2 and 0 < len(waves[-1]) < self.merge_below:
+        if len(waves) >= 2 and 0 < len(waves[-1]) < self.wave_size // 2:
             tail = waves.pop()
             waves[-1].extend(tail)
             self.stats.record_merge(len(tail))

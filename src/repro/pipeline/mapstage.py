@@ -2,16 +2,15 @@
 
 Wraps a :class:`repro.mapping.mapper.Mapper` behind a submit/collect
 interface so the pipeline driver can overlap mapping with ingest and wave
-execution.  With ``workers == 1`` mapping is inline (deterministic and
-dependency-free); with ``workers > 1`` reads are mapped on a thread pool
-with a bounded in-flight window; with an ``executor``
+execution.  Without an executor mapping is inline at submit time
+(deterministic and dependency-free); with an ``executor``
 (:class:`repro.parallel.shm.SharedMemoryExecutor` built over the same
-mapper) reads are mapped on worker *processes* against the genome and
-minimizer index hosted in shared memory — seed-and-chain is pure Python
-and GIL-bound, so threads only overlap mapping with alignment, while
-processes overlap mapping with itself.  Results are always collected in
-read submission order, so the pipeline's output order never depends on
-thread or process timing.
+mapper) reads are mapped on its worker *processes* against the genome and
+minimizer index hosted in shared memory, behind a bounded in-flight
+window — seed-and-chain is pure Python and GIL-bound, so only processes
+overlap mapping with itself.  Results are always collected in read
+submission order, so the pipeline's output order never depends on process
+timing.
 
 Every mapped read yields its candidates in :meth:`Mapper.map_sequence`
 order — the exact order the offline path
@@ -22,7 +21,7 @@ ones.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.mapping.mapper import CandidateMapping, Mapper
 from repro.pipeline.ingest import ReadRecord
@@ -42,30 +41,15 @@ class MapStage:
     ----------
     mapper:
         The minimizer mapper producing candidates.
-    workers:
-        Mapping threads.  ``1`` maps inline at submit time.
-    prefetch:
-        Maximum reads in flight before :meth:`submit` blocks on the oldest
-        one (the stage's backpressure bound; defaults to ``4 * workers``).
     executor:
         Optional :class:`repro.parallel.shm.SharedMemoryExecutor` hosting
         this mapper's genome and index; when given, reads are mapped on
-        its worker processes (``workers`` then only sizes the prefetch
-        default).  Caller-owned: :meth:`close` leaves it running.
+        its worker processes, with at most ``max(2, 4 * executor.workers)``
+        reads in flight before :meth:`collect` blocks on the oldest one.
+        Caller-owned: the stage never shuts it down.
     """
 
-    def __init__(
-        self,
-        mapper: Mapper,
-        *,
-        workers: int = 1,
-        prefetch: Optional[int] = None,
-        executor=None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if prefetch is not None and prefetch < 1:
-            raise ValueError("prefetch must be at least 1")
+    def __init__(self, mapper: Mapper, *, executor=None) -> None:
         if executor is not None and executor.mapper is None:
             raise ValueError(
                 "shared-memory executor was built without a mapper; "
@@ -77,11 +61,9 @@ class MapStage:
                 "stage was given"
             )
         self.mapper = mapper
-        self.workers = max(workers, executor.workers) if executor is not None else workers
         self.executor = executor
-        self.prefetch = prefetch if prefetch is not None else max(2, 4 * self.workers)
-        self._pool = None
-        self._window = InflightWindow(self.prefetch)
+        workers = executor.workers if executor is not None else 1
+        self._window = InflightWindow(max(2, 4 * workers))
 
     # ------------------------------------------------------------------ #
     def map_record(self, record: ReadRecord) -> List[Tuple[CandidateMapping, str, str]]:
@@ -94,28 +76,18 @@ class MapStage:
         ]
 
     def submit(self, record: ReadRecord) -> None:
-        """Queue one read for mapping (inline, threads, or processes)."""
+        """Queue one read for mapping (inline, or on the executor)."""
         if self.executor is not None:
-            self._window.append(
-                record, self.executor.submit_map(record.name, record.sequence)
-            )
-            return
-        if self.workers == 1:
-            self._window.append(record, self.map_record(record))
-            return
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-map"
-            )
-        self._window.append(record, self._pool.submit(self.map_record, record))
+            pending = self.executor.submit_map(record.name, record.sequence)
+        else:
+            pending = self.map_record(record)
+        self._window.append(record, pending)
 
     def collect(self, *, block: bool = False) -> List[MappedRead]:
         """Pop completed reads from the front of the queue, in read order.
 
         Non-blocking by default: returns the finished prefix, waiting only
-        when the in-flight window exceeds ``prefetch``.  With ``block=True``
+        when the in-flight window is exceeded.  With ``block=True``
         everything queued is waited for (the end-of-stream drain).
         """
         return self._window.collect(block=block)
@@ -123,12 +95,3 @@ class MapStage:
     def drain(self) -> List[MappedRead]:
         """Wait for and return every read still in flight, in read order."""
         return self.collect(block=True)
-
-    def close(self) -> None:
-        """Shut down the stage's thread pool (if one was created).
-
-        A caller-provided shared-memory executor is left running.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -2,19 +2,19 @@
 
 :class:`StreamingPipeline` joins the stages of :mod:`repro.pipeline` into
 one overlapped dataflow.  Reads are pulled lazily from the source, mapped
-to candidate pairs (optionally on mapping threads), accumulated into
-sorted waves with bounded backpressure, aligned wave-at-a-time by the
-vectorized engine (optionally sharded across processes), and emitted as
-:class:`MappedAlignment` results **in candidate input order** — the exact
-order, CIGARs and metadata of the offline path
+to candidate pairs, accumulated into work-sorted waves with bounded
+backpressure, aligned wave-at-a-time by the vectorized engine (in process,
+or on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`), and
+emitted as :class:`MappedAlignment` results **in candidate input order**
+— the exact order, CIGARs and metadata of the offline path
 (:meth:`Mapper.map_reads` → :meth:`BatchExecutor.run_alignments`), which
 the differential tests pin byte for byte.
 
 The offline harness instead materialises every candidate pair before the
 first wave runs; here the first wave can be aligning while ingest is still
-reading and mapping is still chaining, and independent waves shard across
-worker processes that receive pre-built wave inputs (no per-worker
-re-alignment from scratch).
+reading and mapping is still chaining, and with an executor independent
+waves run on worker processes that receive pre-built wave inputs as
+shared-memory descriptors.
 """
 
 from __future__ import annotations
@@ -88,38 +88,15 @@ class StreamingPipeline:
         :class:`~repro.pipeline.batcher.WaveAccumulator`).
     linger_seconds:
         Accumulator flush timeout; ``None`` disables it.
-    scheduling:
-        Wave grouping policy, ``"sorted"`` or ``"fifo"``.
-    map_workers / align_workers:
-        Thread count of the map stage / process count of the align stage
-        (1 = inline, deterministic, dependency-free).
-    align_inflight:
-        Bound on waves in flight in the align stage.
     executor:
         Optional :class:`repro.parallel.shm.SharedMemoryExecutor`.  Waves
-        are dispatched to it as shared-memory descriptors, and — when it
-        was built over this pipeline's mapper and ``map_workers > 1`` —
-        reads are mapped on its worker processes against the shared index
-        too.  Caller-owned and reusable across runs; keep it warm
-        (:meth:`~SharedMemoryExecutor.warm`) to pay worker spawn once, not
-        per run.
-    max_reorder:
-        Bound on the in-order emission buffer.  Emission can lag alignment
-        by at most this many results: when a completed-but-unemittable
-        backlog exceeds the bound, the pipeline force-drains the
-        accumulator and align stage (flush reason ``"reorder"``) so the
-        blocking candidate completes — guaranteed progress, at the cost of
-        cutting waves early.  ``None`` (default) leaves the buffer
-        unbounded, whose worst case is the whole stream (one slow first
-        candidate).  Irrelevant with ``ordered=False``.
-    ordered:
-        ``True`` (default) emits results in candidate input order through
-        the reorder buffer.  ``False`` emits each wave's results the
-        moment the wave completes — out-of-order across waves, no reorder
-        buffer at all; every result still carries its input ordinal in
-        :attr:`MappedAlignment.order` for callers that reorder downstream.
-        (:meth:`align_pairs` always returns input order; out-of-order mode
-        only changes *when* results become visible to :meth:`run`.)
+        are dispatched to it as shared-memory descriptors, and — exactly
+        when it was built over this pipeline's mapper
+        (``executor.mapper is mapper``) — reads are mapped on its worker
+        processes against the shared index too; build it without
+        ``mapper=`` to keep mapping inline.  Caller-owned and reusable
+        across runs; keep it warm (:meth:`~SharedMemoryExecutor.warm`) to
+        pay worker spawn once, not per run.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, each
         stage block records a ``stage.{ingest,map,batch,align,emit}`` span,
@@ -143,13 +120,7 @@ class StreamingPipeline:
         wave_size: int = 128,
         max_pending: int = 512,
         linger_seconds: Optional[float] = None,
-        scheduling: str = "sorted",
-        map_workers: int = 1,
-        align_workers: int = 1,
-        align_inflight: Optional[int] = None,
         executor=None,
-        max_reorder: Optional[int] = None,
-        ordered: bool = True,
         tracer=None,
         name: str = "genasm-streaming",
     ) -> None:
@@ -159,18 +130,10 @@ class StreamingPipeline:
             raise ValueError("wave_size must be at least 1")
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if max_reorder is not None and max_reorder < 1:
-            raise ValueError("max_reorder must be at least 1")
         self.wave_size = wave_size
         self.max_pending = max_pending
         self.linger_seconds = linger_seconds
-        self.scheduling = scheduling
-        self.map_workers = map_workers
-        self.align_workers = align_workers
-        self.align_inflight = align_inflight
         self.executor = executor
-        self.max_reorder = max_reorder
-        self.ordered = ordered
         self.tracer = get_tracer(tracer)
         self.name = name
         #: Stats of the most recent run (populated even on partial
@@ -178,25 +141,9 @@ class StreamingPipeline:
         self.stats: Optional[PipelineStats] = None
 
     # ------------------------------------------------------------------ #
-    def _build_align_stage(self) -> AlignStage:
-        # max_lanes stays None: waves are already bounded by the
-        # accumulator, and a merged tail wave (wave_size + remainder lanes)
-        # must run as one engine chunk, not get re-split back into the
-        # partial dispatch the merge existed to avoid.
-        return AlignStage(
-            self.config,
-            workers=self.align_workers,
-            inflight=self.align_inflight,
-            executor=self.executor,
-            max_lanes=None,
-            scheduling=self.scheduling,
-            name=self.name,
-            tracer=self.tracer,
-        )
-
     def _build_accumulator(self, stats: PipelineStats, align: AlignStage) -> WaveAccumulator:
-        # The sorted policy groups lanes by the same expected-work model the
-        # engine's own scheduler sorts by — window count × words per lane,
+        # Waves group lanes by the same expected-work model the engine's
+        # own scheduler sorts by — window count × words per lane,
         # so wide-window (short-read) configs group narrow fragments away
         # from full multi-word lanes; reuse the align stage's in-process
         # engine rather than building one just for the estimate.
@@ -205,7 +152,6 @@ class StreamingPipeline:
             wave_size=self.wave_size,
             max_pending=self.max_pending,
             linger_seconds=self.linger_seconds,
-            scheduling=self.scheduling,
             work_key=lambda work: float(engine.expected_work(len(work.pattern))),
             stats=stats,
             tracer=self.tracer,
@@ -233,7 +179,6 @@ class StreamingPipeline:
         still running) and is finished when the stream completes.  The
         emitted bytes are identical to writing the materialised results
         offline (:func:`repro.io.write_sam`), which the parity tests pin.
-        With ``ordered=False`` pass a sink built with ``eager=False``.
         """
         mapper = mapper if mapper is not None else self.mapper
         if mapper is None:
@@ -279,8 +224,8 @@ class StreamingPipeline:
         The streaming counterpart of
         :meth:`repro.parallel.executor.BatchExecutor.run_alignments`:
         identical results in identical order, but pairs flow through the
-        wave accumulator and (optionally sharded) align stage instead of
-        one monolithic engine call.
+        wave accumulator and align stage instead of one monolithic engine
+        call.
         """
         stats = PipelineStats(wave_size=self.wave_size)
         self.stats = stats
@@ -288,69 +233,52 @@ class StreamingPipeline:
             CandidateWork(order, None, None, pattern, text)
             for order, (pattern, text) in enumerate(pairs)
         )
-        mapped = list(self._execute(works, stats))
-        if not self.ordered:
-            # Out-of-order emission only changes *when* results surface;
-            # this materialised view is always parallel to the input.
-            mapped.sort(key=lambda m: m.order)
-        return [m.alignment for m in mapped]
+        return [m.alignment for m in self._execute(works, stats)]
 
     # ------------------------------------------------------------------ #
     def _mapped_works(
         self, reads: Union[str, Iterable], mapper: Mapper, stats: PipelineStats
     ) -> Iterator[CandidateWork]:
         """Ingest + map: lazily turn a read source into CandidateWork items."""
-        # The shared-memory executor maps on worker processes only when it
-        # hosts this mapper's genome/index AND the caller asked for parallel
-        # mapping (map_workers > 1) — per-read IPC round-trips only pay off
-        # when mapping actually runs concurrently with itself; map_workers=1
-        # keeps the inline, dependency-free path.
-        map_executor = (
-            self.executor
-            if (
-                self.executor is not None
-                and self.executor.mapper is mapper
-                and self.map_workers > 1
-            )
-            else None
-        )
-        map_stage = MapStage(mapper, workers=self.map_workers, executor=map_executor)
+        # Reads map on the executor's processes exactly when it hosts this
+        # mapper's genome/index; otherwise mapping stays inline.
+        executor = self.executor
+        hosted = executor is not None and executor.mapper is mapper
+        map_stage = MapStage(mapper, executor=executor if hosted else None)
         tracer = self.tracer
         order = 0
-        try:
-            records = stream_reads(reads)
-            while True:
-                with stats.timer("ingest"), tracer.span("stage.ingest"):
-                    record = next(records, None)
-                if record is None:
-                    break
-                stats.record_read()
-                with stats.timer("map"), tracer.span("stage.map", read=record.name):
-                    map_stage.submit(record)
-                    completed = map_stage.collect()
-                for mapped_record, items in completed:
-                    for candidate, pattern, text in items:
-                        yield CandidateWork(order, mapped_record, candidate, pattern, text)
-                        order += 1
-            with stats.timer("map"), tracer.span("stage.map", drain=True):
-                completed = map_stage.drain()
+        records = stream_reads(reads)
+        while True:
+            with stats.timer("ingest"), tracer.span("stage.ingest"):
+                record = next(records, None)
+            if record is None:
+                break
+            stats.record_read()
+            with stats.timer("map"), tracer.span("stage.map", read=record.name):
+                map_stage.submit(record)
+                completed = map_stage.collect()
             for mapped_record, items in completed:
                 for candidate, pattern, text in items:
                     yield CandidateWork(order, mapped_record, candidate, pattern, text)
                     order += 1
-        finally:
-            map_stage.close()
+        with stats.timer("map"), tracer.span("stage.map", drain=True):
+            completed = map_stage.drain()
+        for mapped_record, items in completed:
+            for candidate, pattern, text in items:
+                yield CandidateWork(order, mapped_record, candidate, pattern, text)
+                order += 1
 
     def _execute(
         self, works: Iterator[CandidateWork], stats: PipelineStats
     ) -> Iterator[MappedAlignment]:
-        """Batch + align + emit over a work stream (in work order by default)."""
+        """Batch + align + emit over a work stream, in work order."""
         start = time.perf_counter()
         tracer = self.tracer
         trace_start = tracer.now()
-        align = self._build_align_stage()
+        align = AlignStage(
+            self.config, executor=self.executor, name=self.name, tracer=self.tracer
+        )
         accumulator = self._build_accumulator(stats, align)
-        stats.reorder_bound = self.max_reorder or 0
         buffer: Dict[int, MappedAlignment] = {}
         next_emit = 0
 
@@ -367,21 +295,17 @@ class StreamingPipeline:
                         raise alignments
                     for work, alignment in zip(wave, alignments):
                         stats.record_traceback(alignment.metadata)
-                        mapped = MappedAlignment(
+                        buffer[work.order] = MappedAlignment(
                             work.order, work.read, work.candidate, alignment
                         )
-                        if self.ordered:
-                            buffer[work.order] = mapped
-                        else:
-                            ready.append(mapped)
                     stats.record_aligned(len(wave))
                 while next_emit in buffer:
                     ready.append(buffer.pop(next_emit))
                     next_emit += 1
                 # Sampled after the drain: the high-water mark measures the
                 # *retained* backlog (results stuck behind a missing earlier
-                # ordinal) — the quantity max_reorder bounds — not the
-                # transient pass-through of a completing wave.
+                # ordinal), not the transient pass-through of a completing
+                # wave.
                 stats.sample_reorder(len(buffer))
                 return ready
 
@@ -397,21 +321,6 @@ class StreamingPipeline:
                         align.submit(wave)
                     completed = align.collect()
                 yield from absorb(completed)
-                if self.max_reorder is not None and len(buffer) > self.max_reorder:
-                    # Bounded reorder: the blocking candidate may still sit
-                    # in the accumulator, so draining alignment alone could
-                    # deadlock — force-flush both.  Every candidate pushed
-                    # so far then completes, which provably empties the
-                    # buffer (all ordinals below the current one emit).
-                    with stats.timer("batch"), tracer.span("stage.batch"):
-                        waves = accumulator.flush(reason="reorder")
-                    with stats.timer("align"), tracer.span(
-                        "stage.align", waves=len(waves), drain=True
-                    ):
-                        for wave in waves:
-                            align.submit(wave)
-                        completed = align.drain()
-                    yield from absorb(completed)
             with stats.timer("batch"), tracer.span("stage.batch", drain=True):
                 waves = accumulator.flush()
             with stats.timer("align"), tracer.span(
@@ -426,7 +335,6 @@ class StreamingPipeline:
                     "pipeline finished with unemitted results (internal error)"
                 )
         finally:
-            align.close()
             stats.wall_seconds = time.perf_counter() - start
             if tracer.enabled:
                 tracer.record_span(

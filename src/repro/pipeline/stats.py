@@ -7,11 +7,12 @@ and how well-packed the dispatched waves were (fill efficiency).  The
 differential tests use the counts to assert the pipeline saw every read
 and candidate.
 
-Stage times are *driver wait times*: with worker pools attached to the map
-or align stage, a stage's seconds measure how long the pipeline loop
-blocked on that stage (submission plus waiting for results), so overlapped
-work shows up as ``wall_seconds`` smaller than the sum of the equivalent
-offline phases rather than as inflated per-stage numbers.
+Stage times are *pipeline-loop wait times*: with a shared-memory
+executor serving the map or align stage, a stage's seconds measure how
+long the pipeline loop blocked on that stage (submission plus waiting for
+results), so overlapped work shows up as ``wall_seconds`` smaller than
+the sum of the equivalent offline phases rather than as inflated
+per-stage numbers.
 
 Every number lives in :attr:`PipelineStats.registry`, a
 :class:`~repro.telemetry.metrics.MetricsRegistry` under ``pipeline_*``
@@ -44,7 +45,7 @@ PIPELINE_STAGES = ("ingest", "map", "batch", "align", "emit")
 #: against ``KeyError`` — including causes the run never triggered.  The
 #: attribute docs on :class:`PipelineStats` must list exactly these causes
 #: (``tests/test_service.py`` asserts the two stay in sync).
-FLUSH_CAUSES = ("size", "timeout", "final", "reorder", "idle")
+FLUSH_CAUSES = ("size", "timeout", "final", "idle")
 
 #: The alignment-metadata keys :meth:`PipelineStats.record_traceback` folds in.
 _TRACEBACK_KEYS = (
@@ -88,18 +89,15 @@ class PipelineStats:
         Accumulator queue occupancy: high-water mark plus the running
         sum/count of per-push samples (see :attr:`mean_pending`).
     max_reorder_buffer:
-        High-water mark of the in-order emission buffer.
-    reorder_bound:
-        Configured ``max_reorder`` cap on that buffer (``0`` = unbounded).
+        High-water mark of the in-order emission buffer (unbounded).
     wave_merges, merged_lanes:
         Trailing partial waves the accumulator folded into their
         predecessor, and how many lanes rode along (see
         :class:`~repro.pipeline.batcher.WaveAccumulator`).
     flushes:
         Wave-flush causes: ``size`` (backpressure / full wave), ``timeout``
-        (linger expired), ``final`` (end of stream), ``reorder`` (forced
-        drain to keep the bounded reorder buffer progressing), ``idle``
-        (service drain: no admissible work left to fill the wave).  Seeded
+        (linger expired), ``final`` (end of stream), ``idle`` (service
+        drain: no admissible work left to fill the wave).  Seeded
         with every cause in :data:`FLUSH_CAUSES`, so any documented cause
         is readable even on runs that never triggered it.
     tb_walk_steps, tb_walk_steps_saved, tb_match_runs, tb_match_run_ops:
@@ -139,7 +137,6 @@ class PipelineStats:
         self.wave_size = wave_size
         self.wave_window = wave_window
         self.wave_lane_counts: Deque[int] = deque(maxlen=wave_window)
-        self.reorder_bound = 0
         self.registry = registry if registry is not None else MetricsRegistry()
         self._metrics = Stored.bind(self, self.registry)
         self._stage_seconds = {
@@ -310,7 +307,6 @@ class PipelineStats:
             "max_pending": self.max_pending,
             "mean_pending": self.mean_pending,
             "max_reorder_buffer": self.max_reorder_buffer,
-            "reorder_bound": self.reorder_bound,
             "wave_merges": self.wave_merges,
             "merged_lanes": self.merged_lanes,
             "flushes": self.flushes,
@@ -340,9 +336,8 @@ class PipelineStats:
             f"flushes={self.flushes}\n"
             f"queues: max_pending={self.max_pending} "
             f"mean_pending={self.mean_pending:.1f} "
-            f"max_reorder={self.max_reorder_buffer}"
-            + (f"/{self.reorder_bound}" if self.reorder_bound else "")
-            + f"\ntraceback: walk_steps={self.tb_walk_steps} "
+            f"max_reorder={self.max_reorder_buffer}\n"
+            f"traceback: walk_steps={self.tb_walk_steps} "
             f"saved={self.tb_walk_steps_saved} "
             f"match_runs={self.tb_match_runs} "
             f"run_ops={self.tb_match_run_ops}"

@@ -2,8 +2,8 @@
 
 :class:`MapStage` and :class:`AlignStage` both expose the same
 submit/collect/drain contract: work is queued with its result (computed
-inline) or a pool future, and collection pops the *completed prefix* in
-submission order, waiting only when more than ``bound`` items are in
+inline) or an executor future, and collection pops the *completed prefix*
+in submission order, waiting only when more than ``bound`` items are in
 flight.  :class:`InflightWindow` is that queue discipline in one place, so
 the two stages cannot drift on the ordering or blocking semantics.
 """

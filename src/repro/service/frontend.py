@@ -15,11 +15,12 @@ Design:
 
 * **Per-request routing.**  Each admitted pair is wrapped in a
   :class:`ServiceWork` carrying its request and position; waves flow
-  through the PR-3 :class:`~repro.pipeline.batcher.WaveAccumulator` and
-  :class:`~repro.pipeline.alignstage.AlignStage` unchanged (the wrapper
-  exposes ``pattern``/``text``), and completed lanes are routed back to
-  the submitting request's future — a wave's lanes typically resolve
-  several different clients' requests.
+  through the pipeline's :class:`~repro.pipeline.batcher.WaveAccumulator`
+  and :class:`~repro.pipeline.alignstage.AlignStage` unchanged (the
+  wrapper exposes ``pattern``/``text``), and completed lanes are routed
+  back to the submitting request's future — a wave's lanes typically
+  resolve several different clients' requests.  Waves run in-process, or
+  on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`.
 * **Per-tenant fairness.**  Admission is a round-robin sweep taking one
   pair per tenant per cycle, and each tenant is capped at
   ``max_inflight_per_tenant`` admitted-but-unrouted pairs, so one huge
@@ -118,14 +119,14 @@ class ServiceWork:
 
 
 class AlignmentService:
-    """Thread-pool alignment-as-a-service front-end over shared waves.
+    """Alignment-as-a-service front-end over shared waves.
 
     Parameters
     ----------
     config:
         Aligner configuration shared by every request (defaults to the
         paper's improved GenASM).
-    wave_size, max_pending, linger_seconds, scheduling:
+    wave_size, max_pending, linger_seconds:
         Wave-coalescing policy, forwarded to the
         :class:`WaveAccumulator`.  ``linger_seconds`` bounds how long the
         first pair of a partial wave waits for co-tenants before the wave
@@ -134,10 +135,10 @@ class AlignmentService:
     max_inflight_per_tenant:
         Fairness cap: pairs one tenant may have admitted-but-unrouted at
         once.  Defaults to ``2 * wave_size``; ``0`` disables the limit.
-    workers, align_inflight, executor:
-        Alignment execution, forwarded to :class:`AlignStage` — in-process
-        (``workers=1``), a spawn pool, or a shared-memory executor (whose
-        config must match).  A caller-provided executor stays caller-owned.
+    executor:
+        Optional shared-memory executor (whose config must match),
+        forwarded to :class:`AlignStage`; waves run in-process without
+        one.  The executor stays caller-owned.
     registry:
         Optional :class:`ReferenceRegistry` for :meth:`submit_reads`; the
         service builds (and then owns) one on demand when not given.
@@ -165,11 +166,7 @@ class AlignmentService:
         wave_size: int = 64,
         max_pending: int = 256,
         linger_seconds: Optional[float] = 0.01,
-        scheduling: str = "sorted",
-        merge_below: Optional[int] = None,
         max_inflight_per_tenant: Optional[int] = None,
-        workers: int = 1,
-        align_inflight: Optional[int] = None,
         executor=None,
         registry: Optional[ReferenceRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -186,21 +183,13 @@ class AlignmentService:
         self.stats = ServiceStats(wave_size=wave_size)
         self.tracer = get_tracer(tracer)
         self._align = AlignStage(
-            config,
-            workers=workers,
-            inflight=align_inflight,
-            executor=executor,
-            scheduling=scheduling,
-            name=name,
-            tracer=self.tracer,
+            config, executor=executor, name=name, tracer=self.tracer
         )
         engine = self._align.engine
         self._accumulator = WaveAccumulator(
             wave_size=wave_size,
             max_pending=max_pending,
             linger_seconds=linger_seconds,
-            scheduling=scheduling,
-            merge_below=merge_below,
             work_key=lambda work: float(engine.expected_work(len(work.pattern))),
             clock=clock,
             stats=self.stats.pipeline,
@@ -510,10 +499,10 @@ class AlignmentService:
                     )
 
     def close(self) -> None:
-        """Stop accepting, drain everything, shut execution down (idempotent).
+        """Stop accepting, drain everything, release what it built (idempotent).
 
         A caller-provided ``executor`` or ``registry`` stays caller-owned
-        and running; resources the service built itself are torn down.
+        and running; a registry the service built itself is closed.
         """
         with self._wake:
             self._closed = True
@@ -527,7 +516,6 @@ class AlignmentService:
                     break
             if not self.pump(block=True):
                 raise RuntimeError("service close stalled with unresolved requests")
-        self._align.close()
         if self._owns_registry and self._registry is not None:
             self._registry.close()
             self._registry = None

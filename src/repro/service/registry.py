@@ -26,7 +26,7 @@ the E3 experiment report.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["ReferenceRegistry", "genome_key"]
 
@@ -128,29 +128,21 @@ class ReferenceRegistry:
         *,
         workers: int = 2,
         config=None,
-        engine_kwargs: Optional[Dict[str, object]] = None,
         warm: bool = False,
         **mapper_params,
     ):
         """A shared-memory executor attached to the registry's segments.
 
-        Cached per (genome identity, mapper parameters, config, workers,
-        engine options); ``warm=True`` spawns and initialises every worker
-        before returning.  The executor borrows the registry's hosted
-        genome/index segments — closing it never unlinks them.
+        Cached per (genome identity, mapper parameters, config, workers);
+        ``warm=True`` spawns and initialises every worker before returning.
+        The executor borrows the registry's hosted genome/index segments —
+        closing it never unlinks them.
         """
         self._check_open()
         from repro.core.config import GenASMConfig
 
         config = config if config is not None else GenASMConfig()
-        engine_kwargs = dict(engine_kwargs or {})
-        key = (
-            genome_key(genome),
-            _params_key(mapper_params),
-            config,
-            workers,
-            tuple(sorted(engine_kwargs.items())),
-        )
+        key = (genome_key(genome), _params_key(mapper_params), config, workers)
         executor = self._executors.get(key)
         if executor is None:
             from repro.parallel.shm import SharedMemoryExecutor
@@ -158,7 +150,6 @@ class ReferenceRegistry:
             executor = SharedMemoryExecutor(
                 workers,
                 config=config,
-                engine_kwargs=engine_kwargs,
                 mapper=self.mapper(genome, **mapper_params),
                 shared_layouts=self.hosted_layouts(genome, **mapper_params),
             )

@@ -25,6 +25,7 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     build_wave_decisions,
+    lockstep_stats,
     run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
@@ -208,7 +209,7 @@ class TestMultiWordDifferential:
     AccessCounter field), parametrized over ``window_size`` so word counts
     1, 2 and 3 — including the exact 64/65 boundary pair — are all
     exercised, across the improvement toggles, the tie-break orders and
-    the wave-scheduling policies.
+    work-sorted chunked waves.
     """
 
     def _scalar_reference(self, config, pairs):
@@ -263,16 +264,18 @@ class TestMultiWordDifferential:
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("window_size", [65, 96, 150])
-    @pytest.mark.parametrize("scheduling", ["sorted", "fifo"])
-    def test_window_widths_across_scheduling(self, rng, window_size, scheduling):
+    @pytest.mark.parametrize("max_lanes", [2, 3])
+    def test_window_widths_across_scheduling(self, rng, window_size, max_lanes):
+        # Each chunk width groups the work-sorted lanes into different
+        # waves, so lanes retire at different windows within each chunk.
         config = window_config(window_size)
         pairs = window_boundary_pairs(rng, window_size)
-        context = f"window={window_size} scheduling={scheduling}"
+        context = f"window={window_size} max_lanes={max_lanes}"
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
-        chunked = BatchAlignmentEngine(
-            config, max_lanes=3, scheduling=scheduling
-        ).align_pairs(pairs, counter=batch_counter)
+        chunked = BatchAlignmentEngine(config, max_lanes=max_lanes).align_pairs(
+            pairs, counter=batch_counter
+        )
         assert_pairwise_identical(scalar, chunked, context)
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
@@ -460,26 +463,25 @@ class TestWaveScheduling:
         pairs = self._mixed_pairs(rng)
         config = GenASMConfig()
         reference = BatchAlignmentEngine(config).align_pairs(pairs)
-        for scheduling in ("sorted", "fifo"):
-            chunked = BatchAlignmentEngine(
-                config, max_lanes=4, scheduling=scheduling
-            ).align_pairs(pairs)
-            assert_pairwise_identical(reference, chunked, scheduling)
-            for (pattern, text), alignment in zip(pairs, chunked):
-                assert alignment.pattern == pattern
-                assert alignment.text == text
+        chunked = BatchAlignmentEngine(config, max_lanes=4).align_pairs(pairs)
+        assert_pairwise_identical(reference, chunked, "sorted")
+        for (pattern, text), alignment in zip(pairs, chunked):
+            assert alignment.pattern == pattern
+            assert alignment.text == text
 
     def test_sorted_schedule_improves_lockstep_efficiency(self, rng):
         pairs = self._mixed_pairs(rng)
         config = GenASMConfig()
         sorted_engine = BatchAlignmentEngine(config, max_lanes=4)
-        fifo_engine = BatchAlignmentEngine(config, max_lanes=4, scheduling="fifo")
         sorted_stats = sorted_engine.scheduling_stats(pairs)
-        fifo_stats = fifo_engine.scheduling_stats(pairs)
-        assert sorted_stats["useful_work"] == fifo_stats["useful_work"]
-        assert sorted_stats["efficiency"] > fifo_stats["efficiency"]
+        # The same lockstep model over the lanes chunked in input order.
+        in_order_stats = lockstep_stats(
+            [float(sorted_engine.expected_work(len(p))) for p, _ in pairs], 4
+        )
+        assert sorted_stats["useful_work"] == in_order_stats["useful_work"]
+        assert sorted_stats["efficiency"] > in_order_stats["efficiency"]
         assert sorted_stats["efficiency"] > 0.9  # homogeneous chunks
-        assert fifo_stats["efficiency"] < 0.7  # alternating 1- and 10-window lanes
+        assert in_order_stats["efficiency"] < 0.7  # alternating 1- and 10-window lanes
 
     def test_schedule_orders_by_expected_windows(self):
         engine = BatchAlignmentEngine(GenASMConfig(), max_lanes=2)
@@ -487,18 +489,21 @@ class TestWaveScheduling:
         order = engine.schedule(pairs)
         windows = [engine.expected_windows(len(pairs[i][0])) for i in order]
         assert windows == sorted(windows)
-        fifo = BatchAlignmentEngine(GenASMConfig(), scheduling="fifo")
-        assert fifo.schedule(pairs) == [0, 1, 2, 3]
+
+    def test_schedule_breaks_ties_in_arrival_order(self):
+        engine = BatchAlignmentEngine(GenASMConfig(), max_lanes=2)
+        lengths = [300, 10, 290, 20, 700, 64]
+        pairs = [("A" * length, "T") for length in lengths]
+        work = [engine.expected_work(length) for length in lengths]
+        assert work == [7, 1, 7, 1, 17, 1]
+        # Lanes of equal work keep their arrival order.
+        assert engine.schedule(pairs) == [1, 3, 5, 0, 2, 4]
 
     def test_expected_windows_matches_measured_window_metadata(self, rng):
         engine = BatchAlignmentEngine(GenASMConfig())
         pairs = self._mixed_pairs(rng) + [("", "ACGT")]
         for (pattern, _), alignment in zip(pairs, engine.align_pairs(pairs)):
             assert engine.expected_windows(len(pattern)) == alignment.metadata["windows"]
-
-    def test_invalid_scheduling_rejected(self):
-        with pytest.raises(ValueError):
-            BatchAlignmentEngine(GenASMConfig(), scheduling="random")
 
     def test_warp_divergence_sorted_schedule(self, rng):
         pairs = self._mixed_pairs(rng)

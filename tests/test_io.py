@@ -288,15 +288,6 @@ class TestGroupingSink:
         with pytest.raises(ValueError, match="reappeared"):
             sink.write(self._item("r1"))
 
-    def test_buffered_mode_tolerates_out_of_order(self):
-        emitter = RecordingEmitter()
-        sink = GroupingSink(emitter, eager=False)
-        for name in ["r1", "r2", "r1"]:
-            sink.write(self._item(name))
-        assert emitter.groups == []
-        sink.finish()
-        assert emitter.groups == [["r1", "r1"], ["r2"]]
-
 
 class TestWorkloadEmission:
     """Spec-level checks over a real mapped+aligned workload."""

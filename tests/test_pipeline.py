@@ -4,12 +4,14 @@ The subsystem contract: :class:`StreamingPipeline` produces **byte-identical
 alignments in identical order** to the offline path — candidate pairs
 materialised by :meth:`Mapper.map_reads` and aligned by
 :meth:`BatchExecutor.run_alignments` — regardless of wave size, chunk
-boundaries, worker pools, or flush policy.  Wave grouping and concurrency
-may only move throughput and latency, never a single CIGAR byte.
+boundaries, shared-memory executors, or flush policy.  Wave grouping and
+concurrency may only move throughput and latency, never a single CIGAR
+byte.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 from types import SimpleNamespace
@@ -19,8 +21,10 @@ import pytest
 from repro.core.config import GenASMConfig
 from repro.genomics.fasta import write_fasta, write_fastq
 from repro.harness.dataset import build_paper_dataset
+from repro.io import SamSink
 from repro.mapping.mapper import Mapper
 from repro.parallel.executor import BatchExecutor
+from repro.parallel.shm import SharedMemoryExecutor
 from repro.pipeline import (
     MapStage,
     ReadRecord,
@@ -28,7 +32,7 @@ from repro.pipeline import (
     WaveAccumulator,
     stream_reads,
 )
-from tests.conftest import mutate, random_dna
+from tests.conftest import mutate, random_dna, segment_exists
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -54,6 +58,16 @@ def offline(workload, mapper):
     ]
     results = BatchExecutor(backend="vectorized").run_alignments(pairs).results
     return candidates, pairs, results
+
+
+@pytest.fixture(scope="module")
+def hosted_executor(mapper):
+    """A warm two-worker executor hosting ``mapper``'s genome and index."""
+    executor = SharedMemoryExecutor(workers=2, config=GenASMConfig(), mapper=mapper)
+    executor.warm(delay=0.0)
+    yield executor
+    executor.close()
+    assert not [name for name in executor.segment_names() if segment_exists(name)]
 
 
 def assert_same_alignments(reference, got, context=""):
@@ -154,11 +168,7 @@ class TestWaveAccumulator:
         # fill on sorted streams.
         now = [0.0]
         acc = WaveAccumulator(
-            wave_size=2,
-            max_pending=3,
-            linger_seconds=2.0,
-            scheduling="fifo",
-            clock=lambda: now[0],
+            wave_size=2, max_pending=3, linger_seconds=2.0, clock=lambda: now[0]
         )
         assert acc.push("a") == []
         now[0] = 1.9
@@ -193,14 +203,14 @@ class TestWaveAccumulator:
         assert [i for i in acc.pending] == [9]
         assert acc.oldest_age() == pytest.approx(2.0)
 
-    def test_fifo_scheduling_keeps_arrival_order(self):
-        acc = WaveAccumulator(
-            wave_size=2, max_pending=4, scheduling="fifo", work_key=lambda i: -i
-        )
+    def test_equal_work_cuts_in_arrival_order(self):
+        acc = WaveAccumulator(wave_size=2, max_pending=5, work_key=lambda item: item[0])
         flushed = []
-        for item in (5, 4, 3, 2):
+        for item in [(1, "a"), (0, "b"), (1, "c"), (0, "d"), (1, "e")]:
             flushed.extend(acc.push(item))
-        assert flushed == [[5, 4], [3, 2]]
+        # Ties in work keep arrival order, in the waves and in the remainder.
+        assert flushed == [[(0, "b"), (0, "d")], [(1, "a"), (1, "c")]]
+        assert list(acc.pending) == [(1, "e")]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,31 +219,91 @@ class TestWaveAccumulator:
             WaveAccumulator(max_pending=0)
         with pytest.raises(ValueError):
             WaveAccumulator(linger_seconds=-1.0)
-        with pytest.raises(ValueError):
-            WaveAccumulator(scheduling="random")
 
 
 class TestMapStage:
-    def test_threaded_mapping_matches_inline_in_order(self, workload, mapper):
+    def test_hosted_mapping_matches_inline_in_order(
+        self, workload, mapper, offline, hosted_executor
+    ):
+        candidates, pairs, _reference = offline
         records = list(stream_reads(workload.reads))
-        inline = MapStage(mapper, workers=1)
-        threaded = MapStage(mapper, workers=3, prefetch=2)
-        try:
-            for record in records:
-                inline.submit(record)
-                threaded.submit(record)
-            a = inline.drain()
-            b = threaded.drain()
-        finally:
-            inline.close()
-            threaded.close()
-        assert [record.name for record, _ in a] == [r.name for r in records]
-        assert [record.name for record, _ in b] == [r.name for r in records]
-        for (_, items_a), (_, items_b) in zip(a, b):
-            assert [c.ref_start for c, _, _ in items_a] == [
-                c.ref_start for c, _, _ in items_b
-            ]
-            assert [(p, t) for _, p, t in items_a] == [(p, t) for _, p, t in items_b]
+        inline = MapStage(mapper)
+        hosted = MapStage(mapper, executor=hosted_executor)
+        for record in records:
+            inline.submit(record)
+            hosted.submit(record)
+        mapped = hosted.drain()
+        assert [record for record, _ in mapped] == records
+        assert mapped == inline.drain()
+        assert [c for _, items in mapped for c, _, _ in items] == list(candidates)
+        assert [(p, t) for _, items in mapped for _, p, t in items] == pairs
+
+    def test_executor_must_host_the_stage_mapper(self, mapper):
+        with pytest.raises(ValueError, match="without a mapper"):
+            MapStage(mapper, executor=SimpleNamespace(mapper=None, workers=1))
+        with pytest.raises(ValueError, match="different mapper"):
+            MapStage(mapper, executor=SimpleNamespace(mapper=object(), workers=1))
+
+
+class _Unfinished:
+    """An executor future that never reports done but resolves when asked."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def done(self):
+        return False
+
+    def exception(self):
+        return None
+
+    def result(self):
+        return self.value
+
+
+class TestInflightBounds:
+    """Executor-backed stages wait on their oldest item only past a bound
+    sized from the executor: two waves, or four reads, per worker."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_align_stage_holds_two_waves_per_worker(self, workers):
+        from repro.pipeline.alignstage import AlignStage
+
+        executor = SimpleNamespace(
+            config=GenASMConfig(),
+            workers=workers,
+            submit_wave=lambda pairs, wave_id: _Unfinished([None] * len(pairs)),
+        )
+        stage = AlignStage(GenASMConfig(), executor=executor)
+        waves = [
+            [SimpleNamespace(pattern="ACGT", text=f"ACGT{'A' * index}")]
+            for index in range(2 * workers + 1)
+        ]
+        for wave in waves[:-1]:
+            stage.submit(wave)
+        assert stage.collect() == []
+        stage.submit(waves[-1])
+        assert [wave for wave, _ in stage.collect()] == waves[:1]
+        assert stage.pending_waves == 2 * workers
+        assert [wave for wave, _ in stage.drain()] == waves[1:]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_map_stage_holds_four_reads_per_worker(self, mapper, workers):
+        executor = SimpleNamespace(
+            mapper=mapper,
+            workers=workers,
+            submit_map=lambda name, sequence: _Unfinished([]),
+        )
+        stage = MapStage(mapper, executor=executor)
+        records = [
+            ReadRecord(index, f"r{index}", "ACGT") for index in range(4 * workers + 1)
+        ]
+        for record in records[:-1]:
+            stage.submit(record)
+        assert stage.collect() == []
+        stage.submit(records[-1])
+        assert stage.collect() == [(records[0], [])]
+        assert stage.drain() == [(record, []) for record in records[1:]]
 
 
 class TestStreamingEquivalence:
@@ -290,20 +360,66 @@ class TestStreamingEquivalence:
         streamed = StreamingPipeline(wave_size=2, max_pending=2).align_pairs(pairs)
         assert_same_alignments(reference, streamed)
 
-    def test_streaming_emission_is_in_order_and_incremental(self, workload, mapper):
+    def test_streaming_emission_is_in_order_and_incremental(
+        self, workload, mapper, offline
+    ):
+        candidates, _pairs, _reference = offline
         pipeline = StreamingPipeline(mapper, wave_size=4, max_pending=4)
         seen = []
         for mapped in pipeline.run(workload.reads):
             seen.append(mapped.order)
-        assert seen == sorted(seen)
+        # Every ordinal exactly once, in input order.
+        assert seen == list(range(len(candidates)))
         assert pipeline.stats.waves >= 2  # the bound actually chunked the stream
 
-    def test_worker_pools_do_not_change_results(self, workload, mapper, offline):
-        _candidates, _pairs, reference = offline
+    def test_executors_do_not_change_results(
+        self, workload, mapper, offline, hosted_executor
+    ):
+        # Built with the pipeline's mapper, the executor maps and aligns;
+        # built without one, it only aligns and mapping stays inline.
+        candidates, _pairs, reference = offline
+        plain_executor = SharedMemoryExecutor(workers=2, config=GenASMConfig())
+        try:
+            for executor in (hosted_executor, plain_executor):
+                pipeline = StreamingPipeline(
+                    mapper, wave_size=8, max_pending=16, executor=executor
+                )
+                results = pipeline.run_all(workload.reads)
+                assert [m.order for m in results] == list(range(len(candidates)))
+                assert [m.candidate for m in results] == list(candidates)
+                assert_same_alignments(reference, [m.alignment for m in results])
+        finally:
+            plain_executor.close()
+        assert not [n for n in plain_executor.segment_names() if segment_exists(n)]
+
+    @pytest.mark.parametrize("pipeline_mapper", ["hosted", "distinct"])
+    def test_reads_map_on_the_executor_only_for_its_mapper(
+        self, workload, mapper, offline, hosted_executor, monkeypatch, pipeline_mapper
+    ):
+        # The executor hosts ``mapper``.  A pipeline over that very mapper
+        # maps every read on the executor; one over an equal but distinct
+        # mapper maps inline and only aligns there.
+        candidates, _pairs, reference = offline
+        mapped_names = []
+        submit_map = hosted_executor.submit_map
+
+        def recording_submit_map(name, sequence):
+            mapped_names.append(name)
+            return submit_map(name, sequence)
+
+        monkeypatch.setattr(hosted_executor, "submit_map", recording_submit_map)
+        if pipeline_mapper == "hosted":
+            own_mapper = mapper
+            expected_names = [read.name for read in workload.reads]
+        else:
+            own_mapper = Mapper(workload.genome, all_chains=True)
+            expected_names = []
         pipeline = StreamingPipeline(
-            mapper, wave_size=8, max_pending=16, map_workers=2, align_workers=2
+            own_mapper, wave_size=8, max_pending=16, executor=hosted_executor
         )
         results = pipeline.run_all(workload.reads)
+        assert mapped_names == expected_names
+        assert [m.candidate for m in results] == list(candidates)
         assert_same_alignments(reference, [m.alignment for m in results])
 
     def test_run_without_mapper_raises(self):
@@ -346,12 +462,9 @@ class TestWaveFailure:
 
     @staticmethod
     def _drain(stage, waves):
-        try:
-            for wave in waves:
-                stage.submit([SimpleNamespace(pattern=p, text=t) for p, t in wave])
-            return stage.drain()
-        finally:
-            stage.close()
+        for wave in waves:
+            stage.submit([SimpleNamespace(pattern=p, text=t) for p, t in wave])
+        return stage.drain()
 
     def _assert_failure_between_good_waves(self, collected, error_type):
         assert [len(wave) for wave, _ in collected] == [1, 1, 1]
@@ -368,18 +481,60 @@ class TestWaveFailure:
         self._assert_failure_between_good_waves(collected, RuntimeError)
 
     def test_worker_failure_comes_back_with_its_wave(self):
-        # A pattern the engine cannot encode fails inside a pool worker,
-        # where the failure must travel back through the wave's future.
+        # A pattern that cannot be packed fails at the handoff to the
+        # executor; the failure is queued with its wave, between the two
+        # good waves the worker aligns.
         from repro.pipeline.alignstage import AlignStage
 
         waves = [[self.GOOD[0]], [(b"ACGTACGT", "ACGTACGT")], [self.GOOD[1]]]
-        collected = self._drain(AlignStage(GenASMConfig(), workers=2), waves)
+        with SharedMemoryExecutor(workers=1, config=GenASMConfig()) as executor:
+            stage = AlignStage(GenASMConfig(), executor=executor)
+            collected = self._drain(stage, waves)
         self._assert_failure_between_good_waves(collected, AttributeError)
 
     def test_pipeline_raises_the_wave_error(self, failing_engine):
         pairs = [self.GOOD[0], self.MARKED, self.GOOD[1]]
         with pytest.raises(RuntimeError, match="marked pair"):
             StreamingPipeline(wave_size=1).align_pairs(pairs)
+
+    def test_truncated_stream_writes_only_whole_read_groups(
+        self, workload, mapper, offline, monkeypatch
+    ):
+        # The engine fails on its second wave mid-stream: the error must
+        # reach the caller, the sink must never be finished, and every read
+        # already in the SAM output must carry all of its records.
+        from collections import Counter
+
+        from repro.batch.engine import BatchAlignmentEngine
+
+        candidates, _pairs, _reference = offline
+        original = BatchAlignmentEngine.align_pairs
+        calls = []
+
+        def align_pairs(engine, pairs, **kwargs):
+            calls.append(len(pairs))
+            if len(calls) == 2:
+                raise RuntimeError("second wave")
+            return original(engine, pairs, **kwargs)
+
+        monkeypatch.setattr(BatchAlignmentEngine, "align_pairs", align_pairs)
+        handle = io.StringIO()
+        sink = SamSink(handle, workload.genome)
+        finished = []
+        sink.finish = lambda: finished.append(True)
+        pipeline = StreamingPipeline(mapper, wave_size=4, max_pending=4)
+        with pytest.raises(RuntimeError, match="second wave"):
+            pipeline.run_all(workload.reads, sink=sink)
+        assert finished == []
+        written = Counter(
+            line.split("\t", 1)[0]
+            for line in handle.getvalue().splitlines()
+            if not line.startswith("@")
+        )
+        expected = Counter(c.read_name for c in candidates)
+        assert written  # the stream was cut after some reads were written
+        assert len(written) < len(expected)
+        assert {name: expected[name] for name in written} == dict(written)
 
 
 class TestGoldenCorpusStreaming:
@@ -431,7 +586,7 @@ class TestPipelineStats:
         from repro.pipeline import PipelineStats
 
         stats = PipelineStats(wave_size=4)
-        acc = WaveAccumulator(wave_size=4, merge_below=2, stats=stats)
+        acc = WaveAccumulator(wave_size=4, stats=stats)  # merges tails below 2
         for item in range(5):
             acc.push(item)
         waves = acc.flush()

@@ -18,6 +18,7 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     build_wave_decisions,
+    lockstep_stats,
     run_dc_wave,
     run_dc_wave_state,
 )
@@ -190,16 +191,17 @@ def test_lockstep_scheduling_invariants_hold_for_multi_word_lanes(lengths, group
     assert engine.expected_work(150) == 3 * engine.expected_windows(150)
     assert engine.expected_work(64) == engine.expected_windows(64)
     # With full groups, sorted chunking minimises the sum of group maxima
-    # (rearrangement argument), so it never does worse than fifo.  An
-    # underfull trailing chunk breaks that guarantee: ascending order puts
-    # the *largest* lanes in the full final group (e.g. work [2, 2, 1] in
-    # groups of 2: sorted chunks [1, 2] + [2] cost 6, fifo [2, 2] + [1]
-    # costs 5), so only assert it when the group size divides the batch.
+    # (rearrangement argument), so it never does worse than chunking in
+    # input order.  An underfull trailing chunk breaks that guarantee:
+    # ascending order puts the *largest* lanes in the full final group
+    # (e.g. work [2, 2, 1] in groups of 2: sorted chunks [1, 2] + [2] cost
+    # 6, input order [2, 2] + [1] costs 5), so only assert it when the
+    # group size divides the batch.
     if len(lengths) % group == 0:
-        fifo = BatchAlignmentEngine(
-            config, max_lanes=group, scheduling="fifo"
-        ).scheduling_stats(pairs)
-        assert stats["efficiency"] >= fifo["efficiency"] - 1e-12
+        in_order = lockstep_stats(
+            [float(engine.expected_work(length)) for length in lengths], group
+        )
+        assert stats["efficiency"] >= in_order["efficiency"] - 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -93,7 +93,7 @@ class TestStatsBugfixes:
         stats = PipelineStats()
         assert set(stats.flushes) == set(FLUSH_CAUSES)
         # The original bug: reading a documented-but-untriggered cause
-        # (e.g. "reorder" on a run without forced drains) raised KeyError.
+        # (e.g. "idle" on a run without service drains) raised KeyError.
         for cause in FLUSH_CAUSES:
             assert stats.flushes[cause] == 0
 
@@ -425,15 +425,47 @@ class TestWaveFailure:
         assert "failed=5" in stats.summary()
 
     def test_worker_failure_reaches_the_request(self):
-        # A pattern the engine cannot encode fails inside a pool worker;
-        # the failure comes back through the wave's future.
+        # A pattern that cannot be packed fails at the handoff to the
+        # executor; the failure reaches that request, and the rest is served.
         good = _simulate_short_read_pairs(2, 150, 0.05, 4)
-        with AlignmentService(CONFIG, wave_size=1, workers=2) as service:
-            doomed = service.submit([(b"ACGTACGT", "ACGTACGT")], tenant="b")
-            served = service.submit(good, tenant="a")
-            with pytest.raises(AttributeError):
-                doomed.result(timeout=60)
-            assert_same_alignments(offline_alignments(good), served.result(timeout=60))
+        with SharedMemoryExecutor(workers=1, config=CONFIG) as executor:
+            with AlignmentService(CONFIG, wave_size=1, executor=executor) as service:
+                doomed = service.submit([(b"ACGTACGT", "ACGTACGT")], tenant="b")
+                served = service.submit(good, tenant="a")
+                with pytest.raises(AttributeError):
+                    doomed.result(timeout=60)
+                assert_same_alignments(
+                    offline_alignments(good), served.result(timeout=60)
+                )
+        assert service.stats.requests_failed == 1
+
+
+class TestCloseInFlight:
+    def test_close_resolves_every_in_flight_request(self):
+        workloads = [
+            _simulate_short_read_pairs(3, 150, 0.05, 40 + index) for index in range(12)
+        ]
+        executor = SharedMemoryExecutor(workers=2, config=CONFIG)
+        try:
+            executor.warm()
+            service = AlignmentService(CONFIG, wave_size=4, executor=executor)
+            futures = [
+                service.submit(pairs, tenant=f"tenant-{index % 3}")
+                for index, pairs in enumerate(workloads)
+            ]
+            start = time.monotonic()
+            service.close()
+            assert time.monotonic() - start < 30
+            assert all(future.done() for future in futures)
+            for pairs, future in zip(workloads, futures):
+                assert_same_alignments(
+                    offline_alignments(pairs), future.result(timeout=0)
+                )
+        finally:
+            executor.close()
+        assert not [name for name in executor.segment_names() if segment_exists(name)]
+        stats = service.stats
+        assert (stats.requests_submitted, stats.requests_completed) == (12, 12)
 
 
 # --------------------------------------------------------------------------- #

@@ -8,11 +8,11 @@ Covers the zero-copy execution core end to end:
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
   executor ever creates is gone from the system after a normal close,
   after a worker crash mid-stream, and after a cancellation close;
-* a traced streaming pipeline driven by a two-worker pool: offline-equal
-  results, every stage plus the worker wave spans on one timeline;
-* the streaming pipeline's bounded-reorder and out-of-order emission
-  modes staying byte-identical to the offline vectorized path under a
-  work-sorted stress mix.
+* a traced streaming pipeline mapping and aligning on a two-worker
+  executor built over its mapper: offline-equal results, every stage plus
+  the worker wave spans on one timeline;
+* the streaming pipeline's in-order emission staying byte-identical to
+  the offline vectorized path under a work-sorted stress mix.
 
 The executor tests spawn real worker processes; they are kept small
 (mostly single-worker pools, short pair lists) so the whole module stays
@@ -339,7 +339,7 @@ class TestTailMerge:
         from repro.pipeline.batcher import WaveAccumulator
 
         acc = WaveAccumulator(wave_size=8, max_pending=64)
-        for i in range(18):  # 8 + 8 + tail of 2 (< merge_below=4)
+        for i in range(18):  # 8 + 8 + tail of 2 (< wave_size // 2 = 4)
             assert acc.push(_Item(i)) == []
         waves = acc.flush()
         assert [len(w) for w in waves] == [8, 10]
@@ -349,19 +349,25 @@ class TestTailMerge:
         from repro.pipeline.batcher import WaveAccumulator
 
         acc = WaveAccumulator(wave_size=8, max_pending=64)
-        for i in range(12):  # tail of 4 == merge_below stays its own wave
+        for i in range(12):  # tail of 4 == wave_size // 2 stays its own wave
             acc.push(_Item(i))
         assert [len(w) for w in acc.flush()] == [8, 4]
         assert acc.stats.wave_merges == 0
 
-    def test_merge_disabled_with_zero_threshold(self):
+    def test_odd_wave_size_threshold_rounds_down(self):
         from repro.pipeline.batcher import WaveAccumulator
 
-        acc = WaveAccumulator(wave_size=8, max_pending=64, merge_below=0)
-        for i in range(17):
-            acc.push(_Item(i))
-        assert [len(w) for w in acc.flush()] == [8, 8, 1]
-        assert acc.stats.wave_merges == 0
+        # wave_size // 2 = 4 for waves of 9: a tail of 3 merges, 4 stays.
+        merged = WaveAccumulator(wave_size=9, max_pending=64)
+        for i in range(21):
+            merged.push(_Item(i))
+        assert [len(w) for w in merged.flush()] == [9, 12]
+        assert (merged.stats.wave_merges, merged.stats.merged_lanes) == (1, 3)
+        kept = WaveAccumulator(wave_size=9, max_pending=64)
+        for i in range(22):
+            kept.push(_Item(i))
+        assert [len(w) for w in kept.flush()] == [9, 9, 4]
+        assert kept.stats.wave_merges == 0
 
     def test_single_partial_wave_never_merges(self):
         from repro.pipeline.batcher import WaveAccumulator
@@ -372,17 +378,11 @@ class TestTailMerge:
         assert [len(w) for w in acc.flush()] == [3]
         assert acc.stats.wave_merges == 0
 
-    def test_negative_merge_below_rejected(self):
-        from repro.pipeline.batcher import WaveAccumulator
-
-        with pytest.raises(ValueError):
-            WaveAccumulator(wave_size=8, max_pending=64, merge_below=-1)
-
 
 # --------------------------------------------------------------------------- #
-# Bounded reorder and out-of-order emission under stress
+# In-order emission under stress
 # --------------------------------------------------------------------------- #
-class TestEmissionModes:
+class TestEmissionOrder:
     @pytest.fixture(scope="class")
     def stress_pairs(self):
         rng = random.Random(99)
@@ -394,40 +394,15 @@ class TestEmissionModes:
             pairs.append((pattern, text))
         return pairs
 
-    @pytest.fixture(scope="class")
-    def reference(self, stress_pairs):
-        return BatchAlignmentEngine(GenASMConfig()).align_pairs(stress_pairs)
-
-    def test_bounded_reorder_stays_identical(self, stress_pairs, reference):
-        pipeline = StreamingPipeline(
-            config=GenASMConfig(), wave_size=8, max_pending=32, max_reorder=2
-        )
-        assert_same_alignments(pipeline.align_pairs(stress_pairs), reference)
+    def test_work_sorted_waves_emit_in_input_order(self, stress_pairs):
+        reference = BatchAlignmentEngine(GenASMConfig()).align_pairs(stress_pairs)
+        # Each backpressure cut dispatches the 24 cheapest of 30 pending
+        # pairs and keeps the rest, so results complete out of input order.
+        pipeline = StreamingPipeline(config=GenASMConfig(), wave_size=8, max_pending=30)
+        emitted = pipeline.align_pairs(stress_pairs)
+        assert [a.pattern for a in emitted] == [p for p, _ in stress_pairs]
+        assert_same_alignments(emitted, reference)
         stats = pipeline.stats
-        assert stats.reorder_bound == 2
         assert stats.aligned == len(stress_pairs)
-        # After every forced drain the buffer is empty, so the *retained*
-        # backlog high-water can never run away past the bound by more than
-        # the sweep that detected it.
-        assert stats.max_reorder_buffer <= 2 + max(stats.wave_lane_counts)
-
-    def test_unordered_emission_is_a_permutation(self, stress_pairs, reference):
-        pipeline = StreamingPipeline(
-            config=GenASMConfig(), wave_size=8, max_pending=32, ordered=False
-        )
-        # align_pairs re-sorts by ordinal, so the caller still sees input
-        # order even though emission was completion-ordered.
-        assert_same_alignments(pipeline.align_pairs(stress_pairs), reference)
-        assert pipeline.stats.max_reorder_buffer == 0
-
-    def test_unordered_run_emits_every_ordinal_once(self, corpus):
-        _, mapper, reads, pairs = corpus
-        pipeline = StreamingPipeline(
-            mapper, GenASMConfig(), wave_size=8, max_pending=16, ordered=False
-        )
-        emitted = [mapped.order for mapped in pipeline.run(reads)]
-        assert sorted(emitted) == list(range(len(pairs)))
-
-    def test_invalid_max_reorder_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingPipeline(config=GenASMConfig(), max_reorder=0)
+        # The reorder buffer held results back — and still emitted each.
+        assert stats.max_reorder_buffer > 0
