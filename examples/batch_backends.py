@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Batch-align a set of pairs with every BatchExecutor backend.
+"""Batch-align a set of pairs with each of the three batch aligners.
 
-Demonstrates the three batch backends — the serial loop, the vectorized
-lockstep engine (:mod:`repro.batch`) and the shared-memory pool with two
-workers — and checks they produce identical alignments.
+Demonstrates the serial loop (:meth:`GenASMAligner.align_batch`), the
+vectorized lockstep engine (:meth:`BatchAlignmentEngine.align_pairs`) and
+that engine on a two-worker shared-memory pool
+(:meth:`SharedMemoryExecutor.run_alignments`), and checks they produce
+identical alignments.
 
 Run with::
 
     python examples/batch_backends.py
 
-The ``__main__`` guard is required: the shared backend uses the
+The ``__main__`` guard is required: the shared-memory pool uses the
 multiprocessing *spawn* start method, whose workers re-import this module.
 """
 
 import random
+import time
 
-from repro import BatchExecutor, GenASMConfig
+from repro import BatchAlignmentEngine, GenASMAligner, GenASMConfig
+from repro.parallel import SharedMemoryExecutor
 
 ALPHABET = "ACGT"
 
@@ -33,33 +37,38 @@ def make_pairs(count: int = 24, length: int = 300, seed: int = 0):
     return pairs
 
 
+def timed(align, pairs):
+    """Run one batch call; returns (alignments, seconds)."""
+    start = time.perf_counter()
+    alignments = align(pairs)
+    return alignments, time.perf_counter() - start
+
+
 def main() -> None:
     pairs = make_pairs()
     config = GenASMConfig()
 
-    serial = BatchExecutor(backend="serial").run_alignments(
-        pairs, config, name="serial-loop"
-    )
-    vectorized = BatchExecutor(backend="vectorized").run_alignments(
-        pairs, config, name="lockstep-soa"
-    )
-    shared = BatchExecutor(workers=2, backend="shared").run_alignments(
-        pairs, config, name="shared-pool"
-    )
-    assert shared.backend == "shared" and shared.workers == 2
+    runs = {
+        "serial-loop": timed(GenASMAligner(config).align_batch, pairs),
+        "lockstep-soa": timed(BatchAlignmentEngine(config).align_pairs, pairs),
+    }
+    with SharedMemoryExecutor(workers=2, config=config) as pool:
+        pool.warm()  # spawn the workers outside the timed call
+        runs["shared-pool"] = timed(pool.run_alignments, pairs)
 
-    for batch in (serial, vectorized, shared):
+    for name, (_alignments, seconds) in runs.items():
         print(
-            f"{batch.name:>14} [{batch.backend}]: "
-            f"{batch.items} pairs in {batch.elapsed_seconds:.3f}s "
-            f"({batch.items_per_second:.1f} pairs/s)"
+            f"{name:>14}: {len(pairs)} pairs in {seconds:.3f}s "
+            f"({len(pairs) / seconds:.1f} pairs/s)"
         )
-    for batch in (vectorized, shared):
-        assert [str(a.cigar) for a in batch.results] == [
-            str(a.cigar) for a in serial.results
-        ], f"{batch.backend} diverged from serial"
+    serial = [str(a.cigar) for a in runs["serial-loop"][0]]
+    for name in ("lockstep-soa", "shared-pool"):
+        assert [str(a.cigar) for a in runs[name][0]] == serial, (
+            f"{name} diverged from serial"
+        )
     print("all backends produced identical alignments")
-    print(f"vectorized speedup over serial: {vectorized.speedup_over(serial):.2f}x")
+    speedup = runs["serial-loop"][1] / runs["lockstep-soa"][1]
+    print(f"vectorized speedup over serial: {speedup:.2f}x")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ contribution:
     A SIMT execution-model simulator standing in for the NVIDIA A6000 used
     in the paper, plus GenASM GPU kernels expressed against it.
 ``repro.parallel``
-    Batch execution utilities for the CPU evaluation: serial, vectorized
-    and shared-memory-pool backends behind one executor.
+    The shared-memory executor: a warm spawn pool running the vectorized
+    engine on waves shipped as shared-memory descriptors.
 ``repro.batch``
     The vectorized batched-alignment engine: many window pairs evaluated
     in lockstep as NumPy structure-of-arrays uint64 lanes, byte-identical
@@ -49,12 +49,11 @@ Quickstart::
     print(aln.edit_distance, aln.cigar)
 """
 
-from repro.batch import BatchAlignmentEngine, align_pairs_vectorized
+from repro.batch import BatchAlignmentEngine
 from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
-from repro.parallel import BatchExecutor
 from repro.pipeline import MappedAlignment, PipelineStats, StreamingPipeline
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "CigarOp",
     "align_pair",
     "BatchAlignmentEngine",
-    "align_pairs_vectorized",
-    "BatchExecutor",
     "StreamingPipeline",
     "MappedAlignment",
     "PipelineStats",

@@ -7,8 +7,8 @@ with windows wider than one machine word vectorize too) — replacing the
 per-pair Python-int hot loop for batch workloads.  Results are
 byte-identical to the scalar path in :mod:`repro.core`.
 
-* :class:`BatchAlignmentEngine` / :func:`align_pairs_vectorized` — batch
-  aligner producing :class:`repro.core.alignment.Alignment` objects.
+* :class:`BatchAlignmentEngine` — batch aligner producing
+  :class:`repro.core.alignment.Alignment` objects.
 * :func:`run_dc_wave` / :func:`run_dc_wave_state` / :class:`SoAWave` /
   :class:`LaneJob` — the lockstep GenASM-DC kernel and its lane layout.
 * :func:`build_wave_decisions` / :func:`lockstep_traceback` — the lockstep
@@ -50,7 +50,6 @@ that mask dense on mixed-length batches.
 from repro.batch.engine import (
     BatchAlignmentEngine,
     WaveDCState,
-    align_pairs_vectorized,
     run_dc_wave,
     run_dc_wave_state,
 )
@@ -65,7 +64,6 @@ from repro.batch.traceback import (
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
-    "align_pairs_vectorized",
     "run_dc_wave",
     "run_dc_wave_state",
     "LaneJob",

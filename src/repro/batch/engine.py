@@ -83,7 +83,6 @@ __all__ = [
     "WaveDCState",
     "run_dc_wave",
     "run_dc_wave_state",
-    "align_pairs_vectorized",
 ]
 
 _U1 = np.uint64(1)
@@ -804,7 +803,6 @@ class BatchAlignmentEngine:
             budgets=np.array([p[3] for p in pending], dtype=np.int64),
             priority=config.match_priority,
             active=solved,
-            skip_ahead=config.traceback_skip_ahead,
         )
         stored = state.stored_bytes()
         for lane, (s, _rev_p, _rev_t, _commit, wt_len, _budget) in enumerate(pending):
@@ -859,12 +857,3 @@ class BatchAlignmentEngine:
             # Defensive: mirror align_windowed's forward-progress guard.
             s.done = True
 
-
-def align_pairs_vectorized(
-    pairs: Sequence[Tuple[str, str]],
-    config: Optional[GenASMConfig] = None,
-    *,
-    counter: Optional[AccessCounter] = None,
-) -> List[Alignment]:
-    """One-shot convenience wrapper over :class:`BatchAlignmentEngine`."""
-    return BatchAlignmentEngine(config).align_pairs(pairs, counter=counter)

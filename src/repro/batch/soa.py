@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitvector import DNA_ALPHABET, pattern_bitmasks_zero_match
+from repro.core.bitvector import DNA_ALPHABET
 from repro.core.metrics import AccessCounter
 
 __all__ = [
@@ -237,36 +237,21 @@ class SoAWave:
         packed into ``uint64`` words (``np.packbits``), so wave setup stays
         O(array ops) instead of O(lanes × window) Python-dict lookups.
         Returns ``(W, L, n_max)``; word ``w`` holds pattern bits
-        ``64 w .. 64 w + 63``.  Falls back to the per-lane scalar path for
-        non-Latin-1 sequences.
+        ``64 w .. 64 w + 63``.  A character outside Latin-1 encodes as one
+        ``?``, which the translate tables turn into a sentinel like any
+        other non-ACGT character.
         """
         L = self.lanes
         W = self.words
         pad = W * MAX_LANE_BITS
-        try:
-            pattern_buffer = b"".join(
-                job.pattern.encode("latin-1").ljust(pad, b"\x00")
-                for job in self.jobs
-            ).translate(_PATTERN_BYTES)
-            text_buffer = b"".join(
-                job.text.encode("latin-1").ljust(self.n_max, b"\x00")
-                for job in self.jobs
-            ).translate(_TEXT_BYTES)
-        except UnicodeEncodeError:
-            masks = np.empty((W, L, self.n_max), dtype=np.uint64)
-            word_mask = int(_LOW_ONES[MAX_LANE_BITS])
-            for i, job in enumerate(self.jobs):
-                pm = pattern_bitmasks_zero_match(job.pattern)
-                lane_ones = sum(
-                    int(self.ones[w, i]) << (MAX_LANE_BITS * w) for w in range(W)
-                )
-                row = [pm.get(c, lane_ones) for c in job.text]
-                row.extend([lane_ones] * (self.n_max - len(row)))
-                for w in range(W):
-                    masks[w, i, :] = [
-                        (value >> (MAX_LANE_BITS * w)) & word_mask for value in row
-                    ]
-            return masks
+        pattern_buffer = b"".join(
+            job.pattern.encode("latin-1", "replace").ljust(pad, b"\x00")
+            for job in self.jobs
+        ).translate(_PATTERN_BYTES)
+        text_buffer = b"".join(
+            job.text.encode("latin-1", "replace").ljust(self.n_max, b"\x00")
+            for job in self.jobs
+        ).translate(_TEXT_BYTES)
 
         patterns = np.frombuffer(pattern_buffer, dtype=np.uint8).reshape(L, pad)
         texts = np.frombuffer(text_buffer, dtype=np.uint8).reshape(L, self.n_max)

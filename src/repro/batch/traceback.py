@@ -426,7 +426,6 @@ def lockstep_traceback(
     budgets: np.ndarray,
     priority: str = "MSDI",
     active: Optional[np.ndarray] = None,
-    skip_ahead: bool = True,
 ) -> List[Optional[LaneTraceback]]:
     """Walk every live lane's traceback in lockstep NumPy steps.
 
@@ -443,11 +442,10 @@ def lockstep_traceback(
     active:
         Boolean lane mask; lanes outside it (e.g. retry candidates whose
         budget failed) are skipped and reported as ``None``.
-    skip_ahead:
-        Consume whole match runs per step (module docstring item 3).  Only
-        takes effect when ``M`` leads ``priority`` — otherwise a legal
-        match need not be the chosen op and the walk degrades to one
-        column per step, byte-identically.
+
+    When ``M`` leads ``priority`` the walk consumes whole match runs per
+    step (module docstring item 3); otherwise a legal match need not be
+    the chosen op and the walk takes one column per step.
 
     Each lane's :class:`~repro.core.metrics.AccessCounter` receives exactly
     the ``tb_steps`` / ``dp_reads`` / ``bytes_read`` the scalar traceback
@@ -505,7 +503,7 @@ def lockstep_traceback(
     # Skip-ahead is sound only when M leads the priority: then a legal
     # match is always the chosen op, so the diagonal bit run is exactly
     # the op sequence the scalar first-true loop would emit.
-    skip = skip_ahead and priority[0] == "M"
+    skip = priority[0] == "M"
     if skip:
         diag = decisions.match_diag()
         diag_cols = diag.shape[-1]

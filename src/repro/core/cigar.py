@@ -23,9 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-__all__ = ["CigarOp", "Cigar", "cigar_from_ops", "edit_distance_of_cigar"]
+__all__ = ["CigarOp", "Cigar"]
 
 _CIGAR_RE = re.compile(r"(\d+)([MIDNSHP=X])")
 
@@ -321,12 +321,3 @@ class Cigar:
                 total += gap_open + gap_extend * (length - 1)
         return total
 
-
-def cigar_from_ops(ops: Sequence[CigarOp]) -> Cigar:
-    """Convenience wrapper around :meth:`Cigar.from_ops`."""
-    return Cigar.from_ops(ops)
-
-
-def edit_distance_of_cigar(cigar: Cigar) -> int:
-    """Unit-cost edit distance implied by a CIGAR (module-level helper)."""
-    return cigar.edit_distance

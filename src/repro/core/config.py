@@ -56,11 +56,6 @@ class GenASMConfig:
         substitutions, then deletions, then insertions; keeping the order
         configurable lets tests demonstrate that the edit distance is
         invariant to it.
-    traceback_skip_ahead:
-        Consume whole match runs per lockstep traceback step (only
-        effective when ``M`` leads :attr:`match_priority`; byte-identical
-        either way).  Exists as a toggle so the differential harness can
-        sweep it; leave on.
     """
 
     window_size: int = 64
@@ -73,7 +68,6 @@ class GenASMConfig:
     traceback_band: bool = True
     word_bits: int = 64
     match_priority: str = "MSDI"
-    traceback_skip_ahead: bool = True
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
@@ -117,12 +111,6 @@ class GenASMConfig:
             early_termination=False,
             traceback_band=False,
         )
-        return replace(cfg, **overrides) if overrides else cfg
-
-    @classmethod
-    def improved_default(cls, **overrides) -> "GenASMConfig":
-        """All three IPPS-2022 improvements enabled (the default)."""
-        cfg = cls()
         return replace(cfg, **overrides) if overrides else cfg
 
     @classmethod

@@ -54,7 +54,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
-from repro.execution import BACKENDS
 from repro.harness.dataset import AlignmentWorkload, build_paper_dataset
 from repro.telemetry.bench import CELL_FIELDS, BenchRecorder
 
@@ -64,8 +63,8 @@ __all__ = ["ExperimentGrid", "GridRunner", "GridCell"]
 #: rows' cell fields after the grid name.
 GRID_AXES = CELL_FIELDS[1:]
 
-#: Backends a cell may name: the batch backends plus the streaming pipeline.
-GRID_BACKENDS = BACKENDS + ("streaming",)
+#: Backends a cell may name; each is one batch call (see GridRunner._run_cell).
+GRID_BACKENDS = ("serial", "vectorized", "shared", "streaming")
 
 #: Bench-file history every grid row is appended to.
 HISTORY_KEY = "grid_history"
@@ -111,16 +110,16 @@ class ExperimentGrid:
         ``{workload_name: build_paper_dataset kwargs}`` — each named
         workload is built once and shared by all its cells.
     backends:
-        Execution backends to sweep: ``streaming`` (the
-        :class:`~repro.pipeline.StreamingPipeline`) or any
-        :data:`repro.execution.BACKENDS` name (``serial``/``vectorized``/
-        ``shared``).  ``wave_size`` reaches the vectorized engine as
-        ``max_lanes`` and the streaming pipeline as its accumulator wave
-        size; ``serial`` and ``shared`` record the axis value but execute
-        identically across it.  ``shared`` cells run on a warm
-        :data:`SHARED_WORKERS`-process
+        Execution backends to sweep, any of :data:`GRID_BACKENDS`:
+        ``serial`` (the scalar :class:`~repro.core.aligner.GenASMAligner`),
+        ``vectorized`` (the :class:`~repro.batch.BatchAlignmentEngine`),
+        ``shared`` (that engine on a warm :data:`SHARED_WORKERS`-process
         :class:`~repro.parallel.shm.SharedMemoryExecutor`, one per window
-        size.
+        size) or ``streaming`` (the
+        :class:`~repro.pipeline.StreamingPipeline`).  ``wave_size``
+        reaches the vectorized engine as ``max_lanes`` and the streaming
+        pipeline as its accumulator wave size; ``serial`` and ``shared``
+        record the axis value but execute identically across it.
     window_sizes:
         GenASM ``window_size`` values; each derives a config via
         :meth:`config_for` (overlap clamped below the window).
@@ -268,32 +267,33 @@ class GridRunner:
 
     def _run_cell(
         self, cell: GridCell, config: GenASMConfig, pool
-    ) -> Tuple[List[Alignment], float, str]:
-        """Align the cell's workload once: (alignments, seconds, backend that ran)."""
+    ) -> Tuple[List[Alignment], float]:
+        """Align the cell's workload once with its backend: (alignments, seconds).
+
+        The backend's aligner is built before the timer starts; ``pool``
+        is the warm executor of a ``shared`` cell.
+        """
+        from repro.batch.engine import BatchAlignmentEngine
+        from repro.core.aligner import GenASMAligner
+        from repro.pipeline import StreamingPipeline
+
         pairs = self._workload(cell.workload).pairs
-        if cell.backend == "streaming":
-            from repro.pipeline import StreamingPipeline
-
-            pipeline = StreamingPipeline(
-                config=config, wave_size=cell.wave_size, name=f"{self.grid.name}-grid"
-            )
-            start = time.perf_counter()
-            alignments = pipeline.align_pairs(pairs)
-            return alignments, time.perf_counter() - start, "streaming"
-        if cell.backend == "vectorized":
-            from repro.batch.engine import BatchAlignmentEngine
-
-            engine = BatchAlignmentEngine(
-                config, max_lanes=cell.wave_size, name=f"{self.grid.name}-grid"
-            )
-            start = time.perf_counter()
-            alignments = engine.align_pairs(pairs)
-            return alignments, time.perf_counter() - start, "vectorized"
-        from repro.execution import align_pairs
-
+        name = f"{self.grid.name}-grid"
+        if cell.backend == "serial":
+            align = GenASMAligner(config).align_batch
+        elif cell.backend == "vectorized":
+            align = BatchAlignmentEngine(
+                config, max_lanes=cell.wave_size, name=name
+            ).align_pairs
+        elif cell.backend == "shared":
+            align = pool.run_alignments
+        else:
+            align = StreamingPipeline(
+                config=config, wave_size=cell.wave_size, name=name
+            ).align_pairs
         start = time.perf_counter()
-        alignments, ran = align_pairs(pairs, config, backend=cell.backend, executor=pool)
-        return alignments, time.perf_counter() - start, ran
+        alignments = align(pairs)
+        return alignments, time.perf_counter() - start
 
     def _measure(self, cell: GridCell, config: GenASMConfig, pool) -> Dict[str, object]:
         """Time :data:`TRIALS` runs of one cell and summarise them as a row."""
@@ -301,7 +301,7 @@ class GridRunner:
         seconds: List[float] = []
         identical = True
         for _ in range(TRIALS):
-            alignments, elapsed, ran = self._run_cell(cell, config, pool)
+            alignments, elapsed = self._run_cell(cell, config, pool)
             seconds.append(elapsed)
             identical = identical and _same_alignments(alignments, reference)
         median = statistics.median(seconds)
@@ -311,7 +311,6 @@ class GridRunner:
             "grid": self.grid.name,
             "workload": cell.workload,
             "backend": cell.backend,
-            "ran": ran,
             "window_size": cell.window_size,
             "wave_size": cell.wave_size,
             "pairs": pairs,
@@ -328,11 +327,11 @@ class GridRunner:
     def run(self, *, append: bool = True, save: bool = True) -> List[Dict[str, object]]:
         """Run every cell :data:`TRIALS` times; returns one row per cell (axis order).
 
-        Each row carries the cell's axis values, the backend that ``ran``
-        it, pair count, ``trials``, the median wall ``seconds`` with
-        ``min_seconds``/``max_seconds``, ``pairs_per_second`` at the
-        median, mean alignment identity and the ``identical`` flag: every
-        trial matched the vectorized reference.  ``shared`` cells share
+        Each row carries the cell's axis values, pair count, ``trials``,
+        the median wall ``seconds`` with ``min_seconds``/``max_seconds``,
+        ``pairs_per_second`` at the median, mean alignment identity and
+        the ``identical`` flag: every trial matched the vectorized
+        reference.  ``shared`` cells share
         one warm pool per window size, started and warmed outside the
         timed region and closed before this returns or raises.
         With ``append`` (default) rows are also written to

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 from repro.genomics.genome import SyntheticGenome
-from repro.mapping.minimizers import Minimizer, extract_minimizers
+from repro.mapping.minimizers import extract_minimizers
 
 __all__ = ["IndexHit", "MinimizerIndex"]
 
@@ -92,14 +92,6 @@ class MinimizerIndex:
     def lookup(self, minimizer_hash: int) -> List[IndexHit]:
         """All reference occurrences of a minimizer hash (possibly empty)."""
         return self._table.get(minimizer_hash, [])
-
-    def lookup_many(self, minimizers: Iterable[Minimizer]) -> List[Tuple[Minimizer, IndexHit]]:
-        """Join query minimizers against the index."""
-        out: List[Tuple[Minimizer, IndexHit]] = []
-        for minimizer in minimizers:
-            for hit in self.lookup(minimizer.hash):
-                out.append((minimizer, hit))
-        return out
 
     def __len__(self) -> int:
         return len(self._table)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.alignment import Alignment
-from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import SimulatedRead
 from repro.genomics.sequences import reverse_complement
@@ -219,42 +217,3 @@ class Mapper:
             read_sequence if candidate.strand == "+" else reverse_complement(read_sequence)
         )
         return pattern, region
-
-    # ------------------------------------------------------------------ #
-    def align_candidates(
-        self,
-        candidates: List[CandidateMapping],
-        read_sequences: Mapping[str, str],
-        config: Optional[GenASMConfig] = None,
-        *,
-        backend: str = "vectorized",
-        workers: int = 1,
-        executor=None,
-    ) -> List[Alignment]:
-        """Batch-align every candidate region against its read with GenASM.
-
-        This is the mapper half of the paper's pipeline joined to the
-        aligner half: the candidate regions produced by seed-and-chain are
-        gathered into one batch of (pattern, text) pairs and aligned
-        through :func:`repro.execution.align_pairs`.  ``backend`` is
-        ``serial``, ``vectorized`` or ``shared``; all three produce
-        identical alignments.  ``workers`` and ``executor`` (a reusable
-        :class:`repro.parallel.shm.SharedMemoryExecutor`) only take effect
-        on ``shared``.  For full ingest/map/align overlap, drive
-        :meth:`repro.pipeline.StreamingPipeline.run` with the reads
-        directly instead.  The returned list is parallel to ``candidates``.
-        """
-        from repro.execution import align_pairs
-
-        pairs = [
-            self.candidate_region_sequence(c, read_sequences[c.read_name])
-            for c in candidates
-        ]
-        alignments, _ = align_pairs(
-            pairs,
-            config if config is not None else GenASMConfig(),
-            backend=backend,
-            workers=workers,
-            executor=executor,
-        )
-        return alignments

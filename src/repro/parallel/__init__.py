@@ -1,21 +1,13 @@
-"""Batch execution utilities for the CPU evaluation.
+"""Shared-memory execution for the CPU evaluation.
 
-:class:`BatchExecutor` times alignment batches run through the
-:mod:`repro.execution` dispatch — ``serial`` (Python loop), ``vectorized``
-(the lockstep SoA engine from :mod:`repro.batch`) and ``shared``
-(zero-copy shared-memory pool, :mod:`repro.parallel.shm`) — all of which
-produce identical alignments for the same pairs and config.
-:class:`SharedMemoryExecutor` is the warm pool behind ``shared``: it hosts
-the reference genome and minimizer index in shared segments built once and
-ships waves as descriptors, not arrays.
+:class:`SharedMemoryExecutor` is a warm spawn pool whose workers hold the
+vectorized engine from :mod:`repro.batch`: it hosts the reference genome
+and minimizer index in shared segments built once and ships waves as
+descriptors, not arrays.  Its :meth:`~SharedMemoryExecutor.run_alignments`
+returns alignments identical to
+:meth:`repro.batch.BatchAlignmentEngine.align_pairs` over the same pairs.
 """
 
-from repro.parallel.executor import (
-    BACKENDS,
-    BatchExecutor,
-    BatchResult,
-    Stopwatch,
-)
 from repro.parallel.shm import (
     SegmentLayout,
     SharedGenome,
@@ -25,13 +17,9 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "BatchExecutor",
-    "BatchResult",
     "SegmentLayout",
     "SharedGenome",
     "SharedMemoryExecutor",
     "SharedMinimizerIndex",
     "SharedSegment",
-    "Stopwatch",
 ]

@@ -22,9 +22,11 @@ keeps wave state resident and moves *work*:
   workers hold an attached genome + index + a warm
   :class:`~repro.batch.engine.BatchAlignmentEngine`.  Waves are submitted
   as pair-block layouts (:func:`pack_pairs`), mapping tasks as bare read
-  records; both the streaming pipeline's map and align stages and the
-  ``shared`` batch backend (:mod:`repro.execution`) dispatch through it.
-  It is the one way work leaves the calling process.
+  records; the streaming pipeline's map and align stages dispatch through
+  it, and :meth:`SharedMemoryExecutor.run_alignments` aligns a batch on
+  it with the same results as
+  :meth:`~repro.batch.engine.BatchAlignmentEngine.align_pairs`.  It is
+  the one way work leaves the calling process.
 
 Alignments still return by pickle — results are small and owned by the
 caller — and both sides of every handoff stay byte-identical to the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -379,13 +381,6 @@ class SharedMinimizerIndex:
             )
             for i in range(start, end)
         ]
-
-    def lookup_many(self, minimizers: Iterable) -> List[Tuple[object, object]]:
-        out: List[Tuple[object, object]] = []
-        for minimizer in minimizers:
-            for hit in self.lookup(minimizer.hash):
-                out.append((minimizer, hit))
-        return out
 
     def __len__(self) -> int:
         return int(self._hashes.shape[0])

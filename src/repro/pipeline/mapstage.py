@@ -13,10 +13,9 @@ submission order, so the pipeline's output order never depends on process
 timing.
 
 Every mapped read yields its candidates in :meth:`Mapper.map_sequence`
-order — the exact order the offline path
-(:meth:`Mapper.map_reads` → :meth:`Mapper.align_candidates`) produces,
-which is what makes the streaming results byte-comparable to the offline
-ones.
+order — the exact order the offline path (:meth:`Mapper.map_reads` →
+:meth:`repro.batch.BatchAlignmentEngine.align_pairs`) produces, which is
+what makes the streaming results byte-comparable to the offline ones.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ backpressure, aligned wave-at-a-time by the vectorized engine (in process,
 or on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`), and
 emitted as :class:`MappedAlignment` results **in candidate input order**
 — the exact order, CIGARs and metadata of the offline path
-(:meth:`Mapper.map_reads` → :meth:`BatchExecutor.run_alignments`), which
-the differential tests pin byte for byte.
+(:meth:`Mapper.map_reads` → :meth:`BatchAlignmentEngine.align_pairs`),
+which the differential tests pin byte for byte.
 
 The offline harness instead materialises every candidate pair before the
 first wave runs; here the first wave can be aligning while ingest is still
@@ -222,10 +222,9 @@ class StreamingPipeline:
         """Stream pre-built (pattern, text) pairs through batch + align.
 
         The streaming counterpart of
-        :meth:`repro.parallel.executor.BatchExecutor.run_alignments`:
-        identical results in identical order, but pairs flow through the
-        wave accumulator and align stage instead of one monolithic engine
-        call.
+        :meth:`repro.batch.BatchAlignmentEngine.align_pairs`: identical
+        results in identical order, but pairs flow through the wave
+        accumulator and align stage instead of one monolithic engine call.
         """
         stats = PipelineStats(wave_size=self.wave_size)
         self.stats = stats

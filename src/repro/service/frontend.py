@@ -40,9 +40,9 @@ Design:
   the same registry, workers attach one hosted genome/index.
 
 Every alignment stays byte-identical to an offline
-:meth:`~repro.parallel.executor.BatchExecutor.run_alignments` call over
-the same pairs — coalescing moves scheduling, never results — which the
-service tests assert.
+:meth:`~repro.batch.BatchAlignmentEngine.align_pairs` call over the same
+pairs — coalescing moves scheduling, never results — which the service
+tests assert.
 """
 
 from __future__ import annotations

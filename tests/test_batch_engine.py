@@ -1,10 +1,10 @@
-"""Tests for the vectorized batch engine, the batch executor and the
-degenerate-input windowing paths.
+"""Tests for the vectorized batch engine, its shared-memory executor and
+the degenerate-input windowing paths.
 
 The central contract: the vectorized lockstep engine produces
 byte-identical CIGARs and edit distances to the scalar path on the
-simulated-read corpus, and every :class:`BatchExecutor` backend —
-``shared`` with two workers included — agrees with ``serial``.
+simulated-read corpus, and so does a two-worker
+:class:`SharedMemoryExecutor` running it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.batch import (
     BatchAlignmentEngine,
     LaneJob,
     SoAWave,
-    align_pairs_vectorized,
     lockstep_stats,
     run_dc_wave,
 )
@@ -32,7 +31,7 @@ from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
-from repro.parallel.executor import BatchExecutor, BatchResult, Stopwatch
+from repro.parallel.shm import SharedMemoryExecutor
 from tests.conftest import assert_same_dc_table, mutate, random_dna
 
 
@@ -104,7 +103,7 @@ class TestVectorizedEquivalence:
         scalar_counter = AccessCounter()
         GenASMAligner(config).align_batch(pairs, counter=scalar_counter)
         batch_counter = AccessCounter()
-        align_pairs_vectorized(pairs, config, counter=batch_counter)
+        BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
         assert batch_counter.as_dict() == scalar_counter.as_dict()
 
     def test_wide_window_config_vectorizes_multi_word(self, rng):
@@ -259,13 +258,13 @@ class TestWaveMasks:
 
     @pytest.mark.parametrize(
         "alphabet",
-        ["ACGT", "ACGTN", "ACGTacgt", "ACGU", "ACGT-*", "ACGTΩ"],
-        ids=["dna", "n", "lowercase", "rna", "punctuation", "non-latin-1"],
+        ["ACGT", "ACGTN", "ACGTacgt", "ACGU", "ACGT-*", "ACGTΩ", "ACGT😀"],
+        ids=["dna", "n", "lowercase", "rna", "punctuation", "non-latin-1", "astral"],
     )
     def test_masks_follow_zero_match_rule(self, rng, alphabet):
         # Bit i of text character c's mask is 0 iff pattern[i] == c and c
         # is one of ACGT: a character outside ACGT matches nothing, itself
-        # included.  Non-Latin-1 sequences take the per-lane path.
+        # included.
         jobs = []
         for length in (5, 64, 65, 130):
             pattern = "".join(rng.choice(alphabet) for _ in range(length))
@@ -285,6 +284,28 @@ class TestWaveMasks:
             for w in range(wave.words):
                 want = [(value >> (64 * w)) & (2**64 - 1) for value in columns]
                 assert [int(v) for v in wave.masks[w, lane]] == want, (lane, w)
+
+    @pytest.mark.parametrize(
+        "where, char",
+        [("pattern", "Ω"), ("text", "Ω"), ("both", "😀")],
+        ids=["pattern", "text", "astral-both"],
+    )
+    def test_non_latin1_lanes_align_like_scalar(self, rng, where, char):
+        # One "?" per code point keeps every later column in place, so a
+        # wave mixing such lanes with plain DNA lanes aligns like the
+        # scalar path, multi-word lanes included.
+        pairs = _random_pairs(rng, [(40, 3), (90, 6), (150, 10)])
+        for pattern, text in list(pairs):
+            if where in ("pattern", "both"):
+                pattern = pattern[:10] + char + pattern[10:]
+            if where in ("text", "both"):
+                text = text[:12] + char + text[12:]
+            pairs.append((pattern, text))
+        config = GenASMConfig()
+        _assert_identical(
+            GenASMAligner(config).align_batch(pairs),
+            BatchAlignmentEngine(config).align_pairs(pairs),
+        )
 
 
 class TestDegenerateWindowing:
@@ -327,51 +348,64 @@ class TestDegenerateWindowing:
         assert quad.min_errors == 0
 
 
-class TestBatchExecutor:
-    def test_run_alignments_backends_identical(self, rng):
+class TestSharedExecutorBatch:
+    """``SharedMemoryExecutor.run_alignments`` ≡ ``GenASMAligner.align_batch``."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with SharedMemoryExecutor(workers=2, config=GenASMConfig()) as executor:
+            yield executor
+
+    def test_two_workers_match_align_batch(self, rng):
+        pairs = _random_pairs(rng, [(60, 4), (90, 7), (150, 12)])
+        config = GenASMConfig()
+        with SharedMemoryExecutor(workers=2, config=config) as executor:
+            shared = executor.run_alignments(pairs)
+        _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
+
+    def test_one_worker_runs_on_its_pool(self, rng):
+        # One worker still means a pool: the batch crosses a shared segment.
         pairs = _random_pairs(rng, [(60, 4), (90, 7)])
-        serial = BatchExecutor(backend="serial").run_alignments(pairs)
-        vectorized = BatchExecutor(backend="vectorized").run_alignments(pairs)
-        shared = BatchExecutor(workers=2, backend="shared").run_alignments(pairs)
-        assert serial.backend == "serial"
-        assert vectorized.backend == "vectorized"
-        assert shared.backend == "shared" and shared.workers == 2
-        for batch in (vectorized, shared):
-            _assert_identical(serial.results, batch.results)
+        config = GenASMConfig()
+        with SharedMemoryExecutor(workers=1, config=config) as executor:
+            shared = executor.run_alignments(pairs)
+            assert len(executor.segment_names()) == 1
+            assert executor.outstanding_waves() == 0
+        _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
 
-    def test_shared_backend_with_one_worker_reports_vectorized(self):
-        # One worker and no executor means no pool: the in-process engine
-        # runs, and the result must say so.
-        result = BatchExecutor(backend="shared").run_alignments([("ACG", "ACG")])
-        assert result.backend == "vectorized"
-        assert result.workers == 1
+    def test_pool_stays_warm_across_batches(self, rng, pool):
+        pids = pool.warm()
+        aligner = GenASMAligner(pool.config)
+        for specs in ([(60, 4), (90, 7), (120, 9)], [(200, 15)] * 5):
+            pairs = _random_pairs(rng, specs)
+            _assert_identical(aligner.align_batch(pairs), pool.run_alignments(pairs))
+            assert pool.outstanding_waves() == 0
+        assert pool.started and pool.warm() == pids
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(backend="gpu")
-        with pytest.raises(ValueError):
-            BatchExecutor().run_alignments([("A", "A")], backend="gpu")
+    def test_degenerate_pairs_match_align_batch(self, pool):
+        pairs = [("", "ACGT"), ("ACGT", ""), ("A", "A"), ("", ""), ("ACGT" * 30, "ACG")]
+        shared = pool.run_alignments(pairs)
+        assert [(a.pattern, a.text) for a in shared] == pairs
+        _assert_identical(GenASMAligner(pool.config).align_batch(pairs), shared)
 
-    def test_batch_result_speedup_over(self):
-        fast = BatchResult(results=[], elapsed_seconds=0.5, items=100)
-        slow = BatchResult(results=[], elapsed_seconds=2.0, items=100)
-        assert fast.speedup_over(slow) == pytest.approx(4.0)
-        assert slow.speedup_over(fast) == pytest.approx(0.25)
-        instant = BatchResult(results=[], elapsed_seconds=0.0, items=1)
-        assert instant.items_per_second == float("inf")
+    def test_empty_batch_starts_no_pool(self):
+        executor = SharedMemoryExecutor(workers=2)
+        try:
+            assert executor.run_alignments([]) == []
+            assert not executor.started
+        finally:
+            executor.close()
 
-    def test_stopwatch_reuse_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            sum(range(1000))
-        first = watch.elapsed
-        with watch:
-            sum(range(1000))
-        assert watch.elapsed > first
-        watch.reset()
-        assert watch.elapsed == 0.0
-        with pytest.raises(RuntimeError):
-            watch.stop()
+    def test_short_read_config_matches_align_batch(self, rng):
+        # The pool aligns under the config it was built with.
+        config = GenASMConfig.short_read(150)
+        pairs = _random_pairs(rng, [(150, 6), (150, 12), (120, 3), (150, 9)])
+        with SharedMemoryExecutor(workers=2, config=config) as executor:
+            shared = executor.run_alignments(pairs)
+        _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
+        default = GenASMAligner(GenASMConfig()).align_batch(pairs)
+        windows = [a.metadata["windows"] for a in shared]
+        assert windows != [a.metadata["windows"] for a in default]
 
 
 class TestWarpModel:
@@ -401,25 +435,3 @@ class TestWarpModel:
         assert diverged.compute_seconds >= uniform.compute_seconds
         assert "lane_efficiency" in diverged.summary()
 
-
-class TestMapperBatch:
-    def test_align_candidates_matches_serial(self):
-        workload = build_paper_dataset(
-            read_count=3, read_length=400, seed=9, max_pairs=4
-        )
-        from repro.mapping.mapper import Mapper
-
-        mapper = Mapper(workload.genome)
-        read_sequences = {r.name: r.sequence for r in workload.reads}
-        candidates = [
-            c for c in workload.candidates if c.read_name in read_sequences
-        ][:4]
-        assert candidates, "workload produced no candidates"
-        vectorized = mapper.align_candidates(candidates, read_sequences)
-        serial = mapper.align_candidates(candidates, read_sequences, backend="serial")
-        shared = mapper.align_candidates(
-            candidates, read_sequences, backend="shared", workers=2
-        )
-        assert len(vectorized) == len(candidates)
-        for batch in (vectorized, shared):
-            _assert_identical(serial, batch)

@@ -1,4 +1,4 @@
-"""Tests for the GPU execution model and the batch executor."""
+"""Tests for the GPU execution model."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core.config import GenASMConfig
 from repro.gpu.device import A6000, RTX_3090, XEON_GOLD_5118
 from repro.gpu.kernel import GenASMKernelSpec, KernelCost
 from repro.gpu.simulator import CpuModel, GpuSimulator
-from repro.parallel.executor import BatchExecutor, Stopwatch
 from tests.conftest import mutate, random_dna
 
 
@@ -136,63 +135,3 @@ class TestSimulator:
         )
         assert half.estimated_seconds > full.estimated_seconds
 
-
-class TestParallel:
-    def test_stopwatch_measures_elapsed(self):
-        with Stopwatch() as watch:
-            sum(range(10_000))
-        assert watch.elapsed > 0
-
-    def test_stopwatch_requires_start(self):
-        watch = Stopwatch()
-        with pytest.raises(RuntimeError):
-            watch.stop()
-
-    def test_run_alignments_times_the_batch(self, rng):
-        pairs = _make_pairs(rng, count=3, length=120)
-        config = GenASMConfig()
-        result = BatchExecutor().run_alignments(pairs, config, name="timed")
-        assert result.name == "timed"
-        assert result.backend == "serial" and result.workers == 1
-        assert result.items == len(result.results) == 3
-        assert result.elapsed_seconds > 0
-        assert result.items_per_second == pytest.approx(3 / result.elapsed_seconds)
-        assert result.metadata["config"] is config
-
-    def test_invalid_workers_raise(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(workers=0)
-
-    def test_speedup_over(self):
-        from repro.parallel.executor import BatchResult
-
-        fast = BatchResult(results=[], elapsed_seconds=1.0, items=100)
-        slow = BatchResult(results=[], elapsed_seconds=2.0, items=100)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
-    def test_speedup_over_degenerate_timings_stay_finite_or_directional(self):
-        # Regression: two zero-elapsed runs used to produce inf / inf = nan.
-        from repro.parallel.executor import BatchResult
-
-        instant_a = BatchResult(results=[], elapsed_seconds=0.0, items=100)
-        instant_b = BatchResult(results=[], elapsed_seconds=0.0, items=100)
-        timed = BatchResult(results=[], elapsed_seconds=1.0, items=100)
-        assert instant_a.speedup_over(instant_b) == 1.0
-        assert instant_a.speedup_over(instant_a) == 1.0
-        assert instant_a.speedup_over(timed) == float("inf")
-        assert timed.speedup_over(instant_a) == 0.0
-        # Empty batches time out at 0 items / ~0 seconds too.
-        empty_a = BatchResult(results=[], elapsed_seconds=0.0, items=0)
-        empty_b = BatchResult(results=[], elapsed_seconds=0.0, items=0)
-        assert empty_a.speedup_over(empty_b) == 1.0
-        # Real empty batches: 0 items over a measurable elapsed time used
-        # to raise ZeroDivisionError (0.0 / 0.0 throughputs).
-        empty_timed_a = BatchResult(results=[], elapsed_seconds=0.002, items=0)
-        empty_timed_b = BatchResult(results=[], elapsed_seconds=0.003, items=0)
-        assert empty_timed_a.speedup_over(empty_timed_b) == 1.0
-        assert timed.speedup_over(empty_timed_a) == float("inf")
-        assert empty_timed_a.speedup_over(timed) == 0.0
-        # Mixed pairing follows throughput (inf for instantaneous runs,
-        # 0.0 for zero-item timed runs), not item counts.
-        assert empty_a.speedup_over(empty_timed_a) == float("inf")
-        assert empty_timed_a.speedup_over(empty_a) == 0.0

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.harness.grid import GRID_AXES, TRIALS, ExperimentGrid, GridCell, GridRunner
+from repro.harness.grid import (
+    GRID_AXES,
+    GRID_BACKENDS,
+    TRIALS,
+    ExperimentGrid,
+    GridCell,
+    GridRunner,
+)
 from repro.parallel.shm import SharedMemoryExecutor
 from repro.telemetry.bench import BenchRecorder
 from tests.conftest import segment_exists
@@ -144,6 +151,73 @@ class TestMisdeclaredGridRejectedAtConstruction:
         with pytest.raises(ValueError, match="floor must be a positive number"):
             ExperimentGrid.from_dict(tiny_spec(gates=[tiny_gate(floor=floor)]))
 
+    @pytest.mark.parametrize("name", ["process", "service", "gpu"])
+    def test_retired_backend_names_rejected(self, name):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentGrid.from_dict(tiny_spec(backends=[name], gates=[]))
+        assert all(valid in str(excinfo.value) for valid in GRID_BACKENDS)
+
+
+class TestCellAligners:
+    """Each cell calls the one batch aligner its backend names."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Outermost aligner calls as (backend, aligner); nested ones are not recorded."""
+        from repro.batch.engine import BatchAlignmentEngine
+        from repro.core.aligner import GenASMAligner
+        from repro.pipeline import StreamingPipeline
+
+        recorded, depth = [], [0]
+
+        def spy(cls, method, backend):
+            original = getattr(cls, method)
+
+            def wrapper(self, pairs, **kwargs):
+                if not depth[0]:
+                    recorded.append((backend, self))
+                depth[0] += 1
+                try:
+                    return original(self, pairs, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        spy(GenASMAligner, "align_batch", "serial")
+        spy(BatchAlignmentEngine, "align_pairs", "vectorized")
+        spy(SharedMemoryExecutor, "run_alignments", "shared")
+        spy(StreamingPipeline, "align_pairs", "streaming")
+        return recorded
+
+    @staticmethod
+    def cell_calls(calls):
+        # The runner's own reference run is the engine named "<grid>-reference".
+        return [
+            (backend, aligner)
+            for backend, aligner in calls
+            if not str(getattr(aligner, "name", "")).endswith("-reference")
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "shared", "streaming"])
+    def test_cell_calls_the_aligner_it_names(self, bench_path, calls, backend):
+        grid = ExperimentGrid.from_dict(tiny_spec(backends=[backend], gates=[]))
+        (row,) = GridRunner(grid, bench_path).run(append=False, save=False)
+        assert row["backend"] == backend and row["identical"]
+        assert [name for name, _ in self.cell_calls(calls)] == [backend] * TRIALS
+
+    @pytest.mark.parametrize(
+        "backend, attribute", [("vectorized", "max_lanes"), ("streaming", "wave_size")]
+    )
+    def test_wave_size_reaches_the_aligner(self, bench_path, calls, backend, attribute):
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(backends=[backend], wave_sizes=[4, 32], gates=[])
+        )
+        rows = GridRunner(grid, bench_path).run(append=False, save=False)
+        assert all(row["identical"] for row in rows)
+        sizes = [getattr(aligner, attribute) for _, aligner in self.cell_calls(calls)]
+        assert sizes == [4] * TRIALS + [32] * TRIALS
+
 
 class TestGridRunner:
     @pytest.fixture(scope="class")
@@ -228,13 +302,12 @@ class TestGridRunner:
         assert bench_path.read_text() == before
 
     def test_rows_record_the_backend_that_ran(self, bench_path):
-        # Every cell runs the backend it declares: shared cells on a real
-        # two-worker pool, not the in-process engine.
+        # One row per declared backend, each matching the reference.
         grid = ExperimentGrid.from_dict(
             tiny_spec(backends=["serial", "vectorized", "shared", "streaming"], gates=[])
         )
         rows = GridRunner(grid, bench_path).run(append=False)
-        assert [row["ran"] for row in rows] == list(grid.backends)
+        assert [row["backend"] for row in rows] == list(grid.backends)
         assert all(row["identical"] for row in rows)
 
     def test_recorder_instance_accepted(self, bench_path):
@@ -272,7 +345,8 @@ class TestSharedCellPool:
             tiny_spec(backends=["shared"], wave_sizes=[32, 64], gates=[])
         )
         rows = GridRunner(grid, bench_path).run(append=False)
-        assert [row["ran"] for row in rows] == ["shared", "shared"]
+        assert [row["backend"] for row in rows] == ["shared", "shared"]
+        assert all(row["identical"] for row in rows)
         self.assert_closed_without_leaks(pools)
 
     def test_pool_closed_when_run_raises(self, bench_path, pools, monkeypatch):

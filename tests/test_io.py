@@ -7,9 +7,11 @@ import pytest
 
 from repro.batch.engine import BatchAlignmentEngine
 from repro.core.alignment import Alignment
-from repro.core.cigar import Cigar
+from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
+from repro.genomics.errors import ErrorModel
 from repro.genomics.genome import SyntheticGenome
+from repro.genomics.sequences import reverse_complement
 from repro.harness.dataset import build_paper_dataset
 from repro.io import (
     FLAG_REVERSE,
@@ -63,6 +65,39 @@ def workload():
 def workload_results(workload):
     alignments = BatchAlignmentEngine(GenASMConfig()).align_pairs(workload.pairs)
     return list(zip(workload.candidates, alignments))
+
+
+#: Mapped workloads the reference-agreement checks run on: the module
+#: fixture's, 24 reads of 1 kb, and 40 Illumina-style reads aligned under
+#: the short-read config.
+EMISSION_WORKLOADS = {
+    "long-1kb": (
+        dict(read_count=24, read_length=1_000, genome_length=60_000, seed=5),
+        GenASMConfig(),
+    ),
+    "short-150": (
+        dict(
+            read_count=40,
+            read_length=150,
+            genome_length=40_000,
+            seed=7,
+            error_model=ErrorModel.illumina(),
+        ),
+        GenASMConfig.short_read(150),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def emitted(request, workload, workload_results):
+    """(workload, [(candidate, alignment)]) for the named emission workload."""
+    if request.param == "fixture":
+        return workload, workload_results
+    params, config = EMISSION_WORKLOADS[request.param]
+    mapped = build_paper_dataset(**params)
+    alignments = BatchAlignmentEngine(config).align_pairs(mapped.pairs)
+    assert alignments, request.param
+    return mapped, list(zip(mapped.candidates, alignments))
 
 
 class TestComputeMapq:
@@ -292,6 +327,27 @@ class TestGroupingSink:
 class TestWorkloadEmission:
     """Spec-level checks over a real mapped+aligned workload."""
 
+    @staticmethod
+    def _assert_agrees_with_reference(seq, chromosome, start, cigar, nm, name):
+        # Walk the CIGAR over SEQ and the reference from POS: every "="
+        # base equals the reference, every "X" base differs, the walk
+        # consumes all of SEQ, and NM counts X + I + D.
+        q, r, edits = 0, start, 0
+        for length, op in cigar.runs:
+            if op is CigarOp.MATCH:
+                assert seq[q : q + length] == chromosome[r : r + length], name
+            elif op is CigarOp.MISMATCH:
+                pairs = zip(seq[q : q + length], chromosome[r : r + length])
+                assert all(base != ref for base, ref in pairs), name
+            else:
+                assert op in (CigarOp.INSERTION, CigarOp.DELETION, CigarOp.SOFT_CLIP), name
+            if op.is_edit:
+                edits += length
+            q += length if op.consumes_pattern else 0
+            r += length if op.consumes_text else 0
+        assert q == len(seq), name
+        assert nm == edits, name
+
     def test_sam_spec_level(self, workload, workload_results):
         handle = io.StringIO()
         count = write_sam(handle, workload_results, workload.genome)
@@ -313,12 +369,70 @@ class TestWorkloadEmission:
                 (tag.split(":", 2)[0], tag.split(":", 2)[2]) for tag in fields[11:]
             )
             assert int(tags["NM"]) == cigar.edit_distance
+            self._assert_agrees_with_reference(
+                fields[9], workload.genome.chromosomes[fields[2]], pos - 1, cigar,
+                int(tags["NM"]), fields[0],
+            )
             if not flag & FLAG_SECONDARY:
                 primaries.append(fields[0])
         # Exactly one primary per mapped read.
         assert sorted(primaries) == sorted(
             {candidate.read_name for candidate, _ in workload_results}
         )
+
+    # The fixture's SAM records are walked by test_sam_spec_level.
+    @pytest.mark.parametrize("emitted", list(EMISSION_WORKLOADS), indirect=True)
+    def test_sam_records_agree_with_reference(self, emitted):
+        mapped, results = emitted
+        handle = io.StringIO()
+        assert write_sam(handle, results, mapped.genome) == len(results)
+        records = [line for line in handle.getvalue().splitlines() if line[0] != "@"]
+        assert len(records) == len(results)
+        for line in records:
+            fields = line.split("\t")
+            tags = dict(
+                (tag.split(":", 2)[0], tag.split(":", 2)[2]) for tag in fields[11:]
+            )
+            self._assert_agrees_with_reference(
+                fields[9], mapped.genome.chromosomes[fields[2]], int(fields[3]) - 1,
+                Cigar.from_string(fields[5]), int(tags["NM"]), fields[0],
+            )
+
+    @pytest.mark.parametrize(
+        "emitted", ["fixture", *EMISSION_WORKLOADS], indirect=True
+    )
+    def test_paf_records_agree_with_reference(self, emitted):
+        # The cg:Z CIGAR walks the read (in the strand's orientation) over
+        # the target from its start column; the other columns are that
+        # walk's counts.
+        mapped, results = emitted
+        handle = io.StringIO()
+        assert write_paf(handle, results, mapped.genome) == len(results)
+        lines = handle.getvalue().splitlines()
+        assert len(lines) == len(results)
+        for line in lines:
+            fields = line.split("\t")
+            name, strand, chrom = fields[0], fields[4], fields[5]
+            qlen, qstart, qend = (int(f) for f in fields[1:4])
+            tstart, tend = int(fields[7]), int(fields[8])
+            matches, block = int(fields[9]), int(fields[10])
+            tags = dict(
+                (tag.split(":", 2)[0], tag.split(":", 2)[2]) for tag in fields[12:]
+            )
+            cigar = Cigar.from_string(tags["cg"])
+            read = mapped.read_by_name[name].sequence
+            seq = read if strand == "+" else reverse_complement(read)
+            assert qlen == len(read) == cigar.pattern_length, name
+            lead, trail = cigar.leading_clip, cigar.trailing_clip
+            if strand == "-":
+                lead, trail = trail, lead
+            assert (qstart, qend) == (lead, qlen - trail), name
+            assert tend - tstart == cigar.text_length, name
+            assert matches == cigar.matches, name
+            assert block == sum(n for n, op in cigar.runs if op is not CigarOp.SOFT_CLIP)
+            self._assert_agrees_with_reference(
+                seq, mapped.genome.chromosomes[chrom], tstart, cigar, int(tags["NM"]), name
+            )
 
     def test_paf_spec_level(self, workload, workload_results):
         handle = io.StringIO()

@@ -3,7 +3,7 @@
 The subsystem contract: :class:`StreamingPipeline` produces **byte-identical
 alignments in identical order** to the offline path — candidate pairs
 materialised by :meth:`Mapper.map_reads` and aligned by
-:meth:`BatchExecutor.run_alignments` — regardless of wave size, chunk
+:meth:`BatchAlignmentEngine.align_pairs` — regardless of wave size, chunk
 boundaries, shared-memory executors, or flush policy.  Wave grouping and
 concurrency may only move throughput and latency, never a single CIGAR
 byte.
@@ -18,12 +18,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.batch.engine import BatchAlignmentEngine
+from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.genomics.fasta import write_fasta, write_fastq
 from repro.harness.dataset import build_paper_dataset
 from repro.io import SamSink
 from repro.mapping.mapper import Mapper
-from repro.parallel.executor import BatchExecutor
 from repro.parallel.shm import SharedMemoryExecutor
 from repro.pipeline import (
     MapStage,
@@ -56,7 +57,7 @@ def offline(workload, mapper):
         mapper.candidate_region_sequence(c, sequences[c.read_name])
         for c in candidates
     ]
-    results = BatchExecutor(backend="vectorized").run_alignments(pairs).results
+    results = BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs)
     return candidates, pairs, results
 
 
@@ -341,7 +342,7 @@ class TestStreamingEquivalence:
         _candidates, pairs, reference = offline
         streamed = StreamingPipeline(wave_size=4, max_pending=8).align_pairs(pairs)
         assert_same_alignments(reference, streamed)
-        serial = BatchExecutor(backend="serial").run_alignments(pairs).results
+        serial = GenASMAligner(GenASMConfig()).align_batch(pairs)
         assert_same_alignments(serial, streamed)
 
     def test_empty_stream_and_empty_pairs(self, mapper):
@@ -354,9 +355,9 @@ class TestStreamingEquivalence:
 
     def test_degenerate_pairs_stream_like_offline(self):
         # Empty patterns/texts and single characters cross the pipeline
-        # exactly as they cross run_alignments (no filtering, no reorder).
+        # exactly as they cross the engine (no filtering, no reorder).
         pairs = [("", "ACGT"), ("ACGT", ""), ("A", "A"), ("", ""), ("ACGT" * 30, "ACG")]
-        reference = BatchExecutor(backend="vectorized").run_alignments(pairs).results
+        reference = BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs)
         streamed = StreamingPipeline(wave_size=2, max_pending=2).align_pairs(pairs)
         assert_same_alignments(reference, streamed)
 
@@ -426,6 +427,23 @@ class TestStreamingEquivalence:
         with pytest.raises(ValueError):
             list(StreamingPipeline().run(["ACGT"]))
 
+    @pytest.mark.parametrize("caller", ["align-stage", "pipeline"])
+    def test_executor_with_another_config_rejected(self, caller):
+        # The executor's workers align under the executor's config, so a
+        # stage built with another config refuses it before any pool starts.
+        from repro.pipeline.alignstage import AlignStage
+
+        executor = SharedMemoryExecutor(workers=2, config=GenASMConfig(window_size=32))
+        try:
+            with pytest.raises(ValueError, match="different config"):
+                if caller == "align-stage":
+                    AlignStage(GenASMConfig(), executor=executor)
+                else:
+                    StreamingPipeline(executor=executor).align_pairs([("ACGT", "ACGT")])
+            assert not executor.started
+        finally:
+            executor.close()
+
     def test_max_pending_tighter_than_wave_size_is_honored(self, offline):
         # The constructor passes the caller's backpressure bound through
         # unclamped: with max_pending < wave_size the accumulator drains
@@ -449,8 +467,6 @@ class TestWaveFailure:
 
     @pytest.fixture
     def failing_engine(self, monkeypatch):
-        from repro.batch.engine import BatchAlignmentEngine
-
         original = BatchAlignmentEngine.align_pairs
 
         def align_pairs(engine, pairs, **kwargs):
@@ -470,7 +486,7 @@ class TestWaveFailure:
         assert [len(wave) for wave, _ in collected] == [1, 1, 1]
         first, failed, last = (result for _, result in collected)
         assert isinstance(failed, error_type)
-        reference = BatchExecutor(backend="serial").run_alignments(self.GOOD).results
+        reference = GenASMAligner(GenASMConfig()).align_batch(self.GOOD)
         assert_same_alignments(reference, first + last)
 
     def test_align_stage_queues_the_error_in_wave_order(self, failing_engine):
@@ -504,8 +520,6 @@ class TestWaveFailure:
         # reach the caller, the sink must never be finished, and every read
         # already in the SAM output must carry all of its records.
         from collections import Counter
-
-        from repro.batch.engine import BatchAlignmentEngine
 
         candidates, _pairs, _reference = offline
         original = BatchAlignmentEngine.align_pairs
@@ -638,7 +652,7 @@ class TestPipelineStats:
             length = rng.choice([10, 50, 120, 300])
             pattern = random_dna(rng, length)
             pairs.append((pattern, mutate(rng, pattern, max(1, length // 10)) + "AC"))
-        reference = BatchExecutor(backend="vectorized").run_alignments(pairs).results
+        reference = BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs)
         pipeline = StreamingPipeline(wave_size=8, max_pending=8)
         streamed = pipeline.align_pairs(pairs)
         assert_same_alignments(reference, streamed)

@@ -23,8 +23,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
-from repro.parallel.executor import BatchExecutor
 from repro.parallel.shm import SharedMemoryExecutor
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
 from repro.service import (
@@ -65,7 +65,7 @@ def _simulate_short_read_pairs(read_count, read_length, error_rate, seed):
 
 def offline_alignments(pairs, config=CONFIG):
     """The per-client reference: one independent vectorized offline run."""
-    return BatchExecutor(backend="vectorized").run_alignments(pairs, config).results
+    return BatchAlignmentEngine(config).align_pairs(pairs)
 
 
 def assert_same_alignments(reference, got, context=""):
@@ -135,7 +135,6 @@ class TestStatsBugfixes:
 class TestFallbackWarningDedupe:
     def test_fresh_engines_share_one_warning_per_reason(self):
         from repro.batch import engine as engine_module
-        from repro.batch.engine import BatchAlignmentEngine
 
         engine_module._FALLBACK_WARNED.clear()
         pairs = [("ACGTACGT", "ACGAACGT")]
@@ -365,8 +364,6 @@ class TestWaveFailure:
     MARKED = ("ACGTACGTACGT", "TTTTTTTTTTTT")
 
     def test_failed_wave_fails_its_requests_and_serves_the_rest(self, monkeypatch):
-        from repro.batch.engine import BatchAlignmentEngine
-
         original = BatchAlignmentEngine.align_pairs
 
         def align_pairs(engine, pairs, **kwargs):
