@@ -22,7 +22,7 @@ loop over columns.  The full matrix is retained for traceback.
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Tuple
+from typing import Literal, Tuple
 
 import numpy as np
 

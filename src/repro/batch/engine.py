@@ -48,17 +48,12 @@ Structure
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
   lockstep with similarly-sized neighbours.
 
-Only configurations with ``word_bits != 64`` fall back to the scalar
-aligner (the SoA layout is built from ``uint64`` words); the fallback is
-recorded in each alignment's ``metadata["vectorized"]`` and warned about
-once per process per reason (see :data:`_FALLBACK_WARNED` and
-:attr:`BatchAlignmentEngine.vectorizable`).
+Every configuration takes this lockstep path.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,13 +93,6 @@ _CLEAR_LOW = np.array(
     [(~((1 << c) - 1)) & ((1 << 64) - 1) for c in range(MAX_LANE_BITS + 1)],
     dtype=np.uint64,
 )
-
-#: Fallback reasons already warned about in this process, keyed by the
-#: reason string.  Module-level on purpose: services construct engines per
-#: worker or per request, so a per-instance flag would re-emit the same
-#: ``RuntimeWarning`` endlessly for one configuration problem.  Tests
-#: clear this set to re-arm the warning.
-_FALLBACK_WARNED: set = set()
 
 
 def _shl1(value: np.ndarray) -> np.ndarray:
@@ -201,7 +189,6 @@ class WaveDCState:
             entry_compression=self.entry_compression,
             early_termination=self.early_termination,
             traceback_band=band,
-            word_bits=wave.word_bits,
             store_from_column=store_from,
             counter=job.counter,
         )
@@ -483,10 +470,7 @@ class BatchAlignmentEngine:
         Aligner configuration.  Windows of any width vectorize — a window
         of ``W`` characters occupies ``ceil(W / 64)`` ``uint64`` words per
         lane (:attr:`words_per_lane`), so ``GenASMConfig.short_read``
-        workloads take the lockstep path too.  Only ``word_bits != 64``
-        falls back to the scalar aligner (the SoA layout is built from
-        64-bit words); the fallback is observable via
-        ``metadata["vectorized"]`` and a one-time :class:`RuntimeWarning`.
+        workloads take the lockstep path too.
     name:
         Label attached to produced alignments.
     max_lanes:
@@ -512,16 +496,6 @@ class BatchAlignmentEngine:
         if max_lanes is not None and max_lanes < 1:
             raise ValueError("max_lanes must be at least 1")
         self.max_lanes = max_lanes
-
-    @property
-    def vectorizable(self) -> bool:
-        """Whether this configuration fits the multi-word uint64 lane layout.
-
-        Any ``window_size`` vectorizes (wide windows just use more words
-        per lane); only a non-64 ``word_bits`` — which changes the scalar
-        path's modelled entry sizes — forces the scalar fallback.
-        """
-        return self.config.word_bits == 64
 
     @property
     def words_per_lane(self) -> int:
@@ -605,30 +579,8 @@ class BatchAlignmentEngine:
         Each alignment's ``metadata`` always describes that pair alone
         (``align_batch`` instead snapshots the shared counter's running
         totals into per-alignment metadata, which this engine does not
-        replicate), and always records ``vectorized`` / ``words_per_lane``
-        so a scalar fallback is observable.
+        replicate), and records ``words_per_lane``.
         """
-        if not self.vectorizable:
-            reason = f"word_bits={self.config.word_bits}"
-            if reason not in _FALLBACK_WARNED:
-                _FALLBACK_WARNED.add(reason)
-                warnings.warn(
-                    f"BatchAlignmentEngine({self.name!r}): config with "
-                    f"{reason} does not fit the uint64 lane layout; "
-                    "falling back to the scalar per-pair aligner for "
-                    "every batch (warned once per process per reason)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            from repro.core.aligner import GenASMAligner
-
-            aligner = GenASMAligner(self.config, name=self.name)
-            alignments = [aligner.align(p, t, counter=counter) for p, t in pairs]
-            for alignment in alignments:
-                alignment.metadata["vectorized"] = False
-                alignment.metadata["words_per_lane"] = self.words_per_lane
-            return alignments
-
         pairs = list(pairs)
         out: List[Optional[Alignment]] = [None] * len(pairs)
         order = self.schedule(pairs)
@@ -698,7 +650,6 @@ class BatchAlignmentEngine:
                 "dp_accesses": s.counter.total_accesses,
                 "dp_bytes": s.counter.total_bytes,
                 "model_window_bytes": model_bytes,
-                "vectorized": True,
                 "words_per_lane": self.words_per_lane,
                 "tb_walk_steps": s.tb_walk_steps,
                 "tb_walk_steps_saved": s.tb_steps_saved,
@@ -754,9 +705,7 @@ class BatchAlignmentEngine:
                         counter=s.counter,
                     )
                 )
-            wave = SoAWave(
-                jobs, traceback_band=config.traceback_band, word_bits=config.word_bits
-            )
+            wave = SoAWave(jobs, traceback_band=config.traceback_band)
             state = run_dc_wave_state(
                 wave,
                 entry_compression=config.entry_compression,

@@ -135,16 +135,13 @@ class SoAWave:
         (multi-word entries store ``ceil(width / unit)`` units).
     """
 
-    def __init__(
-        self, jobs: Sequence[LaneJob], *, traceback_band: bool, word_bits: int = 64
-    ) -> None:
+    def __init__(self, jobs: Sequence[LaneJob], *, traceback_band: bool) -> None:
         if not jobs:
             raise ValueError("a wave needs at least one lane")
         self.jobs = list(jobs)
         L = len(self.jobs)
         self.lanes = L
         self.traceback_band = traceback_band
-        self.word_bits = word_bits
 
         self.m = np.array([len(j.pattern) for j in self.jobs], dtype=np.int64)
         self.n = np.array([len(j.text) for j in self.jobs], dtype=np.int64)
@@ -183,17 +180,15 @@ class SoAWave:
             cols[None, :] <= self.n[:, None]
         )
         # entry_bytes, vectorized: full words without the band improvement,
-        # else the smallest power-of-two unit (8..word_bits bits), taken
+        # else the smallest power-of-two unit (8..64 bits), taken
         # ceil(width / unit) times when the band is wider than a word.
         if not traceback_band:
-            full_words = np.maximum(1, -(-self.m // word_bits))
-            self.entry_store = (full_words * (word_bits // 8)).astype(np.int64)
+            self.entry_store = np.maximum(1, -(-self.m // MAX_LANE_BITS)) * 8
         else:
-            target = np.minimum(self.band_width, word_bits)
+            target = np.minimum(self.band_width, MAX_LANE_BITS)
             unit = np.full(L, 8, dtype=np.int64)
-            while (unit < target).any():  # 8 -> 16 -> ... -> word_bits
+            while (unit < target).any():  # 8 -> 16 -> 32 -> 64
                 unit = np.where(unit < target, unit * 2, unit)
-            unit = np.minimum(unit, word_bits)
             self.entry_store = (
                 (unit // 8) * np.maximum(1, -(-self.band_width // unit))
             ).astype(np.int64)

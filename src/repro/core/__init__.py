@@ -6,8 +6,8 @@ from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
-from repro.core.genasm_dc import genasm_dc, genasm_dc_rowmajor
-from repro.core.genasm_tb import genasm_traceback, genasm_traceback_compressed
+from repro.core.genasm_dc import genasm_dc
+from repro.core.genasm_tb import genasm_traceback
 from repro.core.metrics import AccessCounter, MemoryFootprint
 
 __all__ = [
@@ -18,9 +18,7 @@ __all__ = [
     "CigarOp",
     "GenASMConfig",
     "genasm_dc",
-    "genasm_dc_rowmajor",
     "genasm_traceback",
-    "genasm_traceback_compressed",
     "AccessCounter",
     "MemoryFootprint",
 ]

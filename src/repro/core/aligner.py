@@ -20,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig

@@ -10,7 +10,7 @@ enabled by default; the baseline (MICRO 2020) behaviour is obtained with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 __all__ = ["GenASMConfig"]
@@ -49,8 +49,6 @@ class GenASMConfig:
     traceback_band:
         Improvement 3 — store only the diagonal band of bits that the
         traceback can reach, instead of full-width bitvectors.
-    word_bits:
-        Machine word width used by the memory model and the GPU kernels.
     match_priority:
         Traceback tie-break order.  GenASM prefers matches, then
         substitutions, then deletions, then insertions; keeping the order
@@ -66,7 +64,6 @@ class GenASMConfig:
     entry_compression: bool = True
     early_termination: bool = True
     traceback_band: bool = True
-    word_bits: int = 64
     match_priority: str = "MSDI"
 
     def __post_init__(self) -> None:

@@ -36,8 +36,6 @@ The module exposes:
 
 * :func:`genasm_dc` — full DP with traceback storage, honouring the three
   improvement toggles (the baseline MICRO-2020 behaviour is all-off);
-* :func:`genasm_dc_rowmajor` — alias of :func:`genasm_dc` kept for symmetry
-  with the paper's description;
 * :func:`genasm_distance_only` — distance without any traceback storage
   (used by filters, tests and the Edlib-style distance comparisons).
 """
@@ -45,20 +43,19 @@ The module exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bitvector import all_ones, bit_is_zero, pattern_bitmasks_zero_match
 from repro.core.improvements import (
     band_bounds,
     band_width,
     entry_bytes,
-    pack_band,
     solution_found,
     vectors_per_entry,
 )
 from repro.core.metrics import AccessCounter
 
-__all__ = ["DCTable", "genasm_dc", "genasm_dc_rowmajor", "genasm_distance_only"]
+__all__ = ["DCTable", "genasm_dc", "genasm_distance_only"]
 
 
 @dataclass
@@ -77,7 +74,6 @@ class DCTable:
     entry_compression: bool
     early_termination: bool
     traceback_band: bool
-    word_bits: int = 64
     #: first text column whose entries are stored (traceback-reachability
     #: pruning; columns below this are computed but never persisted)
     store_from_column: int = 0
@@ -113,10 +109,7 @@ class DCTable:
         """Bytes per stored bitvector entry (band-aware)."""
         if self._entry_bytes is None:
             self._entry_bytes = entry_bytes(
-                max(1, len(self.pattern)),
-                self.max_errors,
-                self.word_bits,
-                self.traceback_band,
+                max(1, len(self.pattern)), self.max_errors, self.traceback_band
             )
         return self._entry_bytes
 
@@ -193,7 +186,6 @@ def genasm_dc(
     early_termination: bool = True,
     traceback_band: bool = True,
     counter: Optional[AccessCounter] = None,
-    word_bits: int = 64,
     pattern_masks: Optional[Dict[str, int]] = None,
     store_from_column: int = 0,
 ) -> DCTable:
@@ -237,7 +229,6 @@ def genasm_dc(
         entry_compression=entry_compression,
         early_termination=early_termination,
         traceback_band=traceback_band,
-        word_bits=word_bits,
         store_from_column=store_from,
         counter=counter,
     )
@@ -378,16 +369,6 @@ def genasm_dc(
 
     table.min_errors = min_errors
     return table
-
-
-def genasm_dc_rowmajor(
-    pattern: str,
-    text: str,
-    max_errors: int,
-    **kwargs,
-) -> DCTable:
-    """Alias of :func:`genasm_dc` (the implementation is always row-major)."""
-    return genasm_dc(pattern, text, max_errors, **kwargs)
 
 
 def genasm_distance_only(

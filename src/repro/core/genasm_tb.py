@@ -35,7 +35,6 @@ from repro.core.genasm_dc import DCTable
 
 __all__ = [
     "genasm_traceback",
-    "genasm_traceback_compressed",
     "traceback_conditions",
     "TracebackError",
 ]
@@ -201,16 +200,3 @@ def genasm_traceback(
             )
     return ops, j
 
-
-def genasm_traceback_compressed(
-    table: DCTable, *, priority: str = "MSDI"
-) -> Tuple[List[CigarOp], int]:
-    """Traceback requiring the entry-compressed storage (improvement 1).
-
-    Provided for symmetry with the paper's description; it simply asserts
-    that the table was built with entry compression before delegating to
-    :func:`genasm_traceback`.
-    """
-    if not table.entry_compression:
-        raise ValueError("table was not built with entry compression")
-    return genasm_traceback(table, priority=priority)

@@ -116,14 +116,17 @@ def solution_found(row_final_value: int, m: int) -> bool:
     return bit_is_zero(row_final_value, m - 1)
 
 
-def entry_bytes(m: int, k: int, word_bits: int, traceback_band: bool) -> int:
-    """Bytes used to store one bitvector entry under the given band setting."""
+def entry_bytes(m: int, k: int, traceback_band: bool) -> int:
+    """Bytes used to store one bitvector entry under the given band setting.
+
+    Without the band an entry is ``ceil(m / 64)`` 64-bit words.  With it,
+    the ``band_width(m, k)`` stored bits take the smallest power-of-two
+    unit of 8 to 64 bits that holds them, ``ceil(bits / unit)`` times.
+    """
     if not traceback_band:
-        words = max(1, -(-m // word_bits))
-        return words * (word_bits // 8)
+        return max(1, -(-m // 64)) * 8
     bits = band_width(m, k)
     unit = 8
-    while unit < min(bits, word_bits):
+    while unit < min(bits, 64):
         unit *= 2
-    unit = min(unit, word_bits)
     return (unit // 8) * max(1, -(-bits // unit))

@@ -22,21 +22,13 @@ in shared memory/registers).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.config import GenASMConfig
+from repro.core.improvements import entry_bytes
 
 __all__ = ["AccessCounter", "MemoryFootprint", "footprint_report"]
-
-
-def _storage_unit_bits(bits: int, word_bits: int = 64) -> int:
-    """Smallest power-of-two storage unit (8..word_bits bits) holding ``bits``."""
-    unit = 8
-    while unit < min(bits, word_bits):
-        unit *= 2
-    return min(unit, word_bits)
 
 
 @dataclass
@@ -123,7 +115,7 @@ class MemoryFootprint:
     baseline (MICRO 2020)
         every text position × every error level stores **four** intermediate
         bitvectors (match, substitution, insertion, deletion), each
-        ``ceil(m / word_bits)`` words wide;
+        ``ceil(m / 64)`` 64-bit words wide;
     entry compression
         one stored bitvector instead of four;
     traceback band
@@ -133,12 +125,14 @@ class MemoryFootprint:
     early termination
         only rows ``0 … d*`` are evaluated and therefore stored, where
         ``d*`` is the actual window edit distance (``rows_used``).
+
+    Both entry sizes come from :func:`repro.core.improvements.entry_bytes`,
+    the rule the DC kernels charge their writes by.
     """
 
     pattern_window: int
     text_window: int
     max_errors: int
-    word_bits: int = 64
     rows_used: Optional[int] = None
     committed_columns: Optional[int] = None
 
@@ -152,33 +146,11 @@ class MemoryFootprint:
             pattern_window=config.window_size,
             text_window=config.window_size + config.text_slack,
             max_errors=config.k,
-            word_bits=config.word_bits,
             rows_used=rows_used,
             committed_columns=config.window_step,
         )
 
     # -- building blocks ------------------------------------------------ #
-    @property
-    def words_per_bitvector(self) -> int:
-        """Words needed for a full-width bitvector."""
-        return max(1, math.ceil(self.pattern_window / self.word_bits))
-
-    @property
-    def band_bits(self) -> int:
-        """Bits per entry reachable by the traceback (improvement 3)."""
-        return min(self.pattern_window, 2 * self.max_errors + 2)
-
-    @property
-    def band_entry_bytes(self) -> int:
-        """Bytes per stored entry when only the traceback band is kept."""
-        unit = _storage_unit_bits(self.band_bits, self.word_bits)
-        return (unit // 8) * max(1, math.ceil(self.band_bits / unit))
-
-    @property
-    def full_entry_bytes(self) -> int:
-        """Bytes per stored bitvector at full width."""
-        return self.words_per_bitvector * (self.word_bits // 8)
-
     def rows(self, early_termination: bool) -> int:
         """Number of DP rows stored (error levels), honouring early termination."""
         total = self.max_errors + 1
@@ -208,10 +180,10 @@ class MemoryFootprint:
     ) -> int:
         """DP-table bytes for one window under the given improvement set."""
         vectors_per_entry = 1 if entry_compression else 4
-        entry_bytes = self.band_entry_bytes if traceback_band else self.full_entry_bytes
+        entry = entry_bytes(self.pattern_window, self.max_errors, traceback_band)
         rows = self.rows(early_termination)
         columns = self.columns(traceback_band)
-        return columns * rows * vectors_per_entry * entry_bytes
+        return columns * rows * vectors_per_entry * entry
 
     def bytes_for_config(self, config: GenASMConfig) -> int:
         """DP-table bytes for one window of the given configuration."""

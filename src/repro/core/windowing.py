@@ -27,7 +27,7 @@ windows in lockstep over NumPy uint64 lanes and produces identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
@@ -117,7 +117,6 @@ def align_window(
             early_termination=config.early_termination,
             traceback_band=config.traceback_band,
             counter=counter,
-            word_bits=config.word_bits,
             store_from_column=store_from,
         )
         if table.min_errors is not None:

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.soa import lockstep_stats
 from repro.core.alignment import Alignment
-from repro.core.config import GenASMConfig
 from repro.gpu.device import A6000, XEON_GOLD_5118, CpuSpec, GpuSpec
 from repro.gpu.kernel import GenASMKernelSpec, KernelCost, PairProfile
 

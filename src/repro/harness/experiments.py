@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.edlib_like import EdlibLikeAligner
 from repro.baselines.ksw2 import Ksw2Aligner
-from repro.baselines.needleman_wunsch import needleman_wunsch
 from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.core.metrics import AccessCounter, MemoryFootprint

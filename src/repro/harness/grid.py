@@ -50,7 +50,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
@@ -65,6 +65,10 @@ GRID_AXES = CELL_FIELDS[1:]
 
 #: Backends a cell may name; each is one batch call (see GridRunner._run_cell).
 GRID_BACKENDS = ("serial", "vectorized", "shared", "streaming")
+
+#: Backends whose batch call reads ``wave_size``; the others never do, so
+#: they get one cell per workload × window, with ``wave_size`` ``None``.
+WAVE_SIZED_BACKENDS = ("vectorized", "streaming")
 
 #: Bench-file history every grid row is appended to.
 HISTORY_KEY = "grid_history"
@@ -86,12 +90,16 @@ def _is_number(value: object) -> bool:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One point of the sweep: workload × backend × window × wave size."""
+    """One point of the sweep: workload × backend × window × wave size.
+
+    ``wave_size`` is ``None`` for backends outside
+    :data:`WAVE_SIZED_BACKENDS`.
+    """
 
     workload: str
     backend: str
     window_size: int
-    wave_size: int
+    wave_size: Optional[int]
 
     def matches(self, selector: Mapping[str, object]) -> bool:
         """Whether this cell matches a (partial) axis-value selector."""
@@ -119,7 +127,8 @@ class ExperimentGrid:
         :class:`~repro.pipeline.StreamingPipeline`).  ``wave_size``
         reaches the vectorized engine as ``max_lanes`` and the streaming
         pipeline as its accumulator wave size; ``serial`` and ``shared``
-        record the axis value but execute identically across it.
+        never read it, so each gets one cell per workload × window, with
+        ``wave_size`` ``None``.
     window_sizes:
         GenASM ``window_size`` values; each derives a config via
         :meth:`config_for` (overlap clamped below the window).
@@ -189,9 +198,14 @@ class ExperimentGrid:
     def cells(self) -> List[GridCell]:
         """Every cell of the sweep, in deterministic axis order."""
         return [
-            GridCell(workload, backend, int(window), int(wave))
-            for workload, backend, window, wave in product(
-                self.workloads, self.backends, self.window_sizes, self.wave_sizes
+            GridCell(workload, backend, int(window), wave)
+            for workload, backend, window in product(
+                self.workloads, self.backends, self.window_sizes
+            )
+            for wave in (
+                [int(size) for size in self.wave_sizes]
+                if backend in WAVE_SIZED_BACKENDS
+                else [None]
             )
         ]
 

@@ -11,7 +11,7 @@ formulation with a simplified gap cost and a bounded predecessor window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -564,15 +564,6 @@ class SharedMemoryExecutor:
         :meth:`submit_map`.  A :class:`~repro.pipeline.StreamingPipeline`
         given this executor maps its reads here exactly when this is its
         own mapper; build without ``mapper=`` to keep mapping inline.
-    shared_layouts:
-        Optional ``(genome_layout, index_layout)`` pair of already-hosted
-        segments (e.g. from a
-        :class:`~repro.service.registry.ReferenceRegistry`).  Workers
-        attach these instead of this executor hosting its own copies, so
-        many executors — and the requests they serve — share one physical
-        genome/index.  Requires ``mapper`` (for the mapper parameters);
-        the segments stay owned by whoever hosted them: :meth:`close`
-        does **not** unlink them.
     tracer:
         Optional driver-side :class:`~repro.telemetry.trace.Tracer`.  When
         given (and enabled), each worker builds its own tracer, records a
@@ -594,16 +585,10 @@ class SharedMemoryExecutor:
         *,
         config=None,
         mapper=None,
-        shared_layouts: Optional[Tuple[SegmentLayout, SegmentLayout]] = None,
         tracer=None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if shared_layouts is not None and mapper is None:
-            raise ValueError(
-                "shared_layouts requires a mapper (its parameters are "
-                "shipped alongside the pre-hosted segments)"
-            )
         from repro.core.config import GenASMConfig
         from repro.telemetry.trace import get_tracer
 
@@ -611,7 +596,6 @@ class SharedMemoryExecutor:
         self.config = config if config is not None else GenASMConfig()
         self.tracer = get_tracer(tracer)
         self.mapper = mapper
-        self.shared_layouts = shared_layouts
         self._pool = None
         self._resources: List[SharedSegment] = []
         self._wave_segments: Dict[object, SharedSegment] = {}
@@ -637,15 +621,10 @@ class SharedMemoryExecutor:
             "trace": self.tracer.enabled,
         }
         if self.mapper is not None:
-            if self.shared_layouts is not None:
-                # Pre-hosted by the caller (reference registry): attach,
-                # don't copy, don't own — close() leaves them linked.
-                genome_layout, index_layout = self.shared_layouts
-            else:
-                genome_segment, genome_layout = host_genome(self.mapper.genome)
-                index_segment, index_layout = host_index(self.mapper.index)
-                self._resources += [genome_segment, index_segment]
-                self._segment_names += [genome_segment.name, index_segment.name]
+            genome_segment, genome_layout = host_genome(self.mapper.genome)
+            index_segment, index_layout = host_index(self.mapper.index)
+            self._resources += [genome_segment, index_segment]
+            self._segment_names += [genome_segment.name, index_segment.name]
             bundle["genome"] = genome_layout
             bundle["index"] = index_layout
             bundle["mapper_params"] = {

@@ -6,10 +6,10 @@ Without an executor each wave runs on an in-process
 into a shared-memory segment and only its layout descriptor crosses the
 process boundary, into workers holding warm, already-constructed engines
 — the one way waves leave the calling process.  Short-read
-(``window_size > 64``) configurations dispatch the same way: the engine's
-multi-word lanes mean no per-wave scalar fallback, and the accumulator
-feeding this stage groups lanes by the engine's windows × words/lane cost
-model (:meth:`repro.batch.BatchAlignmentEngine.expected_work`).
+(``window_size > 64``) configurations dispatch the same way, on the
+engine's multi-word lanes, and the accumulator feeding this stage
+groups lanes by the engine's windows × words/lane cost model
+(:meth:`repro.batch.BatchAlignmentEngine.expected_work`).
 
 Results are collected in wave submission order behind a bounded in-flight
 window; the pipeline's reorder buffer (keyed by global candidate ordinal)

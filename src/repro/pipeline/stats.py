@@ -240,9 +240,8 @@ class PipelineStats:
         """Fold one alignment's traceback walk observability into the run.
 
         Reads the ``tb_*`` keys the batch engine attaches to alignment
-        metadata (absent when a ``word_bits != 64`` config ran the scalar
-        aligner — those contribute nothing): lockstep walk iterations, the
-        ops match-run skip-ahead saved over them, and the match runs
+        metadata (a missing key counts zero): lockstep walk iterations,
+        the ops match-run skip-ahead saved over them, and the match runs
         consumed whole.
         """
         for key in _TRACEBACK_KEYS:

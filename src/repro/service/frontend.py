@@ -4,8 +4,7 @@ The paper's throughput story assumes *aggregate* demand — heavy traffic
 from many independent users — yet every other entry point in this repo is
 one caller with one read set.  :class:`AlignmentService` is the missing
 front-end: clients :meth:`~AlignmentService.submit` batches of
-``(pattern, text)`` pairs (or raw reads via
-:meth:`~AlignmentService.submit_reads`) and get a
+``(pattern, text)`` pairs and get a
 :class:`concurrent.futures.Future`; the service coalesces pairs from
 *different* requests into shared lockstep waves, so wave fill — hence
 engine efficiency — is driven by aggregate load, not by any single
@@ -33,11 +32,6 @@ Design:
   ``autostart=False`` tests (and synchronous callers) call :meth:`pump` /
   :meth:`drain` themselves and, with an injectable ``clock``, get
   deterministic linger-timeout behaviour.
-* **Shared references.**  :meth:`submit_reads` maps reads through a
-  :class:`~repro.service.registry.ReferenceRegistry`, so the
-  minimizer-index build is paid once per genome identity across all
-  clients; with a :class:`~repro.parallel.shm.SharedMemoryExecutor` from
-  the same registry, workers attach one hosted genome/index.
 
 Every alignment stays byte-identical to an offline
 :meth:`~repro.batch.BatchAlignmentEngine.align_pairs` call over the same
@@ -57,7 +51,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import GenASMConfig
 from repro.pipeline.alignstage import AlignStage, WaveResult
 from repro.pipeline.batcher import WaveAccumulator
-from repro.service.registry import ReferenceRegistry
 from repro.service.stats import ServiceStats
 from repro.telemetry.trace import get_tracer
 
@@ -139,9 +132,6 @@ class AlignmentService:
         Optional shared-memory executor (whose config must match),
         forwarded to :class:`AlignStage`; waves run in-process without
         one.  The executor stays caller-owned.
-    registry:
-        Optional :class:`ReferenceRegistry` for :meth:`submit_reads`; the
-        service builds (and then owns) one on demand when not given.
     clock:
         Monotonic time source for linger expiry and request latency
         (injectable for deterministic tests).
@@ -168,7 +158,6 @@ class AlignmentService:
         linger_seconds: Optional[float] = 0.01,
         max_inflight_per_tenant: Optional[int] = None,
         executor=None,
-        registry: Optional[ReferenceRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
         autostart: bool = True,
         tracer=None,
@@ -196,8 +185,6 @@ class AlignmentService:
             tracer=self.tracer,
         )
         self._clock = clock
-        self._registry = registry
-        self._owns_registry = False
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._queues: Dict[str, Deque[ServiceWork]] = {}
@@ -214,14 +201,6 @@ class AlignmentService:
     @property
     def config(self) -> GenASMConfig:
         return self._align.config
-
-    @property
-    def registry(self) -> ReferenceRegistry:
-        """The reference registry (built and owned on first use)."""
-        if self._registry is None:
-            self._registry = ReferenceRegistry()
-            self._owns_registry = True
-        return self._registry
 
     def start(self) -> None:
         """Start the daemon dispatcher thread (idempotent)."""
@@ -280,43 +259,6 @@ class AlignmentService:
             self.stats.record_request_done(tenant, request.id, 0.0, 0)
             request.future.set_result([])
         return request.future
-
-    def submit_reads(
-        self,
-        reads: Sequence[Tuple[str, str]],
-        *,
-        genome,
-        tenant: str = "default",
-        mapper_params: Optional[Dict[str, object]] = None,
-    ) -> Future:
-        """Map ``(name, sequence)`` reads and queue their candidate pairs.
-
-        Mapping runs in the calling thread against the registry's cached
-        mapper for ``genome`` (built once per genome identity across all
-        clients).  The future resolves to ``(candidate, alignment)`` pairs
-        in mapper order.
-        """
-        mapper = self.registry.mapper(genome, **(mapper_params or {}))
-        candidates: List[object] = []
-        pairs: List[Tuple[str, str]] = []
-        for name, sequence in reads:
-            for candidate in mapper.map_sequence(name, sequence):
-                pattern, text = mapper.candidate_region_sequence(candidate, sequence)
-                candidates.append(candidate)
-                pairs.append((pattern, text))
-        inner = self.submit(pairs, tenant=tenant)
-        outer: Future = Future()
-        outer.set_running_or_notify_cancel()
-
-        def _resolve(done: Future) -> None:
-            error = done.exception()
-            if error is not None:
-                outer.set_exception(error)
-            else:
-                outer.set_result(list(zip(candidates, done.result())))
-
-        inner.add_done_callback(_resolve)
-        return outer
 
     # ------------------------------------------------------------------ #
     # The single consumer
@@ -499,10 +441,9 @@ class AlignmentService:
                     )
 
     def close(self) -> None:
-        """Stop accepting, drain everything, release what it built (idempotent).
+        """Stop accepting and drain everything (idempotent).
 
-        A caller-provided ``executor`` or ``registry`` stays caller-owned
-        and running; a registry the service built itself is closed.
+        A caller-provided ``executor`` stays caller-owned and running.
         """
         with self._wake:
             self._closed = True
@@ -516,10 +457,6 @@ class AlignmentService:
                     break
             if not self.pump(block=True):
                 raise RuntimeError("service close stalled with unresolved requests")
-        if self._owns_registry and self._registry is not None:
-            self._registry.close()
-            self._registry = None
-            self._owns_registry = False
 
     def __enter__(self) -> "AlignmentService":
         return self

@@ -10,7 +10,6 @@ simulated-read corpus, and so does a two-worker
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import pytest
 
@@ -25,6 +24,7 @@ from repro.core.aligner import GenASMAligner
 from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc
+from repro.core.improvements import entry_bytes
 from repro.core.metrics import AccessCounter
 from repro.core.windowing import align_window, align_windowed
 from repro.gpu.device import A6000
@@ -107,12 +107,10 @@ class TestVectorizedEquivalence:
         assert batch_counter.as_dict() == scalar_counter.as_dict()
 
     def test_wide_window_config_vectorizes_multi_word(self, rng):
-        # Pre-PR the short-read config silently fell back to the scalar
-        # aligner; now it takes the multi-word lockstep path (3 uint64
-        # words per 150-character lane) and must still be byte-identical.
+        # The short-read config takes the multi-word lockstep path (3
+        # uint64 words per 150-character lane) and stays byte-identical.
         config = GenASMConfig.short_read(read_length=150)
         engine = BatchAlignmentEngine(config)
-        assert engine.vectorizable
         assert engine.words_per_lane == 3
         pairs = _random_pairs(rng, [(150, 4), (150, 2), (40, 1)])
         _assert_identical(
@@ -120,41 +118,11 @@ class TestVectorizedEquivalence:
             engine.align_pairs(pairs),
         )
         for alignment in engine.align_pairs(pairs):
-            assert alignment.metadata["vectorized"] is True
             assert alignment.metadata["words_per_lane"] == 3
-
-    def test_word_bits_config_falls_back_with_one_warning(self, rng):
-        # The only remaining scalar fallback is word_bits != 64; it must be
-        # observable (metadata + a RuntimeWarning deduped per process per
-        # reason), and still produce the scalar path's exact results.
-        from repro.batch import engine as engine_module
-
-        engine_module._FALLBACK_WARNED.clear()  # re-arm: other tests may have fired it
-        config = GenASMConfig(word_bits=32)
-        engine = BatchAlignmentEngine(config)
-        assert not engine.vectorizable
-        pairs = _random_pairs(rng, [(90, 6), (40, 2)])
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            batch = engine.align_pairs(pairs)
-        _assert_identical(
-            [GenASMAligner(config).align(p, t) for p, t in pairs], batch
-        )
-        for alignment in batch:
-            assert alignment.metadata["vectorized"] is False
-            assert alignment.metadata["words_per_lane"] == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # Second batch through the same engine: no further warning.
-            engine.align_pairs(pairs)
-            # A *fresh* engine with the same fallback reason must not
-            # re-warn either: services build engines per worker/request,
-            # and one config problem should warn once per process.
-            BatchAlignmentEngine(GenASMConfig(word_bits=32)).align_pairs(pairs)
 
     def test_vectorized_metadata_recorded_on_vectorized_path(self, rng):
         pairs = _random_pairs(rng, [(70, 5)])
         for alignment in BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs):
-            assert alignment.metadata["vectorized"] is True
             assert alignment.metadata["words_per_lane"] == 1
 
     def test_max_lanes_chunking_preserves_results(self, rng):
@@ -237,6 +205,23 @@ class TestDCWave:
         )
         for got, want in zip(tables, scalar_tables):
             assert_same_dc_table(got, want)
+
+    @pytest.mark.parametrize("traceback_band", [False, True])
+    def test_entry_store_follows_entry_bytes(self, traceback_band):
+        # SoAWave keeps a vectorized copy of the scalar entry-size rule;
+        # these widths cross every storage unit (8..64 bits) and the
+        # one-, two- and three-word lanes.
+        lanes = [
+            (m, k)
+            for m in (1, 7, 8, 9, 16, 17, 33, 64, 65, 128, 129, 150)
+            for k in (0, 1, 3, 7, 15, 31, 40)
+        ]
+        wave = SoAWave(
+            [LaneJob(pattern="A" * m, text="ACGT", max_errors=k) for m, k in lanes],
+            traceback_band=traceback_band,
+        )
+        want = [entry_bytes(m, min(k, m), traceback_band) for m, k in lanes]
+        assert wave.entry_store.tolist() == want
 
     def test_lane_job_validation(self):
         with pytest.raises(ValueError):

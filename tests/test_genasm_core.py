@@ -61,8 +61,8 @@ class TestImprovementHelpers:
         assert reachable_column_start(n=10, committed_columns=40, k=10) == 0
 
     def test_entry_bytes_band_vs_full(self):
-        assert entry_bytes(64, 10, 64, traceback_band=False) == 8
-        assert entry_bytes(64, 10, 64, traceback_band=True) == 4  # 22 bits -> uint32
+        assert entry_bytes(64, 10, traceback_band=False) == 8
+        assert entry_bytes(64, 10, traceback_band=True) == 4  # 22 bits -> uint32
 
 
 class TestDistanceOnly:

@@ -86,13 +86,27 @@ class TestExperimentGridSpec:
             ExperimentGrid.from_dict(tiny_spec(gates=[{"metric": "pairs_per_second"}]))
 
     def test_cells_cartesian_product_in_axis_order(self):
+        # Wave sizes cross only the backends that read them.
         grid = ExperimentGrid.from_dict(
             tiny_spec(backends=["serial", "vectorized"], wave_sizes=[32, 64], gates=[])
         )
-        cells = grid.cells()
-        assert len(cells) == 4
-        assert cells[0] == GridCell("tiny", "serial", 64, 32)
-        assert cells[-1] == GridCell("tiny", "vectorized", 64, 64)
+        assert grid.cells() == [
+            GridCell("tiny", "serial", 64, None),
+            GridCell("tiny", "vectorized", 64, 32),
+            GridCell("tiny", "vectorized", 64, 64),
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "shared"])
+    def test_wave_blind_backend_gets_one_cell_per_window(self, backend):
+        grid = ExperimentGrid.from_dict(
+            tiny_spec(
+                backends=[backend], window_sizes=[32, 64], wave_sizes=[32, 64], gates=[]
+            )
+        )
+        assert grid.cells() == [
+            GridCell("tiny", backend, 32, None),
+            GridCell("tiny", backend, 64, None),
+        ]
 
     def test_config_for_clamps_overlap(self):
         grid = ExperimentGrid.from_dict(tiny_spec())
@@ -345,7 +359,7 @@ class TestSharedCellPool:
             tiny_spec(backends=["shared"], wave_sizes=[32, 64], gates=[])
         )
         rows = GridRunner(grid, bench_path).run(append=False)
-        assert [row["backend"] for row in rows] == ["shared", "shared"]
+        assert [row["backend"] for row in rows] == ["shared"]
         assert all(row["identical"] for row in rows)
         self.assert_closed_without_leaks(pools)
 

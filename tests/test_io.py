@@ -19,6 +19,7 @@ from repro.io import (
     GroupingSink,
     MAX_MAPQ,
     PafSink,
+    SamEmitter,
     SamSink,
     as_pair,
     build_records,
@@ -253,6 +254,18 @@ class TestGoldenSam:
         )
         body = [l for l in handle.getvalue().splitlines() if not l.startswith("@")]
         assert body[0].split("\t")[3] == "1"
+
+    def test_unmapped_record_has_the_mandatory_fields(self, genome):
+        handle = io.StringIO()
+        emitter = SamEmitter(handle, genome)
+        emitter.emit_unmapped("read9", "ACGTN", "II#II")
+        emitter.emit_unmapped("read10", "")
+        body = [l for l in handle.getvalue().splitlines() if not l.startswith("@")]
+        # QNAME FLAG RNAME POS MAPQ CIGAR RNEXT PNEXT TLEN SEQ QUAL
+        assert [line.split("\t") for line in body] == [
+            ["read9", "4", "*", "0", "0", "*", "*", "0", "0", "ACGTN", "II#II"],
+            ["read10", "4", "*", "0", "0", "*", "*", "0", "0", "*", "*"],
+        ]
 
 
 class TestGoldenPaf:

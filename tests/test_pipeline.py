@@ -633,8 +633,8 @@ class TestPipelineStats:
                 "tb_match_run_ops": 5,
             }
         )
-        # Scalar-fallback alignments carry no tb_* keys; folding them must
-        # be a no-op rather than a KeyError.
+        # Metadata without tb_* keys (the scalar aligner's) must fold in
+        # as zeros rather than raise KeyError.
         stats.record_traceback({"windows": 1})
         assert stats.tb_walk_steps == 7
         assert stats.tb_walk_steps_saved == 3

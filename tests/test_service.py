@@ -1,13 +1,12 @@
-"""Tests for the alignment-as-a-service front-end and the PR-7 bugfixes.
+"""Tests for the alignment-as-a-service front-end and its stats.
 
-Covers the three streaming-stats/warning bugfixes (seeded flush causes in
-sync with the docs, bounded wave-lane window with exact aggregates,
-module-level fallback-warning dedupe), the accumulator's push-free timeout
-poll, and the service itself: byte-identical results versus offline runs,
-round-robin fairness and per-tenant in-flight caps, deterministic
-linger-timeout flushes under an injected clock, per-tenant latency
-percentiles, the cached reference registry, and a failing wave that must
-fail only the requests riding in it.
+Covers two streaming-stats bugfixes (seeded flush causes in sync with the
+docs, bounded wave-lane window with exact aggregates), the accumulator's
+push-free timeout poll, and the service itself: byte-identical results
+versus offline runs, round-robin fairness and per-tenant in-flight caps,
+deterministic linger-timeout flushes under an injected clock, per-tenant
+latency percentiles, and a failing wave that must fail only the requests
+riding in it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import re
 import sys
 import threading
 import time
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -30,9 +28,7 @@ from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
 from repro.service import (
     AlignmentService,
     LatencyStats,
-    ReferenceRegistry,
     ServiceStats,
-    genome_key,
     percentile,
 )
 from tests.conftest import segment_exists
@@ -130,25 +126,6 @@ class TestStatsBugfixes:
         stats = PipelineStats(wave_size=4)
         stats.record_wave(6, "final")  # tail-merged wave, wider than wave_size
         assert stats.wave_fill_efficiency == 1.0
-
-
-class TestFallbackWarningDedupe:
-    def test_fresh_engines_share_one_warning_per_reason(self):
-        from repro.batch import engine as engine_module
-
-        engine_module._FALLBACK_WARNED.clear()
-        pairs = [("ACGTACGT", "ACGAACGT")]
-        with pytest.warns(RuntimeWarning, match="word_bits=32"):
-            BatchAlignmentEngine(GenASMConfig(word_bits=32)).align_pairs(pairs)
-        # The service pattern: a new engine per request, same config — the
-        # per-instance flag re-warned here before the module-level dedupe.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            BatchAlignmentEngine(GenASMConfig(word_bits=32)).align_pairs(pairs)
-        # A *different* fallback reason still warns.
-        with pytest.warns(RuntimeWarning, match="word_bits=16"):
-            BatchAlignmentEngine(GenASMConfig(word_bits=16)).align_pairs(pairs)
-        engine_module._FALLBACK_WARNED.clear()
 
 
 class TestAccumulatorPoll:
@@ -463,96 +440,6 @@ class TestCloseInFlight:
         assert not [name for name in executor.segment_names() if segment_exists(name)]
         stats = service.stats
         assert (stats.requests_submitted, stats.requests_completed) == (12, 12)
-
-
-# --------------------------------------------------------------------------- #
-# Reference registry
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def workload():
-    from repro.harness.dataset import build_paper_dataset
-
-    return build_paper_dataset(read_count=6, read_length=400, seed=3, max_pairs=None)
-
-
-class TestReferenceRegistry:
-    def test_genome_key_is_content_identity(self, workload):
-        class Clone:
-            chromosomes = dict(workload.genome.chromosomes)
-
-        assert genome_key(workload.genome) == genome_key(Clone())
-
-        class Other:
-            chromosomes = {"chrX": "ACGT"}
-
-        assert genome_key(workload.genome) != genome_key(Other())
-
-    def test_mapper_cached_by_genome_identity(self, workload):
-        with ReferenceRegistry() as registry:
-            first = registry.mapper(workload.genome, all_chains=True)
-
-            class Clone:
-                chromosomes = dict(workload.genome.chromosomes)
-
-            assert registry.mapper(Clone(), all_chains=True) is first
-            # Different mapper parameters are a different cache entry.
-            assert registry.mapper(workload.genome, all_chains=False) is not first
-            assert registry.stats["mapper_builds"] == 2
-            assert registry.stats["mapper_hits"] == 1
-
-    def test_hosted_layouts_cached_and_unlinked_on_close(self, workload):
-        from multiprocessing import shared_memory
-
-        registry = ReferenceRegistry()
-        genome_layout, index_layout = registry.hosted_layouts(
-            workload.genome, all_chains=True
-        )
-        again = registry.hosted_layouts(workload.genome, all_chains=True)
-        assert again == (genome_layout, index_layout)
-        assert registry.stats["host_builds"] == 1
-        assert registry.stats["host_hits"] == 1
-        names = registry.hosted_segment_names()
-        assert len(names) == 2
-        registry.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        with pytest.raises(RuntimeError, match="closed"):
-            registry.mapper(workload.genome)
-
-    def test_shared_layouts_requires_mapper(self, workload):
-        from repro.parallel.shm import SharedMemoryExecutor
-
-        with ReferenceRegistry() as registry:
-            layouts = registry.hosted_layouts(workload.genome, all_chains=True)
-            with pytest.raises(ValueError, match="mapper"):
-                SharedMemoryExecutor(1, shared_layouts=layouts)
-
-    def test_executor_borrows_registry_segments(self, workload):
-        from multiprocessing import shared_memory
-
-        with ReferenceRegistry() as registry:
-            executor = registry.executor(
-                workload.genome, workers=1, config=CONFIG, all_chains=True
-            )
-            assert (
-                registry.executor(
-                    workload.genome, workers=1, config=CONFIG, all_chains=True
-                )
-                is executor
-            )
-            pairs = _simulate_short_read_pairs(4, 120, 0.05, 11)
-            assert_same_alignments(
-                offline_alignments(pairs), executor.run_alignments(pairs)
-            )
-            names = registry.hosted_segment_names()
-            executor.close()
-            # The registry's segments survive the borrowing executor.
-            for name in names:
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()
-            # The executor never hosted its own genome/index copies.
-            assert not any(name in executor.segment_names() for name in names)
 
 
 # --------------------------------------------------------------------------- #
