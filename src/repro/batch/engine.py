@@ -41,10 +41,13 @@ Structure
 * :func:`run_dc_wave` — compatibility wrapper materialising one scalar
   :class:`~repro.core.genasm_dc.DCTable` per lane from the wave state.
 * :class:`BatchAlignmentEngine` — the windowed aligner: all pairs advance
-  their current window together (one wave per windowing step), lanes whose
-  error budget fails are retried in doubling sub-waves, and finished pairs
-  drop out of subsequent waves.  Mixed-length batches are scheduled into
-  waves by expected lockstep work — window count × words per lane (see
+  their current window together, and finished pairs drop out of
+  subsequent steps.  A windowing step climbs the budget ladder with one
+  wave and one DC scan per attempt, over the lanes whose budget has not
+  yet succeeded (doubling it each time), then traces every lane at once:
+  one decision build over only the rows each lane can reach and one
+  lockstep walk.  Mixed-length batches are scheduled into waves by
+  expected lockstep work — window count × words per lane (see
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
   lockstep with similarly-sized neighbours.
 
@@ -459,9 +462,10 @@ class BatchAlignmentEngine:
 
     All pairs advance through their windows together: each iteration of the
     outer loop assembles one :class:`SoAWave` from every unfinished pair's
-    current window, runs the lockstep DC kernel (with per-lane
-    budget-doubling retry sub-waves), traces the solved lanes back with
-    the lockstep decision-word walk, and advances the per-pair cursors exactly as
+    current window and runs the lockstep DC kernel, again over the lanes
+    whose budget failed with the budget doubled until every lane has
+    solved; it then traces every lane back in one lockstep decision-word
+    walk and advances the per-pair cursors exactly as
     :func:`repro.core.windowing.align_windowed` would.
 
     Parameters
@@ -676,31 +680,43 @@ class BatchAlignmentEngine:
     def _run_wave(
         self, members: Sequence[Tuple[_PairState, str, str, int, int]]
     ) -> None:
-        """Run one windowing step for every member, with retry sub-waves.
+        """Run one windowing step for every member: budget ladder, then one walk.
 
-        Both phases of the window are lockstep over the whole wave: the DC
-        kernel (:func:`run_dc_wave_state`) and the decision-word traceback
-        (:func:`repro.batch.traceback.lockstep_traceback`).  Lanes whose
-        error budget failed skip the traceback and retry with a doubled
-        budget in the next sub-wave.
+        Each attempt is one :class:`SoAWave` and one DC scan
+        (:func:`run_dc_wave_state`) over the members not yet solved, every
+        failed lane retrying with a doubled budget in the next attempt
+        (the ladder of :func:`repro.core.windowing.align_window`); each
+        attempt charges its own DP accounting.  Nothing is traced until
+        every member has solved.  Then one decision build lays out, per
+        member, rows ``0..min_errors`` of the attempt that solved it
+        (:func:`repro.batch.traceback.build_wave_decisions`), and one
+        lockstep walk traces every member
+        (:func:`repro.batch.traceback.lockstep_traceback`).
         """
         config = self.config
-        # (state, rev_pattern, rev_text, commit, window_text_len, budget)
-        pending = [
-            (s, wp[::-1], wt[::-1], commit, len(wt), max(1, min(w, config.k)))
-            for s, wp, wt, commit, w in members
-        ]
+        reversed_windows = [(wp[::-1], wt[::-1]) for _s, wp, wt, _c, _w in members]
+        budgets = [max(1, min(w, config.k)) for *_, w in members]
+        pending = list(range(len(members)))
+        # Per attempt: its DC state and the rows each lane's block needs.
+        blocks = []
+        # Per solved lane, in decision-lane order: (member index, rows
+        # computed, stored bytes, bytes per stored entry) of its attempt.
+        traced = []
         while pending:
             jobs = []
-            for s, rev_p, rev_t, commit, _wt_len, budget in pending:
+            for index in pending:
+                s, _wp, _wt, commit, _w = members[index]
+                rev_p, rev_t = reversed_windows[index]
                 store_from = 0
                 if config.traceback_band:
-                    store_from = reachable_column_start(len(rev_t), commit, budget)
+                    store_from = reachable_column_start(
+                        len(rev_t), commit, budgets[index]
+                    )
                 jobs.append(
                     LaneJob(
                         pattern=rev_p,
                         text=rev_t,
-                        max_errors=budget,
+                        max_errors=budgets[index],
                         store_from=store_from,
                         counter=s.counter,
                     )
@@ -713,58 +729,47 @@ class BatchAlignmentEngine:
             )
 
             solved = state.min_errors >= 0
+            blocks.append((state, np.where(solved, state.min_errors + 1, 0)))
+            stored = state.stored_bytes()
             retries = []
-            for lane, (s, rev_p, rev_t, commit, wt_len, budget) in enumerate(pending):
-                if not solved[lane]:
-                    m = len(rev_p)
-                    if budget >= m:
-                        raise AssertionError(
-                            "GenASM window failed with a full error budget (internal error)"
+            for lane, index in enumerate(pending):
+                if solved[lane]:
+                    traced.append(
+                        (
+                            index,
+                            int(state.rows_computed[lane]),
+                            int(stored[lane]),
+                            int(wave.entry_store[lane]),
                         )
-                    retries.append((s, rev_p, rev_t, commit, wt_len, min(m, budget * 2)))
-
-            if solved.any():
-                self._traceback_solved_lanes(state, wave, pending, solved)
+                    )
+                    continue
+                m = len(reversed_windows[index][0])
+                if budgets[index] >= m:
+                    raise AssertionError(
+                        "GenASM window failed with a full error budget (internal error)"
+                    )
+                budgets[index] = min(m, budgets[index] * 2)
+                retries.append(index)
             pending = retries
 
-    def _traceback_solved_lanes(
-        self,
-        state: WaveDCState,
-        wave: SoAWave,
-        pending: Sequence[Tuple["_PairState", str, str, int, int, int]],
-        solved: np.ndarray,
-    ) -> None:
-        """Trace all solved lanes with the lockstep decision-word walk."""
-        config = self.config
-        # The walk only descends from solved lanes' min_errors, so rows
-        # above that (computed for still-retrying lanes) need no decision
-        # words.
-        rows_needed = int(state.min_errors[solved].max()) + 1
-        decisions = build_wave_decisions(
-            wave,
-            state.stored_rows[:rows_needed],
-            entry_compression=config.entry_compression,
-        )
+        decisions = build_wave_decisions(blocks)
+        commits = [members[index][3] for index, *_ in traced]
         tracebacks = lockstep_traceback(
-            wave,
             decisions,
-            start_errors=state.min_errors,
-            budgets=np.array([p[3] for p in pending], dtype=np.int64),
+            budgets=np.array(commits, dtype=np.int64),
             priority=config.match_priority,
-            active=solved,
         )
-        stored = state.stored_bytes()
-        for lane, (s, _rev_p, _rev_t, _commit, wt_len, _budget) in enumerate(pending):
-            tb = tracebacks[lane]
-            if tb is None:
-                continue
+        for (index, rows, stored_bytes, entry_bytes), tb in zip(traced, tracebacks):
+            s, _wp, window_text, _commit, _w = members[index]
+            s.counter.tb_steps += int(tb.codes.size)
+            s.counter.record_read(tb.dp_reads, entry_bytes)
             self._apply_window(
                 s,
                 codes=tb.codes,
                 pattern_consumed=tb.pattern_consumed,
-                text_consumed=wt_len - tb.text_stop,
-                rows=int(state.rows_computed[lane]),
-                stored=int(stored[lane]),
+                text_consumed=len(window_text) - tb.text_stop,
+                rows=rows,
+                stored=stored_bytes,
                 walk_steps=tb.walk_steps,
                 match_runs=tb.match_runs,
                 match_run_ops=tb.match_run_ops,
@@ -785,7 +790,7 @@ class BatchAlignmentEngine:
     ) -> None:
         # Single home of window accounting: the E-series counter and the
         # per-pair metadata tally advance together, once per committed
-        # window (never per retry sub-wave).  Untraced insert-only windows
+        # window (never per budget attempt).  Untraced insert-only windows
         # count one walk step per op and save nothing.
         if walk_steps is None:
             walk_steps = int(codes.size)

@@ -1,4 +1,4 @@
-"""Lockstep GenASM-TB: vectorized traceback over a whole wave of lanes.
+"""Lockstep GenASM-TB: vectorized traceback over a whole windowing step.
 
 The scalar traceback (:func:`repro.core.genasm_tb.genasm_traceback`) walks
 one window at a time, evaluating the four decision predicates
@@ -8,62 +8,73 @@ profiling puts 2-3× more time in per-lane traceback than in the lockstep
 DC kernel.  This module removes that scalar hot path in two moves:
 
 1. **Decision words** (:func:`build_wave_decisions`): for every lane, error
-   level ``d`` and text column ``j``, the four predicates are evaluated for
-   *all* pattern bits ``i`` at once and packed into ``W`` ``uint64`` words
-   per (operation, d, j) — bit ``i % 64`` of word ``i // 64`` of
-   ``cm[d, ·, lane, j]`` is set iff a match step is legal at ``(j, d, i)``.
-   The words are derived from the full-width rows the DC wave stored,
-   masked through :meth:`repro.batch.soa.SoAWave.zero_view_mask` so they
-   encode exactly the decisions the scalar predicates would take over the
-   scalar path's band-packed, reachability-pruned storage.  Each plane's
+   level ``d`` and text column ``j`` the walk can reach, the four
+   predicates are evaluated for *all* pattern bits ``i`` at once and packed
+   into ``W`` ``uint64`` words per (operation, d, j).  A walk that starts
+   at ``min_errors = e`` only reads rows ``0..e``, so each lane gets one
+   block of ``e + 1`` consecutive *row slots* and nothing else: bit
+   ``i % 64`` of word ``i // 64`` of ``planes[0, ·, base[lane] + d, j]`` is
+   set iff a match step is legal at ``(j, d, i)``.  A windowing step's
+   lanes may have been solved by different DC waves (the budget ladder's
+   attempts); each block is derived from the full-width rows its own wave
+   stored, masked through that wave's
+   :meth:`repro.batch.soa.SoAWave.zero_view_mask`, so it encodes exactly
+   the decisions the scalar predicates would take over the scalar path's
+   band-packed, reachability-pruned storage for that budget.  Each plane's
    ``<< 1`` is a multi-word shift: bit 63 of word ``w`` carries into bit 0
    of word ``w + 1``, which is precisely the cross-word predicate stitched
    at pattern bits ``i`` with ``i % 64 == 0``.
 2. **Lockstep walk** (:func:`lockstep_traceback`): all live lanes advance
    their traceback cursor ``(j, d, i)`` together, one NumPy step per
-   *emitted run* — each step gathers the word ``i // 64`` of each lane's
-   planes — and a lane that exhausts its pattern budget drops out of the
-   active mask, mirroring the warp model of
-   :func:`repro.batch.soa.lockstep_stats`.
+   *emitted run* — each step gathers the word ``i // 64`` of slot
+   ``base + d`` of each lane's planes — and a lane that exhausts its
+   pattern budget drops out of the active mask, mirroring the warp model
+   of :func:`repro.batch.soa.lockstep_stats`.
 3. **Match-run skip-ahead**: when a lane's chosen op is ``M`` and ``M``
    leads the priority order, the walk consumes the *entire* run of
    consecutive matches in that one step.  A match step moves ``(j-1,
    i-1)`` at fixed ``d``, so the run lies on a diagonal of the ``(j, i)``
-   grid; :func:`_diagonal_pack` shears the match plane so each diagonal
-   becomes one column of packed words (``c = j - i + 64·W - 1``), and the
-   run length is a multi-word countdown of consecutive set bits walking
-   down from bit ``i`` — crossing the ``i % 64 == 0`` word boundary into
-   bit 63 of the word below.  Cursor, emitted opcode run, ``tb_steps``,
-   ``dp_reads`` and ``bytes_read`` all advance by the whole run at once,
-   cutting walk steps ~4× at the 10-15 % error rates the paper evaluates.
-   Runs are only taken when ``M`` is the *first* priority letter (the
-   GenASM default): a legal match then is always the chosen op, so the
-   diagonal bit run is exactly the scalar loop's op sequence; any other
-   priority degrades to one column per step, byte-identically.
+   grid; :func:`_diagonal_pack` shears the match plane — its reachable
+   slots only — so each diagonal becomes one column of packed words
+   (``c = j - i + 64·W - 1``), and the run length is a multi-word
+   countdown of consecutive set bits walking down from bit ``i`` —
+   crossing the ``i % 64 == 0`` word boundary into bit 63 of the word
+   below.  Cursor, emitted opcode run, ``tb_steps`` and ``dp_reads`` all
+   advance by the whole run at once, cutting walk steps ~4× at the
+   10-15 % error rates the paper evaluates.  Runs are only taken when
+   ``M`` is the *first* priority letter (the GenASM default): a legal
+   match then is always the chosen op, so the diagonal bit run is exactly
+   the scalar loop's op sequence; any other priority degrades to one
+   column per step, byte-identically.
 
 Equivalence contract
 --------------------
 The walk is byte-identical to the scalar traceback, including the E-series
-accounting: ``tb_steps`` is charged per emitted operation, and ``dp_reads``
-/ ``bytes_read`` replicate the short-circuit evaluation order of the scalar
-priority loop (a condition evaluated but false still paid its read; a
-``bit < 0`` probe or a ``d < 1`` guard never reached the stored table).
-The differential test harness (``tests/test_batch_traceback.py``) asserts
-this per-field across every improvement-toggle combination and across
-window widths spanning 1-3 words per lane; the cross-word carry itself is
-property-tested against the scalar predicates in ``tests/test_properties.py``.
+accounting: ``tb_steps`` is one per emitted operation, and ``dp_reads``
+replicates the short-circuit evaluation order of the scalar priority loop
+(a condition evaluated but false still paid its read; a ``bit < 0`` probe
+or a ``d < 1`` guard never reached the stored table).  The batch engine
+charges both, with ``bytes_read`` at the solving wave's entry size, to
+each pair's counter.  The differential test harness
+(``tests/test_batch_traceback.py``) asserts this per-field across every
+improvement-toggle combination and across window widths spanning 1-3
+words per lane; the cross-word carry itself is property-tested against the
+scalar predicates in ``tests/test_properties.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.soa import MAX_LANE_BITS, SoAWave
+from repro.batch.soa import MAX_LANE_BITS
 from repro.core.cigar import CigarOp
 from repro.core.genasm_tb import TracebackError
+
+if TYPE_CHECKING:
+    from repro.batch.engine import WaveDCState
 
 __all__ = [
     "OPS_BY_CODE",
@@ -126,7 +137,7 @@ OPS_BY_CODE = np.array(
 
 
 def _diagonal_pack(plane: np.ndarray) -> np.ndarray:
-    """Shear a ``(rows, W, L, cols)`` plane into diagonal-packed words.
+    """Shear a ``(W, slots, cols)`` plane into diagonal-packed words.
 
     In the output, bit ``b`` of word ``w`` at column ``c`` equals bit ``b``
     of word ``w`` at text column ``j = c - (64·W - 1) + 64·w + b`` of the
@@ -141,13 +152,12 @@ def _diagonal_pack(plane: np.ndarray) -> np.ndarray:
     component move ``s`` columns), so the transform costs O(log₂ 64) full
     array passes rather than one pass per bit.
     """
-    rows, W, L, cols = plane.shape
+    W, slots, cols = plane.shape
     total_bits = W * MAX_LANE_BITS
-    diag_cols = cols + total_bits - 1
-    out = np.zeros((rows, W, L, diag_cols), dtype=np.uint64)
+    out = np.zeros((W, slots, cols + total_bits - 1), dtype=np.uint64)
     for w in range(W):
         off = total_bits - 1 - MAX_LANE_BITS * w
-        out[:, w, :, off : off + cols] = plane[:, w]
+        out[w, :, off : off + cols] = plane[w]
     for s, mask, inv_mask in _SHEAR_STAGES:
         moved = out & mask
         out &= inv_mask
@@ -157,72 +167,69 @@ def _diagonal_pack(plane: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WaveDecisions:
-    """Packed decision words for every lane of one wave.
+    """Packed decision words for the rows each traced lane can reach.
 
-    ``cm``/``cs``/``ci``/``cd`` are ``uint64`` arrays of shape
-    ``(rows, W, lanes, n_max + 1)`` (``W`` = words per lane); bit ``i % 64``
-    of word ``i // 64`` of ``cX[d, ·, lane, j]`` says the corresponding
-    operation (match / substitution / insertion / deletion) is a legal
-    traceback step at ``(j, d, i)`` for that lane.  ``char_eq``
-    (``(W, lanes, n_max + 1)``) has pattern bit ``i`` set iff
-    ``pattern[i]`` equals ``text[j - 1]``; the walk uses it to replicate
-    the scalar read accounting (the match predicate only touches the stored
-    table when the characters actually match).  Column 0 of every plane is
-    unused — the walk handles ``j == 0`` as the unconditional-insertion
-    branch, exactly like the scalar loop.
+    A walk that starts at error level ``e`` only ever reads rows ``0..e``,
+    so each lane holds one block of ``rows[lane]`` consecutive *row slots*
+    starting at slot ``base[lane]``: slot ``base[lane] + d`` carries row
+    ``d`` of the DC wave that filled the block.  ``planes`` stacks one
+    plane per operation in the fixed M, S, I, D order of
+    :data:`OPS_BY_CODE`, shape ``(4, W, slots, n_max + 1)`` (``W`` = words
+    per lane, ``slots = rows.sum()``); bit ``i % 64`` of word ``i // 64`` of
+    ``planes[op, ·, base[lane] + d, j]`` says that operation (match /
+    substitution / insertion / deletion) is a legal traceback step at
+    ``(j, d, i)`` for that lane.  ``char_eq`` (``(W, lanes, n_max + 1)``)
+    has pattern bit ``i`` set iff ``pattern[i]`` equals ``text[j - 1]``;
+    the walk uses it to replicate the scalar read accounting (the match
+    predicate only touches the stored table when the characters actually
+    match).  Column 0 of every plane is unused — the walk handles
+    ``j == 0`` as the unconditional-insertion branch, exactly like the
+    scalar loop.
     """
 
-    #: one (rows, W, lanes, n_max + 1) uint64 plane per operation, stacked
-    #: in the fixed M, S, I, D order of :data:`OPS_BY_CODE` — ``cm`` etc.
-    #: are views into this single allocation
     planes: np.ndarray
     char_eq: np.ndarray
+    #: first slot and row count of each lane's block, ``(lanes,)`` int64
+    base: np.ndarray
+    rows: np.ndarray
+    #: pattern and text length of each lane's window, ``(lanes,)`` int64
+    m: np.ndarray
+    n: np.ndarray
     compressed: bool
-    #: lazily built diagonal-packed match plane (see :func:`_diagonal_pack`);
-    #: built on the first skip-ahead walk or :meth:`match_run_length` probe
-    #: and reused by later probes of the same decisions (every retry
-    #: sub-wave builds its own decisions, so walks never share it)
+    #: lazily built diagonal-packed match plane in the same slot layout
+    #: (see :func:`_diagonal_pack`); built on the first skip-ahead walk or
+    #: :meth:`match_run_length` probe and reused by later probes
     _match_diag: Optional[np.ndarray] = None
 
     @property
-    def rows(self) -> int:
-        return self.planes.shape[1]
+    def lanes(self) -> int:
+        return self.base.size
 
     @property
     def words(self) -> int:
-        return self.planes.shape[2]
-
-    @property
-    def cm(self) -> np.ndarray:
-        return self.planes[0]
-
-    @property
-    def cs(self) -> np.ndarray:
-        return self.planes[1]
-
-    @property
-    def ci(self) -> np.ndarray:
-        return self.planes[2]
-
-    @property
-    def cd(self) -> np.ndarray:
-        return self.planes[3]
+        return self.planes.shape[1]
 
     def plane(self, letter: str) -> np.ndarray:
         """The decision plane for one priority letter (M/S/I/D)."""
         return self.planes["MSID".index(letter)]
 
+    def slot(self, lane: int, d: int) -> int:
+        """Slot of row ``d`` of ``lane``; a row the lane does not hold raises."""
+        if not 0 <= d < self.rows[lane]:
+            raise IndexError(
+                f"lane {lane} holds rows 0..{int(self.rows[lane]) - 1}, not row {d}"
+            )
+        return int(self.base[lane]) + d
+
     def bit(self, letter: str, lane: int, d: int, j: int, i: int) -> bool:
         """Scalar probe of one decision bit (used by the differential tests)."""
-        word = int(
-            self.plane(letter)[d, i // MAX_LANE_BITS, lane, j]
-        )
+        word = int(self.plane(letter)[i // MAX_LANE_BITS, self.slot(lane, d), j])
         return bool((word >> (i % MAX_LANE_BITS)) & 1)
 
     def match_diag(self) -> np.ndarray:
         """The diagonal-packed match plane, built lazily and cached."""
         if self._match_diag is None:
-            self._match_diag = _diagonal_pack(self.cm)
+            self._match_diag = _diagonal_pack(self.planes[0])
         return self._match_diag
 
     def match_run_length(self, lane: int, d: int, j: int, i: int) -> int:
@@ -235,13 +242,13 @@ class WaveDecisions:
         vectorized countdown inside :func:`lockstep_traceback`; the
         property tests compare the two.
         """
+        slot = self.slot(lane, d)
         diag = self.match_diag()
-        total_bits = self.words * MAX_LANE_BITS
-        c = j - i + total_bits - 1
+        c = j - i + self.words * MAX_LANE_BITS - 1
         run = 0
         w, b = i // MAX_LANE_BITS, i % MAX_LANE_BITS
         while w >= 0:
-            word = int(diag[d, w, lane, c])
+            word = int(diag[w, slot, c])
             unset = (~word) & ((1 << (b + 1)) - 1)
             if unset:
                 return run + (b - unset.bit_length() + 1)
@@ -266,68 +273,107 @@ def _shl1_or1(zero: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(
+    rows: Sequence[np.ndarray], row: np.ndarray, lane: np.ndarray
+) -> np.ndarray:
+    """Slot ``s`` holds ``rows[row[s]][:, lane[s]]``: ``(W, slots, cols)``
+    out of per-row ``(W, lanes, cols)`` arrays."""
+    return np.stack(rows)[row, :, lane].transpose(1, 0, 2)
+
+
 def build_wave_decisions(
-    wave: SoAWave,
-    stored_rows: Sequence[object],
-    *,
-    entry_compression: bool,
+    blocks: Sequence[Tuple[WaveDCState, np.ndarray]],
 ) -> WaveDecisions:
-    """Precompute the lockstep decision words for one DC wave.
+    """Lay out the decision words of the rows a lockstep walk can reach.
 
-    ``stored_rows`` is the per-row storage exactly as the DC wave kept it:
-    with entry compression one full-width ``(W, lanes, n_max + 1)`` array
-    of ``R`` values per row, otherwise a 4-tuple of ``(W, lanes, n_max)``
-    arrays holding the match/subst/ins/del intermediates for columns
-    ``1..n``.  Callers whose walk only starts from error levels below
-    ``len(stored_rows)`` may pass a row-sliced prefix.  Band packing and
-    reachability pruning are imposed here via
-    :meth:`~repro.batch.soa.SoAWave.zero_view_mask`, so the returned planes
-    reproduce, for every ``(d, j, i)``, the verdicts of
+    ``blocks`` pairs each DC wave's state with a per-lane row count: lane
+    ``l`` of that wave gets a block of its stored rows ``0 .. rows[l] - 1``
+    (``min_errors + 1`` rows for a lane walked from ``min_errors``), and a
+    lane with no rows — one whose budget failed — gets none.  The decision
+    lanes are the lanes with rows, in block order and then lane order.
+    Each block is masked through its own wave's
+    :meth:`~repro.batch.soa.SoAWave.zero_view_mask`, so the band packing
+    and reachability pruning are that wave's budget's, and the block
+    reproduces, for every ``(d, j, i)``, the verdicts of
     :func:`repro.core.genasm_tb.traceback_conditions` over the scalar
-    path's stored state.
+    path's stored state.  Every state must share one storage mode.
     """
-    L = wave.lanes
-    W = wave.words
-    cols = wave.n_max + 1
-    rows = len(stored_rows)
-    planes = np.zeros((4, rows, W, L, cols), dtype=np.uint64)
-    cm, cs, ci, cd = planes
+    modes = {state.entry_compression for state, _rows in blocks}
+    if len(modes) != 1:
+        raise ValueError("decision blocks need exactly one storage mode")
+    (compressed,) = modes
+    parts = []
+    for state, rows in blocks:
+        rows = np.asarray(rows, dtype=np.int64)
+        traced = np.nonzero(rows > 0)[0]
+        if traced.size:
+            parts.append((state, traced, rows[traced]))
+    lane_rows = np.concatenate([rows for _state, _traced, rows in parts])
+    base = np.cumsum(lane_rows) - lane_rows
+    L, slots = lane_rows.size, int(lane_rows.sum())
+    W = max(state.wave.words for state, _traced, _rows in parts)
+    cols = max(state.wave.n_max for state, _traced, _rows in parts) + 1
+    # Slot s holds row slot_row[s] of decision lane slot_lane[s].
+    slot_lane = np.repeat(np.arange(L), lane_rows)
+    slot_row = np.arange(slots) - base[slot_lane]
 
+    planes = np.zeros((4, W, slots, cols), dtype=np.uint64)
     char_eq = np.zeros((W, L, cols), dtype=np.uint64)
-    char_eq[:, :, 1:] = (~wave.masks) & wave.ones[:, :, None]
+    # With entry compression, the zero-bit view of each slot's stored R.
+    zero = np.zeros((W, slots, cols), dtype=np.uint64) if compressed else None
+    lane_end = slot_end = 0
+    for state, traced, rows in parts:
+        wave = state.wave
+        words, wave_cols = wave.words, wave.n_max + 1
+        # One wave's blocks are consecutive lanes and consecutive slots.
+        lanes = slice(lane_end, lane_end + traced.size)
+        block = slice(slot_end, slot_end + int(rows.sum()))
+        lane_end, slot_end = lanes.stop, block.stop
+        char_eq[:words, lanes, 1:wave_cols] = (~wave.masks[:, traced]) & wave.ones[
+            :, traced, None
+        ]
+        row, source = slot_row[block], np.repeat(traced, rows)
+        # Bits the scalar accessors could ever report as active: inside the
+        # lane's pattern, a persisted column, and (with banding) the band
+        # this wave's budget stores.
+        active = wave.zero_view_mask()[:, source]
+        stored = state.stored_rows[: int(rows.max())]
+        if compressed:
+            zero[:words, block, :wave_cols] = ~_gather(stored, row, source) & active
+            continue
+        # Quad storage keeps the four already-shifted intermediates of row d
+        # at column j, so each plane is a direct zero-bit view of one
+        # stored vector.
+        for plane, component in zip(planes, zip(*stored)):
+            plane[:words, block, 1:wave_cols] = (
+                ~_gather(component, row, source) & active[..., 1:]
+            )
 
-    # Bits the scalar accessors could ever report as active: inside the
-    # lane's pattern, a persisted column, and (with banding) the stored
-    # band window.
-    active = wave.zero_view_mask()
-
-    if entry_compression:
+    if compressed:
         # One stored R word per entry; the four conditions re-derive their
         # verdicts from neighbouring R entries, shifted so bit i of the
-        # plane asks about bit i-1 of R (with bit -1 always active).
-        zero = [(~stored_rows[d]) & active for d in range(rows)]
-        for d in range(rows):
-            z_d = zero[d]
-            cm[d, :, :, 1:] = char_eq[:, :, 1:] & _shl1_or1(z_d[:, :, :-1])
-            if d >= 1:
-                z_prev = zero[d - 1]
-                cs[d, :, :, 1:] = _shl1_or1(z_prev[:, :, :-1])
-                ci[d, :, :, 1:] = _shl1_or1(z_prev[:, :, 1:])
-                cd[d, :, :, 1:] = z_prev[:, :, :-1]
-    else:
-        # Quad storage keeps the four already-shifted intermediates of row
-        # d at column j, so each plane is a direct zero-bit view of one
-        # stored vector.  Row 0 has no subst/ins/del steps (d < 1).
-        active_q = active[:, :, 1:]
-        for d in range(rows):
-            match_row, subst_row, ins_row, del_row = stored_rows[d]
-            cm[d, :, :, 1:] = (~match_row) & active_q
-            if d >= 1:
-                cs[d, :, :, 1:] = (~subst_row) & active_q
-                ci[d, :, :, 1:] = (~ins_row) & active_q
-                cd[d, :, :, 1:] = (~del_row) & active_q
+        # plane asks about bit i-1 of R (with bit -1 always active).  Past
+        # a block's first slot, slot s - 1 holds row d - 1 of the same lane.
+        cm, cs, ci, cd = planes
+        shifted = _shl1_or1(zero)
+        np.bitwise_and(
+            char_eq[:, slot_lane, 1:], shifted[:, :, :-1], out=cm[:, :, 1:]
+        )
+        cs[:, 1:, 1:] = shifted[:, :-1, :-1]
+        ci[:, 1:, 1:] = shifted[:, :-1, 1:]
+        cd[:, 1:, 1:] = zero[:, :-1, :-1]
+    # A block's row 0 has no subst/ins/del steps (d < 1).
+    planes[1:, :, base] = 0
 
-    return WaveDecisions(planes=planes, char_eq=char_eq, compressed=entry_compression)
+    return WaveDecisions(
+        planes=planes,
+        char_eq=char_eq,
+        base=base,
+        rows=lane_rows,
+        m=np.concatenate([state.wave.m[traced] for state, traced, _rows in parts]),
+        n=np.concatenate([state.wave.n[traced] for state, traced, _rows in parts]),
+        compressed=compressed,
+    )
 
 
 @dataclass
@@ -337,12 +383,15 @@ class LaneTraceback:
     ``codes`` holds one entry of :data:`OPS_BY_CODE` indices per emitted
     operation, in traceback order; :meth:`ops` materialises
     :class:`~repro.core.cigar.CigarOp` objects when a caller needs them
-    (the batch engine instead run-length encodes the raw codes).
+    (the batch engine instead run-length encodes the raw codes).  The
+    scalar traceback would charge ``codes.size`` ``tb_steps`` and
+    ``dp_reads`` stored-entry reads for the same window.
     """
 
     codes: np.ndarray
     text_stop: int
     pattern_consumed: int
+    dp_reads: int
     #: lockstep iterations this lane stayed live for — equals the emitted
     #: op count without skip-ahead, fewer with it (``tb_steps`` minus
     #: ``walk_steps`` is the walk-steps-saved stat)
@@ -419,52 +468,43 @@ _DELTA_I = np.array([1, 1, 1, 0], dtype=np.int64)
 
 
 def lockstep_traceback(
-    wave: SoAWave,
     decisions: WaveDecisions,
     *,
-    start_errors: np.ndarray,
     budgets: np.ndarray,
     priority: str = "MSDI",
-    active: Optional[np.ndarray] = None,
-) -> List[Optional[LaneTraceback]]:
-    """Walk every live lane's traceback in lockstep NumPy steps.
+) -> List[LaneTraceback]:
+    """Walk every lane of ``decisions`` back in lockstep NumPy steps.
+
+    Each lane starts at its last text column and pattern bit, on the top
+    row of its block (``rows - 1``, the ``min_errors`` of the DC wave that
+    solved it), and every read goes to its own block's slots.
 
     Parameters
     ----------
-    start_errors:
-        Per-lane error level to start from (``min_errors`` of the DC wave);
-        lanes excluded via ``active`` may hold any value.
     budgets:
         Per-lane ``max_pattern_columns`` (the committed window columns);
         clamped to the lane's pattern length, as the scalar traceback does.
     priority:
-        Tie-break order over {M, S, D, I}, shared by the whole wave.
-    active:
-        Boolean lane mask; lanes outside it (e.g. retry candidates whose
-        budget failed) are skipped and reported as ``None``.
+        Tie-break order over {M, S, D, I}, shared by the whole walk.
 
     When ``M`` leads ``priority`` the walk consumes whole match runs per
     step (module docstring item 3); otherwise a legal match need not be
     the chosen op and the walk takes one column per step.
 
-    Each lane's :class:`~repro.core.metrics.AccessCounter` receives exactly
-    the ``tb_steps`` / ``dp_reads`` / ``bytes_read`` the scalar traceback
-    would have charged for the same window — skipped match steps included
-    (each emitted run op is one ``tb_steps`` tick, and each skipped step
-    re-charges the match probe's read under the same gate the scalar loop
-    applies).
+    Each result carries exactly the ``tb_steps`` (one per emitted op) and
+    ``dp_reads`` the scalar traceback would have charged for the same
+    window — skipped match steps included (each skipped step re-charges
+    the match probe's read under the same gate the scalar loop applies).
     """
-    L = wave.lanes
-    m, n = wave.m, wave.n
-    walk = np.ones(L, dtype=bool) if active is None else active.astype(bool).copy()
-
-    j = np.where(walk, n, 0).astype(np.int64)
-    i = np.where(walk, m - 1, -1).astype(np.int64)
-    d = np.where(walk, start_errors, 0).astype(np.int64)
+    L = decisions.lanes
+    m, n = decisions.m, decisions.n
+    j = n.copy()
+    i = m - 1
+    d = decisions.rows - 1
     budget = np.minimum(m, np.asarray(budgets, dtype=np.int64))
     consumed = np.zeros(L, dtype=np.int64)
 
-    live = walk & (i >= 0) & (consumed < budget)
+    live = (i >= 0) & (consumed < budget)
     # Any valid traceback is shorter than this (the scalar loop's guard).
     max_steps = int((2 * (m + n) + 4).max()) if L else 0
     # One opcode row per iteration (plain row writes beat per-lane
@@ -472,11 +512,9 @@ def lockstep_traceback(
     # desynchronize (one lane's iteration may emit a 12-op match run while
     # another emits a single deletion), so a lane's traceback is its
     # opcode column expanded by its count column (zero counts — dead or
-    # not-yet-started lanes — contribute nothing).  nsteps stays the
-    # per-lane tb_steps tally: the scalar loop emits one op per count.
+    # not-yet-started lanes — contribute nothing).
     opcodes = np.zeros((max_steps + 1, L), dtype=np.int8)
     opcounts = np.zeros((max_steps + 1, L), dtype=np.int64)
-    nsteps = np.zeros(L, dtype=np.int64)
     niters = np.zeros(L, dtype=np.int64)
     reads = np.zeros(L, dtype=np.int64)
     runs_taken = np.zeros(L, dtype=np.int64)
@@ -486,19 +524,19 @@ def lockstep_traceback(
     # Flat-index views of the planes (no copies).  Plane p (fixed M,S,I,D
     # storage order) contributes key weight 8 >> its-position-in-priority,
     # so `key` packs the condition bits in priority order for the LUTs.
-    # A lane's cursor bit i selects word i // 64 of its plane entries (the
-    # multi-word lane layout); for single-word waves the word index is
-    # constant zero.
-    cols = decisions.char_eq.shape[-1]
+    # A lane's cursor bit i selects word i // 64 of its entries (the
+    # multi-word lane layout), and its error level d the slot base + d of
+    # its block; for single-word walks the word index is constant zero.
+    slots, cols = decisions.planes.shape[2:]
     planes_flat = decisions.planes.reshape(4, -1)
     char_flat = decisions.char_eq.reshape(-1)
     weights = np.array(
         [8 >> priority.index(letter) for letter in "MSID"], dtype=np.uint64
     )[:, None]
-    lanes = np.arange(L)
-    lane_cols = lanes * cols
-    word_stride = L * cols
-    plane_stride = decisions.words * word_stride
+    base = decisions.base
+    lane_cols = np.arange(L) * cols
+    word_stride = slots * cols
+    char_word_stride = L * cols
 
     # Skip-ahead is sound only when M leads the priority: then a legal
     # match is always the chosen op, so the diagonal bit run is exactly
@@ -509,9 +547,7 @@ def lockstep_traceback(
         diag_cols = diag.shape[-1]
         diag_flat = diag.reshape(-1)
         diag_hi = decisions.words * MAX_LANE_BITS - 1
-        lane_dcols = lanes * diag_cols
-        dword_stride = L * diag_cols
-        dplane_stride = decisions.words * dword_stride
+        dword_stride = slots * diag_cols
     step = 0
 
     while live.any():
@@ -521,16 +557,14 @@ def lockstep_traceback(
         # Clamped plane coordinates: j == 0 lanes (whose verdict is
         # overridden below) and finished lanes read a harmless word.
         jq = np.maximum(j, 1)
-        dq = np.maximum(d, 0)
+        slot = base + np.maximum(d, 0)
         bit = np.maximum(i, 0)
         wq = bit >> 6
         shift = (bit & 63).astype(np.uint64)
 
-        word_at = wq * word_stride + lane_cols + jq
-        flat = dq * plane_stride + word_at
-        words = planes_flat[:, flat]  # (4, L) condition words
+        words = planes_flat[:, wq * word_stride + slot * cols + jq]  # (4, L)
         bits = (words >> shift) & _U1
-        char_bit = (char_flat[word_at] >> shift) & _U1
+        char_bit = (char_flat[wq * char_word_stride + lane_cols + jq] >> shift) & _U1
         key = (bits * weights).sum(axis=0)
 
         at0 = j == 0
@@ -568,12 +602,7 @@ def lockstep_traceback(
                 rw = wq.copy()
                 rb = bit & 63
                 while True:
-                    dflat = (
-                        dq * dplane_stride
-                        + np.maximum(rw, 0) * dword_stride
-                        + lane_dcols
-                        + cq
-                    )
+                    dflat = np.maximum(rw, 0) * dword_stride + slot * diag_cols + cq
                     unset = (~diag_flat[dflat]) & _LOW_ONES[rb + 1]
                     full = unset == _U0
                     add = np.where(full, rb + 1, rb - _bit_length(unset) + 1)
@@ -601,7 +630,6 @@ def lockstep_traceback(
         counts = run * live
         opcodes[step] = code
         opcounts[step] = counts
-        nsteps += counts
         niters += live
         step += 1
 
@@ -613,20 +641,15 @@ def lockstep_traceback(
         live &= i >= 0
         live &= consumed < budget
 
-    results: List[Optional[LaneTraceback]] = [None] * L
-    for lane in np.nonzero(walk)[0]:
-        lane = int(lane)
-        counter = wave.jobs[lane].counter
-        counter.tb_steps += int(nsteps[lane])
-        lane_reads = int(reads[lane])
-        counter.dp_reads += lane_reads
-        counter.bytes_read += lane_reads * int(wave.entry_store[lane])
-        results[lane] = LaneTraceback(
+    return [
+        LaneTraceback(
             codes=np.repeat(opcodes[:step, lane], opcounts[:step, lane]),
             text_stop=int(j[lane]),
             pattern_consumed=int(consumed[lane]),
+            dp_reads=int(reads[lane]),
             walk_steps=int(niters[lane]),
             match_runs=int(runs_taken[lane]),
             match_run_ops=int(run_ops[lane]),
         )
-    return results
+        for lane in range(L)
+    ]

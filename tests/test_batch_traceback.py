@@ -20,6 +20,7 @@ import pathlib
 
 import pytest
 
+import repro.batch.engine as engine_module
 from repro.batch import (
     BatchAlignmentEngine,
     LaneJob,
@@ -157,8 +158,8 @@ class TestDifferentialEquivalence:
         assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     def test_one_lane_waves(self, rng):
-        # Each pair in its own chunk: every wave, retry sub-waves included,
-        # traces exactly one lane.
+        # Each pair in its own chunk: every windowing step, whatever attempt
+        # solves it, traces exactly one lane.
         config = GenASMConfig()
         pairs = random_pairs(rng) + adversarial_pairs()
         aligner = GenASMAligner(config)
@@ -323,11 +324,45 @@ class TestDecisionWords:
         assert wave.words == 3
         self._assert_planes_match(wave, entry_compression, traceback_band)
 
+    def test_probes_address_each_lanes_own_block(self, rng):
+        # Three lanes with 4, 2 and 3 rows: each probe reads its lane's
+        # block, and a row the lane does not hold raises instead of reading
+        # into the neighbouring block.
+        jobs = [
+            LaneJob(pattern="A" * 6, text="C" * 4, max_errors=3),
+            LaneJob(pattern="ACGTAC", text="ACGAAC", max_errors=3),
+            LaneJob(
+                pattern=random_dna(rng, 70), text=random_dna(rng, 20), max_errors=2
+            ),
+        ]
+        wave = SoAWave(jobs, traceback_band=True)
+        state = run_dc_wave_state(wave)
+        assert list(state.rows_computed) == [4, 2, 3]
+        decisions = build_wave_decisions([(state, state.rows_computed)])
+        assert list(decisions.base) == [0, 4, 6]
+        assert decisions.planes.shape[2] == 9
+        for lane, rows in enumerate((4, 2, 3)):
+            for d in (-1, rows):
+                with pytest.raises(IndexError):
+                    decisions.bit("M", lane, d, 1, 0)
+                with pytest.raises(IndexError):
+                    decisions.match_run_length(lane, d, 1, 0)
+        # A lane with no rows gets no block and no decision lane.
+        subset = build_wave_decisions([(state, [0, 2, 0])])
+        assert subset.lanes == 1 and subset.planes.shape[2] == 2
+        assert list(subset.m) == [6] and list(subset.n) == [6]
+        for letter in "MSID":
+            for d in range(2):
+                for j in range(1, 7):
+                    for i in range(6):
+                        assert subset.bit(letter, 0, d, j, i) == decisions.bit(
+                            letter, 1, d, j, i
+                        )
+
     def _assert_planes_match(self, wave, entry_compression, traceback_band):
         state = run_dc_wave_state(wave, entry_compression=entry_compression)
-        decisions = build_wave_decisions(
-            wave, state.stored_rows, entry_compression=entry_compression
-        )
+        decisions = build_wave_decisions([(state, state.rows_computed)])
+        assert decisions.planes.shape[2] == state.rows_computed.sum()
         tables = state.tables()
 
         for lane, (job, table) in enumerate(zip(wave.jobs, tables)):
@@ -514,14 +549,14 @@ class TestWaveScheduling:
 
 
 class TestWindowAccounting:
-    """Window accounting lives in one spot and survives retry sub-waves."""
+    """Window accounting lives in one spot and survives budget retries."""
 
     @pytest.mark.parametrize("max_lanes", WAVE_WIDTHS, ids=WAVE_WIDTH_IDS)
     def test_retry_subwave_metrics_match_scalar(self, rng, max_lanes):
         # k = 1 forces budget-doubling retries on any window with >= 2
         # edits; the engine must still count each window once and charge
         # exactly the scalar path's retry DP traffic — in shared waves and
-        # in one-lane waves, whose retry sub-waves trace a single lane.
+        # in one-lane waves, whose every attempt scans a single lane.
         config = GenASMConfig(max_errors=1)
         pairs = []
         for length in (60, 96, 130):
@@ -539,7 +574,7 @@ class TestWindowAccounting:
         engine = BatchAlignmentEngine(config, max_lanes=max_lanes)
         batch = engine.align_pairs(pairs, counter=batch_counter)
 
-        assert_pairwise_identical(scalar, batch, "retry sub-waves")
+        assert_pairwise_identical(scalar, batch, "budget retries")
         assert batch_counter.as_dict() == scalar_counter.as_dict()
         # The workload actually exercised retries (more rows than a single
         # k=1 attempt could compute over the counted windows).
@@ -560,6 +595,88 @@ class TestWindowAccounting:
         scalar = GenASMAligner(GenASMConfig()).align(*pair, counter=scalar_counter)
         assert alignment.metadata["windows"] == scalar.metadata["windows"]
         assert counter.windows == scalar_counter.windows
+
+
+def substituted(rng, sequence, edits):
+    """``sequence`` with ``edits`` substitutions at evenly spaced positions."""
+    out = list(sequence)
+    for k in range(edits):
+        pos = (k + 1) * len(out) // (edits + 1)
+        out[pos] = rng.choice([c for c in "ACGT" if c != out[pos]])
+    return "".join(out)
+
+
+class TestOneWalkPerWindowingStep:
+    """A windowing step is traced once, whatever attempt solved each lane."""
+
+    @pytest.mark.parametrize("priority", ["MSDI", "DIMS"])
+    @pytest.mark.parametrize("entry_compression", [False, True])
+    @pytest.mark.parametrize("traceback_band", [False, True])
+    def test_lanes_solving_at_four_attempts(
+        self, rng, monkeypatch, entry_compression, traceback_band, priority
+    ):
+        # Every pattern fits the 150-column window, so the batch is one
+        # windowing step.  With k = 1 the budgets climb 1 -> 2 -> 4 -> 8, and
+        # 0, 2, 4 and 7 substitutions put lanes on each of the four rungs;
+        # 40 bp lanes take one word and 150 bp lanes three.
+        config = GenASMConfig.short_read(
+            150,
+            max_errors=1,
+            entry_compression=entry_compression,
+            traceback_band=traceback_band,
+            match_priority=priority,
+        )
+        pairs = []
+        for length in (40, 150):
+            for edits in (0, 2, 4, 7):
+                pattern = random_dna(rng, length)
+                text = substituted(rng, pattern, edits) + random_dna(rng, 4)
+                pairs.append((pattern, text))
+
+        builds, walks = [], []
+        build = engine_module.build_wave_decisions
+        walk = engine_module.lockstep_traceback
+
+        def build_spy(*args, **kwargs):
+            decisions = build(*args, **kwargs)
+            builds.append((args[0], decisions))
+            return decisions
+
+        def walk_spy(*args, **kwargs):
+            tracebacks = walk(*args, **kwargs)
+            walks.append(tracebacks)
+            return tracebacks
+
+        monkeypatch.setattr(engine_module, "build_wave_decisions", build_spy)
+        monkeypatch.setattr(engine_module, "lockstep_traceback", walk_spy)
+
+        scalar_counter = AccessCounter()
+        aligner = GenASMAligner(config)
+        scalar = []
+        for pattern, text in pairs:
+            pair_counter = AccessCounter()
+            scalar.append(aligner.align(pattern, text, counter=pair_counter))
+            scalar_counter.merge(pair_counter)
+        batch_counter = AccessCounter()
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
+        context = f"ec={entry_compression} tb={traceback_band} priority={priority}"
+        assert_pairwise_identical(scalar, batch, context)
+        assert batch_counter.as_dict() == scalar_counter.as_dict(), context
+
+        # One decision build and one walk for the one windowing step.
+        assert len(builds) == len(walks) == 1
+        (blocks, decisions), (tracebacks,) = builds[0], walks
+        states = [state for state, _rows in blocks]
+        assert [state.wave.lanes for state in states] == [8, 6, 4, 2]
+        assert states[0].wave.words == 3 and min(states[0].wave.m) == 40
+        solved = [state.min_errors[state.min_errors >= 0] for state in states]
+        # Every attempt solves some lanes, and each member is walked once.
+        assert all(errors.size for errors in solved)
+        assert len(tracebacks) == sum(errors.size for errors in solved) == len(pairs)
+        # Only rows 0..min_errors of the solving attempt get slots: a
+        # failed attempt's rows get none.
+        slots = sum(int((errors + 1).sum()) for errors in solved)
+        assert decisions.planes.shape[2] == slots
 
 
 # --------------------------------------------------------------------------- #

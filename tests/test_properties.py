@@ -111,6 +111,11 @@ def test_cigar_consumes_whole_pattern(pattern, text):
 # the scalar predicates, in particular at pattern bits i with i % 64 == 0
 # (the stitch where bit 63 of word w carries into bit 0 of word w + 1).
 # --------------------------------------------------------------------------- #
+def _failing_lane(k: int) -> LaneJob:
+    """A lane whose budget of ``k + 1`` fails, so it keeps ``k + 2`` rows."""
+    return LaneJob(pattern="A" * (k + 3), text="C" * 4, max_errors=k + 1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dna_straddling,
@@ -124,16 +129,18 @@ def test_multi_word_decision_planes_equal_scalar_predicates(
 ):
     # Text derived from the pattern so the DP has real match structure;
     # the pair straddles word boundaries by construction (m in 60..140).
+    # It is lane 1, behind a lane whose budget fails with k + 2 rows, so
+    # its block of row slots starts at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
     wave = SoAWave(
-        [LaneJob(pattern=pattern, text=text, max_errors=k)],
+        [_failing_lane(k), LaneJob(pattern=pattern, text=text, max_errors=k)],
         traceback_band=traceback_band,
     )
     state = run_dc_wave_state(wave, entry_compression=entry_compression)
-    decisions = build_wave_decisions(
-        wave, state.stored_rows, entry_compression=entry_compression
-    )
-    table = state.table(0)
+    decisions = build_wave_decisions([(state, state.rows_computed)])
+    assert list(decisions.rows) == list(state.rows_computed)
+    assert decisions.rows[0] == k + 2 > decisions.rows[1]
+    table = state.table(1)
     conditions = traceback_conditions(table)
     m, n = len(pattern), len(text)
     # Every word-boundary bit plus the edges and a mid-word control.
@@ -144,7 +151,7 @@ def test_multi_word_decision_planes_equal_scalar_predicates(
         for j in range(1, n + 1):
             for i in sorted(probe_bits):
                 for letter in "MSID":
-                    assert decisions.bit(letter, 0, d, j, i) == conditions[letter](
+                    assert decisions.bit(letter, 1, d, j, i) == conditions[letter](
                         j, d, i
                     ), (
                         f"letter={letter} d={d} j={j} i={i} "
@@ -216,16 +223,18 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
     # would consume: run(j, d, i) == number of t >= 0 with M legal at
     # (j - t, d, i - t).  Patterns straddle 64-bit words by construction,
     # so runs crossing the i % 64 == 0 stitch are exercised.
+    # The pair is lane 1, behind a failing lane of k + 2 rows, so the runs
+    # are read from a block at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
     wave = SoAWave(
-        [LaneJob(pattern=pattern, text=text, max_errors=k)], traceback_band=False
+        [_failing_lane(k), LaneJob(pattern=pattern, text=text, max_errors=k)],
+        traceback_band=False,
     )
     state = run_dc_wave_state(wave, entry_compression=entry_compression)
-    decisions = build_wave_decisions(
-        wave, state.stored_rows, entry_compression=entry_compression
-    )
+    decisions = build_wave_decisions([(state, state.rows_computed)])
+    assert decisions.base[1] == k + 2
     m, n = len(pattern), len(text)
-    rows = state.table(0).rows_computed
+    rows = int(state.rows_computed[1])
     probe_bits = sorted(
         {0, 1, m - 1} | {b for b in (62, 63, 64, 65, 127, 128, 129) if b < m}
     )
@@ -236,10 +245,10 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
                 while (
                     i - brute >= 0
                     and j - brute >= 1
-                    and decisions.bit("M", 0, d, j - brute, i - brute)
+                    and decisions.bit("M", 1, d, j - brute, i - brute)
                 ):
                     brute += 1
-                assert decisions.match_run_length(0, d, j, i) == brute, (
+                assert decisions.match_run_length(1, d, j, i) == brute, (
                     f"d={d} j={j} i={i} ec={entry_compression}"
                 )
 
