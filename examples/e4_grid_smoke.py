@@ -167,7 +167,7 @@ def main() -> None:
     # offline writer produces the same bytes and both pass spec checks.
     workload = runner._workload("long_read")
     qualities = {read.name: read.quality for read in workload.reads}
-    mapper = Mapper(workload.genome, all_chains=True)
+    mapper = Mapper(workload.genome)
 
     sam_stream, paf_stream = io.StringIO(), io.StringIO()
     pipeline = StreamingPipeline(mapper, wave_size=256)

@@ -44,7 +44,7 @@ def main() -> None:
           f"mean error rate {mean_error:.1%}")
 
     print("3. mapping with the all-chains minimizer mapper (minimap2 -P role) ...")
-    mapper = Mapper(genome, all_chains=True)
+    mapper = Mapper(genome)
     candidates_by_read = {read.name: mapper.map_read(read) for read in reads}
     total_candidates = sum(len(c) for c in candidates_by_read.values())
     print(f"   {total_candidates} candidate locations "

@@ -27,7 +27,20 @@ DNA_ALPHABET = "ACGT"
 
 COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A", "N": "N"}
 
+
+class _ComplementTable(dict):
+    """``str.translate`` table: ``COMPLEMENT`` by code point, else ``N``."""
+
+    def __missing__(self, code_point: int) -> str:
+        return "N"
+
+
+_COMPLEMENT_TABLE = _ComplementTable({ord(base): comp for base, comp in COMPLEMENT.items()})
+
 _BASE_TO_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
+#: 2-bit code of every Latin-1 byte (anything but ``C``/``G``/``T`` is 0).
+_BYTE_TO_CODE = np.zeros(256, dtype=np.uint8)
+_BYTE_TO_CODE[[ord(base) for base in _BASE_TO_CODE]] = list(_BASE_TO_CODE.values())
 _CODE_TO_BASE = np.array(list("ACGT"))
 
 
@@ -41,8 +54,8 @@ def random_dna(length: int, rng: Optional[np.random.Generator] = None) -> str:
 
 
 def reverse_complement(sequence: str) -> str:
-    """Reverse complement (``N`` maps to ``N``)."""
-    return "".join(COMPLEMENT.get(c, "N") for c in reversed(sequence))
+    """Reverse complement (``N`` and every character outside ``ACGTN`` map to ``N``)."""
+    return sequence.translate(_COMPLEMENT_TABLE)[::-1]
 
 
 def encode_sequence(sequence: str) -> np.ndarray:
@@ -52,12 +65,7 @@ def encode_sequence(sequence: str) -> np.ndarray:
     treating ambiguous bases as ``A`` is acceptable; exact-alignment code
     paths always work on the original strings.
     """
-    arr = np.frombuffer(sequence.encode("latin-1"), dtype=np.uint8)
-    codes = np.zeros(arr.shape, dtype=np.uint8)
-    codes[arr == ord("C")] = 1
-    codes[arr == ord("G")] = 2
-    codes[arr == ord("T")] = 3
-    return codes
+    return _BYTE_TO_CODE[np.frombuffer(sequence.encode("latin-1"), dtype=np.uint8)]
 
 
 def decode_sequence(codes: np.ndarray) -> str:

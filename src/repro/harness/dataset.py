@@ -100,7 +100,7 @@ def build_paper_dataset(
         seed=seed + 1,
     )
     reads = simulator.simulate(genome, read_count)
-    mapper = Mapper(genome, all_chains=True)
+    mapper = Mapper(genome)
 
     candidates: List[CandidateMapping] = []
     pairs: List[Tuple[str, str]] = []

@@ -6,134 +6,147 @@ that are colinear (increasing in both coordinates, same strand, bounded
 diagonal drift) and scores them; each good chain corresponds to one
 candidate mapping location.  The dynamic program follows minimap2's
 formulation with a simplified gap cost and a bounded predecessor window.
+
+Anchors arrive as two position arrays for one (read, chromosome, strand)
+group.  One NumPy pass scores every anchor's whole predecessor window;
+only the max over each window, which depends on the finished scores of
+the anchors before it, is taken one anchor at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-__all__ = ["Anchor", "Chain", "chain_anchors"]
+__all__ = ["Chain", "chain_anchors"]
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """A shared minimizer occurrence between the read and the reference."""
-
-    query_pos: int
-    ref_pos: int
-    strand: int  # +1 if read and reference minimizers are on the same strand
-    length: int = 15
-
-
-@dataclass
 class Chain:
-    """One colinear chain of anchors (a candidate mapping)."""
+    """One colinear chain of anchors (a candidate mapping).
 
-    anchors: List[Anchor] = field(default_factory=list)
-    score: float = 0.0
-    strand: int = 1
+    ``members`` index the anchor arrays given to :func:`chain_anchors`, in
+    chain order; both coordinates strictly increase along them, so the
+    first member starts the chain's span and the last one ends it.
+    """
 
-    def _require_anchors(self) -> List[Anchor]:
-        # A bare ``min() arg is an empty sequence`` from the properties
-        # below told callers nothing about *what* was empty.
-        if not self.anchors:
+    score: float
+    members: List[int]
+    query_start: int
+    query_end: int
+    ref_start: int
+    ref_end: int
+
+    def __post_init__(self) -> None:
+        # Without members the span fields above describe nothing; refuse
+        # to build such a chain rather than report made-up coordinates.
+        if not self.members:
             raise ValueError(
                 "empty chain has no coordinates (no anchors); "
                 "chain_anchors never emits such chains"
             )
-        return self.anchors
-
-    @property
-    def query_start(self) -> int:
-        return min(a.query_pos for a in self._require_anchors())
-
-    @property
-    def query_end(self) -> int:
-        return max(a.query_pos + a.length for a in self._require_anchors())
-
-    @property
-    def ref_start(self) -> int:
-        return min(a.ref_pos for a in self._require_anchors())
-
-    @property
-    def ref_end(self) -> int:
-        return max(a.ref_pos + a.length for a in self._require_anchors())
 
     def __len__(self) -> int:
-        return len(self.anchors)
+        return len(self.members)
 
 
 def chain_anchors(
-    anchors: Sequence[Anchor],
+    query_pos: np.ndarray,
+    ref_pos: np.ndarray,
     *,
+    length: int = 15,
     max_gap: int = 2_000,
     max_diagonal_drift: int = 500,
     max_predecessors: int = 50,
     min_chain_score: float = 40.0,
     min_chain_anchors: int = 3,
 ) -> List[Chain]:
-    """Chain anchors of one (read, chromosome, strand) group.
+    """Chain the anchors of one (read, chromosome, strand) group.
 
-    Returns chains sorted by decreasing score.  Anchors may appear in at
-    most one returned chain (best-first assignment), mirroring how minimap2
-    extracts primary and secondary chains.
+    ``query_pos``/``ref_pos`` give each anchor's start on the read and the
+    reference; every anchor spans ``length`` bases.  Returns chains sorted
+    by decreasing score.  Anchors may appear in at most one returned chain
+    (best-first assignment), mirroring how minimap2 extracts primary and
+    secondary chains.
     """
-    if not anchors:
+    n = len(query_pos)
+    if n == 0:
         return []
-    order = sorted(range(len(anchors)), key=lambda i: (anchors[i].ref_pos, anchors[i].query_pos))
-    sorted_anchors = [anchors[i] for i in order]
-    n = len(sorted_anchors)
+    # Sort by (reference, query) position; ties keep their input order.
+    order = np.lexsort((query_pos, ref_pos))
+    q = np.asarray(query_pos, dtype=np.int64)[order]
+    r = np.asarray(ref_pos, dtype=np.int64)[order]
 
-    score = np.zeros(n, dtype=np.float64)
+    # Gains of every anchor's predecessor window in one pass: column c of
+    # row i is predecessor j = i - width + c, so columns ascend in j.
+    width = max(0, min(max_predecessors, n - 1))
+    padded_score = np.full(width + n, float(length))
     parent = np.full(n, -1, dtype=np.int64)
-    for i, anchor in enumerate(sorted_anchors):
-        score[i] = anchor.length
-        start = max(0, i - max_predecessors)
-        for j in range(start, i):
-            prev = sorted_anchors[j]
-            dq = anchor.query_pos - prev.query_pos
-            dr = anchor.ref_pos - prev.ref_pos
-            if dq <= 0 or dr <= 0:
-                continue
-            if dq > max_gap or dr > max_gap:
-                continue
-            drift = abs(dq - dr)
-            if drift > max_diagonal_drift:
-                continue
-            gain = min(dq, dr, anchor.length) - 0.01 * drift - 0.05 * np.log1p(max(dq, dr))
-            candidate = score[j] + gain
-            if candidate > score[i]:
-                score[i] = candidate
-                parent[i] = j
+    if width > 0:
+        pred = np.arange(n)[:, None] + np.arange(-width, 0)
+        exists = pred >= 0
+        pred = np.maximum(pred, 0)
+        dq = q[:, None] - q[pred]
+        dr = r[:, None] - r[pred]
+        shorter = np.minimum(dq, dr)
+        longer = np.maximum(dq, dr)
+        drift = np.abs(dq - dr)
+        valid = (
+            exists
+            & (shorter > 0)
+            & (longer <= max_gap)
+            & (drift <= max_diagonal_drift)
+        )
+        gain = np.full((n, width), -np.inf)
+        gain[valid] = (
+            np.minimum(shorter[valid], length)
+            - 0.01 * drift[valid]
+            - 0.05 * np.log1p(longer[valid])
+        )
+        # The max over each window must see the finished scores of the
+        # anchors before it, so it runs one anchor at a time.  Anchor i's
+        # predecessors' scores are `padded_score[i : i + width]` (the
+        # `width` leading slots only meet -inf gains).  argmax takes the
+        # first of equal candidates, as a strict `>` scan over ascending
+        # predecessors does.
+        for i in np.flatnonzero(valid.any(axis=1)).tolist():
+            candidates = padded_score[i : i + width] + gain[i]
+            best = candidates.argmax()
+            value = candidates[best]
+            if value > length:
+                padded_score[width + i] = value
+                parent[i] = i - width + best
+    score = padded_score[width:]
 
-    used = np.zeros(n, dtype=bool)
+    scores = score.tolist()
+    parents = parent.tolist()
+    used = [False] * n
     chains: List[Chain] = []
-    for i in np.argsort(-score):
-        if used[i] or score[i] < min_chain_score:
+    for i in np.argsort(-score).tolist():
+        if scores[i] < min_chain_score:
+            break  # every later anchor scores no higher
+        if used[i]:
             continue
         members: List[int] = []
-        node = int(i)
+        node = i
         while node != -1 and not used[node]:
             members.append(node)
-            node = int(parent[node])
+            used[node] = True
+            node = parents[node]
         if len(members) < min_chain_anchors:
-            for node in members:
-                used[node] = True
             continue
         members.reverse()
-        for node in members:
-            used[node] = True
-        chain_anchors_list = [sorted_anchors[node] for node in members]
-        assert chain_anchors_list, "chain_anchors must never emit an empty chain"
+        first, last = members[0], members[-1]
         chains.append(
             Chain(
-                anchors=chain_anchors_list,
-                score=float(score[i]),
-                strand=chain_anchors_list[0].strand,
+                score=scores[i],
+                members=order[members].tolist(),
+                query_start=int(q[first]),
+                query_end=int(q[last]) + length,
+                ref_start=int(r[first]),
+                ref_end=int(r[last]) + length,
             )
         )
-    chains.sort(key=lambda c: -c.score)
-    return chains
+    return chains  # argsort order: already by decreasing score

@@ -1,27 +1,30 @@
-"""Minimizer hash index over a reference genome."""
+"""Minimizer hash index over a reference genome, as one sorted-hash table.
+
+The index is a CSR table over NumPy arrays: the sorted unique minimizer
+hashes, per-hash hit ranges (``starts``), and one row per reference hit
+(``hit_chrom``, ``hit_pos``, ``hit_strand``).  The same arrays pack into a
+shared-memory segment unchanged (:func:`repro.parallel.shm.host_index`), so
+a worker's attached index is this class over the segment's views.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.genomics.genome import SyntheticGenome
 from repro.mapping.minimizers import extract_minimizers
 
-__all__ = ["IndexHit", "MinimizerIndex"]
-
-
-@dataclass(frozen=True)
-class IndexHit:
-    """One reference occurrence of a query minimizer."""
-
-    chrom: str
-    position: int
-    strand: int
+__all__ = ["MinimizerIndex"]
 
 
 class MinimizerIndex:
-    """Hash table from minimizer hash to reference occurrences.
+    """Sorted-hash table from minimizer hash to reference occurrences.
+
+    Each hash's hits are ``hit_*[starts[s]:starts[s + 1]]`` for its slot
+    ``s`` in ``hashes``, in chromosome order and then ascending position.
+    ``hit_chrom`` indexes ``chrom_names``.
 
     Highly repetitive minimizers (those occurring more than
     ``max_occurrences`` times) are dropped at build time, mirroring
@@ -29,18 +32,29 @@ class MinimizerIndex:
     anchor lists without adding mapping information.
     """
 
-    def __init__(self, k: int = 15, w: int = 10, *, max_occurrences: int = 64) -> None:
-        if max_occurrences <= 0:
-            raise ValueError("max_occurrences must be positive")
+    def __init__(
+        self,
+        k: int,
+        w: int,
+        max_occurrences: int,
+        arrays: Dict[str, np.ndarray],
+        chrom_names: Sequence[str],
+        *,
+        indexed_minimizers: int,
+        dropped_minimizers: int,
+    ) -> None:
         self.k = k
         self.w = w
         self.max_occurrences = max_occurrences
-        self._table: Dict[int, List[IndexHit]] = {}
-        self._built = False
-        self.indexed_minimizers = 0
-        self.dropped_minimizers = 0
+        self.hashes = arrays["hashes"]
+        self.starts = arrays["starts"]
+        self.hit_chrom = arrays["hit_chrom"]
+        self.hit_pos = arrays["hit_pos"]
+        self.hit_strand = arrays["hit_strand"]
+        self.chrom_names: List[str] = list(chrom_names)
+        self.indexed_minimizers = indexed_minimizers
+        self.dropped_minimizers = dropped_minimizers
 
-    # ------------------------------------------------------------------ #
     @classmethod
     def build(
         cls,
@@ -51,49 +65,70 @@ class MinimizerIndex:
         max_occurrences: int = 64,
     ) -> "MinimizerIndex":
         """Index every chromosome of ``genome``."""
-        index = cls(k, w, max_occurrences=max_occurrences)
-        index.add_genome(genome)
-        index.finalise()
-        return index
-
-    def add_genome(self, genome: SyntheticGenome) -> None:
-        """Add all chromosomes of a genome to the (unfinalised) index."""
-        for name, sequence in genome.chromosomes.items():
-            self.add_sequence(name, sequence)
-
-    def add_sequence(self, name: str, sequence: str) -> None:
-        """Add one named sequence to the (unfinalised) index."""
-        if self._built:
-            raise RuntimeError("index already finalised")
-        table = self._table
-        for minimizer in extract_minimizers(sequence, self.k, self.w):
-            table.setdefault(minimizer.hash, []).append(
-                IndexHit(chrom=name, position=minimizer.position, strand=minimizer.strand)
-            )
-
-    def finalise(self) -> None:
-        """Apply the frequency filter and freeze the index."""
-        filtered: Dict[int, List[IndexHit]] = {}
-        kept = 0
-        dropped = 0
-        for key, hits in self._table.items():
-            if len(hits) > self.max_occurrences:
-                dropped += len(hits)
-                continue
-            filtered[key] = hits
-            kept += len(hits)
-        self._table = filtered
-        self.indexed_minimizers = kept
-        self.dropped_minimizers = dropped
-        self._built = True
+        if max_occurrences <= 0:
+            raise ValueError("max_occurrences must be positive")
+        names = list(genome.chromosomes)
+        per_chrom = [extract_minimizers(genome.chromosomes[name], k, w) for name in names]
+        hashes = np.concatenate([m.hashes for m in per_chrom] + [np.empty(0, np.uint64)])
+        positions = np.concatenate([m.positions for m in per_chrom] + [np.empty(0, np.int64)])
+        strands = np.concatenate([m.strands for m in per_chrom] + [np.empty(0, np.int8)])
+        chroms = np.repeat(
+            np.arange(len(names), dtype=np.int32), [len(m.hashes) for m in per_chrom]
+        )
+        # A stable sort by hash keeps each hash's hits in chromosome order
+        # and then ascending position, the order they were extracted in.
+        order = np.argsort(hashes, kind="stable")
+        hashes = hashes[order]
+        unique, counts = np.unique(hashes, return_counts=True)
+        kept = counts <= max_occurrences
+        rows = order[np.repeat(kept, counts)]
+        starts = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+        np.cumsum(counts[kept], out=starts[1:])
+        arrays = {
+            "hashes": unique[kept],
+            "starts": starts,
+            "hit_chrom": chroms[rows],
+            "hit_pos": positions[rows],
+            "hit_strand": strands[rows],
+        }
+        return cls(
+            k,
+            w,
+            max_occurrences,
+            arrays,
+            names,
+            indexed_minimizers=int(counts[kept].sum()),
+            dropped_minimizers=int(counts[~kept].sum()),
+        )
 
     # ------------------------------------------------------------------ #
-    def lookup(self, minimizer_hash: int) -> List[IndexHit]:
-        """All reference occurrences of a minimizer hash (possibly empty)."""
-        return self._table.get(minimizer_hash, [])
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The table's arrays by name (what a shared segment holds)."""
+        names = ("hashes", "starts", "hit_chrom", "hit_pos", "hit_strand")
+        return {name: getattr(self, name) for name in names}
+
+    def lookup(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every reference hit of every hash in ``hashes``, in one search.
+
+        Returns ``(query, rows)``: hit ``t`` is row ``rows[t]`` of the
+        ``hit_*`` arrays and belongs to ``hashes[query[t]]``.  Hits come in
+        query order and, within a hash, in the index's hit order.
+        """
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        if self.hashes.shape[0] == 0 or hashes.shape[0] == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        slots = np.minimum(np.searchsorted(self.hashes, hashes), self.hashes.shape[0] - 1)
+        lo = self.starts[slots]
+        counts = np.where(self.hashes[slots] == hashes, self.starts[slots + 1] - lo, 0)
+        query = np.repeat(np.arange(hashes.shape[0]), counts)
+        ends = np.cumsum(counts)
+        rows = np.arange(int(ends[-1])) - np.repeat(ends - counts - lo, counts)
+        return query, rows
 
     def __len__(self) -> int:
-        return len(self._table)
+        return int(self.hashes.shape[0])
 
     def __contains__(self, minimizer_hash: int) -> bool:
-        return minimizer_hash in self._table
+        slot = int(np.searchsorted(self.hashes, np.uint64(minimizer_hash)))
+        return slot < self.hashes.shape[0] and int(self.hashes[slot]) == minimizer_hash

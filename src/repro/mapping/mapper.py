@@ -9,14 +9,15 @@ downstream aligners (GenASM, Edlib, KSW2) then align against the read.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import SimulatedRead
 from repro.genomics.sequences import reverse_complement
-from repro.mapping.chaining import Anchor, Chain, chain_anchors
+from repro.mapping.chaining import Chain, chain_anchors
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import extract_minimizers
 
@@ -81,17 +82,24 @@ class Mapper:
         Reference to map against (indexed at construction time).
     k, w:
         Minimizer parameters (minimap2's long-read defaults are 15/10).
+    max_occurrences:
+        Frequency filter of the index built here (minimizers with more
+        reference hits are dropped).
+    min_chain_score, min_chain_anchors:
+        A chain is reported only when it scores at least
+        ``min_chain_score`` and holds at least ``min_chain_anchors``
+        anchors.  Every chain above them is reported (the ``-P``
+        behaviour the paper uses), not only the primary.
     region_padding:
         Extra reference bases added on each side of a chain's span when the
         candidate region is extracted, so that the aligner has slack for
         indels at the ends.
-    all_chains:
-        Report every chain above threshold (the ``-P`` behaviour the paper
-        uses) rather than only the primary chain.
     index:
-        Pre-built index to map against instead of building one here —
-        e.g. a :class:`repro.parallel.shm.SharedMinimizerIndex` attached
-        to segments hosted by another process.  Must match ``k``/``w``.
+        Pre-built :class:`~repro.mapping.index.MinimizerIndex` to map
+        against instead of building one here — e.g. a
+        :class:`repro.parallel.shm.SharedMinimizerIndex` attached to
+        segments hosted by another process.  Its ``(k, w)`` must equal
+        this mapper's, or construction raises :class:`ValueError`.
     """
 
     def __init__(
@@ -104,7 +112,6 @@ class Mapper:
         min_chain_score: float = 40.0,
         min_chain_anchors: int = 3,
         region_padding: int = 64,
-        all_chains: bool = True,
         index=None,
     ) -> None:
         self.genome = genome
@@ -114,50 +121,58 @@ class Mapper:
         self.min_chain_score = min_chain_score
         self.min_chain_anchors = min_chain_anchors
         self.region_padding = region_padding
-        self.all_chains = all_chains
         if index is None:
             index = MinimizerIndex.build(genome, k, w, max_occurrences=max_occurrences)
+        elif (index.k, index.w) != (k, w):
+            raise ValueError(
+                f"index was built with (k, w) = ({index.k}, {index.w}) but the "
+                f"mapper uses (k, w) = ({k}, {w})"
+            )
         self.index = index
 
     # ------------------------------------------------------------------ #
     def map_sequence(self, name: str, sequence: str) -> List[CandidateMapping]:
         """Map one read sequence; returns candidates sorted by chain score."""
-        read_minimizers = extract_minimizers(sequence, self.k, self.w)
-        if not read_minimizers:
+        k = self.k
+        minimizers = extract_minimizers(sequence, k, self.w)
+        index = self.index
+        query, rows = index.lookup(minimizers.hashes)
+        if rows.shape[0] == 0:
             return []
-
-        # Group anchors by (chromosome, relative strand).
-        grouped: Dict[Tuple[str, int], List[Anchor]] = defaultdict(list)
-        for minimizer in read_minimizers:
-            for hit in self.index.lookup(minimizer.hash):
-                relative_strand = 1 if minimizer.strand == hit.strand else -1
-                if relative_strand == 1:
-                    query_pos = minimizer.position
-                else:
-                    # For reverse-strand candidates, chain in the coordinates
-                    # of the reverse-complemented read so anchors stay colinear.
-                    query_pos = len(sequence) - self.k - minimizer.position
-                grouped[(hit.chrom, relative_strand)].append(
-                    Anchor(
-                        query_pos=query_pos,
-                        ref_pos=hit.position,
-                        strand=relative_strand,
-                        length=self.k,
-                    )
-                )
+        # One anchor per hit.  Reverse-strand anchors are chained in the
+        # coordinates of the reverse-complemented read so they stay colinear.
+        read_pos = minimizers.positions[query]
+        reverse = minimizers.strands[query] != index.hit_strand[rows]
+        query_pos = np.where(reverse, len(sequence) - k - read_pos, read_pos)
+        ref_pos = index.hit_pos[rows]
+        # Group by (chromosome, relative strand): a stable sort keeps each
+        # group's anchors in hit order, and groups run in order of first
+        # appearance (a group's first sorted anchor is its earliest).
+        keys = index.hit_chrom[rows].astype(np.int64) * 2 + reverse
+        by_group = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_group]
+        starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
+        bounds = starts.tolist() + [len(keys)]
+        group_keys = sorted_keys[starts].tolist()
 
         candidates: List[CandidateMapping] = []
-        for (chrom, strand), anchors in grouped.items():
+        for g in np.argsort(by_group[starts]).tolist():
+            # A group smaller than the anchor minimum cannot form a chain.
+            if bounds[g + 1] - bounds[g] < self.min_chain_anchors:
+                continue
+            members = by_group[bounds[g] : bounds[g + 1]]
             chains = chain_anchors(
-                anchors,
+                query_pos[members],
+                ref_pos[members],
+                length=k,
                 min_chain_score=self.min_chain_score,
                 min_chain_anchors=self.min_chain_anchors,
             )
             if not chains:
                 continue
-            if not self.all_chains:
-                chains = chains[:1]
-            for rank, chain in enumerate(chains):
+            chrom = index.chrom_names[group_keys[g] // 2]
+            strand = "-" if group_keys[g] % 2 else "+"
+            for chain in chains:
                 region_start, region_end = self._chain_region(chain, len(sequence), chrom)
                 candidates.append(
                     CandidateMapping(
@@ -165,7 +180,7 @@ class Mapper:
                         chrom=chrom,
                         ref_start=region_start,
                         ref_end=region_end,
-                        strand="+" if strand == 1 else "-",
+                        strand=strand,
                         chain_score=chain.score,
                         anchors=len(chain),
                         is_primary=False,

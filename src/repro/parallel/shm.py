@@ -15,8 +15,9 @@ keeps wave state resident and moves *work*:
   crosses a process boundary is the layout; the bytes stay put.
 * **Hosted resources**: :func:`host_genome` / :func:`host_index` pack a
   reference genome and a minimizer index into segments *once*;
-  :class:`SharedGenome` / :class:`SharedMinimizerIndex` are drop-in
-  read-side adapters that workers attach in their initializer, so every
+  :class:`SharedGenome` is a drop-in read-side adapter and
+  :class:`SharedMinimizerIndex` the index class itself over the
+  segment's arrays.  Workers attach both in their initializer, so every
   worker maps and fetches against the same physical pages.
 * **The executor** (:class:`SharedMemoryExecutor`): one spawn pool whose
   workers hold an attached genome + index + a warm
@@ -41,6 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.mapping.index import MinimizerIndex
 
 __all__ = [
     "SharedSegment",
@@ -329,70 +332,35 @@ def host_genome(genome) -> Tuple[SharedSegment, SegmentLayout]:
 # --------------------------------------------------------------------------- #
 # Shared minimizer index
 # --------------------------------------------------------------------------- #
-class SharedMinimizerIndex:
-    """Read-side adapter over a minimizer index hosted in shared segments.
+class SharedMinimizerIndex(MinimizerIndex):
+    """A :class:`~repro.mapping.index.MinimizerIndex` over hosted arrays.
 
-    The hash table is flattened to three parallel arrays — sorted hashes,
-    per-hash hit ranges, and the hit records (chromosome id, position,
-    strand) in the exact insertion order of the dict-based index — so
-    :meth:`lookup` is a binary search plus a slice, and the per-hash hit
-    order (hence every anchor list, chain, and candidate) is identical to
-    :class:`~repro.mapping.index.MinimizerIndex`.
+    The index's sorted-hash table is already flat arrays, so the attached
+    index is the same class over zero-copy views of the segment: every
+    lookup, anchor list, chain and candidate is identical to the hosting
+    process's.  :meth:`close` releases the views and the attachment.
     """
 
     def __init__(self, layout: SegmentLayout) -> None:
-        self._layout = layout
         self._shm, views = layout.attach()
-        self._hashes = views["hashes"]
-        self._starts = views["starts"]
-        self._hit_chrom = views["hit_chrom"]
-        self._hit_pos = views["hit_pos"]
-        self._hit_strand = views["hit_strand"]
-        self._chrom_names = list(layout.meta["chrom_names"])
-        self.k = int(layout.meta["k"])
-        self.w = int(layout.meta["w"])
-        self.max_occurrences = int(layout.meta["max_occurrences"])
-        self.indexed_minimizers = int(layout.meta["indexed_minimizers"])
-        self.dropped_minimizers = int(layout.meta["dropped_minimizers"])
+        meta = layout.meta
+        super().__init__(
+            int(meta["k"]),
+            int(meta["w"]),
+            int(meta["max_occurrences"]),
+            views,
+            meta["chrom_names"],
+            indexed_minimizers=int(meta["indexed_minimizers"]),
+            dropped_minimizers=int(meta["dropped_minimizers"]),
+        )
 
     @classmethod
     def attach(cls, layout: SegmentLayout) -> "SharedMinimizerIndex":
         return cls(layout)
 
-    def lookup(self, minimizer_hash: int) -> List:
-        """All reference occurrences of a hash, in index insertion order."""
-        from repro.mapping.index import IndexHit
-
-        hashes = self._hashes
-        position = int(np.searchsorted(hashes, np.uint64(minimizer_hash)))
-        if position >= hashes.shape[0] or int(hashes[position]) != minimizer_hash:
-            return []
-        start = int(self._starts[position])
-        end = int(self._starts[position + 1])
-        names = self._chrom_names
-        chroms = self._hit_chrom
-        positions = self._hit_pos
-        strands = self._hit_strand
-        return [
-            IndexHit(
-                chrom=names[chroms[i]],
-                position=int(positions[i]),
-                strand=int(strands[i]),
-            )
-            for i in range(start, end)
-        ]
-
-    def __len__(self) -> int:
-        return int(self._hashes.shape[0])
-
-    def __contains__(self, minimizer_hash: int) -> bool:
-        hashes = self._hashes
-        position = int(np.searchsorted(hashes, np.uint64(minimizer_hash)))
-        return position < hashes.shape[0] and int(hashes[position]) == minimizer_hash
-
     def close(self) -> None:
-        self._hashes = self._starts = None
-        self._hit_chrom = self._hit_pos = self._hit_strand = None
+        self.hashes = self.starts = None
+        self.hit_chrom = self.hit_pos = self.hit_strand = None
         if self._shm is not None:
             shm, self._shm = self._shm, None
             try:
@@ -401,40 +369,12 @@ class SharedMinimizerIndex:
                 pass
 
 
-def host_index(index) -> Tuple[SharedSegment, SegmentLayout]:
-    """Flatten a built :class:`MinimizerIndex` into one shared segment."""
-    table = index._table  # insertion order per hash is the contract
-    hashes = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-    order = np.argsort(hashes, kind="stable")
-    hashes = hashes[order]
-    keys = list(table.keys())
-    chrom_names: List[str] = []
-    chrom_ids: Dict[str, int] = {}
-    starts = np.zeros(len(table) + 1, dtype=np.int64)
-    hit_chrom: List[int] = []
-    hit_pos: List[int] = []
-    hit_strand: List[int] = []
-    for slot, key_index in enumerate(order):
-        hits = table[keys[int(key_index)]]
-        starts[slot + 1] = starts[slot] + len(hits)
-        for hit in hits:
-            chrom_id = chrom_ids.get(hit.chrom)
-            if chrom_id is None:
-                chrom_id = chrom_ids[hit.chrom] = len(chrom_names)
-                chrom_names.append(hit.chrom)
-            hit_chrom.append(chrom_id)
-            hit_pos.append(hit.position)
-            hit_strand.append(hit.strand)
+def host_index(index: MinimizerIndex) -> Tuple[SharedSegment, SegmentLayout]:
+    """Pack a built :class:`MinimizerIndex`'s arrays into one shared segment."""
     return pack_arrays(
-        {
-            "hashes": hashes,
-            "starts": starts,
-            "hit_chrom": np.array(hit_chrom, dtype=np.int32),
-            "hit_pos": np.array(hit_pos, dtype=np.int64),
-            "hit_strand": np.array(hit_strand, dtype=np.int8),
-        },
+        index.arrays(),
         meta={
-            "chrom_names": chrom_names,
+            "chrom_names": list(index.chrom_names),
             "k": index.k,
             "w": index.w,
             "max_occurrences": index.max_occurrences,
@@ -633,7 +573,6 @@ class SharedMemoryExecutor:
                 "min_chain_score": self.mapper.min_chain_score,
                 "min_chain_anchors": self.mapper.min_chain_anchors,
                 "region_padding": self.mapper.region_padding,
-                "all_chains": self.mapper.all_chains,
             }
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,

@@ -7,8 +7,9 @@ execution.  Without an executor mapping is inline at submit time
 (:class:`repro.parallel.shm.SharedMemoryExecutor` built over the same
 mapper) reads are mapped on its worker *processes* against the genome and
 minimizer index hosted in shared memory, behind a bounded in-flight
-window — seed-and-chain is pure Python and GIL-bound, so only processes
-overlap mapping with itself.  Results are always collected in read
+window — seed-and-chain makes many small NumPy calls per read and holds
+the GIL through most of them, so only processes overlap mapping with
+itself.  Results are always collected in read
 submission order, so the pipeline's output order never depends on process
 timing.
 

@@ -5,8 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import GenASMConfig
+
+# Hypothesis profiles.  Tier-1 runs the bounded one; CI runs the mapping
+# property tests again under ``--hypothesis-profile=ci``, ten times longer.
+# Tests that pin ``max_examples`` in their own ``@settings`` keep it.
+settings.register_profile("bounded", max_examples=100)
+settings.register_profile("ci", max_examples=1_000)
+settings.load_profile("bounded")
 
 ALPHABET = "ACGT"
 

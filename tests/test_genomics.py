@@ -9,6 +9,7 @@ from repro.genomics.fasta import read_fasta, read_fastq, write_fasta, write_fast
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import IlluminaSimulator, PacBioSimulator
 from repro.genomics.sequences import (
+    COMPLEMENT,
     decode_sequence,
     encode_sequence,
     gc_content,
@@ -34,6 +35,34 @@ class TestSequences:
         assert reverse_complement("ACGT") == "ACGT"
         assert reverse_complement("AACG") == "CGTT"
         assert reverse_complement("ANT") == "ANT"
+
+    def test_reverse_complement_matches_the_generator_reference(self):
+        # The per-character generator reverse_complement used to be; every
+        # character outside ACGTN, lowercase included, becomes N.
+        def reference(sequence):
+            return "".join(COMPLEMENT.get(c, "N") for c in reversed(sequence))
+
+        classes = [
+            "ACGTN",  # the table
+            "acgtnu",  # lowercase
+            "RYKMSWBDHVX-.*",  # IUPAC codes and gap symbols
+            "0123456789 \t\n\r\x00\x7f",  # digits, whitespace, controls
+            "\x80\xa0éßÿ",  # Latin-1
+            "ĀΩЖ中\u200b\ud800",  # wider BMP, a zero-width space, a lone surrogate
+            "😀\U0010ffff",  # astral
+        ]
+        rng = np.random.default_rng(11)
+        alphabet = "".join(classes)
+        samples = ["", *classes, alphabet]
+        samples += [
+            "".join(rng.choice(list(alphabet), size=int(rng.integers(1, 40))))
+            for _ in range(400)
+        ]
+        for sample in samples:
+            assert reverse_complement(sample) == reference(sample), repr(sample)
+        for code_point in range(0x300):
+            base = "AC" + chr(code_point) + "gT"
+            assert reverse_complement(base) == reference(base), code_point
 
     def test_reverse_complement_involution(self):
         seq = random_dna(200, np.random.default_rng(1))

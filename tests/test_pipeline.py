@@ -45,7 +45,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def mapper(workload):
-    return Mapper(workload.genome, all_chains=True)
+    return Mapper(workload.genome)
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +413,7 @@ class TestStreamingEquivalence:
             own_mapper = mapper
             expected_names = [read.name for read in workload.reads]
         else:
-            own_mapper = Mapper(workload.genome, all_chains=True)
+            own_mapper = Mapper(workload.genome)
             expected_names = []
         pipeline = StreamingPipeline(
             own_mapper, wave_size=8, max_pending=16, executor=hosted_executor

@@ -3,8 +3,8 @@
 Covers the zero-copy execution core end to end:
 
 * segment-layout and pair-block round trips (:mod:`repro.parallel.shm`);
-* the hosted genome and minimizer index matching their dict-based
-  originals hit for hit;
+* the hosted genome and minimizer index matching the originals array
+  for array and lookup for lookup;
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
   executor ever creates is gone from the system after a normal close,
   after a worker crash mid-stream, and after a cancellation close;
@@ -31,7 +31,9 @@ from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import PacBioSimulator
+from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import Mapper
+from repro.mapping.minimizers import extract_minimizers
 from repro.parallel.shm import (
     SegmentLayout,
     SharedGenome,
@@ -46,6 +48,7 @@ from repro.parallel.shm import (
 )
 from repro.pipeline import StreamingPipeline
 from repro.telemetry import Tracer, chrome_trace
+from tests import reference_mapping as ref
 from tests.conftest import mutate, random_dna, segment_exists
 
 
@@ -162,16 +165,59 @@ class TestSharedResources:
         assert not segment_exists(layout.segment)
 
     def test_shared_index_matches_original(self, corpus):
-        _, mapper, _, _ = corpus
-        segment, layout = host_index(mapper.index)
+        genome, mapper, reads, _ = corpus
+        index = mapper.index
+        segment, layout = host_index(index)
         shared = SharedMinimizerIndex.attach(layout)
         try:
-            assert len(shared) == len(mapper.index)
-            assert shared.k == mapper.index.k and shared.w == mapper.index.w
-            for minimizer_hash, hits in list(mapper.index._table.items())[:100]:
-                assert shared.lookup(minimizer_hash) == hits
+            assert isinstance(shared, MinimizerIndex)
+            assert len(shared) == len(index)
+            assert (shared.k, shared.w, shared.max_occurrences) == (
+                index.k,
+                index.w,
+                index.max_occurrences,
+            )
+            assert shared.chrom_names == index.chrom_names
+            assert (shared.indexed_minimizers, shared.dropped_minimizers) == (
+                index.indexed_minimizers,
+                index.dropped_minimizers,
+            )
+            # No view may outlive the loop, or `close` cannot release the
+            # segment.
+            for name, array in index.arrays().items():
+                assert shared.arrays()[name].dtype == array.dtype, name
+                assert np.array_equal(shared.arrays()[name], array), name
+            # Lookups of a read's minimizers, the first indexed hashes and
+            # a hash the genome does not hold.
+            probes = np.concatenate(
+                [
+                    extract_minimizers(reads[0].sequence).hashes,
+                    index.hashes[:100],
+                    np.array([0xDEADBEEF_DEADBEEF], dtype=np.uint64),
+                ]
+            )
+            got, want = shared.lookup(probes), index.lookup(probes)
+            assert len(want[1]) > 100
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert [h in shared for h in probes.tolist()] == [
+                h in index for h in probes.tolist()
+            ]
+            assert 0xDEADBEEF_DEADBEEF not in shared
+            # The attached hits, hash by hash, against the per-object
+            # dict index the table replaced.
+            table = ref.build_dict_index(genome, index.k, index.w, index.max_occurrences)
+            for minimizer_hash, hits in list(table.items())[:100]:
                 assert minimizer_hash in shared
-            assert shared.lookup(0xDEADBEEF_DEADBEEF) == []
+                _, rows = shared.lookup(np.array([minimizer_hash], dtype=np.uint64))
+                assert [
+                    ref.IndexHit(
+                        shared.chrom_names[shared.hit_chrom[row]],
+                        int(shared.hit_pos[row]),
+                        int(shared.hit_strand[row]),
+                    )
+                    for row in rows.tolist()
+                ] == hits
         finally:
             shared.close()
             segment.unlink()
