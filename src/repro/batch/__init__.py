@@ -45,12 +45,16 @@ windowing step: per emitted CIGAR column, one gather fetches word
 its character-equality word, a 16-entry lookup table resolves the
 first-true operation under ``match_priority``, and a second table replays
 the scalar loop's short-circuit read accounting (``dp_reads`` /
-``bytes_read``).  Lanes whose committed pattern budget is exhausted drop
-out of the active mask — the same warp model :func:`lockstep_stats`
-quantifies and :meth:`repro.gpu.simulator.GpuSimulator.warp_divergence`
-applies to GPU warps.  Scheduling lanes into waves by expected lockstep
-work — window count × words per lane (:meth:`BatchAlignmentEngine.schedule`)
-— keeps that mask dense on mixed-length batches.
+``bytes_read``).  A lane that chose a match reads its whole match run
+off the match plane's diagonal in the same step.  The walk carries
+cursor state for live lanes only: a lane that has used up its committed
+pattern budget is compacted out, so each NumPy step costs only the
+lanes still walking.  A GPU warp would idle on finished lanes instead —
+the divergence :func:`lockstep_stats` quantifies and
+:meth:`repro.gpu.simulator.GpuSimulator.warp_divergence` applies to GPU
+warps.  Scheduling lanes into waves by expected lockstep work — window
+count × words per lane (:meth:`BatchAlignmentEngine.schedule`) — keeps
+the lanes of one wave finishing close together on mixed-length batches.
 """
 
 from repro.batch.engine import (

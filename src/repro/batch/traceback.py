@@ -24,28 +24,29 @@ DC kernel.  This module removes that scalar hot path in two moves:
    ``<< 1`` is a multi-word shift: bit 63 of word ``w`` carries into bit 0
    of word ``w + 1``, which is precisely the cross-word predicate stitched
    at pattern bits ``i`` with ``i % 64 == 0``.
-2. **Lockstep walk** (:func:`lockstep_traceback`): all live lanes advance
-   their traceback cursor ``(j, d, i)`` together, one NumPy step per
-   *emitted run* — each step gathers the word ``i // 64`` of slot
-   ``base + d`` of each lane's planes — and a lane that exhausts its
-   pattern budget drops out of the active mask, mirroring the warp model
-   of :func:`repro.batch.soa.lockstep_stats`.
+2. **Lockstep walk** (:func:`lockstep_traceback`): the live lanes
+   advance their traceback cursor ``(j, d, i)`` together, one NumPy step
+   per *emitted run* — each step gathers the word ``i // 64`` of slot
+   ``base + d`` of each lane's planes.  The walk carries cursor state for
+   live lanes only and compacts it whenever a lane exhausts its pattern
+   budget, so a step costs only what the lanes still walking cost; the
+   finished lanes a GPU warp would idle on
+   (:func:`repro.batch.soa.lockstep_stats`) are not carried.
 3. **Match-run skip-ahead**: when a lane's chosen op is ``M`` and ``M``
    leads the priority order, the walk consumes the *entire* run of
    consecutive matches in that one step.  A match step moves ``(j-1,
    i-1)`` at fixed ``d``, so the run lies on a diagonal of the ``(j, i)``
-   grid; :func:`_diagonal_pack` shears the match plane — its reachable
-   slots only — so each diagonal becomes one column of packed words
-   (``c = j - i + 64·W - 1``), and the run length is a multi-word
-   countdown of consecutive set bits walking down from bit ``i`` —
-   crossing the ``i % 64 == 0`` word boundary into bit 63 of the word
-   below.  Cursor, emitted opcode run, ``tb_steps`` and ``dp_reads`` all
-   advance by the whole run at once, cutting walk steps ~4× at the
-   10-15 % error rates the paper evaluates.  Runs are only taken when
-   ``M`` is the *first* priority letter (the GenASM default): a legal
-   match then is always the chosen op, so the diagonal bit run is exactly
-   the scalar loop's op sequence; any other priority degrades to one
-   column per step, byte-identically.
+   grid: :func:`_match_runs` reads bit ``i - t`` of column ``j - t`` of
+   the lane's own match-plane slot for ``t = 0, 1, …``, gathered 64
+   positions at a time for the lanes that chose ``M`` only, until each
+   run ends (at an unset bit, at bit ``-1``, or at column 0, which every
+   plane leaves zero).  Cursor, emitted opcode run, ``tb_steps`` and
+   ``dp_reads`` all advance by the whole run at once, cutting walk steps
+   ~4× at the 10-15 % error rates the paper evaluates.  Runs are only
+   taken when ``M`` is the *first* priority letter (the GenASM default):
+   a legal match then is always the chosen op, so the diagonal bit run is
+   exactly the scalar loop's op sequence; any other priority degrades to
+   one column per step, byte-identically.
 
 Equivalence contract
 --------------------
@@ -65,7 +66,7 @@ scalar predicates in ``tests/test_properties.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,49 +85,13 @@ __all__ = [
     "lockstep_traceback",
 ]
 
-_U0 = np.uint64(0)
 _U1 = np.uint64(1)
 _U63 = np.uint64(MAX_LANE_BITS - 1)
 
-#: ``_LOW_ONES[c]`` has the ``c`` low bits set (``c`` in 0..64).
-_LOW_ONES = np.array(
-    [(1 << c) - 1 for c in range(MAX_LANE_BITS + 1)], dtype=np.uint64
-)
-
-#: Shear stages of :func:`_diagonal_pack`: at stage ``s`` every bit whose
-#: index has the ``s`` component set moves ``s`` columns left, so a bit at
-#: index ``b`` moves ``b`` columns in total.
-_SHEAR_STAGES = [
-    (
-        s,
-        np.uint64(sum(1 << b for b in range(MAX_LANE_BITS) if b & s)),
-        np.uint64(sum(1 << b for b in range(MAX_LANE_BITS) if not b & s)),
-    )
-    for s in (1, 2, 4, 8, 16, 32)
-]
-
-if hasattr(np, "bitwise_count"):
-
-    def _popcount(values: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(values)
-
-else:  # NumPy < 2.0: SWAR popcount over uint64
-
-    def _popcount(values: np.ndarray) -> np.ndarray:
-        v = values - ((values >> _U1) & np.uint64(0x5555555555555555))
-        v = (v & np.uint64(0x3333333333333333)) + (
-            (v >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Per-element ``int.bit_length`` of a uint64 array (0 for 0)."""
-    v = values.copy()
-    for s in (1, 2, 4, 8, 16, 32):
-        v |= v >> np.uint64(s)
-    return _popcount(v).astype(np.int64)
+#: Match-run positions gathered per lane and probe: a run of ``r`` matches
+#: costs ``r // 64 + 1`` gathers of 64 words.
+_RUN_CHUNK = 64
+_RUN_OFFSETS = np.arange(_RUN_CHUNK, dtype=np.int64)
 
 #: Fixed op codes used in the packed opcode buffer (independent of priority).
 _CODE_BY_LETTER = {"M": 0, "S": 1, "I": 2, "D": 3}
@@ -134,35 +99,6 @@ OPS_BY_CODE = np.array(
     [CigarOp.MATCH, CigarOp.MISMATCH, CigarOp.INSERTION, CigarOp.DELETION],
     dtype=object,
 )
-
-
-def _diagonal_pack(plane: np.ndarray) -> np.ndarray:
-    """Shear a ``(W, slots, cols)`` plane into diagonal-packed words.
-
-    In the output, bit ``b`` of word ``w`` at column ``c`` equals bit ``b``
-    of word ``w`` at text column ``j = c - (64·W - 1) + 64·w + b`` of the
-    input — i.e. column ``c = j - g + 64·W - 1`` collects, at bit position
-    ``g``, the plane bit for cursor ``(j, i=g)``.  A match step moves the
-    cursor ``(j-1, i-1)``, keeping ``c`` fixed, so a run of legal matches
-    is a run of consecutive set bits walking *down* one diagonal column,
-    crossing word boundaries at ``i % 64 == 0``.
-
-    Built as a base placement (per-word constant column offset for the
-    ``64·w`` part) plus six shear stages (bits whose index has the ``s``
-    component move ``s`` columns), so the transform costs O(log₂ 64) full
-    array passes rather than one pass per bit.
-    """
-    W, slots, cols = plane.shape
-    total_bits = W * MAX_LANE_BITS
-    out = np.zeros((W, slots, cols + total_bits - 1), dtype=np.uint64)
-    for w in range(W):
-        off = total_bits - 1 - MAX_LANE_BITS * w
-        out[w, :, off : off + cols] = plane[w]
-    for s, mask, inv_mask in _SHEAR_STAGES:
-        moved = out & mask
-        out &= inv_mask
-        out[..., :-s] |= moved[..., s:]
-    return out
 
 
 @dataclass
@@ -182,9 +118,9 @@ class WaveDecisions:
     has pattern bit ``i`` set iff ``pattern[i]`` equals ``text[j - 1]``;
     the walk uses it to replicate the scalar read accounting (the match
     predicate only touches the stored table when the characters actually
-    match).  Column 0 of every plane is unused — the walk handles
+    match).  Column 0 of every plane is zero — the walk handles
     ``j == 0`` as the unconditional-insertion branch, exactly like the
-    scalar loop.
+    scalar loop, and a match run read by :func:`_match_runs` ends there.
     """
 
     planes: np.ndarray
@@ -196,18 +132,10 @@ class WaveDecisions:
     m: np.ndarray
     n: np.ndarray
     compressed: bool
-    #: lazily built diagonal-packed match plane in the same slot layout
-    #: (see :func:`_diagonal_pack`); built on the first skip-ahead walk or
-    #: :meth:`match_run_length` probe and reused by later probes
-    _match_diag: Optional[np.ndarray] = None
 
     @property
     def lanes(self) -> int:
         return self.base.size
-
-    @property
-    def words(self) -> int:
-        return self.planes.shape[1]
 
     def plane(self, letter: str) -> np.ndarray:
         """The decision plane for one priority letter (M/S/I/D)."""
@@ -226,36 +154,50 @@ class WaveDecisions:
         word = int(self.plane(letter)[i // MAX_LANE_BITS, self.slot(lane, d), j])
         return bool((word >> (i % MAX_LANE_BITS)) & 1)
 
-    def match_diag(self) -> np.ndarray:
-        """The diagonal-packed match plane, built lazily and cached."""
-        if self._match_diag is None:
-            self._match_diag = _diagonal_pack(self.planes[0])
-        return self._match_diag
-
     def match_run_length(self, lane: int, d: int, j: int, i: int) -> int:
         """Scalar probe: legal-match run length starting at ``(j, d, i)``.
 
-        Counts consecutive set bits of the diagonal-packed match plane
-        walking down from bit ``i`` (crossing ``i % 64 == 0`` word
-        boundaries), i.e. the number of match steps ``(j, i), (j-1, i-1),
-        …`` that are all legal.  Reference implementation for the
-        vectorized countdown inside :func:`lockstep_traceback`; the
-        property tests compare the two.
+        The number of match steps ``(j, i), (j-1, i-1), …`` at row ``d``
+        that are all legal, counted by :func:`_match_runs` — the helper
+        the skip-ahead walk calls — for this one cursor; the property
+        tests compare it with a bit-by-bit walk.
         """
-        slot = self.slot(lane, d)
-        diag = self.match_diag()
-        c = j - i + self.words * MAX_LANE_BITS - 1
-        run = 0
-        w, b = i // MAX_LANE_BITS, i % MAX_LANE_BITS
-        while w >= 0:
-            word = int(diag[w, slot, c])
-            unset = (~word) & ((1 << (b + 1)) - 1)
-            if unset:
-                return run + (b - unset.bit_length() + 1)
-            run += b + 1
-            w -= 1
-            b = MAX_LANE_BITS - 1
-        return run
+        slot = np.array([self.slot(lane, d)])
+        return int(_match_runs(self.planes[0], slot, np.array([j]), np.array([i]))[0])
+
+
+def _match_runs(
+    match: np.ndarray, slot: np.ndarray, j: np.ndarray, i: np.ndarray
+) -> np.ndarray:
+    """Legal-match run length from each cursor ``(j[k], slot[k], i[k])``.
+
+    ``match`` is a ``(W, slots, cols)`` match plane.  Counts, per cursor,
+    the ``t = 0, 1, …`` for which bit ``i - t`` of column ``j - t`` of its
+    slot is set — the diagonal a run of match steps follows, crossing a
+    word boundary wherever ``i - t`` does.  A bit ``i - t < 0`` counts as
+    unset, and column 0 of every plane is zero, so no run passes
+    ``j = 1``; gathers clamp to column 0 there.  Positions are gathered
+    :data:`_RUN_CHUNK` at a time, and only cursors whose run filled the
+    whole chunk read the next one.
+    """
+    _words, slots, cols = match.shape
+    flat = match.reshape(-1)
+    word_stride = slots * cols
+    run = np.zeros(slot.size, dtype=np.int64)
+    open_ = np.arange(slot.size)
+    row = slot * cols
+    while open_.size:
+        bit = (i[open_] - run[open_])[:, None] - _RUN_OFFSETS
+        col = np.maximum((j[open_] - run[open_])[:, None] - _RUN_OFFSETS, 0)
+        words = flat[(np.maximum(bit, 0) >> 6) * word_stride + row[open_, None] + col]
+        set_ = ((words >> (bit & 63).astype(np.uint64)) & _U1).astype(bool) & (bit >= 0)
+        # The first unset position ends the run; argmin finds it, and
+        # lands on a set position only when the whole chunk is set.
+        first = set_.argmin(axis=1)
+        full = set_[np.arange(open_.size), first]
+        run[open_] += np.where(full, _RUN_CHUNK, first)
+        open_ = open_[full]
+    return run
 
 
 def _shl1_or1(zero: np.ndarray) -> np.ndarray:
@@ -477,7 +419,9 @@ def lockstep_traceback(
 
     Each lane starts at its last text column and pattern bit, on the top
     row of its block (``rows - 1``, the ``min_errors`` of the DC wave that
-    solved it), and every read goes to its own block's slots.
+    solved it), and every read goes to its own block's slots.  Only lanes
+    still walking are carried: their cursor state is compacted whenever
+    one finishes (module docstring item 2).
 
     Parameters
     ----------
@@ -498,27 +442,22 @@ def lockstep_traceback(
     """
     L = decisions.lanes
     m, n = decisions.m, decisions.n
-    j = n.copy()
-    i = m - 1
-    d = decisions.rows - 1
     budget = np.minimum(m, np.asarray(budgets, dtype=np.int64))
-    consumed = np.zeros(L, dtype=np.int64)
-
-    live = (i >= 0) & (consumed < budget)
     # Any valid traceback is shorter than this (the scalar loop's guard).
     max_steps = int((2 * (m + n) + 4).max()) if L else 0
-    # One opcode row per iteration (plain row writes beat per-lane
-    # scatters) plus a parallel run-length row: with skip-ahead lanes
-    # desynchronize (one lane's iteration may emit a 12-op match run while
-    # another emits a single deletion), so a lane's traceback is its
-    # opcode column expanded by its count column (zero counts — dead or
-    # not-yet-started lanes — contribute nothing).
+    # One opcode row per iteration plus a parallel run-length row, each
+    # step scattering into the columns of the lanes still walking: with
+    # skip-ahead lanes desynchronize (one lane's iteration may emit a
+    # 12-op match run while another emits a single deletion), so a lane's
+    # traceback is its opcode column expanded by its count column (zero
+    # counts — iterations after the lane finished — contribute nothing).
     opcodes = np.zeros((max_steps + 1, L), dtype=np.int8)
     opcounts = np.zeros((max_steps + 1, L), dtype=np.int64)
-    niters = np.zeros(L, dtype=np.int64)
-    reads = np.zeros(L, dtype=np.int64)
-    runs_taken = np.zeros(L, dtype=np.int64)
-    run_ops = np.zeros(L, dtype=np.int64)
+    # Where each lane stopped, written as it finishes; a lane that never
+    # starts (empty pattern or zero budget) keeps these.
+    text_stop = n.copy()
+    pattern_consumed = np.zeros(L, dtype=np.int64)
+    dp_reads = np.zeros(L, dtype=np.int64)
 
     pos_lut, code_lut, reads_lut = _step_luts(priority, decisions.compressed)
     # Flat-index views of the planes (no copies).  Plane p (fixed M,S,I,D
@@ -526,130 +465,127 @@ def lockstep_traceback(
     # so `key` packs the condition bits in priority order for the LUTs.
     # A lane's cursor bit i selects word i // 64 of its entries (the
     # multi-word lane layout), and its error level d the slot base + d of
-    # its block; for single-word walks the word index is constant zero.
+    # its block.
     slots, cols = decisions.planes.shape[2:]
     planes_flat = decisions.planes.reshape(4, -1)
     char_flat = decisions.char_eq.reshape(-1)
     weights = np.array(
         [8 >> priority.index(letter) for letter in "MSID"], dtype=np.uint64
     )[:, None]
-    base = decisions.base
-    lane_cols = np.arange(L) * cols
     word_stride = slots * cols
     char_word_stride = L * cols
-
     # Skip-ahead is sound only when M leads the priority: then a legal
     # match is always the chosen op, so the diagonal bit run is exactly
     # the op sequence the scalar first-true loop would emit.
     skip = priority[0] == "M"
-    if skip:
-        diag = decisions.match_diag()
-        diag_cols = diag.shape[-1]
-        diag_flat = diag.reshape(-1)
-        diag_hi = decisions.words * MAX_LANE_BITS - 1
-        dword_stride = slots * diag_cols
+
+    # Cursor state of the live lanes only, one row per field, compacted
+    # together whenever lanes finish; the names below are views of its rows.
+    start = np.nonzero((m > 0) & (budget > 0))[0]
+    state = np.stack(
+        [
+            start,
+            n[start],
+            m[start] - 1,
+            decisions.rows[start] - 1,
+            np.zeros(start.size, dtype=np.int64),
+            budget[start],
+            decisions.base[start],
+            np.zeros(start.size, dtype=np.int64),
+            start * cols,
+        ]
+    )
+    lanes, j, i, d, consumed, lane_budget, base, reads, lane_cols = state
     step = 0
 
-    while live.any():
+    while lanes.size:
         if step > max_steps:
             raise TracebackError("traceback did not terminate (internal error)")
 
         # Clamped plane coordinates: j == 0 lanes (whose verdict is
-        # overridden below) and finished lanes read a harmless word.
+        # overridden below) read a harmless word.
         jq = np.maximum(j, 1)
         slot = base + np.maximum(d, 0)
-        bit = np.maximum(i, 0)
-        wq = bit >> 6
-        shift = (bit & 63).astype(np.uint64)
+        wq = i >> 6
+        shift = (i & 63).astype(np.uint64)
 
-        words = planes_flat[:, wq * word_stride + slot * cols + jq]  # (4, L)
+        words = planes_flat[:, wq * word_stride + slot * cols + jq]  # (4, live)
         bits = (words >> shift) & _U1
         char_bit = (char_flat[wq * char_word_stride + lane_cols + jq] >> shift) & _U1
         key = (bits * weights).sum(axis=0)
 
         at0 = j == 0
-        considered = live & ~at0
-        bad = considered & (key == 0)
+        bad = ~at0 & (key == 0)
         if bad.any():
-            lane = int(np.nonzero(bad)[0][0])
+            k = int(np.argmax(bad))
             raise TracebackError(
-                f"no traceback step possible at text={int(j[lane])}, "
-                f"errors={int(d[lane])}, bit={int(i[lane])}"
+                f"no traceback step possible at text={int(j[k])}, "
+                f"errors={int(d[k])}, bit={int(i[k])}"
             )
 
         # Read accounting for the scalar priority loop, via the LUT over
         # (first-true position, gate bits).
         gates = char_bit * np.uint64(4) + (d >= 1) * np.uint64(2) + (i >= 1) * _U1
-        step_reads = reads_lut[pos_lut[key] * np.uint64(8) + gates]
-        reads += step_reads * considered
+        reads += np.where(at0, 0, reads_lut[pos_lut[key] * np.uint64(8) + gates])
 
         # j == 0 lanes take the unconditional-insertion branch, which is
         # the same cursor update as a chosen "I" step.
         code = np.where(at0, _CODE_BY_LETTER["I"], code_lut[key])
 
-        run = np.ones(L, dtype=np.int64)
+        run = np.ones(lanes.size, dtype=np.int64)
         if skip:
-            is_m = considered & (code == 0)
-            if is_m.any():
-                # Multi-word countdown of consecutive set diagonal bits
-                # walking down from bit i: a word whose low rb+1 bits are
-                # all set continues into bit 63 of the word below (the
-                # i % 64 == 0 stitch); otherwise the highest unset bit
-                # ends the run.  At most W probes per lane, all gathered.
-                cq = jq - bit + diag_hi
-                total = np.zeros(L, dtype=np.int64)
-                counting = is_m.copy()
-                rw = wq.copy()
-                rb = bit & 63
-                while True:
-                    dflat = np.maximum(rw, 0) * dword_stride + slot * diag_cols + cq
-                    unset = (~diag_flat[dflat]) & _LOW_ONES[rb + 1]
-                    full = unset == _U0
-                    add = np.where(full, rb + 1, rb - _bit_length(unset) + 1)
-                    total += np.where(counting, add, 0)
-                    counting &= full & (rw > 0)
-                    if not counting.any():
-                        break
-                    rw -= 1
-                    rb = np.full(L, MAX_LANE_BITS - 1, dtype=np.int64)
+            mk = np.nonzero(code == _CODE_BY_LETTER["M"])[0]
+            if mk.size:
                 # The scalar loop stops mid-run when the pattern budget
                 # runs out; clamping replicates its early exit.
-                run = np.where(is_m, np.minimum(total, budget - consumed), run)
+                run[mk] = np.minimum(
+                    _match_runs(decisions.planes[0], slot[mk], j[mk], i[mk]),
+                    lane_budget[mk] - consumed[mk],
+                )
                 # Each skipped step re-runs only the match probe (M is
                 # first and true); it reads the stored table under the
                 # same gate the LUT applies — compressed probes need the
                 # step's own i >= 1 (run steps at i-1 .. i-run+1), quad
                 # probes always read.
-                extra = np.maximum(run - 1, 0)
+                extra = run[mk] - 1
                 if decisions.compressed:
-                    extra = np.minimum(extra, np.maximum(i - 1, 0))
-                reads += np.where(is_m, extra, 0)
-                runs_taken += is_m
-                run_ops += np.where(is_m, run, 0)
+                    extra = np.minimum(extra, np.maximum(i[mk] - 1, 0))
+                reads[mk] += extra
 
-        counts = run * live
-        opcodes[step] = code
-        opcounts[step] = counts
-        niters += live
+        opcodes[step, lanes] = code
+        opcounts[step, lanes] = run
         step += 1
 
-        delta_i = _DELTA_I[code] * counts
-        j -= _DELTA_J[code] * counts
-        d -= _DELTA_D[code] * counts
+        delta_i = _DELTA_I[code] * run
+        j -= _DELTA_J[code] * run
+        d -= _DELTA_D[code] * run
         i -= delta_i
         consumed += delta_i
-        live &= i >= 0
-        live &= consumed < budget
+        done = (i < 0) | (consumed >= lane_budget)
+        if done.any():
+            finished = lanes[done]
+            text_stop[finished] = j[done]
+            pattern_consumed[finished] = consumed[done]
+            dp_reads[finished] = reads[done]
+            state = state[:, ~done]
+            lanes, j, i, d, consumed, lane_budget, base, reads, lane_cols = state
 
+    opcodes, opcounts = opcodes[:step], opcounts[:step]
+    walked = opcounts > 0
+    # Under skip-ahead every M iteration took a match run.
+    runs = walked & (opcodes == _CODE_BY_LETTER["M"]) & skip
+    walk_steps = walked.sum(axis=0)
+    match_runs = runs.sum(axis=0)
+    match_run_ops = (opcounts * runs).sum(axis=0)
     return [
         LaneTraceback(
-            codes=np.repeat(opcodes[:step, lane], opcounts[:step, lane]),
-            text_stop=int(j[lane]),
-            pattern_consumed=int(consumed[lane]),
-            dp_reads=int(reads[lane]),
-            walk_steps=int(niters[lane]),
-            match_runs=int(runs_taken[lane]),
-            match_run_ops=int(run_ops[lane]),
+            codes=np.repeat(opcodes[:, lane], opcounts[:, lane]),
+            text_stop=int(text_stop[lane]),
+            pattern_consumed=int(pattern_consumed[lane]),
+            dp_reads=int(dp_reads[lane]),
+            walk_steps=int(walk_steps[lane]),
+            match_runs=int(match_runs[lane]),
+            match_run_ops=int(match_run_ops[lane]),
         )
         for lane in range(L)
     ]

@@ -35,7 +35,11 @@ class _ComplementTable(dict):
         return "N"
 
 
-_COMPLEMENT_TABLE = _ComplementTable({ord(base): comp for base, comp in COMPLEMENT.items()})
+#: Soft-masked (lowercase) bases complement to lowercase bases.
+_COMPLEMENT_TABLE = _ComplementTable(
+    {ord(base): comp for base, comp in COMPLEMENT.items()}
+    | {ord(base.lower()): comp.lower() for base, comp in COMPLEMENT.items()}
+)
 
 _BASE_TO_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 #: 2-bit code of every Latin-1 byte (anything but ``C``/``G``/``T`` is 0).
@@ -54,7 +58,11 @@ def random_dna(length: int, rng: Optional[np.random.Generator] = None) -> str:
 
 
 def reverse_complement(sequence: str) -> str:
-    """Reverse complement (``N`` and every character outside ``ACGTN`` map to ``N``)."""
+    """Reverse complement, keeping soft-masked (lowercase) bases lowercase.
+
+    ``N``/``n`` map to themselves; every character outside ``ACGTNacgtn``
+    maps to ``N``.
+    """
     return sequence.translate(_COMPLEMENT_TABLE)[::-1]
 
 

@@ -10,11 +10,21 @@ from hypothesis import settings
 from repro.core.config import GenASMConfig
 
 # Hypothesis profiles.  Tier-1 runs the bounded one; CI runs the mapping
-# property tests again under ``--hypothesis-profile=ci``, ten times longer.
-# Tests that pin ``max_examples`` in their own ``@settings`` keep it.
+# property tests and the traceback walk's (``test_properties.py``,
+# ``test_batch_traceback.py``) again under ``--hypothesis-profile=ci``, ten
+# times longer.  Tests that pin ``max_examples`` in their own ``@settings``
+# keep it.
 settings.register_profile("bounded", max_examples=100)
 settings.register_profile("ci", max_examples=1_000)
-settings.load_profile("bounded")
+
+
+def pytest_configure(config):
+    # Loaded here, not at import: test modules import this file a second
+    # time as ``tests.conftest``, and a load at import would then replace
+    # the profile chosen with ``--hypothesis-profile``.
+    if not config.getoption("--hypothesis-profile", default=None):
+        settings.load_profile("bounded")
+
 
 ALPHABET = "ACGT"
 

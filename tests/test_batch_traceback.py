@@ -18,7 +18,9 @@ import itertools
 import json
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.batch.engine as engine_module
 from repro.batch import (
@@ -27,11 +29,13 @@ from repro.batch import (
     SoAWave,
     build_wave_decisions,
     lockstep_stats,
+    lockstep_traceback,
     run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
+from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
-from repro.core.genasm_tb import traceback_conditions
+from repro.core.genasm_tb import TracebackError, genasm_traceback, traceback_conditions
 from repro.core.metrics import AccessCounter
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
@@ -745,3 +749,223 @@ class TestSkipAheadTraceback:
             assert saved > 0 and runs > 0
         else:
             assert saved == 0 and runs == 0
+
+
+# --------------------------------------------------------------------------- #
+# Match runs at the edges of the run helper: its 64-position chunks, bit 0,
+# column 0 and the pattern budget
+# --------------------------------------------------------------------------- #
+def bitwise_run(decisions, lane, d, j, i):
+    """Match-run length from ``(j, d, i)``, one decision bit at a time."""
+    run = 0
+    while (
+        i - run >= 0
+        and j - run >= 1
+        and decisions.bit("M", lane, d, j - run, i - run)
+    ):
+        run += 1
+    return run
+
+
+def substituted_at(sequence, position):
+    """``sequence`` with one substitution at ``position``."""
+    other = {"A": "C", "C": "G", "G": "T", "T": "A"}[sequence[position]]
+    return sequence[:position] + other + sequence[position + 1 :]
+
+
+def run_lanes(rng):
+    """``(pattern, text, max_errors, run)`` lanes whose walk starts on a
+    match run of ``run`` bits, on 1-, 2- and 3-word lanes."""
+    lanes = []
+    for run in (63, 64, 65, 128, 129):
+        # An exact copy behind one more text base: bit 0 ends the run one
+        # column before column 0 would.
+        pattern = random_dna(rng, run)
+        lanes.append((pattern, "T" + pattern, 2, run))
+    for run in (63, 64, 65, 128, 129):
+        # One substitution ten bases from the start: an unset bit ends the
+        # run mid-pattern.
+        pattern = random_dna(rng, run + 10)
+        lanes.append((pattern, substituted_at(pattern, 9), 2, run))
+    # Texts shorter than their pattern: column 0 ends the run while lower
+    # pattern bits of the next column down would still match.
+    lanes.append(("A" * 70, "A" * 20, 50, 20))
+    lanes.append(("A" * 30, "A" * 10, 20, 10))
+    return lanes
+
+
+class TestMatchRuns:
+    """The walk's run helper at its chunk edges and the plane's edges."""
+
+    @pytest.mark.parametrize("entry_compression", [False, True])
+    def test_run_lengths_at_chunk_and_plane_edges(self, rng, entry_compression):
+        lanes = run_lanes(rng)
+        assert {-(-len(pattern) // 64) for pattern, *_ in lanes} == {1, 2, 3}
+        jobs = [LaneJob(pattern=p, text=t, max_errors=k) for p, t, k, _run in lanes]
+        # Each lane alone (its own word count) and all lanes in one wave
+        # (three words, blocks at non-zero slot bases).
+        waves = [[job] for job in jobs] + [jobs]
+        for wave_jobs in waves:
+            state = run_dc_wave_state(
+                SoAWave(wave_jobs, traceback_band=False),
+                entry_compression=entry_compression,
+            )
+            decisions = build_wave_decisions([(state, state.rows_computed)])
+            for lane, job in enumerate(wave_jobs):
+                expected = lanes[jobs.index(job)][3]
+                d = int(decisions.rows[lane]) - 1
+                j, i = len(job.text), len(job.pattern) - 1
+                assert bitwise_run(decisions, lane, d, j, i) == expected
+                assert decisions.match_run_length(lane, d, j, i) == expected, (
+                    f"pattern={len(job.pattern)} text={len(job.text)} "
+                    f"words={decisions.planes.shape[1]} ec={entry_compression}"
+                )
+
+    @pytest.mark.parametrize("entry_compression", [False, True])
+    def test_walk_clamps_runs_to_the_pattern_budget(self, rng, entry_compression):
+        # A 129-bit run with 70 columns committed, a 64-bit run with exactly
+        # 64 and a 65-bit run with 30: each walk is one match-run step,
+        # charged as the scalar traceback charges the same window.
+        lanes = run_lanes(rng)
+        picked = [(lanes[4], 70), (lanes[1], 64), (lanes[7], 30)]
+        jobs = [LaneJob(pattern=p, text=t, max_errors=k) for (p, t, k, _), _b in picked]
+        state = run_dc_wave_state(
+            SoAWave(jobs, traceback_band=False), entry_compression=entry_compression
+        )
+        decisions = build_wave_decisions([(state, state.rows_computed)])
+        budgets = np.array([budget for _lane, budget in picked])
+        tracebacks = lockstep_traceback(decisions, budgets=budgets)
+        for lane, (tb, budget) in enumerate(zip(tracebacks, budgets)):
+            table = state.table(lane)
+            table.counter = AccessCounter()
+            ops, text_stop = genasm_traceback(
+                table,
+                start_errors=int(decisions.rows[lane]) - 1,
+                max_pattern_columns=int(budget),
+            )
+            assert tb.ops() == ops == [CigarOp.MATCH] * budget
+            assert tb.text_stop == text_stop
+            assert tb.pattern_consumed == budget
+            assert tb.dp_reads == table.counter.dp_reads
+            assert (tb.walk_steps, tb.match_runs, tb.match_run_ops) == (1, 1, budget)
+
+
+class TestWalkErrorPath:
+    """A walk that finds no legal step names the stuck lane's own cursor."""
+
+    @pytest.mark.parametrize("entry_compression", [False, True])
+    def test_error_after_compaction_names_the_lanes_own_cursor(
+        self, rng, entry_compression
+    ):
+        # Lane 0 finishes in one step; lane 1 walks five (three match runs
+        # around two substitutions); lane 2 walks a 19-match run, then a
+        # substitution down to row 0 at text column 10, bit 9, where its
+        # zeroed row 0 leaves no legal step.  By then lane 0 has left the
+        # live state, so lane 2 is no longer at its own index there.
+        long_pattern = random_dna(rng, 40)
+        victim = random_dna(rng, 30)
+        jobs = [
+            LaneJob(pattern="AC", text="AC", max_errors=1),
+            LaneJob(
+                pattern=long_pattern,
+                text=substituted(rng, long_pattern, 2),
+                max_errors=2,
+            ),
+            LaneJob(pattern=victim, text=substituted_at(victim, 10), max_errors=1),
+        ]
+        state = run_dc_wave_state(
+            SoAWave(jobs, traceback_band=False), entry_compression=entry_compression
+        )
+        decisions = build_wave_decisions([(state, state.rows_computed)])
+        assert list(decisions.rows) == [1, 3, 2]
+        budgets = decisions.m.copy()
+        intact = lockstep_traceback(decisions, budgets=budgets)
+        assert intact[0].walk_steps == 1 and intact[1].walk_steps == 5
+        assert intact[2].ops()[:20] == [CigarOp.MATCH] * 19 + [CigarOp.MISMATCH]
+
+        decisions.planes[:, :, decisions.base[2]] = 0
+        with pytest.raises(TracebackError, match=r"at text=10, errors=0, bit=9$"):
+            lockstep_traceback(decisions, budgets=budgets)
+
+
+# --------------------------------------------------------------------------- #
+# Generated batches whose lanes finish far apart: exact copies walk one match
+# run, indel-heavy copies walk many single steps, unrelated texts retry their
+# budgets — so the walk drops lanes from its live state at different steps.
+# --------------------------------------------------------------------------- #
+#: Lengths at the 64- and 128-bit word edges, the default window (64) and
+#: step (40) and their multiples, and the short-read window (150).
+EDGE_LENGTHS = (39, 40, 41, 63, 64, 65, 79, 80, 81, 127, 128, 129, 150, 151)
+
+
+@st.composite
+def engine_pair(draw, alphabet):
+    """One ``(pattern, text)`` pair of a generated engine batch."""
+    kind = draw(st.sampled_from(("exact", "indels", "unrelated", "tiny", "short_text")))
+    if kind == "tiny":
+        # Empty and 1-base patterns.
+        pattern = draw(st.text(alphabet=alphabet, max_size=1))
+        return pattern, draw(st.text(alphabet=alphabet, max_size=8))
+    m = draw(
+        st.one_of(
+            st.sampled_from(EDGE_LENGTHS), st.integers(min_value=2, max_value=160)
+        )
+    )
+    pattern = draw(st.text(alphabet=alphabet, min_size=m, max_size=m))
+    if kind == "exact":
+        return pattern, pattern + draw(st.text(alphabet=alphabet, max_size=8))
+    if kind == "unrelated":
+        return pattern, draw(st.text(alphabet=alphabet, min_size=1, max_size=m + 8))
+    # An ONT-like copy: about one edit per eight bases, mostly indels.
+    text = list(pattern)
+    edits = st.tuples(
+        st.sampled_from("iidds"), st.integers(min_value=0), st.sampled_from(alphabet)
+    )
+    for op, position, char in draw(st.lists(edits, min_size=1, max_size=m // 8 + 1)):
+        position %= len(text) + 1
+        if op == "i" or not text:
+            text.insert(position, char)
+        elif op == "s":
+            text[min(position, len(text) - 1)] = char
+        else:
+            del text[min(position, len(text) - 1)]
+    text = "".join(text)
+    if kind == "short_text":
+        text = text[: draw(st.integers(min_value=0, max_value=m - 1))]
+    return pattern, text
+
+
+@st.composite
+def engine_batch(draw):
+    alphabet = draw(st.sampled_from(("ACGT", "ACGTN", "ACGTacgt")))
+    return draw(st.lists(engine_pair(alphabet), min_size=2, max_size=12))
+
+
+@settings(deadline=None)
+@given(
+    engine_batch(),
+    st.sampled_from(("default", "short_read")),
+    st.sampled_from(("MSDI", "MDSI", "SMDI", "DIMS")),
+)
+def test_generated_batches_equal_scalar_aligner(pairs, shape, priority):
+    if shape == "default":
+        config = GenASMConfig(match_priority=priority)
+    else:
+        config = GenASMConfig.short_read(150, match_priority=priority)
+    context = f"{shape} priority={priority}"
+    scalar_counter = AccessCounter()
+    aligner = GenASMAligner(config)
+    scalar = []
+    for pattern, text in pairs:
+        pair_counter = AccessCounter()
+        scalar.append(aligner.align(pattern, text, counter=pair_counter))
+        scalar_counter.merge(pair_counter)
+    batch_counter = AccessCounter()
+    batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
+
+    assert_pairwise_identical(scalar, batch, context)
+    assert batch_counter.as_dict() == scalar_counter.as_dict(), context
+    for alignment in batch:
+        meta = alignment.metadata
+        emitted = sum(length for length, _op in alignment.cigar.runs)
+        assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == emitted, context

@@ -37,11 +37,18 @@ class TestSequences:
         assert reverse_complement("ANT") == "ANT"
 
     def test_reverse_complement_matches_the_generator_reference(self):
-        # The per-character generator reverse_complement used to be; every
-        # character outside ACGTN, lowercase included, becomes N.
+        # The per-character generator reverse_complement used to be, with
+        # soft-masked acgtn complemented to lowercase; every other
+        # character outside ACGTN becomes N.
         def reference(sequence):
-            return "".join(COMPLEMENT.get(c, "N") for c in reversed(sequence))
+            return "".join(
+                COMPLEMENT[c.upper()].lower()
+                if c in "acgtn"
+                else COMPLEMENT.get(c, "N")
+                for c in reversed(sequence)
+            )
 
+        assert reverse_complement("acgtnu") == "Nnacgt"
         classes = [
             "ACGTN",  # the table
             "acgtnu",  # lowercase
@@ -67,6 +74,8 @@ class TestSequences:
     def test_reverse_complement_involution(self):
         seq = random_dna(200, np.random.default_rng(1))
         assert reverse_complement(reverse_complement(seq)) == seq
+        masked = seq[:50] + seq[50:120].lower() + "Nn" + seq[120:]
+        assert reverse_complement(reverse_complement(masked)) == masked
 
     def test_encode_decode_roundtrip(self):
         seq = "ACGTACGTTTGCA"

@@ -268,6 +268,32 @@ class TestGoldenSam:
         ]
 
 
+class TestSoftMaskedReads:
+    def test_minus_strand_seq_is_the_reads_reverse_complement(self):
+        # A reverse-strand read whose first 20 bases are soft-masked: its
+        # `-` record's SEQ is the read's reverse complement, case included.
+        # The aligner matches no lowercase base, so those 20 are X.
+        genome = SyntheticGenome.random({"chr1": 20_000}, seed=0, repeat_fraction=0.0)
+        forward = genome.fetch("chr1", 5_000, 5_150)
+        read = reverse_complement(forward)
+        read = read[:20].lower() + read[20:]
+        handle = io.StringIO()
+        StreamingPipeline(Mapper(genome), GenASMConfig.short_read(150)).run_all(
+            [("masked", read, "I" * 150)], sink=SamSink(handle, genome)
+        )
+        records = [
+            line.split("\t")
+            for line in handle.getvalue().splitlines()
+            if not line.startswith("@")
+        ]
+        primary = [fields for fields in records if int(fields[1]) == FLAG_REVERSE]
+        assert len(primary) == 1
+        assert (primary[0][3], primary[0][5]) == ("5001", "130=20X")
+        for fields in records:
+            if int(fields[1]) & FLAG_REVERSE:
+                assert fields[9] == forward[:130] + forward[130:].lower()
+
+
 class TestGoldenPaf:
     def test_exact_line(self, genome):
         handle = io.StringIO()

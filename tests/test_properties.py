@@ -116,7 +116,7 @@ def _failing_lane(k: int) -> LaneJob:
     return LaneJob(pattern="A" * (k + 3), text="C" * 4, max_errors=k + 1)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)
 @given(
     dna_straddling,
     st.text(alphabet="ACGT", min_size=0, max_size=20),
@@ -159,7 +159,7 @@ def test_multi_word_decision_planes_equal_scalar_predicates(
                     )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(deadline=None)
 @given(dna_straddling, st.integers(min_value=0, max_value=10))
 def test_multi_word_vectorized_alignment_equals_scalar(pattern, edits):
     # End-to-end: the multi-word lockstep engine reproduces the scalar
@@ -210,7 +210,7 @@ def test_lockstep_scheduling_invariants_hold_for_multi_word_lanes(lengths, group
         assert stats["efficiency"] >= in_order["efficiency"] - 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)
 @given(
     dna_straddling,
     st.text(alphabet="ACGT", min_size=0, max_size=20),
@@ -218,7 +218,7 @@ def test_lockstep_scheduling_invariants_hold_for_multi_word_lanes(lengths, group
     st.booleans(),
 )
 def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compression):
-    # The skip-ahead countdown over the diagonal-packed match plane must
+    # The skip-ahead walk's run helper (behind match_run_length) must
     # count exactly the consecutive legal-match bits the per-step walk
     # would consume: run(j, d, i) == number of t >= 0 with M legal at
     # (j - t, d, i - t).  Patterns straddle 64-bit words by construction,
