@@ -2,9 +2,7 @@
 
 The index is a CSR table over NumPy arrays: the sorted unique minimizer
 hashes, per-hash hit ranges (``starts``), and one row per reference hit
-(``hit_chrom``, ``hit_pos``, ``hit_strand``).  The same arrays pack into a
-shared-memory segment unchanged (:func:`repro.parallel.shm.host_index`), so
-a worker's attached index is this class over the segment's views.
+(``hit_chrom``, ``hit_pos``, ``hit_strand``).
 """
 
 from __future__ import annotations
@@ -102,11 +100,6 @@ class MinimizerIndex:
         )
 
     # ------------------------------------------------------------------ #
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The table's arrays by name (what a shared segment holds)."""
-        names = ("hashes", "starts", "hit_chrom", "hit_pos", "hit_strand")
-        return {name: getattr(self, name) for name in names}
-
     def lookup(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Every reference hit of every hash in ``hashes``, in one search.
 

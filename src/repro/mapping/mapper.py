@@ -94,12 +94,6 @@ class Mapper:
         Extra reference bases added on each side of a chain's span when the
         candidate region is extracted, so that the aligner has slack for
         indels at the ends.
-    index:
-        Pre-built :class:`~repro.mapping.index.MinimizerIndex` to map
-        against instead of building one here — e.g. a
-        :class:`repro.parallel.shm.SharedMinimizerIndex` attached to
-        segments hosted by another process.  Its ``(k, w)`` must equal
-        this mapper's, or construction raises :class:`ValueError`.
     """
 
     def __init__(
@@ -112,7 +106,6 @@ class Mapper:
         min_chain_score: float = 40.0,
         min_chain_anchors: int = 3,
         region_padding: int = 64,
-        index=None,
     ) -> None:
         self.genome = genome
         self.k = k
@@ -121,14 +114,7 @@ class Mapper:
         self.min_chain_score = min_chain_score
         self.min_chain_anchors = min_chain_anchors
         self.region_padding = region_padding
-        if index is None:
-            index = MinimizerIndex.build(genome, k, w, max_occurrences=max_occurrences)
-        elif (index.k, index.w) != (k, w):
-            raise ValueError(
-                f"index was built with (k, w) = ({index.k}, {index.w}) but the "
-                f"mapper uses (k, w) = ({k}, {w})"
-            )
-        self.index = index
+        self.index = MinimizerIndex.build(genome, k, w, max_occurrences=max_occurrences)
 
     # ------------------------------------------------------------------ #
     def map_sequence(self, name: str, sequence: str) -> List[CandidateMapping]:

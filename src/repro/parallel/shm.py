@@ -1,9 +1,7 @@
 """Shared-memory execution: ship descriptors between processes, not arrays.
 
-A plain spawn pool pickles its entire payload into every worker —
-sequence pairs per task, and for mapping the reference genome and
-:class:`~repro.mapping.index.MinimizerIndex`, which are too expensive to
-ship per task.  This module inverts that, the way the paper's GPU design
+A plain spawn pool pickles its entire payload into every worker, task
+by task.  This module inverts that, the way the paper's GPU design
 keeps wave state resident and moves *work*:
 
 * **Segments** (:class:`SharedSegment`) own one
@@ -13,19 +11,12 @@ keeps wave state resident and moves *work*:
 * **Layouts** (:class:`SegmentLayout`) describe named arrays packed into a
   segment — dtype/shape/offset metadata only, tiny and picklable.  What
   crosses a process boundary is the layout; the bytes stay put.
-* **Hosted resources**: :func:`host_genome` / :func:`host_index` pack a
-  reference genome and a minimizer index into segments *once*;
-  :class:`SharedGenome` is a drop-in read-side adapter and
-  :class:`SharedMinimizerIndex` the index class itself over the
-  segment's arrays.  Workers attach both in their initializer, so every
-  worker maps and fetches against the same physical pages.
 * **The executor** (:class:`SharedMemoryExecutor`): one spawn pool whose
-  workers hold an attached genome + index + a warm
-  :class:`~repro.batch.engine.BatchAlignmentEngine`.  Waves are submitted
-  as pair-block layouts (:func:`pack_pairs`), mapping tasks as bare read
-  records; the streaming pipeline's map and align stages dispatch through
-  it, and :meth:`SharedMemoryExecutor.run_alignments` aligns a batch on
-  it with the same results as
+  workers hold a warm :class:`~repro.batch.engine.BatchAlignmentEngine`.
+  Waves are submitted as pair-block layouts (:func:`pack_pairs`); the
+  streaming pipeline's align stage dispatches through it, and
+  :meth:`SharedMemoryExecutor.run_alignments` aligns a batch on it with
+  the same results as
   :meth:`~repro.batch.engine.BatchAlignmentEngine.align_pairs`.  It is
   the one way work leaves the calling process.
 
@@ -43,18 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapping.index import MinimizerIndex
-
 __all__ = [
     "SharedSegment",
     "SegmentLayout",
     "pack_arrays",
     "pack_pairs",
     "unpack_pairs",
-    "SharedGenome",
-    "host_genome",
-    "SharedMinimizerIndex",
-    "host_index",
     "SharedMemoryExecutor",
 ]
 
@@ -254,184 +239,37 @@ def unpack_pairs(layout: SegmentLayout) -> List[Tuple[str, str]]:
 
 
 # --------------------------------------------------------------------------- #
-# Shared reference genome
-# --------------------------------------------------------------------------- #
-class SharedGenome:
-    """Read-side adapter over a genome hosted in a shared segment.
-
-    Duck-compatible with the :class:`~repro.genomics.genome.SyntheticGenome`
-    surface the mapper uses — :meth:`sequence`, :meth:`fetch`,
-    :meth:`chromosome_length`, :meth:`names` — but every fetch decodes only
-    the requested slice out of the shared pages; nothing per-worker is
-    materialised beyond the region strings actually handed to lanes.
-    """
-
-    def __init__(self, layout: SegmentLayout) -> None:
-        self._layout = layout
-        self._shm, views = layout.attach()
-        self._data = views["data"]
-        offsets = views["offsets"]
-        names = list(layout.meta["names"])
-        self._bounds = {
-            name: (int(offsets[i]), int(offsets[i + 1]))
-            for i, name in enumerate(names)
-        }
-        self._names = names
-
-    @classmethod
-    def attach(cls, layout: SegmentLayout) -> "SharedGenome":
-        return cls(layout)
-
-    def names(self) -> List[str]:
-        return list(self._names)
-
-    def chromosome_length(self, chrom: str) -> int:
-        start, end = self._bounds[chrom]
-        return end - start
-
-    def sequence(self, chrom: str) -> str:
-        start, end = self._bounds[chrom]
-        return self._data[start:end].tobytes().decode("ascii")
-
-    def fetch(self, chrom: str, start: int, end: int) -> str:
-        base, bound = self._bounds[chrom]
-        length = bound - base
-        start = max(0, start)
-        end = min(length, end)
-        if start >= end:
-            return ""
-        return self._data[base + start : base + end].tobytes().decode("ascii")
-
-    def close(self) -> None:
-        self._data = None
-        if self._shm is not None:
-            shm, self._shm = self._shm, None
-            try:
-                shm.close()
-            except BufferError:
-                pass
-
-
-def host_genome(genome) -> Tuple[SharedSegment, SegmentLayout]:
-    """Pack a genome's chromosomes into one shared segment, built once.
-
-    ``genome`` is anything exposing an ordered ``chromosomes``
-    name→sequence mapping (ASCII sequences).
-    """
-    names = list(genome.chromosomes)
-    blobs = [genome.chromosomes[name].encode("ascii") for name in names]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    if blobs:
-        np.cumsum([len(b) for b in blobs], out=offsets[1:])
-    data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    return pack_arrays(
-        {"offsets": offsets, "data": data}, meta={"names": names}
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Shared minimizer index
-# --------------------------------------------------------------------------- #
-class SharedMinimizerIndex(MinimizerIndex):
-    """A :class:`~repro.mapping.index.MinimizerIndex` over hosted arrays.
-
-    The index's sorted-hash table is already flat arrays, so the attached
-    index is the same class over zero-copy views of the segment: every
-    lookup, anchor list, chain and candidate is identical to the hosting
-    process's.  :meth:`close` releases the views and the attachment.
-    """
-
-    def __init__(self, layout: SegmentLayout) -> None:
-        self._shm, views = layout.attach()
-        meta = layout.meta
-        super().__init__(
-            int(meta["k"]),
-            int(meta["w"]),
-            int(meta["max_occurrences"]),
-            views,
-            meta["chrom_names"],
-            indexed_minimizers=int(meta["indexed_minimizers"]),
-            dropped_minimizers=int(meta["dropped_minimizers"]),
-        )
-
-    @classmethod
-    def attach(cls, layout: SegmentLayout) -> "SharedMinimizerIndex":
-        return cls(layout)
-
-    def close(self) -> None:
-        self.hashes = self.starts = None
-        self.hit_chrom = self.hit_pos = self.hit_strand = None
-        if self._shm is not None:
-            shm, self._shm = self._shm, None
-            try:
-                shm.close()
-            except BufferError:
-                pass
-
-
-def host_index(index: MinimizerIndex) -> Tuple[SharedSegment, SegmentLayout]:
-    """Pack a built :class:`MinimizerIndex`'s arrays into one shared segment."""
-    return pack_arrays(
-        index.arrays(),
-        meta={
-            "chrom_names": list(index.chrom_names),
-            "k": index.k,
-            "w": index.w,
-            "max_occurrences": index.max_occurrences,
-            "indexed_minimizers": index.indexed_minimizers,
-            "dropped_minimizers": index.dropped_minimizers,
-        },
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Worker side of the executor (module-level so it pickles under spawn)
 # --------------------------------------------------------------------------- #
 _WORKER: Optional["_WorkerState"] = None
 
 
 class _WorkerState:
-    """Per-worker-process state: attached resources + a warm engine."""
+    """Per-worker-process state: a warm engine and the worker's tracer."""
 
-    def __init__(self, bundle: Dict[str, object]) -> None:
+    def __init__(self, config, trace: bool) -> None:
         import os
 
         from repro.batch.engine import BatchAlignmentEngine
         from repro.telemetry.trace import NULL_TRACER, Tracer
 
-        self.config = bundle["config"]
-        self.engine = BatchAlignmentEngine(self.config)
+        self.engine = BatchAlignmentEngine(config)
         # Worker-side tracer: spans recorded here are drained and shipped
         # back with each wave's alignments, so the driver-side tracer can
         # absorb them onto one timeline (separate pid tracks).
-        if bundle.get("trace"):
+        if trace:
             self.tracer = Tracer(process_name=f"shm-worker-{os.getpid()}")
         else:
             self.tracer = NULL_TRACER
-        self.genome = None
-        self.mapper = None
-        genome_layout = bundle.get("genome")
-        index_layout = bundle.get("index")
-        mapper_params = bundle.get("mapper_params")
-        if genome_layout is not None:
-            self.genome = SharedGenome.attach(genome_layout)
-        if index_layout is not None and mapper_params is not None:
-            from repro.mapping.mapper import Mapper
-
-            self.mapper = Mapper(
-                self.genome,
-                index=SharedMinimizerIndex.attach(index_layout),
-                **mapper_params,
-            )
 
 
-def _init_worker(bundle: Dict[str, object]) -> None:
+def _init_worker(config, trace: bool) -> None:
     global _WORKER
-    _WORKER = _WorkerState(bundle)
+    _WORKER = _WorkerState(config, trace)
 
 
 def _worker_ping(delay: float = 0.0) -> int:
-    """Warm-up task: forces spawn + imports + resource attachment.
+    """Warm-up task: forces spawn + imports + engine construction.
 
     Also runs a one-lane alignment so the engine's first-call costs
     (numpy ufunc setup, lazy allocations) are paid here rather than by the
@@ -470,25 +308,11 @@ def _worker_align_traced(layout: SegmentLayout) -> Tuple[List, List, str]:
     return alignments, tracer.drain(), tracer.process_name
 
 
-def _worker_map(name: str, sequence: str) -> List[Tuple[object, str, str]]:
-    """Map one read against the shared index + genome.
-
-    Returns (candidate, pattern, text) triples in mapper order — the same
-    payload :meth:`repro.pipeline.mapstage.MapStage.map_record` produces.
-    """
-    mapper = _WORKER.mapper
-    candidates = mapper.map_sequence(name, sequence)
-    return [
-        (candidate,) + mapper.candidate_region_sequence(candidate, sequence)
-        for candidate in candidates
-    ]
-
-
 # --------------------------------------------------------------------------- #
 # The executor
 # --------------------------------------------------------------------------- #
 class SharedMemoryExecutor:
-    """Spawn pool whose workers share genome/index segments built once.
+    """Spawn pool of warm engines that receive waves as shared segments.
 
     Parameters
     ----------
@@ -497,13 +321,6 @@ class SharedMemoryExecutor:
     config:
         Aligner configuration shipped once at pool start (defaults to the
         paper's improved GenASM).
-    mapper:
-        Optional :class:`~repro.mapping.mapper.Mapper`; when given, its
-        genome and minimizer index are hosted in shared segments and every
-        worker rebuilds an identical mapper over them, enabling
-        :meth:`submit_map`.  A :class:`~repro.pipeline.StreamingPipeline`
-        given this executor maps its reads here exactly when this is its
-        own mapper; build without ``mapper=`` to keep mapping inline.
     tracer:
         Optional driver-side :class:`~repro.telemetry.trace.Tracer`.  When
         given (and enabled), each worker builds its own tracer, records a
@@ -513,10 +330,9 @@ class SharedMemoryExecutor:
 
     The pool starts on first submit, :meth:`warm` or :meth:`start`.  The
     executor is reusable across pipeline runs — keeping it alive keeps
-    the pool warm and the resource segments hosted, which is the intended
-    mode for service-style callers; :meth:`close` (or the context-manager
-    exit) tears everything down and unlinks every segment this executor
-    ever created.
+    the pool warm, which is the intended mode for service-style callers;
+    :meth:`close` (or the context-manager exit) tears everything down and
+    unlinks every segment this executor ever created.
     """
 
     def __init__(
@@ -524,7 +340,6 @@ class SharedMemoryExecutor:
         workers: int = 2,
         *,
         config=None,
-        mapper=None,
         tracer=None,
     ) -> None:
         if workers < 1:
@@ -535,9 +350,7 @@ class SharedMemoryExecutor:
         self.workers = workers
         self.config = config if config is not None else GenASMConfig()
         self.tracer = get_tracer(tracer)
-        self.mapper = mapper
         self._pool = None
-        self._resources: List[SharedSegment] = []
         self._wave_segments: Dict[object, SharedSegment] = {}
         self._segment_names: List[str] = []
         self._closed = False
@@ -548,7 +361,7 @@ class SharedMemoryExecutor:
         return self._pool is not None
 
     def start(self) -> None:
-        """Host the shared resources and start the worker pool (idempotent)."""
+        """Start the worker pool (idempotent)."""
         if self._pool is not None:
             return
         if self._closed:
@@ -556,36 +369,18 @@ class SharedMemoryExecutor:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        bundle: Dict[str, object] = {
-            "config": self.config,
-            "trace": self.tracer.enabled,
-        }
-        if self.mapper is not None:
-            genome_segment, genome_layout = host_genome(self.mapper.genome)
-            index_segment, index_layout = host_index(self.mapper.index)
-            self._resources += [genome_segment, index_segment]
-            self._segment_names += [genome_segment.name, index_segment.name]
-            bundle["genome"] = genome_layout
-            bundle["index"] = index_layout
-            bundle["mapper_params"] = {
-                "k": self.mapper.k,
-                "w": self.mapper.w,
-                "min_chain_score": self.mapper.min_chain_score,
-                "min_chain_anchors": self.mapper.min_chain_anchors,
-                "region_padding": self.mapper.region_padding,
-            }
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=get_context("spawn"),
             initializer=_init_worker,
-            initargs=(bundle,),
+            initargs=(self.config, self.tracer.enabled),
         )
 
     def warm(self, *, delay: float = 0.2, timeout: Optional[float] = 60.0) -> List[int]:
         """Spawn and initialise every worker now; returns their pids.
 
-        Each worker pays interpreter start-up, imports and segment
-        attachment exactly once; warming moves that cost out of the first
+        Each worker pays interpreter start-up, imports and engine
+        construction exactly once; warming moves that cost out of the first
         submitted wave (service-style callers warm at deploy time).
         """
         self.start()
@@ -628,12 +423,19 @@ class SharedMemoryExecutor:
         # Traced waves resolve to (alignments, spans, worker name); callers
         # must still see a future of bare alignments, so wrap: absorb the
         # worker spans here and resolve the outer future with the payload.
+        # The outer future stays pending until the wave finishes, so
+        # cancelling either future cancels the other while the wave is
+        # still queued (close(cancel=True) cancels the inner one).
         from concurrent.futures import Future
 
         outer: Future = Future()
-        outer.set_running_or_notify_cancel()
 
         def _absorb(done) -> None:
+            if done.cancelled():
+                outer.cancel()
+                return
+            if not outer.set_running_or_notify_cancel():
+                return  # the caller cancelled; the wave ran regardless
             error = done.exception()
             if error is not None:
                 outer.set_exception(error)
@@ -642,15 +444,13 @@ class SharedMemoryExecutor:
             self.tracer.absorb(records, process_name=worker_name)
             outer.set_result(alignments)
 
-        future.add_done_callback(_absorb)
-        return outer
+        def _cancel_wave(settled) -> None:
+            if settled.cancelled():
+                future.cancel()
 
-    def submit_map(self, name: str, sequence: str):
-        """Dispatch one read-mapping task against the shared index."""
-        if self.mapper is None:
-            raise RuntimeError("executor was built without a mapper")
-        self.start()
-        return self._pool.submit(_worker_map, name, sequence)
+        future.add_done_callback(_absorb)
+        outer.add_done_callback(_cancel_wave)
+        return outer
 
     def run_alignments(self, pairs: Sequence[Tuple[str, str]]) -> List:
         """Align ``pairs`` across the pool; results in input order.
@@ -702,9 +502,6 @@ class SharedMemoryExecutor:
         for segment in list(self._wave_segments.values()):
             segment.unlink()
         self._wave_segments.clear()
-        for segment in self._resources:
-            segment.unlink()
-        self._resources.clear()
 
     def __enter__(self) -> "SharedMemoryExecutor":
         self.start()

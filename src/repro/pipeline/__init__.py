@@ -9,10 +9,6 @@ counterpart:
 
 * :mod:`~repro.pipeline.ingest` — lazy read records from simulators,
   iterables or FASTA/FASTQ files (:func:`stream_reads`);
-* :mod:`~repro.pipeline.mapstage` — candidate generation behind a
-  submit/collect window, inline or on the worker processes of a
-  :class:`~repro.parallel.shm.SharedMemoryExecutor` hosting the mapper's
-  genome and index (:class:`MapStage`);
 * :mod:`~repro.pipeline.batcher` — the wave accumulator: sorted
   expected-work grouping with a ``max_pending`` backpressure bound and
   flush-on-size / flush-on-timeout (:class:`WaveAccumulator`);
@@ -23,8 +19,9 @@ counterpart:
 * :mod:`~repro.pipeline.stats` — per-stage wall time, queue occupancy and
   wave fill efficiency (:class:`PipelineStats`);
 * :mod:`~repro.pipeline.pipeline` — the driver
-  (:class:`StreamingPipeline`), emitting :class:`MappedAlignment` results
-  in candidate input order, byte-identical to the offline path.
+  (:class:`StreamingPipeline`), mapping each read inline as it is
+  ingested and emitting :class:`MappedAlignment` results in candidate
+  input order, byte-identical to the offline path.
 
 Quickstart::
 
@@ -40,7 +37,6 @@ Quickstart::
 from repro.pipeline.alignstage import AlignStage
 from repro.pipeline.batcher import WaveAccumulator
 from repro.pipeline.ingest import ReadRecord, stream_reads
-from repro.pipeline.mapstage import MapStage
 from repro.pipeline.pipeline import CandidateWork, MappedAlignment, StreamingPipeline
 from repro.pipeline.stats import FLUSH_CAUSES, PIPELINE_STAGES, PipelineStats
 
@@ -48,7 +44,6 @@ __all__ = [
     "AlignStage",
     "CandidateWork",
     "FLUSH_CAUSES",
-    "MapStage",
     "MappedAlignment",
     "PIPELINE_STAGES",
     "PipelineStats",

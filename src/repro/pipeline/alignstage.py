@@ -12,48 +12,27 @@ groups lanes by the engine's windows × words/lane cost model
 (:meth:`repro.batch.BatchAlignmentEngine.expected_work`).
 
 Results are collected in wave submission order behind a bounded in-flight
-window; the pipeline's reorder buffer (keyed by global candidate ordinal)
-restores input order regardless.  A wave whose execution raised is
-collected with the exception in place of its alignments, so one failing
-wave never strands the waves queued behind it.
+window — a deque of each wave and its alignments, or the executor future
+computing them — and the pipeline's reorder buffer (keyed by global
+candidate ordinal) restores input order regardless.  A wave whose
+execution raised is collected with the exception in place of its
+alignments, so one failing wave never strands the waves queued behind it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.engine import BatchAlignmentEngine
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
-from repro.pipeline.window import InflightWindow
 from repro.telemetry.trace import get_tracer
 
 __all__ = ["AlignStage"]
 
 #: A collected wave's alignments, or the exception its execution raised.
 WaveResult = Union[List[Alignment], Exception]
-
-
-class _Settled:
-    """A wave's executor future whose failure is its result.
-
-    :class:`~repro.pipeline.window.InflightWindow` raises whatever
-    ``result()`` raises, which would lose the waves collected behind a
-    failed one; returning the exception lets :meth:`AlignStage.collect`
-    hand it back with its wave instead.
-    """
-
-    __slots__ = ("future",)
-
-    def __init__(self, future) -> None:
-        self.future = future
-
-    def done(self) -> bool:
-        return self.future.done()
-
-    def result(self):
-        error = self.future.exception()
-        return error if error is not None else self.future.result()
 
 
 class AlignStage:
@@ -102,7 +81,12 @@ class AlignStage:
                 "than this align stage"
             )
         workers = executor.workers if executor is not None else 1
-        self._window = InflightWindow(max(2, 2 * workers))
+        # In-flight bound: collect() waits on the oldest wave only while
+        # more than this many are queued.
+        self._bound = max(2, 2 * workers)
+        # Submitted waves, each with its alignments, the exception its
+        # dispatch raised, or the executor future computing them.
+        self._queue: Deque[Tuple[List, object]] = deque()
         self.tracer = get_tracer(tracer)
         #: Waves submitted so far; also the next wave's ``wave_id``.
         self.waves_submitted = 0
@@ -114,7 +98,7 @@ class AlignStage:
     @property
     def pending_waves(self) -> int:
         """Submitted waves not yet collected (the service's idle test)."""
-        return len(self._window)
+        return len(self._queue)
 
     # ------------------------------------------------------------------ #
     def submit(self, wave: Sequence) -> None:
@@ -131,13 +115,13 @@ class AlignStage:
             pending = self._dispatch(pairs, wave_id)
         except Exception as error:
             pending = error
-        self._window.append(list(wave), pending)
+        self._queue.append((list(wave), pending))
 
     def _dispatch(self, pairs: List[Tuple[str, str]], wave_id: int):
-        """The wave's alignments (in-process) or its settled future."""
+        """The wave's alignments (in-process) or its executor future."""
         if self.executor is not None:
             with self.tracer.span("align.dispatch", wave_id=wave_id, lanes=len(pairs)):
-                return _Settled(self.executor.submit_wave(pairs, wave_id=wave_id))
+                return self.executor.submit_wave(pairs, wave_id=wave_id)
         with self.tracer.span("align.wave", wave_id=wave_id, lanes=len(pairs)):
             return self.engine.align_pairs(pairs)
 
@@ -150,7 +134,14 @@ class AlignStage:
         with its exception in place of its alignments.
         """
         out: List[Tuple[List, WaveResult]] = []
-        for wave, alignments in self._window.collect(block=block):
+        while self._queue:
+            wave, alignments = self._queue[0]
+            if hasattr(alignments, "result"):  # an executor future
+                future = alignments
+                if not (block or future.done() or len(self._queue) > self._bound):
+                    break
+                alignments = future.exception() or future.result()
+            self._queue.popleft()
             if not isinstance(alignments, Exception) and len(alignments) != len(wave):
                 raise AssertionError(
                     "align stage returned a wave of the wrong width "

@@ -2,7 +2,7 @@
 
 :class:`StreamingPipeline` joins the stages of :mod:`repro.pipeline` into
 one overlapped dataflow.  Reads are pulled lazily from the source, mapped
-to candidate pairs, accumulated into work-sorted waves with bounded
+to candidate pairs inline, accumulated into work-sorted waves with bounded
 backpressure, aligned wave-at-a-time by the vectorized engine (in process,
 or on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`), and
 emitted as :class:`MappedAlignment` results **in candidate input order**
@@ -11,10 +11,10 @@ emitted as :class:`MappedAlignment` results **in candidate input order**
 which the differential tests pin byte for byte.
 
 The offline harness instead materialises every candidate pair before the
-first wave runs; here the first wave can be aligning while ingest is still
-reading and mapping is still chaining, and with an executor independent
-waves run on worker processes that receive pre-built wave inputs as
-shared-memory descriptors.
+first wave runs; here each wave is dispatched as soon as it fills, while
+later reads are still to be ingested and mapped, and with an executor
+independent waves run on worker processes — receiving pre-built wave
+inputs as shared-memory descriptors — while this process maps on.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.mapping.mapper import CandidateMapping, Mapper
 from repro.pipeline.alignstage import AlignStage, WaveResult
 from repro.pipeline.batcher import WaveAccumulator
 from repro.pipeline.ingest import ReadRecord, stream_reads
-from repro.pipeline.mapstage import MapStage
 from repro.pipeline.stats import PipelineStats
 from repro.telemetry.trace import get_tracer
 
@@ -90,11 +89,8 @@ class StreamingPipeline:
         Accumulator flush timeout; ``None`` disables it.
     executor:
         Optional :class:`repro.parallel.shm.SharedMemoryExecutor`.  Waves
-        are dispatched to it as shared-memory descriptors, and — exactly
-        when it was built over this pipeline's mapper
-        (``executor.mapper is mapper``) — reads are mapped on its worker
-        processes against the shared index too; build it without
-        ``mapper=`` to keep mapping inline.  Caller-owned and reusable
+        are dispatched to it as shared-memory descriptors; reads are
+        always mapped inline, in this process.  Caller-owned and reusable
         across runs; keep it warm (:meth:`~SharedMemoryExecutor.warm`) to
         pay worker spawn once, not per run.
     tracer:
@@ -159,11 +155,7 @@ class StreamingPipeline:
 
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        reads: Union[str, Iterable],
-        *,
-        mapper: Optional[Mapper] = None,
-        sink=None,
+        self, reads: Union[str, Iterable], *, sink=None
     ) -> Iterator[MappedAlignment]:
         """Stream reads end to end; yields results in candidate input order.
 
@@ -180,16 +172,14 @@ class StreamingPipeline:
         emitted bytes are identical to writing the materialised results
         offline (:func:`repro.io.write_sam`), which the parity tests pin.
         """
-        mapper = mapper if mapper is not None else self.mapper
-        if mapper is None:
+        if self.mapper is None:
             raise ValueError(
                 "StreamingPipeline.run needs a mapper (pass one at "
-                "construction or per call); use align_pairs() for "
-                "pre-built pairs"
+                "construction); use align_pairs() for pre-built pairs"
             )
         stats = PipelineStats(wave_size=self.wave_size)
         self.stats = stats
-        results = self._execute(self._mapped_works(reads, mapper, stats), stats)
+        results = self._execute(self._mapped_works(reads, stats), stats)
         if sink is None:
             return results
         return self._stream_to_sink(results, sink)
@@ -209,14 +199,10 @@ class StreamingPipeline:
         sink.finish()
 
     def run_all(
-        self,
-        reads: Union[str, Iterable],
-        *,
-        mapper: Optional[Mapper] = None,
-        sink=None,
+        self, reads: Union[str, Iterable], *, sink=None
     ) -> List[MappedAlignment]:
         """:meth:`run`, materialised."""
-        return list(self.run(reads, mapper=mapper, sink=sink))
+        return list(self.run(reads, sink=sink))
 
     def align_pairs(self, pairs: Iterable[Tuple[str, str]]) -> List[Alignment]:
         """Stream pre-built (pattern, text) pairs through batch + align.
@@ -236,14 +222,16 @@ class StreamingPipeline:
 
     # ------------------------------------------------------------------ #
     def _mapped_works(
-        self, reads: Union[str, Iterable], mapper: Mapper, stats: PipelineStats
+        self, reads: Union[str, Iterable], stats: PipelineStats
     ) -> Iterator[CandidateWork]:
-        """Ingest + map: lazily turn a read source into CandidateWork items."""
-        # Reads map on the executor's processes exactly when it hosts this
-        # mapper's genome/index; otherwise mapping stays inline.
-        executor = self.executor
-        hosted = executor is not None and executor.mapper is mapper
-        map_stage = MapStage(mapper, executor=executor if hosted else None)
+        """Ingest + map: lazily turn a read source into CandidateWork items.
+
+        Each read is mapped as soon as it is ingested, and its candidates
+        follow in :meth:`Mapper.map_sequence` order — the order of the
+        offline path (:meth:`Mapper.map_reads`), which is what makes the
+        streaming results byte-comparable to the offline ones.
+        """
+        mapper = self.mapper
         tracer = self.tracer
         order = 0
         records = stream_reads(reads)
@@ -254,17 +242,13 @@ class StreamingPipeline:
                 break
             stats.record_read()
             with stats.timer("map"), tracer.span("stage.map", read=record.name):
-                map_stage.submit(record)
-                completed = map_stage.collect()
-            for mapped_record, items in completed:
-                for candidate, pattern, text in items:
-                    yield CandidateWork(order, mapped_record, candidate, pattern, text)
-                    order += 1
-        with stats.timer("map"), tracer.span("stage.map", drain=True):
-            completed = map_stage.drain()
-        for mapped_record, items in completed:
-            for candidate, pattern, text in items:
-                yield CandidateWork(order, mapped_record, candidate, pattern, text)
+                candidates = mapper.map_sequence(record.name, record.sequence)
+                pairs = [
+                    mapper.candidate_region_sequence(candidate, record.sequence)
+                    for candidate in candidates
+                ]
+            for candidate, (pattern, text) in zip(candidates, pairs):
+                yield CandidateWork(order, record, candidate, pattern, text)
                 order += 1
 
     def _execute(

@@ -23,8 +23,8 @@ Design constraints, in order:
    alignment metadata, not spans) and the pipeline/service
    instrumentation behind this no-op path.
 2. **Cross-process timelines.**  Worker processes build their own
-   :class:`Tracer` (:mod:`repro.parallel.shm` enables it via the worker
-   bundle), record wave spans, and :meth:`Tracer.drain` them into the
+   :class:`Tracer` (:mod:`repro.parallel.shm` enables it in the worker
+   initializer), record wave spans, and :meth:`Tracer.drain` them into the
    picklable :class:`SpanRecord` list shipped back alongside the wave's
    alignments; the driver-side tracer :meth:`Tracer.absorb`\\ s them so one
    export shows driver stages and worker waves on one timeline (separate

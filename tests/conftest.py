@@ -10,10 +10,10 @@ from hypothesis import settings
 from repro.core.config import GenASMConfig
 
 # Hypothesis profiles.  Tier-1 runs the bounded one; CI runs the mapping
-# property tests and the traceback walk's (``test_properties.py``,
-# ``test_batch_traceback.py``) again under ``--hypothesis-profile=ci``, ten
-# times longer.  Tests that pin ``max_examples`` in their own ``@settings``
-# keep it.
+# property tests, the alignment properties and the generated batches
+# (``test_properties.py``, ``test_batch_traceback.py``,
+# ``test_shared_memory.py``) again under ``--hypothesis-profile=ci``, ten
+# times longer.  No test pins its own ``max_examples``.
 settings.register_profile("bounded", max_examples=100)
 settings.register_profile("ci", max_examples=1_000)
 

@@ -382,14 +382,13 @@ class TestMapper:
         # A random sequence should rarely chain anywhere on this small genome.
         assert len(mapper.map_sequence("random", random_read)) <= 1
 
-    def test_mismatched_prebuilt_index_raises(self):
+    def test_index_is_built_with_the_mapper_parameters(self):
         genome = SyntheticGenome.random({"a": 20_000}, seed=5, repeat_fraction=0.0)
-        index = MinimizerIndex.build(genome, 15, 10)
-        with pytest.raises(ValueError, match=r"\(15, 10\).*\(13, 10\)"):
-            Mapper(genome, k=13, index=index)
-        with pytest.raises(ValueError, match=r"\(15, 10\).*\(15, 5\)"):
-            Mapper(genome, w=5, index=index)
-        assert Mapper(genome, index=index).index is index
+        mapper = Mapper(genome, k=13, w=5, max_occurrences=8)
+        index = MinimizerIndex.build(genome, 13, 5, max_occurrences=8)
+        assert (mapper.index.k, mapper.index.w, mapper.index.max_occurrences) == (13, 5, 8)
+        for name in ("hashes", "starts", "hit_chrom", "hit_pos", "hit_strand"):
+            assert np.array_equal(getattr(mapper.index, name), getattr(index, name)), name
 
     @settings(deadline=None)
     @given(mapping_cases())

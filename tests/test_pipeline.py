@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import pytest
@@ -27,12 +28,12 @@ from repro.io import SamSink
 from repro.mapping.mapper import Mapper
 from repro.parallel.shm import SharedMemoryExecutor
 from repro.pipeline import (
-    MapStage,
     ReadRecord,
     StreamingPipeline,
     WaveAccumulator,
     stream_reads,
 )
+from repro.telemetry import Tracer
 from tests.conftest import mutate, random_dna, segment_exists
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -59,16 +60,6 @@ def offline(workload, mapper):
     ]
     results = BatchAlignmentEngine(GenASMConfig()).align_pairs(pairs)
     return candidates, pairs, results
-
-
-@pytest.fixture(scope="module")
-def hosted_executor(mapper):
-    """A warm two-worker executor hosting ``mapper``'s genome and index."""
-    executor = SharedMemoryExecutor(workers=2, config=GenASMConfig(), mapper=mapper)
-    executor.warm(delay=0.0)
-    yield executor
-    executor.close()
-    assert not [name for name in executor.segment_names() if segment_exists(name)]
 
 
 def assert_same_alignments(reference, got, context=""):
@@ -222,30 +213,6 @@ class TestWaveAccumulator:
             WaveAccumulator(linger_seconds=-1.0)
 
 
-class TestMapStage:
-    def test_hosted_mapping_matches_inline_in_order(
-        self, workload, mapper, offline, hosted_executor
-    ):
-        candidates, pairs, _reference = offline
-        records = list(stream_reads(workload.reads))
-        inline = MapStage(mapper)
-        hosted = MapStage(mapper, executor=hosted_executor)
-        for record in records:
-            inline.submit(record)
-            hosted.submit(record)
-        mapped = hosted.drain()
-        assert [record for record, _ in mapped] == records
-        assert mapped == inline.drain()
-        assert [c for _, items in mapped for c, _, _ in items] == list(candidates)
-        assert [(p, t) for _, items in mapped for _, p, t in items] == pairs
-
-    def test_executor_must_host_the_stage_mapper(self, mapper):
-        with pytest.raises(ValueError, match="without a mapper"):
-            MapStage(mapper, executor=SimpleNamespace(mapper=None, workers=1))
-        with pytest.raises(ValueError, match="different mapper"):
-            MapStage(mapper, executor=SimpleNamespace(mapper=object(), workers=1))
-
-
 class _Unfinished:
     """An executor future that never reports done but resolves when asked."""
 
@@ -263,8 +230,8 @@ class _Unfinished:
 
 
 class TestInflightBounds:
-    """Executor-backed stages wait on their oldest item only past a bound
-    sized from the executor: two waves, or four reads, per worker."""
+    """An executor-backed align stage waits on its oldest wave only past a
+    bound sized from the executor: two waves per worker."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_align_stage_holds_two_waves_per_worker(self, workers):
@@ -289,22 +256,37 @@ class TestInflightBounds:
         assert [wave for wave, _ in stage.drain()] == waves[1:]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_map_stage_holds_four_reads_per_worker(self, mapper, workers):
+    def test_failed_future_is_collected_in_its_place(self, workers):
+        # A wave whose executor future fails comes back with its exception
+        # in its own slot: not ahead of an unfinished earlier wave, and
+        # without stranding the waves behind it.
+        from repro.pipeline.alignstage import AlignStage
+
+        futures = []
+
+        def submit_wave(pairs, wave_id):
+            futures.append(Future())
+            return futures[-1]
+
         executor = SimpleNamespace(
-            mapper=mapper,
-            workers=workers,
-            submit_map=lambda name, sequence: _Unfinished([]),
+            config=GenASMConfig(), workers=workers, submit_wave=submit_wave
         )
-        stage = MapStage(mapper, executor=executor)
-        records = [
-            ReadRecord(index, f"r{index}", "ACGT") for index in range(4 * workers + 1)
+        stage = AlignStage(GenASMConfig(), executor=executor)
+        waves = [
+            [SimpleNamespace(pattern="ACGT", text=f"ACGT{'A' * index}")]
+            for index in range(2 * workers)
         ]
-        for record in records[:-1]:
-            stage.submit(record)
+        for wave in waves:
+            stage.submit(wave)
+        error = RuntimeError("worker failed")
+        futures[1].set_exception(error)
         assert stage.collect() == []
-        stage.submit(records[-1])
-        assert stage.collect() == [(records[0], [])]
-        assert stage.drain() == [(record, []) for record in records[1:]]
+        futures[0].set_result(["first"])
+        assert stage.collect() == [(waves[0], ["first"]), (waves[1], error)]
+        for future in futures[2:]:
+            future.set_result(["later"])
+        assert stage.drain() == [(wave, ["later"]) for wave in waves[2:]]
+        assert stage.pending_waves == 0
 
 
 class TestStreamingEquivalence:
@@ -373,53 +355,49 @@ class TestStreamingEquivalence:
         assert seen == list(range(len(candidates)))
         assert pipeline.stats.waves >= 2  # the bound actually chunked the stream
 
-    def test_executors_do_not_change_results(
-        self, workload, mapper, offline, hosted_executor
-    ):
-        # Built with the pipeline's mapper, the executor maps and aligns;
-        # built without one, it only aligns and mapping stays inline.
+    def test_executors_do_not_change_results(self, workload, mapper, offline):
+        # Reads map inline; the executor only aligns the waves.
         candidates, _pairs, reference = offline
-        plain_executor = SharedMemoryExecutor(workers=2, config=GenASMConfig())
+        executor = SharedMemoryExecutor(workers=2, config=GenASMConfig())
         try:
-            for executor in (hosted_executor, plain_executor):
-                pipeline = StreamingPipeline(
-                    mapper, wave_size=8, max_pending=16, executor=executor
-                )
-                results = pipeline.run_all(workload.reads)
-                assert [m.order for m in results] == list(range(len(candidates)))
-                assert [m.candidate for m in results] == list(candidates)
-                assert_same_alignments(reference, [m.alignment for m in results])
+            pipeline = StreamingPipeline(
+                mapper, wave_size=8, max_pending=16, executor=executor
+            )
+            results = pipeline.run_all(workload.reads)
+            assert [m.order for m in results] == list(range(len(candidates)))
+            assert [m.candidate for m in results] == list(candidates)
+            assert_same_alignments(reference, [m.alignment for m in results])
         finally:
-            plain_executor.close()
-        assert not [n for n in plain_executor.segment_names() if segment_exists(n)]
+            executor.close()
+        assert not [n for n in executor.segment_names() if segment_exists(n)]
 
-    @pytest.mark.parametrize("pipeline_mapper", ["hosted", "distinct"])
-    def test_reads_map_on_the_executor_only_for_its_mapper(
-        self, workload, mapper, offline, hosted_executor, monkeypatch, pipeline_mapper
+    @pytest.mark.parametrize("with_executor", [False, True], ids=["inline", "executor"])
+    def test_each_read_maps_once_in_this_process(
+        self, workload, mapper, offline, monkeypatch, with_executor
     ):
-        # The executor hosts ``mapper``.  A pipeline over that very mapper
-        # maps every read on the executor; one over an equal but distinct
-        # mapper maps inline and only aligns there.
+        # A read is mapped in one place only: inline, right after ingest,
+        # whether its waves align in process or on the executor's workers.
         candidates, _pairs, reference = offline
         mapped_names = []
-        submit_map = hosted_executor.submit_map
+        map_sequence = Mapper.map_sequence
 
-        def recording_submit_map(name, sequence):
+        def recording_map_sequence(self, name, sequence):
             mapped_names.append(name)
-            return submit_map(name, sequence)
+            return map_sequence(self, name, sequence)
 
-        monkeypatch.setattr(hosted_executor, "submit_map", recording_submit_map)
-        if pipeline_mapper == "hosted":
-            own_mapper = mapper
-            expected_names = [read.name for read in workload.reads]
-        else:
-            own_mapper = Mapper(workload.genome)
-            expected_names = []
-        pipeline = StreamingPipeline(
-            own_mapper, wave_size=8, max_pending=16, executor=hosted_executor
-        )
-        results = pipeline.run_all(workload.reads)
-        assert mapped_names == expected_names
+        monkeypatch.setattr(Mapper, "map_sequence", recording_map_sequence)
+        executor = None
+        if with_executor:
+            executor = SharedMemoryExecutor(workers=1, config=GenASMConfig())
+        try:
+            pipeline = StreamingPipeline(
+                mapper, wave_size=8, max_pending=16, executor=executor
+            )
+            results = pipeline.run_all(workload.reads)
+        finally:
+            if executor is not None:
+                executor.close()
+        assert mapped_names == [read.name for read in workload.reads]
         assert [m.candidate for m in results] == list(candidates)
         assert_same_alignments(reference, [m.alignment for m in results])
 
@@ -578,6 +556,19 @@ class TestPipelineStats:
         assert as_dict["aligned"] == stats.aligned
         assert "stage_seconds" in as_dict
         assert "reads/s" in stats.summary()
+
+    def test_map_stage_times_and_traces_every_read(self, workload, mapper):
+        tracer = Tracer()
+        pipeline = StreamingPipeline(
+            mapper, wave_size=4, max_pending=8, tracer=tracer
+        )
+        pipeline.run_all(workload.reads)
+        spans = [record for record in tracer.records() if record.name == "stage.map"]
+        assert [span.attrs["read"] for span in spans] == [
+            read.name for read in workload.reads
+        ]
+        assert pipeline.stats.reads == len(workload.reads)
+        assert pipeline.stats.stage_seconds["map"] > 0
 
     def test_wave_fill_uses_dispatch_time_lane_counts(self):
         # Fill efficiency is a property of the dispatched waves alone: when

@@ -37,13 +37,13 @@ _improved = GenASMAligner()
 _baseline = GenASMAligner(GenASMConfig.baseline())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_genasm_distance_matches_dp_oracle(pattern, text):
     assert genasm_distance_only(pattern, text) == semiglobal_edit_distance(pattern, text)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_myers_matches_dp_oracle_all_modes(pattern, text):
     assert myers_edit_distance(pattern, text, "global") == edit_distance(pattern, text)
@@ -51,7 +51,7 @@ def test_myers_matches_dp_oracle_all_modes(pattern, text):
     assert myers_edit_distance(pattern, text, "infix") == semiglobal_edit_distance(pattern, text)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_single_window_alignment_is_optimal(pattern, text):
     alignment = _improved.align(pattern, text)
@@ -59,7 +59,7 @@ def test_single_window_alignment_is_optimal(pattern, text):
     assert alignment.edit_distance == prefix_edit_distance(pattern, text)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_improved_equals_baseline(pattern, text):
     assert (
@@ -68,7 +68,7 @@ def test_improved_equals_baseline(pattern, text):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty)
 def test_self_alignment_is_exact(pattern):
     alignment = _improved.align(pattern, pattern)
@@ -76,7 +76,7 @@ def test_self_alignment_is_exact(pattern):
     assert alignment.cigar.matches == len(pattern)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_distance_symmetry_upper_bound(pattern, text):
     # Semi-global distance is at most the global distance, which is symmetric.
@@ -84,20 +84,20 @@ def test_distance_symmetry_upper_bound(pattern, text):
     assert semi <= edit_distance(pattern, text)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty, dna_nonempty)
 def test_triangle_inequality_on_global_distance(a, b, c):
     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, st.text(alphabet="ACGT", min_size=0, max_size=16))
 def test_appending_text_never_increases_prefix_distance(pattern, extra):
     base = pattern
     assert prefix_edit_distance(pattern, base + extra) <= prefix_edit_distance(pattern, base)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(dna_nonempty, dna_nonempty)
 def test_cigar_consumes_whole_pattern(pattern, text):
     alignment = _improved.align(pattern, text)
@@ -174,7 +174,7 @@ def test_multi_word_vectorized_alignment_equals_scalar(pattern, edits):
     assert got.metadata["words_per_lane"] == -(-len(pattern) // 64)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=32),
     st.integers(min_value=1, max_value=16),
@@ -299,7 +299,7 @@ def _dc_wave(draw):
 
 # Bounded for tier-1: each example checks 8 toggle combinations against the
 # scalar kernel, so 30 examples take a few seconds.
-@settings(max_examples=30, deadline=None)
+@settings(deadline=None)
 @given(_dc_wave())
 def test_generated_dc_waves_equal_scalar_genasm_dc(lanes):
     for entry_compression, early_termination, traceback_band in itertools.product(

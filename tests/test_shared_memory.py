@@ -3,14 +3,16 @@
 Covers the zero-copy execution core end to end:
 
 * segment-layout and pair-block round trips (:mod:`repro.parallel.shm`);
-* the hosted genome and minimizer index matching the originals array
-  for array and lookup for lookup;
 * :class:`SharedMemoryExecutor` segment hygiene — every segment the
   executor ever creates is gone from the system after a normal close,
-  after a worker crash mid-stream, and after a cancellation close;
-* a traced streaming pipeline mapping and aligning on a two-worker
-  executor built over its mapper: offline-equal results, every stage plus
-  the worker wave spans on one timeline;
+  after a worker crash mid-stream, and after a cancellation close, traced
+  or not, with every returned future settled;
+* generated batches (the engine's adversarial hypothesis strategy) run
+  on a warm two-worker executor, equal to the scalar aligner and to the
+  in-process engine's metadata;
+* a traced streaming pipeline mapping inline and aligning on a two-worker
+  executor: offline-equal results, every stage plus the worker wave spans
+  on one timeline;
 * the streaming pipeline's in-order emission staying byte-identical to
   the offline vectorized path under a work-sorted stress mix.
 
@@ -23,33 +25,31 @@ from __future__ import annotations
 
 import os
 import random
+import time
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.batch.engine import BatchAlignmentEngine
+from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import PacBioSimulator
-from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import Mapper
-from repro.mapping.minimizers import extract_minimizers
 from repro.parallel.shm import (
     SegmentLayout,
-    SharedGenome,
     SharedMemoryExecutor,
-    SharedMinimizerIndex,
     SharedSegment,
-    host_genome,
-    host_index,
     pack_arrays,
     pack_pairs,
     unpack_pairs,
 )
 from repro.pipeline import StreamingPipeline
 from repro.telemetry import Tracer, chrome_trace
-from tests import reference_mapping as ref
 from tests.conftest import mutate, random_dna, segment_exists
+from tests.test_batch_traceback import engine_batch
 
 
 def assert_same_alignments(got, want):
@@ -144,127 +144,18 @@ class TestSegmentsAndLayouts:
 
 
 # --------------------------------------------------------------------------- #
-# Hosted genome and index
-# --------------------------------------------------------------------------- #
-class TestSharedResources:
-    def test_shared_genome_matches_original(self, corpus):
-        genome, _, _, _ = corpus
-        segment, layout = host_genome(genome)
-        shared = SharedGenome.attach(layout)
-        try:
-            assert shared.names() == genome.names()
-            for chrom in genome.names():
-                assert shared.sequence(chrom) == genome.sequence(chrom)
-                assert shared.chromosome_length(chrom) == genome.chromosome_length(chrom)
-                assert shared.fetch(chrom, 100, 250) == genome.fetch(chrom, 100, 250)
-                assert shared.fetch(chrom, -5, 10) == genome.fetch(chrom, -5, 10)
-                assert shared.fetch(chrom, 10, 5) == ""
-        finally:
-            shared.close()
-            segment.unlink()
-        assert not segment_exists(layout.segment)
-
-    def test_shared_index_matches_original(self, corpus):
-        genome, mapper, reads, _ = corpus
-        index = mapper.index
-        segment, layout = host_index(index)
-        shared = SharedMinimizerIndex.attach(layout)
-        try:
-            assert isinstance(shared, MinimizerIndex)
-            assert len(shared) == len(index)
-            assert (shared.k, shared.w, shared.max_occurrences) == (
-                index.k,
-                index.w,
-                index.max_occurrences,
-            )
-            assert shared.chrom_names == index.chrom_names
-            assert (shared.indexed_minimizers, shared.dropped_minimizers) == (
-                index.indexed_minimizers,
-                index.dropped_minimizers,
-            )
-            # No view may outlive the loop, or `close` cannot release the
-            # segment.
-            for name, array in index.arrays().items():
-                assert shared.arrays()[name].dtype == array.dtype, name
-                assert np.array_equal(shared.arrays()[name], array), name
-            # Lookups of a read's minimizers, the first indexed hashes and
-            # a hash the genome does not hold.
-            probes = np.concatenate(
-                [
-                    extract_minimizers(reads[0].sequence).hashes,
-                    index.hashes[:100],
-                    np.array([0xDEADBEEF_DEADBEEF], dtype=np.uint64),
-                ]
-            )
-            got, want = shared.lookup(probes), index.lookup(probes)
-            assert len(want[1]) > 100
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            assert [h in shared for h in probes.tolist()] == [
-                h in index for h in probes.tolist()
-            ]
-            assert 0xDEADBEEF_DEADBEEF not in shared
-            # The attached hits, hash by hash, against the per-object
-            # dict index the table replaced.
-            table = ref.build_dict_index(genome, index.k, index.w, index.max_occurrences)
-            for minimizer_hash, hits in list(table.items())[:100]:
-                assert minimizer_hash in shared
-                _, rows = shared.lookup(np.array([minimizer_hash], dtype=np.uint64))
-                assert [
-                    ref.IndexHit(
-                        shared.chrom_names[shared.hit_chrom[row]],
-                        int(shared.hit_pos[row]),
-                        int(shared.hit_strand[row]),
-                    )
-                    for row in rows.tolist()
-                ] == hits
-        finally:
-            shared.close()
-            segment.unlink()
-
-    def test_mapper_over_shared_resources_is_identical(self, corpus):
-        genome, mapper, reads, _ = corpus
-        genome_segment, genome_layout = host_genome(genome)
-        index_segment, index_layout = host_index(mapper.index)
-        shared_genome = SharedGenome.attach(genome_layout)
-        shared_index = SharedMinimizerIndex.attach(index_layout)
-        try:
-            shared_mapper = Mapper(shared_genome, index=shared_index)
-            for read in reads[:6]:
-                want = mapper.map_sequence(read.name, read.sequence)
-                got = shared_mapper.map_sequence(read.name, read.sequence)
-                assert got == want
-                for a, b in zip(want, got):
-                    assert mapper.candidate_region_sequence(
-                        a, read.sequence
-                    ) == shared_mapper.candidate_region_sequence(b, read.sequence)
-        finally:
-            shared_index.close()
-            shared_genome.close()
-            genome_segment.unlink()
-            index_segment.unlink()
-
-
-# --------------------------------------------------------------------------- #
 # Executor lifecycle: normal exit, worker crash, cancellation
 # --------------------------------------------------------------------------- #
 class TestExecutorLifecycle:
     def test_normal_exit_unlinks_every_segment(self, corpus):
-        _, mapper, reads, pairs = corpus
+        _, _, _, pairs = corpus
         config = GenASMConfig()
         expected = BatchAlignmentEngine(config).align_pairs(pairs)
-        with SharedMemoryExecutor(workers=1, config=config, mapper=mapper) as ex:
+        with SharedMemoryExecutor(workers=1, config=config) as ex:
             ex.warm(delay=0.0)
             assert_same_alignments(ex.run_alignments(pairs), expected)
-            read = reads[0]
-            mapped = ex.submit_map(read.name, read.sequence).result()
-            local = [
-                (c,) + mapper.candidate_region_sequence(c, read.sequence)
-                for c in mapper.map_sequence(read.name, read.sequence)
-            ]
-            assert mapped == local
             names = ex.segment_names()
-            assert len(names) >= 3  # genome + index + at least one wave
+            assert len(names) == 1  # one worker: the batch ships as one wave
         assert ex.outstanding_waves() == 0
         leaked = [name for name in names if segment_exists(name)]
         assert not leaked
@@ -291,22 +182,76 @@ class TestExecutorLifecycle:
         leaked = [name for name in ex.segment_names() if segment_exists(name)]
         assert not leaked
 
-    def test_midstream_cancellation_releases_segments(self, corpus):
+    def test_traced_worker_crash_fails_the_returned_future(self, corpus):
+        # Traced, the caller holds a future wrapping the pool's: a wave lost
+        # to a worker crash must fail that future, not leave it pending.
         _, _, _, pairs = corpus
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig())
+        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig(), tracer=Tracer())
+        try:
+            ex.warm(delay=0.0)
+            ex._pool.submit(os._exit, 1)
+            try:
+                future = ex.submit_wave(pairs[:4])
+            except Exception:
+                pass  # pool already marked broken at submit time
+            else:
+                with pytest.raises(Exception):
+                    future.result(timeout=60)
+                assert future.done() and not future.cancelled()
+        finally:
+            ex.close()
+        leaked = [name for name in ex.segment_names() if segment_exists(name)]
+        assert not leaked
+
+    @pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
+    def test_midstream_cancellation_releases_segments(self, corpus, tracer):
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        expected = BatchAlignmentEngine(config).align_pairs(pairs)
+        ex = SharedMemoryExecutor(workers=1, config=config, tracer=tracer)
+        starts = range(0, len(pairs), 4)
         futures = []
         try:
             ex.start()
             # Queue more waves than the single worker can start; close with
             # cancel=True drops the queued ones mid-stream.
-            for start in range(0, len(pairs), 4):
+            for start in starts:
                 futures.append(ex.submit_wave(pairs[start : start + 4]))
         finally:
             ex.close(cancel=True)
         assert ex.outstanding_waves() == 0
         leaked = [name for name in ex.segment_names() if segment_exists(name)]
         assert not leaked
-        assert any(f.cancelled() or f.done() for f in futures)
+        # Every future has settled: a wave that started returns its
+        # alignments, and a dropped one raises CancelledError.
+        assert all(future.done() for future in futures)
+        for start, future in zip(starts, futures):
+            try:
+                alignments = future.result()
+            except CancelledError:
+                continue
+            assert_same_alignments(alignments, expected[start : start + 4])
+
+    @pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
+    def test_cancelling_a_queued_wave_releases_its_segment(self, corpus, tracer):
+        _, _, _, pairs = corpus
+        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig(), tracer=tracer)
+        try:
+            # The only worker is still spawning, so the last of four waves
+            # has not started: cancelling its future drops the wave and
+            # its segment at once, and the waves before it still align.
+            futures = [
+                ex.submit_wave(pairs[start : start + 4])
+                for start in range(0, len(pairs), 4)
+            ]
+            assert len(futures) == 4
+            assert futures[-1].cancel()
+            assert ex.outstanding_waves() == 3
+            assert [len(f.result(timeout=60)) for f in futures[:-1]] == [4, 4, 4]
+        finally:
+            ex.close()
+        assert futures[-1].cancelled()
+        assert not [name for name in ex.segment_names() if segment_exists(name)]
 
     def test_executor_rejects_reuse_after_close(self):
         ex = SharedMemoryExecutor(workers=1, config=GenASMConfig())
@@ -318,13 +263,47 @@ class TestExecutorLifecycle:
         with pytest.raises(ValueError):
             SharedMemoryExecutor(workers=0)
 
-    def test_submit_map_requires_mapper(self):
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig())
-        try:
-            with pytest.raises(RuntimeError):
-                ex.submit_map("r", "ACGT")
-        finally:
-            ex.close()
+
+# --------------------------------------------------------------------------- #
+# Generated batches on a warm pool
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module", params=["default", "short_read"])
+def warm_executor(request):
+    """A warm two-worker executor per configuration, closed after its tests."""
+    if request.param == "default":
+        config = GenASMConfig()
+    else:
+        config = GenASMConfig.short_read(150)
+    executor = SharedMemoryExecutor(workers=2, config=config)
+    executor.warm(delay=0.0)
+    yield executor
+    executor.close()
+    assert not [name for name in executor.segment_names() if segment_exists(name)]
+
+
+def wave_segments_released(executor, timeout: float = 5.0) -> bool:
+    """Wait for the executor to release its wave segments.
+
+    A wave's segment is unlinked by a done-callback that the pool runs
+    just after it sets the wave's result, so ``run_alignments`` can return
+    a moment before the release.
+    """
+    deadline = time.monotonic() + timeout
+    while executor.outstanding_waves() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return executor.outstanding_waves() == 0
+
+
+class TestGeneratedBatches:
+    @settings(deadline=None)
+    @given(pairs=engine_batch())
+    def test_run_alignments_equals_the_in_process_aligners(self, warm_executor, pairs):
+        config = warm_executor.config
+        got = warm_executor.run_alignments(pairs)
+        assert_same_alignments(got, GenASMAligner(config).align_batch(pairs))
+        engine = BatchAlignmentEngine(config).align_pairs(pairs)
+        assert [a.metadata for a in got] == [a.metadata for a in engine]
+        assert wave_segments_released(warm_executor)
 
 
 # --------------------------------------------------------------------------- #
@@ -347,9 +326,7 @@ class TestTracedPoolPipeline:
         config = GenASMConfig()
         expected = BatchAlignmentEngine(config).align_pairs(pairs)
         tracer = Tracer(process_name="driver")
-        with SharedMemoryExecutor(
-            workers=2, config=config, mapper=mapper, tracer=tracer
-        ) as executor:
+        with SharedMemoryExecutor(workers=2, config=config, tracer=tracer) as executor:
             executor.warm()
             pipeline = StreamingPipeline(
                 mapper,
