@@ -9,8 +9,8 @@ byte-identical to the scalar path in :mod:`repro.core`.
 
 * :class:`BatchAlignmentEngine` — batch aligner producing
   :class:`repro.core.alignment.Alignment` objects.
-* :func:`run_dc_wave` / :func:`run_dc_wave_state` / :class:`SoAWave` /
-  :class:`LaneJob` — the lockstep GenASM-DC kernel and its lane layout.
+* :func:`run_dc_wave_state` / :class:`SoAWave` / :class:`LaneJob` — the
+  lockstep GenASM-DC kernel and its lane layout.
 * :func:`build_wave_decisions` / :func:`lockstep_traceback` — the lockstep
   GenASM-TB kernel (see below).
 * :func:`lockstep_stats` — lockstep (SIMT warp divergence) efficiency
@@ -18,21 +18,28 @@ byte-identical to the scalar path in :mod:`repro.core`.
 
 Decision-word traceback layout
 ------------------------------
-A windowing step scans its lanes wave-wide, once per rung of the budget
-ladder: each attempt is one DC wave over the lanes not yet solved.  A DC
-wave stores its rows as SoA arrays (``stored[d]`` is the full-width ``R``
-row ``(W, lanes, n_max + 1)`` with ``W`` words per lane, or a quad tuple
-without entry compression; the scalar path's band packing and
-reachability placeholders are imposed lazily via
-:meth:`SoAWave.zero_view_mask`).  Once every lane has solved, the rows its
-walk can reach — ``0..min_errors`` of the attempt that solved it — are
-expanded into **decision words**: four ``uint64`` planes of shape
+A windowing step scans its lanes wave-wide at most twice: one DC wave
+over every lane at its base budget and, if some lane failed, one budget
+retry over the failed lanes at the window's full budget, which stops
+once every lane has found its solution row.  Rows do not depend on the
+budget, so that row names the rung of the scalar budget ladder that
+would have solved the lane; every rung the lane climbed is charged, and
+the retry wave is masked with the solving rung's band and reachability
+column (:meth:`SoAWave.set_budgets`).  A DC wave stores its rows as SoA
+arrays (``stored[d]`` is the full-width ``R`` row ``(W, lanes,
+n_max + 1)`` with ``W`` words per lane, or a quad tuple without entry
+compression; the scalar path's band packing and reachability
+placeholders are imposed lazily via :meth:`SoAWave.zero_view_mask`).
+Once every lane has solved, the rows its walk can reach —
+``0..min_errors`` of the scan that solved it — are expanded into
+**decision words**: four ``uint64`` planes of shape
 ``(W, slots, n_max + 1)`` — one per CIGAR operation — in which each lane
 owns ``min_errors + 1`` consecutive row slots from ``base[lane]``, and bit
 ``i % 64`` of word ``i // 64`` of ``plane[·, base[lane] + d, j]`` says that
 operation is a legal traceback step at text column ``j``, error level
 ``d``, pattern bit ``i``.  Rows above a lane's ``min_errors`` and every
-row of a failed attempt get no slot.  A match-plane word, for example, is
+row of a failed base attempt get no slot.  A match-plane word, for
+example, is
 ``char_eq[j] & ((zero(R[d][j-1]) << 1) | 1)`` — the character-equality
 word ANDed with the shifted zero-bit view of the neighbouring stored
 entry, the ``<< 1`` carrying bit 63 of each word into bit 0 of the next
@@ -60,7 +67,6 @@ the lanes of one wave finishing close together on mixed-length batches.
 from repro.batch.engine import (
     BatchAlignmentEngine,
     WaveDCState,
-    run_dc_wave,
     run_dc_wave_state,
 )
 from repro.batch.soa import LaneJob, SoAWave, lane_words, lockstep_stats
@@ -74,7 +80,6 @@ from repro.batch.traceback import (
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
-    "run_dc_wave",
     "run_dc_wave_state",
     "LaneJob",
     "SoAWave",

@@ -8,10 +8,11 @@ window pairs in lockstep**: one multi-word lane per pair
 (``W = ceil(window_size / 64)`` ``uint64`` words, see
 :mod:`repro.batch.soa`), with the DP applied to all lanes at once as
 NumPy array operations.  The DC scan walks the anti-diagonals of the
-``(d, j)`` grid, one NumPy step per diagonal over every row and lane, so
-the Python interpreter executes ``n_max + rows`` steps per *wave* instead
-of ``rows × n`` steps per *pair*, amortising interpreter overhead across
-the wave width and the error levels.
+``(d, j)`` grid, one NumPy step per diagonal over every row and lane, and
+stops once every lane has the rows it needs, so the Python interpreter
+executes at most ``n_max + rows`` steps per *wave* instead of
+``rows × n`` steps per *pair*, amortising interpreter overhead across the
+wave width and the error levels.
 
 Equivalence contract
 --------------------
@@ -38,16 +39,16 @@ Structure
   lockstep traceback consumes).
   The recurrence carries the shifted bit across lane words, so windows
   wider than 64 characters (short-read configs) vectorize too.
-* :func:`run_dc_wave` — compatibility wrapper materialising one scalar
-  :class:`~repro.core.genasm_dc.DCTable` per lane from the wave state.
 * :class:`BatchAlignmentEngine` — the windowed aligner: all pairs advance
   their current window together, and finished pairs drop out of
-  subsequent steps.  A windowing step climbs the budget ladder with one
-  wave and one DC scan per attempt, over the lanes whose budget has not
-  yet succeeded (doubling it each time), then traces every lane at once:
-  one decision build over only the rows each lane can reach and one
-  lockstep walk.  Mixed-length batches are scheduled into waves by
-  expected lockstep work — window count × words per lane (see
+  subsequent steps.  A windowing step runs at most two DC scans: one wave
+  over every lane at its base budget, then, if some lane failed, one
+  budget retry over the failed lanes at the window's full budget, which
+  stops once every lane has found its solution row; every rung of the
+  scalar budget ladder is charged from that row.  It then traces every
+  lane at once: one decision build over only the rows each lane can
+  reach and one lockstep walk.  Mixed-length batches are scheduled into
+  waves by expected lockstep work — window count × words per lane (see
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
   lockstep with similarly-sized neighbours.
 
@@ -73,13 +74,12 @@ from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import DCTable
-from repro.core.improvements import reachable_column_start
+from repro.core.improvements import entry_bytes, reachable_column_start
 from repro.core.metrics import AccessCounter, MemoryFootprint
 
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
-    "run_dc_wave",
     "run_dc_wave_state",
 ]
 
@@ -167,8 +167,8 @@ class WaveDCState:
     def table(self, lane: int) -> DCTable:
         """Materialise the scalar :class:`DCTable` of one lane.
 
-        Used by the compat wrapper (:meth:`tables`) and the differential
-        tests, never by the engine's hot path.  The full-width wave rows
+        Used by :meth:`tables` and the differential tests, never by the
+        engine's hot path.  The full-width wave rows
         are band-packed and placeholder-substituted here, reproducing the
         scalar storage exactly (``tests/test_batch_engine.py`` pins this
         state for state).
@@ -245,30 +245,60 @@ class WaveDCState:
         return table
 
     def tables(self) -> List[DCTable]:
-        """Materialise one scalar :class:`DCTable` per lane (compat path)."""
+        """Materialise one scalar :class:`DCTable` per lane."""
         return [self.table(lane) for lane in range(self.wave.lanes)]
 
 
-def run_dc_wave(
-    wave: SoAWave,
-    *,
-    entry_compression: bool = True,
-    early_termination: bool = True,
-) -> List[DCTable]:
-    """Run GenASM-DC over every lane of ``wave`` in lockstep.
+def _ladder(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each lane's budget ladder, one rung per row: ``(rungs, L)``.
 
-    Returns one :class:`DCTable` per lane with exactly the stored state,
-    ``min_errors``, ``rows_computed`` and access accounting the scalar
-    :func:`repro.core.genasm_dc.genasm_dc` produces for the same inputs.
-    Each lane keeps its own budget and, with early termination, its own
-    stopping row; the wave itself is one anti-diagonal scan (see
-    :func:`run_dc_wave_state`).
+    The ladder of :func:`repro.core.windowing.align_window` doubles its
+    budget from ``first`` up to ``last`` (``min(last, 2 b)``; a rung of 0
+    climbs to 1); a lane whose ladder is shorter than the longest repeats
+    its last rung.
     """
-    return run_dc_wave_state(
-        wave,
-        entry_compression=entry_compression,
-        early_termination=early_termination,
-    ).tables()
+    rungs = [np.asarray(first, dtype=np.int64)]
+    while (rungs[-1] < last).any():
+        rungs.append(np.minimum(last, np.maximum(1, 2 * rungs[-1])))
+    return np.stack(rungs)
+
+
+def _store_from(n: int, commit: int, budget: int, band: bool) -> int:
+    """First stored text column of an attempt that commits ``commit`` columns.
+
+    Traceback-reachability pruning, as :func:`repro.core.windowing.align_window`
+    applies it: 0 without the band improvement.
+    """
+    return reachable_column_start(n, commit, budget) if band else 0
+
+
+def _charge_attempt(
+    counter: AccessCounter,
+    *,
+    budget: int,
+    rows: int,
+    n: int,
+    store_from: int,
+    entry_store: int,
+    entry_compression: bool,
+) -> None:
+    """Charge one GenASM-DC attempt's modelled DP accounting to ``counter``.
+
+    Exactly what :func:`repro.core.genasm_dc.genasm_dc` charges for an
+    attempt at ``budget`` that evaluates ``rows`` of its ``budget + 1``
+    rows (early termination skips the rest) over an ``n``-column text,
+    storing the columns from ``store_from`` at ``entry_store`` bytes per
+    entry; its per-row updates are constant per attempt.
+    """
+    stored_columns = n - max(0, store_from - 1)
+    if entry_compression:
+        writes_per_row = stored_columns + (store_from == 0)
+    else:
+        writes_per_row = 4 * stored_columns
+    counter.entries_computed += rows * n
+    counter.rows_computed += rows
+    counter.record_write(rows * writes_per_row, entry_store)
+    counter.rows_skipped += budget + 1 - rows
 
 
 def run_dc_wave_state(
@@ -276,29 +306,43 @@ def run_dc_wave_state(
     *,
     entry_compression: bool = True,
     early_termination: bool = True,
+    ladder_from: Optional[np.ndarray] = None,
 ) -> WaveDCState:
     """Run GenASM-DC over every lane of ``wave``, keeping the SoA state.
 
     This is the batch engine's hot path: the returned
     :class:`WaveDCState` feeds the lockstep traceback directly (via
-    :func:`repro.batch.traceback.build_wave_decisions`), avoiding the
-    per-lane Python-list materialisation :func:`run_dc_wave` performs.
-    Row ``d`` depends only on row ``d - 1``, so the scan walks
-    anti-diagonals: one NumPy step evaluates cell ``(d, t - d)`` of every
-    row and lane from diagonals ``t - 1`` and ``t - 2``, ``n_max + k_max``
-    steps per wave.  Shifts carry bit 63 of word ``w`` into bit 0 of word
-    ``w + 1`` (:func:`_shl1`).  All ``k_max + 1`` rows are evaluated; each
-    lane's ``min_errors``, ``rows_computed`` (early termination included)
-    and stored rows are read off the finished table, exactly where a
-    row-by-row scan would have stopped.  Per-lane DP accounting (entries,
-    rows, writes, skipped rows) is charged to each lane's counter before
-    returning.
+    :func:`repro.batch.traceback.build_wave_decisions`).  Row ``d``
+    depends only on row ``d - 1``, so the scan walks anti-diagonals: one
+    NumPy step evaluates cell ``(d, t - d)`` of every row and lane from
+    diagonals ``t - 1`` and ``t - 2``, ``n_max + k_max`` steps per wave.
+    Shifts carry bit 63 of word ``w`` into bit 0 of word ``w + 1``
+    (:func:`_shl1`).  Each lane's ``min_errors``, ``rows_computed`` (early
+    termination included) and stored rows are read off the finished
+    table, exactly where a row-by-row scan would have stopped.
+
+    ``ladder_from`` marks a budget retry.  Each lane's budget ``wave.k``
+    is then the last rung of the doubling ladder
+    ``ladder_from -> 2 ladder_from -> ...`` (``ladder_from`` is the budget
+    its first attempt failed at), and without early termination the model
+    charges a lane the rows of the first rung at or above its solution
+    row.  A retry stops at the first anti-diagonal where every lane has
+    those rows: from diagonal ``t = n_max`` on, row ``d = t - n_max`` is
+    complete in every lane's final column, so each step tests the
+    solution bits that settle row ``d``, and the scan takes ``n_max + d``
+    steps for the deepest row ``d`` a lane needs instead of
+    ``n_max + k_max``.  A retry charges nothing: its caller charges every
+    rung the lane climbed (:meth:`BatchAlignmentEngine._run_wave`).  Any
+    other scan evaluates every row (testing the rows would cost more than
+    the few rows early termination leaves unread) and charges each lane's
+    attempt at its own budget to the lane's counter before returning.
     """
     L = wave.lanes
     W = wave.words
     n_max = wave.n_max
     rows = wave.k_max + 1
     n, k, ones, masks = wave.n, wave.k, wave.ones, wave.masks
+    ladder = _ladder(k if ladder_from is None else ladder_from, k)
     lane_idx = np.arange(L)
     row_idx = np.arange(rows)
 
@@ -320,10 +364,33 @@ def run_dc_wave_state(
     # forward slice.
     masks_rev = np.ascontiguousarray(masks.transpose(2, 0, 1)[::-1])
 
+    if ladder_from is not None:
+        # Row d settles lane l once the solution bit is zero in row
+        # checkpoint[d, l]: row d itself with early termination, else the
+        # deepest rung <= d.  Rows only gain solutions as d grows, so that
+        # bit is zero iff the row the lane needs is at most d.  A lane
+        # with no rung <= d yet probes row 0 at column 0, which holds its
+        # ones and so no solution.
+        depth = np.broadcast_to(row_idx[:, None], (rows, L))
+        if early_termination:
+            checkpoint = depth
+        else:
+            reached = ladder[:, None, :] <= depth
+            checkpoint = np.where(reached, ladder[:, None, :], -1).max(axis=0)
+        probes = (
+            np.maximum(checkpoint, 0) * s_row
+            + wave.msb_word * s_word
+            + lane_idx * s_lane
+            + np.where(checkpoint >= 0, n, 0) * s_col
+        ) // table.itemsize
+        flat = table.reshape(-1)
+        solution_bit = _U1 << wave.msb_shift
+
     # Diagonals t - 1 and t by row, and (R << 1) & R of diagonal t - 1:
     # the subst & del term of the next step.
     prev, cur, subst_del = np.empty((3, rows, W, L), dtype=np.uint64)
     prev[0] = column0[0]
+    scanned = rows  # rows complete in every lane's final column
     for t in range(1, n_max + rows):
         lo, hi = max(0, t - n_max), min(rows - 1, t - 1)  # rows with 1 <= t - d <= n_max
         first = max(0, lo - 1)  # diagonal t - 1 holds rows first..hi
@@ -344,15 +411,28 @@ def run_dc_wave_state(
         if t < rows:
             cur[t] = column0[t]
         prev, cur = cur, prev
+        # Row t - n_max is complete in every final column: cell (d, n) was
+        # written on diagonal d + n <= t.
+        if (
+            ladder_from is not None
+            and t >= n_max
+            and not (flat.take(probes[t - n_max]) & solution_bit).any()
+        ):
+            scanned = t - n_max + 1
+            break
 
-    # Where a row-by-row scan stops, read off the finished table: the first
-    # row within each lane's budget whose final column holds the pattern.
-    final = table[:, :, lane_idx, n]  # (rows, W, L)
+    # Where a row-by-row scan stops, read off the table: the first row
+    # within each lane's budget whose final column holds the pattern.
+    final = table[:scanned, :, lane_idx, n]  # (scanned, W, L)
     solution = ((final[:, wave.msb_word, lane_idx] >> wave.msb_shift) & _U1) == _U0
-    solution &= row_idx[:, None] <= k
+    solution &= row_idx[:scanned, None] <= k
     found = solution.any(axis=0)
     min_errors = np.where(found, solution.argmax(axis=0), -1)
-    rows_computed = np.where(found & early_termination, min_errors + 1, k + 1)
+    if early_termination:
+        last_row = min_errors
+    else:  # the first rung at or above the solution row
+        last_row = np.where(ladder >= min_errors, ladder, k).min(axis=0)
+    rows_computed = np.where(found, last_row, k) + 1
     evaluated = int(rows_computed.max())
 
     # Persist the rows full-width; the band packing and pruned-column
@@ -369,23 +449,24 @@ def run_dc_wave_state(
         subst, ins = shifted[:-1, ..., :-1], shifted[:-1, ..., 1:]
         stored_rows.extend(zip(match[1:], subst, ins, table[: evaluated - 1, ..., :-1]))
 
-    # Bulk per-lane accounting, identical in total to the scalar per-row
-    # updates (per-row quantities are constant per lane).
-    stored_columns = n - np.maximum(0, wave.store_from - 1)
-    if entry_compression:
-        writes_per_row = stored_columns + (wave.store_from == 0)
-    else:
-        writes_per_row = 4 * stored_columns
-
-    for i, job in enumerate(wave.jobs):
-        rows_i = int(rows_computed[i])
-        counter = job.counter
-        counter.entries_computed += rows_i * int(n[i])
-        counter.rows_computed += rows_i
-        counter.record_write(rows_i * int(writes_per_row[i]), int(wave.entry_store[i]))
-        found = int(min_errors[i])
-        if early_termination and found >= 0:
-            counter.rows_skipped += int(k[i]) - found
+    if ladder_from is None:
+        for job, budget, rows_i, n_i, store_from, entry_store in zip(
+            wave.jobs,
+            k.tolist(),
+            rows_computed.tolist(),
+            n.tolist(),
+            wave.store_from.tolist(),
+            wave.entry_store.tolist(),
+        ):
+            _charge_attempt(
+                job.counter,
+                budget=budget,
+                rows=rows_i,
+                n=n_i,
+                store_from=store_from,
+                entry_store=entry_store,
+                entry_compression=entry_compression,
+            )
 
     return WaveDCState(
         wave=wave,
@@ -439,22 +520,24 @@ class _PairState:
         self.tb_match_runs = 0
         self.tb_match_run_ops = 0
 
-    def cigar(self) -> Cigar:
-        """Run-length encode the accumulated op codes into a CIGAR."""
+    def codes(self) -> np.ndarray:
+        """Every committed window's op codes, in order."""
         if not self.code_chunks:
-            return Cigar.from_runs([])
-        codes = (
-            self.code_chunks[0]
-            if len(self.code_chunks) == 1
-            else np.concatenate(self.code_chunks)
-        )
-        boundaries = np.nonzero(np.diff(codes))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [codes.size]))
-        return Cigar.from_runs(
-            (int(end - start), OPS_BY_CODE[codes[start]])
-            for start, end in zip(starts, ends)
-        )
+            return np.zeros(0, dtype=np.int8)
+        return np.concatenate(self.code_chunks)
+
+
+def _cigar(codes: np.ndarray) -> Cigar:
+    """Run-length encode packed op codes into a CIGAR."""
+    if not codes.size:
+        return Cigar.from_runs([])
+    boundaries = np.nonzero(np.diff(codes))[0] + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [codes.size]))
+    return Cigar.from_runs(
+        (int(end - start), OPS_BY_CODE[codes[start]])
+        for start, end in zip(starts, ends)
+    )
 
 
 class BatchAlignmentEngine:
@@ -462,11 +545,11 @@ class BatchAlignmentEngine:
 
     All pairs advance through their windows together: each iteration of the
     outer loop assembles one :class:`SoAWave` from every unfinished pair's
-    current window and runs the lockstep DC kernel, again over the lanes
-    whose budget failed with the budget doubled until every lane has
-    solved; it then traces every lane back in one lockstep decision-word
-    walk and advances the per-pair cursors exactly as
-    :func:`repro.core.windowing.align_windowed` would.
+    current window and runs the lockstep DC kernel, then one budget retry
+    over the lanes whose budget failed, at the window's full budget; it
+    charges every rung of the scalar budget ladder, traces every lane back
+    in one lockstep decision-word walk and advances the per-pair cursors
+    exactly as :func:`repro.core.windowing.align_windowed` would.
 
     Parameters
     ----------
@@ -645,7 +728,7 @@ class BatchAlignmentEngine:
         model_bytes = footprint.bytes_for_config(config)
         alignments: List[Alignment] = []
         for s in states:
-            cigar = s.cigar()
+            codes = s.codes()
             metadata = {
                 "windows": s.windows,
                 "rows_computed": s.rows_total,
@@ -664,8 +747,9 @@ class BatchAlignmentEngine:
                 Alignment(
                     pattern=s.pattern,
                     text=s.text,
-                    cigar=cigar,
-                    edit_distance=cigar.edit_distance,
+                    cigar=_cigar(codes),
+                    # Every op but a match (code 0) is an edit.
+                    edit_distance=int(np.count_nonzero(codes)),
                     text_start=0,
                     text_end=s.t,
                     aligner=self.name,
@@ -680,100 +764,146 @@ class BatchAlignmentEngine:
     def _run_wave(
         self, members: Sequence[Tuple[_PairState, str, str, int, int]]
     ) -> None:
-        """Run one windowing step for every member: budget ladder, then one walk.
+        """Run one windowing step for every member: at most two DC scans, one walk.
 
-        Each attempt is one :class:`SoAWave` and one DC scan
-        (:func:`run_dc_wave_state`) over the members not yet solved, every
-        failed lane retrying with a doubled budget in the next attempt
-        (the ladder of :func:`repro.core.windowing.align_window`); each
-        attempt charges its own DP accounting.  Nothing is traced until
-        every member has solved.  Then one decision build lays out, per
-        member, rows ``0..min_errors`` of the attempt that solved it
+        The base attempt is one :class:`SoAWave` and one DC scan
+        (:func:`run_dc_wave_state`) over every member at its base budget.
+        If some lane failed, one retry scan runs the failed lanes at the
+        window's full budget — the last rung of the doubling ladder of
+        :func:`repro.core.windowing.align_window`, which always solves —
+        and stops at the first anti-diagonal where every lane has found its
+        solution row ``e``.  GenASM-DC's rows do not depend on the budget,
+        so ``e`` names the rung that would have solved the lane: each
+        failed rung and the solving rung are charged exactly the DP
+        accounting the scalar ladder charges (:func:`_charge_attempt`), and
+        the retry wave is masked with each lane's solving rung
+        (:meth:`SoAWave.set_budgets`).  Then one decision build lays out,
+        per member, rows ``0..min_errors`` of the scan that solved it
         (:func:`repro.batch.traceback.build_wave_decisions`), and one
         lockstep walk traces every member
         (:func:`repro.batch.traceback.lockstep_traceback`).
         """
         config = self.config
-        reversed_windows = [(wp[::-1], wt[::-1]) for _s, wp, wt, _c, _w in members]
-        budgets = [max(1, min(w, config.k)) for *_, w in members]
-        pending = list(range(len(members)))
-        # Per attempt: its DC state and the rows each lane's block needs.
-        blocks = []
-        # Per solved lane, in decision-lane order: (member index, rows
-        # computed, stored bytes, bytes per stored entry) of its attempt.
-        traced = []
-        while pending:
-            jobs = []
-            for index in pending:
-                s, _wp, _wt, commit, _w = members[index]
-                rev_p, rev_t = reversed_windows[index]
-                store_from = 0
-                if config.traceback_band:
-                    store_from = reachable_column_start(
-                        len(rev_t), commit, budgets[index]
-                    )
-                jobs.append(
-                    LaneJob(
-                        pattern=rev_p,
-                        text=rev_t,
-                        max_errors=budgets[index],
-                        store_from=store_from,
-                        counter=s.counter,
-                    )
+        band = config.traceback_band
+        windows = [
+            (s, wp[::-1], wt[::-1], commit) for s, wp, wt, commit, _w in members
+        ]
+
+        def scan(indices, budgets, ladder_from=None) -> WaveDCState:
+            jobs = [
+                LaneJob(
+                    pattern=windows[index][1],
+                    text=windows[index][2],
+                    max_errors=budget,
+                    store_from=_store_from(
+                        len(windows[index][2]), windows[index][3], budget, band
+                    ),
+                    counter=windows[index][0].counter,
                 )
-            wave = SoAWave(jobs, traceback_band=config.traceback_band)
-            state = run_dc_wave_state(
-                wave,
+                for index, budget in zip(indices, budgets)
+            ]
+            return run_dc_wave_state(
+                SoAWave(jobs, traceback_band=band),
                 entry_compression=config.entry_compression,
                 early_termination=config.early_termination,
+                ladder_from=ladder_from,
             )
 
-            solved = state.min_errors >= 0
-            blocks.append((state, np.where(solved, state.min_errors + 1, 0)))
-            stored = state.stored_bytes()
-            retries = []
-            for lane, index in enumerate(pending):
-                if solved[lane]:
-                    traced.append(
-                        (
-                            index,
-                            int(state.rows_computed[lane]),
-                            int(stored[lane]),
-                            int(wave.entry_store[lane]),
-                        )
-                    )
-                    continue
-                m = len(reversed_windows[index][0])
-                if budgets[index] >= m:
-                    raise AssertionError(
-                        "GenASM window failed with a full error budget (internal error)"
-                    )
-                budgets[index] = min(m, budgets[index] * 2)
-                retries.append(index)
-            pending = retries
+        budgets = np.array(
+            [max(1, min(w, config.k)) for *_, w in members], dtype=np.int64
+        )
+        state = scan(range(len(members)), budgets.tolist())
+        solved = state.min_errors >= 0
+        traced = np.nonzero(solved)[0]
+        blocks = [(state, np.where(solved, state.min_errors + 1, 0))]
+        # Per block: its state, its traced lanes and their members.
+        picks = [(state, traced, traced)]
+        failed = np.nonzero(~solved)[0]
+        if failed.size:
+            # The window's full budget, the ladder's last rung.
+            full = state.wave.m[failed].tolist()
+            retry = scan(failed.tolist(), full, ladder_from=budgets[failed])
+            if (retry.min_errors < 0).any():
+                raise AssertionError(
+                    "GenASM window failed with a full error budget (internal error)"
+                )
+            self._climb_ladder(
+                retry,
+                budgets[failed].tolist(),
+                [windows[index][3] for index in failed.tolist()],
+            )
+            blocks.append((retry, retry.min_errors + 1))
+            picks.append((retry, np.arange(failed.size), failed))
 
         decisions = build_wave_decisions(blocks)
-        commits = [members[index][3] for index, *_ in traced]
+        order = np.concatenate([index for _state, _lanes, index in picks]).tolist()
+        rows = np.concatenate([st.rows_computed[lanes] for st, lanes, _ in picks])
+        stored = np.concatenate([st.stored_bytes()[lanes] for st, lanes, _ in picks])
+        entry = np.concatenate([st.wave.entry_store[lanes] for st, lanes, _ in picks])
         tracebacks = lockstep_traceback(
             decisions,
-            budgets=np.array(commits, dtype=np.int64),
+            budgets=np.array([windows[index][3] for index in order], dtype=np.int64),
             priority=config.match_priority,
         )
-        for (index, rows, stored_bytes, entry_bytes), tb in zip(traced, tracebacks):
+        for index, rows_i, stored_i, entry_i, tb in zip(
+            order, rows.tolist(), stored.tolist(), entry.tolist(), tracebacks
+        ):
             s, _wp, window_text, _commit, _w = members[index]
             s.counter.tb_steps += int(tb.codes.size)
-            s.counter.record_read(tb.dp_reads, entry_bytes)
+            s.counter.record_read(tb.dp_reads, entry_i)
             self._apply_window(
                 s,
                 codes=tb.codes,
                 pattern_consumed=tb.pattern_consumed,
                 text_consumed=len(window_text) - tb.text_stop,
-                rows=rows,
-                stored=stored_bytes,
+                rows=rows_i,
+                stored=stored_i,
                 walk_steps=tb.walk_steps,
                 match_runs=tb.match_runs,
                 match_run_ops=tb.match_run_ops,
             )
+
+    def _climb_ladder(
+        self, retry: WaveDCState, first: List[int], commits: List[int]
+    ) -> None:
+        """Charge every rung each retry lane climbed; mask it at the solving rung.
+
+        Lane ``l`` of ``retry`` commits ``commits[l]`` columns and failed
+        its first attempt at budget ``first[l]``.  Each rung past that up
+        to the first at or above the lane's solution row ``e`` is an
+        attempt :func:`repro.core.windowing.align_window` would have run
+        and is charged as such: a failed rung ``b`` evaluates ``b + 1``
+        rows, the solving rung ``e + 1`` with early termination.
+        """
+        config = self.config
+        band = config.traceback_band
+        wave = retry.wave
+        solving, solving_store_from = [], []
+        for job, n, m, e, budget, commit in zip(
+            wave.jobs,
+            wave.n.tolist(),
+            wave.m.tolist(),
+            retry.min_errors.tolist(),
+            first,
+            commits,
+        ):
+            while budget < e:
+                budget = min(m, 2 * budget)
+                rows = budget + 1
+                if budget >= e and config.early_termination:
+                    rows = e + 1
+                _charge_attempt(
+                    job.counter,
+                    budget=budget,
+                    rows=rows,
+                    n=n,
+                    store_from=_store_from(n, commit, budget, band),
+                    entry_store=entry_bytes(m, budget, band),
+                    entry_compression=config.entry_compression,
+                )
+            solving.append(budget)
+            solving_store_from.append(_store_from(n, commit, budget, band))
+        wave.set_budgets(np.array(solving), np.array(solving_store_from))
 
     def _apply_window(
         self,

@@ -133,6 +133,10 @@ class SoAWave:
     ``store_from``, ``entry_store``
         int64 ``(L,)`` — first persisted column and bytes per stored entry
         (multi-word entries store ``ceil(width / unit)`` units).
+
+    ``k``, ``k_max``, the band fields, ``store_from``, ``store_col`` and
+    ``entry_store`` depend on the budgets; :meth:`set_budgets` derives
+    them, and can derive them again for other budgets.
     """
 
     def __init__(self, jobs: Sequence[LaneJob], *, traceback_band: bool) -> None:
@@ -145,29 +149,41 @@ class SoAWave:
 
         self.m = np.array([len(j.pattern) for j in self.jobs], dtype=np.int64)
         self.n = np.array([len(j.text) for j in self.jobs], dtype=np.int64)
-        self.k = np.array(
-            [max(0, min(j.max_errors, len(j.pattern))) for j in self.jobs],
-            dtype=np.int64,
-        )
         self.n_max = int(self.n.max())
-        self.k_max = int(self.k.max())
         self.words = lane_words(int(self.m.max()))
         self.ones = _per_word_ones(self.m, self.words)  # m >= 1 per LaneJob
         self.msb_word = (self.m - 1) // MAX_LANE_BITS
         self.msb_shift = ((self.m - 1) % MAX_LANE_BITS).astype(np.uint64)
         self.masks = self._build_masks()
-        self._zero_view_mask: Optional[np.ndarray] = None
+        self.set_budgets(
+            np.array([j.max_errors for j in self.jobs], dtype=np.int64),
+            np.array([j.store_from for j in self.jobs], dtype=np.int64),
+        )
 
-        if traceback_band:
-            self.store_from = np.array(
-                [max(0, min(j.store_from, len(j.text))) for j in self.jobs],
-                dtype=np.int64,
-            )
+    def set_budgets(self, max_errors: np.ndarray, store_from: np.ndarray) -> None:
+        """Derive every field that depends on the lanes' error budgets.
+
+        ``max_errors`` and ``store_from`` are per-lane ``(L,)`` arrays,
+        clamped as the scalar :func:`repro.core.genasm_dc.genasm_dc`
+        clamps them.  Sets ``k``, ``k_max``, ``store_from``, ``band_lo``,
+        ``band_width``, ``store_col`` and ``entry_store``, and drops the
+        cached :meth:`zero_view_mask`.  The constructor calls it with the
+        jobs' budgets; the batch engine calls it again on a budget retry's
+        wave with the rung that solved each lane, so the lane's stored
+        state is masked as that rung's attempt would have stored it.  The
+        text masks do not depend on the budget and are kept.
+        """
+        L = self.lanes
+        self.k = np.clip(np.asarray(max_errors, dtype=np.int64), 0, self.m)
+        self.k_max = int(self.k.max())
+        if self.traceback_band:
+            self.store_from = np.clip(np.asarray(store_from, dtype=np.int64), 0, self.n)
         else:
             self.store_from = np.zeros(L, dtype=np.int64)
+        self._zero_view_mask: Optional[np.ndarray] = None
 
         cols = np.arange(self.n_max + 1, dtype=np.int64)
-        if traceback_band:
+        if self.traceback_band:
             lo = (self.m[:, None] - 1) - (self.n[:, None] - cols[None, :]) - self.k[:, None]
             self.band_lo = np.clip(lo, 0, np.maximum(self.m - 1, 0)[:, None])
         else:
@@ -182,7 +198,7 @@ class SoAWave:
         # entry_bytes, vectorized: full words without the band improvement,
         # else the smallest power-of-two unit (8..64 bits), taken
         # ceil(width / unit) times when the band is wider than a word.
-        if not traceback_band:
+        if not self.traceback_band:
             self.entry_store = np.maximum(1, -(-self.m // MAX_LANE_BITS)) * 8
         else:
             target = np.minimum(self.band_width, MAX_LANE_BITS)

@@ -15,15 +15,16 @@ DC kernel.  This module removes that scalar hot path in two moves:
    block of ``e + 1`` consecutive *row slots* and nothing else: bit
    ``i % 64`` of word ``i // 64`` of ``planes[0, ·, base[lane] + d, j]`` is
    set iff a match step is legal at ``(j, d, i)``.  A windowing step's
-   lanes may have been solved by different DC waves (the budget ladder's
-   attempts); each block is derived from the full-width rows its own wave
-   stored, masked through that wave's
+   lanes may have been solved by either of its two DC waves: the base
+   attempt, or the budget retry, whose wave carries the budget of the
+   ladder rung that solved each lane.  Each block is derived from the
+   full-width rows its own wave stored, masked through that wave's
    :meth:`repro.batch.soa.SoAWave.zero_view_mask`, so it encodes exactly
    the decisions the scalar predicates would take over the scalar path's
-   band-packed, reachability-pruned storage for that budget.  Each plane's
-   ``<< 1`` is a multi-word shift: bit 63 of word ``w`` carries into bit 0
-   of word ``w + 1``, which is precisely the cross-word predicate stitched
-   at pattern bits ``i`` with ``i % 64 == 0``.
+   band-packed, reachability-pruned storage for the solving budget.  Each
+   plane's ``<< 1`` is a multi-word shift: bit 63 of word ``w`` carries
+   into bit 0 of word ``w + 1``, which is precisely the cross-word
+   predicate stitched at pattern bits ``i`` with ``i % 64 == 0``.
 2. **Lockstep walk** (:func:`lockstep_traceback`): the live lanes
    advance their traceback cursor ``(j, d, i)`` together, one NumPy step
    per *emitted run* — each step gathers the word ``i // 64`` of slot
@@ -574,18 +575,29 @@ def lockstep_traceback(
     walked = opcounts > 0
     # Under skip-ahead every M iteration took a match run.
     runs = walked & (opcodes == _CODE_BY_LETTER["M"]) & skip
-    walk_steps = walked.sum(axis=0)
-    match_runs = runs.sum(axis=0)
-    match_run_ops = (opcounts * runs).sum(axis=0)
+    # Lane-major, one lane's iterations after another: one repeat expands
+    # every lane's codes, split at the lanes' op totals.
+    ops = opcounts.sum(axis=0)
+    codes = np.split(
+        np.repeat(opcodes.T.ravel(), opcounts.T.ravel()), np.cumsum(ops)[:-1]
+    )
     return [
         LaneTraceback(
-            codes=np.repeat(opcodes[:, lane], opcounts[:, lane]),
-            text_stop=int(text_stop[lane]),
-            pattern_consumed=int(pattern_consumed[lane]),
-            dp_reads=int(dp_reads[lane]),
-            walk_steps=int(walk_steps[lane]),
-            match_runs=int(match_runs[lane]),
-            match_run_ops=int(match_run_ops[lane]),
+            codes=lane_codes,
+            text_stop=stop,
+            pattern_consumed=consumed_i,
+            dp_reads=reads_i,
+            walk_steps=steps_i,
+            match_runs=runs_i,
+            match_run_ops=run_ops_i,
         )
-        for lane in range(L)
+        for lane_codes, stop, consumed_i, reads_i, steps_i, runs_i, run_ops_i in zip(
+            codes,
+            text_stop.tolist(),
+            pattern_consumed.tolist(),
+            dp_reads.tolist(),
+            walked.sum(axis=0).tolist(),
+            runs.sum(axis=0).tolist(),
+            (opcounts * runs).sum(axis=0).tolist(),
+        )
     ]

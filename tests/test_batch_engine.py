@@ -18,7 +18,7 @@ from repro.batch import (
     LaneJob,
     SoAWave,
     lockstep_stats,
-    run_dc_wave,
+    run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
 from repro.core.cigar import CigarOp
@@ -198,11 +198,11 @@ class TestDCWave:
         assert scalar_tables[10].min_errors is not None
         wave = SoAWave(jobs, traceback_band=traceback_band)
         assert wave.words == 3 and wave.n_max > 100
-        tables = run_dc_wave(
+        tables = run_dc_wave_state(
             wave,
             entry_compression=entry_compression,
             early_termination=early_termination,
-        )
+        ).tables()
         for got, want in zip(tables, scalar_tables):
             assert_same_dc_table(got, want)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import pathlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -622,7 +623,8 @@ class TestOneWalkPerWindowingStep:
         # Every pattern fits the 150-column window, so the batch is one
         # windowing step.  With k = 1 the budgets climb 1 -> 2 -> 4 -> 8, and
         # 0, 2, 4 and 7 substitutions put lanes on each of the four rungs;
-        # 40 bp lanes take one word and 150 bp lanes three.
+        # 40 bp lanes take one word and 150 bp lanes three.  The base scan
+        # solves the first rung; one retry scan solves the other three.
         config = GenASMConfig.short_read(
             150,
             max_errors=1,
@@ -671,10 +673,12 @@ class TestOneWalkPerWindowingStep:
         assert len(builds) == len(walks) == 1
         (blocks, decisions), (tracebacks,) = builds[0], walks
         states = [state for state, _rows in blocks]
-        assert [state.wave.lanes for state in states] == [8, 6, 4, 2]
+        assert [state.wave.lanes for state in states] == [8, 6]
         assert states[0].wave.words == 3 and min(states[0].wave.m) == 40
+        # The retry is masked with the rung that solved each lane.
+        assert set(states[1].wave.k.tolist()) == {2, 4, 8}
         solved = [state.min_errors[state.min_errors >= 0] for state in states]
-        # Every attempt solves some lanes, and each member is walked once.
+        # Every scan solves some lanes, and each member is walked once.
         assert all(errors.size for errors in solved)
         assert len(tracebacks) == sum(errors.size for errors in solved) == len(pairs)
         # Only rows 0..min_errors of the solving attempt get slots: a
@@ -941,18 +945,44 @@ def engine_batch(draw):
     return draw(st.lists(engine_pair(alphabet), min_size=2, max_size=12))
 
 
+def _recording(name: str, log: list):
+    """Patch the engine global ``name`` with a spy that logs each result."""
+    original = getattr(engine_module, name)
+
+    def record(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append(result)
+        return result
+
+    return patch.object(engine_module, name, side_effect=record)
+
+
 @settings(deadline=None)
 @given(
     engine_batch(),
     st.sampled_from(("default", "short_read")),
     st.sampled_from(("MSDI", "MDSI", "SMDI", "DIMS")),
+    st.sampled_from(TOGGLE_COMBOS),
+    st.sampled_from((None, 0, 1, 2)),
 )
-def test_generated_batches_equal_scalar_aligner(pairs, shape, priority):
+def test_generated_batches_equal_scalar_aligner(
+    pairs, shape, priority, toggles, max_errors
+):
+    # Budgets of 0..2 start the budget ladder at 1, so a failed lane climbs
+    # up to eight rungs (1 -> 2 -> ... -> 128 -> 150 in a 150 bp window).
+    entry_compression, early_termination, traceback_band = toggles
+    options = dict(
+        match_priority=priority,
+        max_errors=max_errors,
+        entry_compression=entry_compression,
+        early_termination=early_termination,
+        traceback_band=traceback_band,
+    )
     if shape == "default":
-        config = GenASMConfig(match_priority=priority)
+        config = GenASMConfig(**options)
     else:
-        config = GenASMConfig.short_read(150, match_priority=priority)
-    context = f"{shape} priority={priority}"
+        config = GenASMConfig.short_read(150, **options)
+    context = f"{shape} {options}"
     scalar_counter = AccessCounter()
     aligner = GenASMAligner(config)
     scalar = []
@@ -961,7 +991,13 @@ def test_generated_batches_equal_scalar_aligner(pairs, shape, priority):
         scalar.append(aligner.align(pattern, text, counter=pair_counter))
         scalar_counter.merge(pair_counter)
     batch_counter = AccessCounter()
-    batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
+    waves, scans, builds, walks = [], [], [], []
+    with _recording("SoAWave", waves), _recording(
+        "run_dc_wave_state", scans
+    ), _recording("build_wave_decisions", builds), _recording(
+        "lockstep_traceback", walks
+    ):
+        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
 
     assert_pairwise_identical(scalar, batch, context)
     assert batch_counter.as_dict() == scalar_counter.as_dict(), context
@@ -969,3 +1005,9 @@ def test_generated_batches_equal_scalar_aligner(pairs, shape, priority):
         meta = alignment.metadata
         emitted = sum(length for length, _op in alignment.cigar.runs)
         assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == emitted, context
+    # A windowing step (one decision build) runs at most two DC scans, each
+    # on a wave of its own, and walks every lane some scan solved once.
+    assert len(scans) <= 2 * len(builds), context
+    assert len(waves) == len(scans), context
+    solved = sum(int((state.min_errors >= 0).sum()) for state in scans)
+    assert sum(len(tracebacks) for tracebacks in walks) == solved, context

@@ -19,7 +19,6 @@ from repro.batch import (
     SoAWave,
     build_wave_decisions,
     lockstep_stats,
-    run_dc_wave,
     run_dc_wave_state,
 )
 from repro.core.aligner import GenASMAligner
@@ -312,11 +311,11 @@ def test_generated_dc_waves_equal_scalar_genasm_dc(lanes):
             ],
             traceback_band=traceback_band,
         )
-        tables = run_dc_wave(
+        tables = run_dc_wave_state(
             wave,
             entry_compression=entry_compression,
             early_termination=early_termination,
-        )
+        ).tables()
         for got, (pattern, text, k, store_from) in zip(tables, lanes):
             want = genasm_dc(
                 pattern,
