@@ -3,15 +3,14 @@
 
 Demonstrates the serial loop (:meth:`GenASMAligner.align_batch`), the
 vectorized lockstep engine (:meth:`BatchAlignmentEngine.align_pairs`) and
-that engine on a two-worker shared-memory pool
-(:meth:`SharedMemoryExecutor.run_alignments`), and checks they produce
-identical alignments.
+that engine on a two-worker pool (:meth:`WorkerPool.run_alignments`),
+and checks they produce identical alignments.
 
 Run with::
 
     python examples/batch_backends.py
 
-The ``__main__`` guard is required: the shared-memory pool uses the
+The ``__main__`` guard is required: the worker pool uses the
 multiprocessing *spawn* start method, whose workers re-import this module.
 """
 
@@ -19,7 +18,7 @@ import random
 import time
 
 from repro import BatchAlignmentEngine, GenASMAligner, GenASMConfig
-from repro.parallel import SharedMemoryExecutor
+from repro.parallel import WorkerPool
 
 ALPHABET = "ACGT"
 
@@ -52,9 +51,9 @@ def main() -> None:
         "serial-loop": timed(GenASMAligner(config).align_batch, pairs),
         "lockstep-soa": timed(BatchAlignmentEngine(config).align_pairs, pairs),
     }
-    with SharedMemoryExecutor(workers=2, config=config) as pool:
+    with WorkerPool(workers=2, config=config) as pool:
         pool.warm()  # spawn the workers outside the timed call
-        runs["shared-pool"] = timed(pool.run_alignments, pairs)
+        runs["worker-pool"] = timed(pool.run_alignments, pairs)
 
     for name, (_alignments, seconds) in runs.items():
         print(
@@ -62,7 +61,7 @@ def main() -> None:
             f"({len(pairs) / seconds:.1f} pairs/s)"
         )
     serial = [str(a.cigar) for a in runs["serial-loop"][0]]
-    for name in ("lockstep-soa", "shared-pool"):
+    for name in ("lockstep-soa", "worker-pool"):
         assert [str(a.cigar) for a in runs[name][0]] == serial, (
             f"{name} diverged from serial"
         )

@@ -5,13 +5,15 @@ CI's single end-to-end gate, in two halves:
 
 * **the grid** — runs a declared backend × window × wave sweep
   (:mod:`repro.harness.grid`) over one simulated long-read workload: the
-  serial loop, the vectorized engine, a warm two-worker shared-memory
-  pool and the streaming pipeline, three timed trials per cell.  It
-  appends one provenance-stamped row per cell (median, min and max
-  seconds) to the checked-in ``BENCH_pipeline.json`` trajectory
-  (``grid_history``) and **fails** if any trial of any cell differs from
-  the vectorized reference or if either declared gate drops below its
-  floor: vectorized over serial (0.55) and shared over vectorized (0.72).
+  serial loop, the vectorized engine, that engine on a warm two-worker
+  pool (the ``shared`` cells; the label predates the pickle handoff and
+  keeps their bench history) and the streaming pipeline, three timed
+  trials per cell.  It appends one provenance-stamped row per cell
+  (median, min and max seconds) to the checked-in
+  ``BENCH_pipeline.json`` trajectory (``grid_history``) and **fails** if
+  any trial of any cell differs from the vectorized reference or if
+  either declared gate drops below its floor: vectorized over serial
+  (0.55) and shared over vectorized (0.72).
   Serial and shared cells never read the wave size, so each runs once;
 * **the emitters** — streams the same workload through
   :class:`repro.pipeline.StreamingPipeline` with SAM and PAF sinks and

@@ -23,8 +23,8 @@ contribution:
     A SIMT execution-model simulator standing in for the NVIDIA A6000 used
     in the paper, plus GenASM GPU kernels expressed against it.
 ``repro.parallel``
-    The shared-memory executor: a warm spawn pool running the vectorized
-    engine on waves shipped as shared-memory descriptors.
+    The worker pool: a warm spawn pool running the vectorized engine on
+    waves whose pairs go in, and alignments come out, by pickle.
 ``repro.batch``
     The vectorized batched-alignment engine: many window pairs evaluated
     in lockstep as NumPy structure-of-arrays uint64 lanes, byte-identical

@@ -9,8 +9,8 @@ NumPy ``uint64`` arrays indexed ``[word, lane]`` or ``[word, lane, column]``
 
 A lane is **multi-word**: a window of ``m`` pattern characters occupies
 ``W = ceil(m / 64)`` ``uint64`` words, with word 0 holding logical bits
-0..63 (the least-significant part of the pattern, matching
-:mod:`repro.core.bitvector`'s word-array convention).  Every wave-wide
+0..63 (the least-significant part of the pattern, in the bit order of
+:mod:`repro.core.bitvector`'s integer bitvectors).  Every wave-wide
 array therefore carries a leading word axis of length
 :attr:`SoAWave.words` — the maximum word count over the wave's lanes —
 and the DC recurrence propagates the shifted bit across words (see

@@ -122,11 +122,6 @@ class GenASMAligner:
             early_termination=self.config.early_termination,
         )
 
-    # ------------------------------------------------------------------ #
-    def window_footprint(self) -> MemoryFootprint:
-        """Analytic per-window memory-footprint model for this configuration."""
-        return MemoryFootprint.from_config(self.config)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GenASMAligner(name={self.name!r}, config={self.config!r})"
 

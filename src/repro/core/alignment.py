@@ -124,18 +124,6 @@ class Alignment:
         """Affine-gap score of the reported CIGAR."""
         return self.cigar.affine_score(match, mismatch, gap_open, gap_extend)
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict view used by the report generator."""
-        return {
-            "aligner": self.aligner,
-            "edit_distance": self.edit_distance,
-            "cigar": str(self.cigar),
-            "text_start": self.text_start,
-            "text_end": self.text_end,
-            "identity": round(self.identity, 4),
-            **self.metadata,
-        }
-
 
 def pretty_alignment(alignment: Alignment, width: int = 60) -> str:
     """Render an alignment as three stacked rows (pattern / bars / text).

@@ -2,17 +2,11 @@
 
 GenASM is a Bitap / Wu–Manber style algorithm: the state of the dynamic
 program is a set of *bitvectors*, one per error level, where (in GenASM's
-convention) a **zero** bit marks an "active" partial match.  This module
-provides the two bitvector representations used throughout the library:
-
-* **Python integers** — arbitrary-precision, branch-free, and surprisingly
-  fast for the word sizes GenASM needs (windows of 64–256 characters).
-  These are used by the CPU reference implementations.
-* **word arrays** (``numpy.uint64``) — the representation the GPU kernels
-  use.  The word layout mirrors what a CUDA thread block would hold in
-  shared memory (word 0 holds bits 0..63, i.e. the least-significant part
-  of the pattern), so per-word access counting maps directly onto shared /
-  global memory transactions in the GPU model.
+convention) a **zero** bit marks an "active" partial match.  The scalar
+aligners hold each bitvector as one Python integer: arbitrary-precision,
+branch-free, and fast for the window sizes GenASM needs (64–256
+characters).  The vectorized engine (:mod:`repro.batch`) keeps its own
+``uint64`` lane words.
 
 Bit ``i`` of a bitvector always refers to the pattern prefix
 ``pattern[0 : i + 1]`` (length ``i + 1``); the most significant useful bit
@@ -21,30 +15,15 @@ is therefore ``len(pattern) - 1`` and corresponds to the whole pattern.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Dict, Iterable
 
 __all__ = [
-    "WORD_BITS",
     "all_ones",
     "bit_is_zero",
-    "bit_is_one",
-    "shift_left_one",
     "pattern_bitmasks",
     "pattern_bitmasks_zero_match",
-    "count_zero_bits",
-    "lowest_zero_bit",
-    "highest_zero_bit",
-    "to_words",
-    "from_words",
-    "words_needed",
     "popcount",
 ]
-
-#: Machine word width assumed by the word-array representation and by the
-#: GPU memory model (one CUDA thread owns one 64-bit word).
-WORD_BITS = 64
 
 #: Default DNA alphabet.  ``N`` never matches anything (its pattern mask is
 #: all ones), mirroring how GenASM treats ambiguous bases.
@@ -66,46 +45,9 @@ def bit_is_zero(value: int, bit: int) -> bool:
     return (value >> bit) & 1 == 0
 
 
-def bit_is_one(value: int, bit: int) -> bool:
-    """Return ``True`` if ``bit`` of ``value`` is one (GenASM: inactive)."""
-    return (value >> bit) & 1 == 1
-
-
-def shift_left_one(value: int, length: int) -> int:
-    """Shift ``value`` left by one, keeping only ``length`` bits.
-
-    The vacated least-significant bit is zero, which in GenASM's
-    zero-active convention means "an empty pattern prefix is always
-    alignable"; this is what allows matches to begin at any text position
-    (semi-global semantics over the text).
-    """
-    return ((value << 1) & all_ones(length)) | 0
-
-
 def popcount(value: int) -> int:
     """Number of one bits in ``value``."""
     return bin(value).count("1")
-
-
-def count_zero_bits(value: int, length: int) -> int:
-    """Number of zero (active) bits among the low ``length`` bits."""
-    return length - popcount(value & all_ones(length))
-
-
-def lowest_zero_bit(value: int, length: int) -> int:
-    """Index of the lowest zero bit among the low ``length`` bits, or -1."""
-    masked = (~value) & all_ones(length)
-    if masked == 0:
-        return -1
-    return (masked & -masked).bit_length() - 1
-
-
-def highest_zero_bit(value: int, length: int) -> int:
-    """Index of the highest zero bit among the low ``length`` bits, or -1."""
-    masked = (~value) & all_ones(length)
-    if masked == 0:
-        return -1
-    return masked.bit_length() - 1
 
 
 def pattern_bitmasks(
@@ -138,67 +80,3 @@ def pattern_bitmasks_zero_match(
     ones = all_ones(m)
     one_active = pattern_bitmasks(pattern, alphabet)
     return {c: ones & ~mask for c, mask in one_active.items()}
-
-
-def words_needed(length: int) -> int:
-    """Number of 64-bit words needed to hold ``length`` bits (at least 1)."""
-    return max(1, (length + WORD_BITS - 1) // WORD_BITS)
-
-
-def to_words(value: int, length: int) -> np.ndarray:
-    """Split an integer bitvector into little-endian 64-bit words.
-
-    ``words[0]`` holds bits ``0..63``.  The result always has
-    :func:`words_needed` entries so that word indices are stable for a
-    given pattern length.
-    """
-    n_words = words_needed(length)
-    out = np.zeros(n_words, dtype=np.uint64)
-    mask = (1 << WORD_BITS) - 1
-    v = value & all_ones(max(length, 1))
-    for w in range(n_words):
-        out[w] = v & mask
-        v >>= WORD_BITS
-    return out
-
-
-def from_words(words: Sequence[int] | np.ndarray, length: int | None = None) -> int:
-    """Recombine little-endian 64-bit words into an integer bitvector."""
-    value = 0
-    for w, word in enumerate(words):
-        value |= int(word) << (w * WORD_BITS)
-    if length is not None:
-        value &= all_ones(length)
-    return value
-
-
-def shift_left_one_words(words: np.ndarray, length: int) -> np.ndarray:
-    """Word-array equivalent of :func:`shift_left_one`.
-
-    Implements the cross-word carry chain explicitly, which is exactly what
-    the GPU kernel does across threads (each thread owns one word and reads
-    its right neighbour's top bit).
-    """
-    n_words = len(words)
-    out = np.zeros_like(words)
-    carry = np.uint64(0)
-    for w in range(n_words):
-        word = words[w]
-        out[w] = ((word << np.uint64(1)) & np.uint64(0xFFFFFFFFFFFFFFFF)) | carry
-        carry = word >> np.uint64(WORD_BITS - 1)
-    # Trim bits beyond `length` in the last word so equality checks against
-    # the integer representation are exact.
-    top_bits = length - (n_words - 1) * WORD_BITS
-    if 0 < top_bits < WORD_BITS:
-        out[-1] &= np.uint64((1 << top_bits) - 1)
-    return out
-
-
-def pattern_bitmask_words(
-    pattern: str, alphabet: Iterable[str] = DNA_ALPHABET
-) -> Mapping[str, np.ndarray]:
-    """Word-array version of :func:`pattern_bitmasks_zero_match`."""
-    m = len(pattern)
-    return {
-        c: to_words(v, m) for c, v in pattern_bitmasks_zero_match(pattern, alphabet).items()
-    }

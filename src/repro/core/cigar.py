@@ -145,15 +145,6 @@ class Cigar:
         return sum(length for length, op in self.runs if op.consumes_text)
 
     @property
-    def aligned_pattern_length(self) -> int:
-        """Pattern characters consumed excluding soft clips."""
-        return sum(
-            length
-            for length, op in self.runs
-            if op.consumes_pattern and op is not CigarOp.SOFT_CLIP
-        )
-
-    @property
     def edit_distance(self) -> int:
         """Unit-cost edit distance implied by the CIGAR.
 

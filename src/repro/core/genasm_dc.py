@@ -29,8 +29,9 @@ Two of the paper's three improvements live here:
 * *early termination* — row-major evaluation with the stopping predicate
   :func:`repro.core.improvements.solution_found`;
 * the third improvement (*traceback-reachability band*) affects what part
-  of each stored vector is persisted, via
-  :func:`repro.core.improvements.pack_band`.
+  of each stored vector is persisted: the bits
+  :func:`repro.core.improvements.band_bounds` names, shifted down to
+  bit 0.
 
 The module exposes:
 

@@ -12,8 +12,9 @@ stored:
   predicate;
 * **traceback-reachability band** — :func:`band_bounds` computes, for a
   text position ``j``, the interval of bit positions the traceback can
-  reach, and :func:`pack_band` / :func:`band_bit` convert between
-  full-width bitvectors and their stored band representation.
+  reach, and :func:`band_width` how many bits of it are stored.  The DC
+  kernel stores ``(R >> lo) & all_ones(width)`` and
+  :meth:`~repro.core.genasm_dc.DCTable.r_bit` reads a band bit back.
 
 The band derivation: a traceback starts at ``(j = n, bit = m - 1)``.  Every
 step that consumes a text character decrements ``j``; every step that
@@ -28,13 +29,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.bitvector import all_ones, bit_is_zero
+from repro.core.bitvector import bit_is_zero
 
 __all__ = [
     "band_bounds",
     "band_width",
-    "pack_band",
-    "band_bit",
     "vectors_per_entry",
     "solution_found",
     "entry_bytes",
@@ -75,29 +74,6 @@ def band_bounds(j: int, n: int, m: int, k: int) -> Tuple[int, int]:
 def band_width(m: int, k: int) -> int:
     """Number of bits stored per entry when the band improvement is on."""
     return min(m, 2 * k + 2)
-
-
-def pack_band(value: int, lo: int, width: int) -> int:
-    """Extract ``width`` bits of ``value`` starting at bit ``lo``.
-
-    This is the *store* side of the band improvement: the DC kernel computes
-    the full-width bitvector in registers but persists only the reachable
-    window of it.
-    """
-    return (value >> lo) & all_ones(width)
-
-
-def band_bit(stored: int, bit: int, lo: int, width: int) -> bool:
-    """Read logical bit ``bit`` from a band-packed ``stored`` value.
-
-    Bits outside the stored band are reported as **one** (inactive); the
-    reachability argument above guarantees the traceback never depends on
-    them, so this is purely defensive.
-    """
-    offset = bit - lo
-    if offset < 0 or offset >= width:
-        return False
-    return bit_is_zero(stored, offset)
 
 
 def vectors_per_entry(entry_compression: bool) -> int:

@@ -28,7 +28,7 @@ from typing import Dict, Optional
 from repro.core.config import GenASMConfig
 from repro.core.improvements import entry_bytes
 
-__all__ = ["AccessCounter", "MemoryFootprint", "footprint_report"]
+__all__ = ["AccessCounter", "MemoryFootprint"]
 
 
 @dataclass
@@ -226,15 +226,3 @@ class MemoryFootprint:
             out[f"{name}_bytes"] = b
             out[f"{name}_reduction"] = base / max(1, b)
         return out
-
-
-def footprint_report(
-    config: GenASMConfig, rows_used: Optional[int] = None
-) -> Dict[str, float]:
-    """One-call footprint summary used by benchmarks and EXPERIMENTS.md."""
-    model = MemoryFootprint.from_config(config, rows_used=rows_used)
-    report = model.breakdown()
-    report["reduction_factor"] = model.reduction_factor
-    report["baseline_kib"] = model.baseline_bytes / 1024.0
-    report["improved_kib"] = model.improved_bytes / 1024.0
-    return report

@@ -58,11 +58,6 @@ class ErrorModel:
         return cls(substitution_rate=0.02, insertion_rate=0.05, deletion_rate=0.03)
 
     @classmethod
-    def pacbio_hifi(cls) -> "ErrorModel":
-        """~1 % error (PacBio HiFi)."""
-        return cls(substitution_rate=0.004, insertion_rate=0.003, deletion_rate=0.003)
-
-    @classmethod
     def illumina(cls) -> "ErrorModel":
         """~0.5 % error, substitution-dominated (Illumina short reads)."""
         return cls(substitution_rate=0.004, insertion_rate=0.0005, deletion_rate=0.0005)

@@ -16,7 +16,7 @@ test:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -166,11 +166,3 @@ class SyntheticGenome:
         name, chrom_len = eligible[idx]
         start = int(rng.integers(0, chrom_len - length + 1))
         return name, start
-
-    def iter_windows(self, size: int, step: int) -> Iterator[Tuple[str, int, str]]:
-        """Iterate ``(chrom, start, sequence)`` windows across the genome."""
-        if size <= 0 or step <= 0:
-            raise ValueError("size and step must be positive")
-        for name, seq in self.chromosomes.items():
-            for start in range(0, max(1, len(seq) - size + 1), step):
-                yield name, start, seq[start : start + size]

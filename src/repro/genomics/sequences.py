@@ -20,7 +20,6 @@ __all__ = [
     "decode_sequence",
     "gc_content",
     "kmers",
-    "hamming_distance",
 ]
 
 DNA_ALPHABET = "ACGT"
@@ -95,10 +94,3 @@ def kmers(sequence: str, k: int) -> Iterator[Tuple[int, str]]:
         raise ValueError("k must be positive")
     for i in range(0, len(sequence) - k + 1):
         yield i, sequence[i : i + k]
-
-
-def hamming_distance(a: str, b: str) -> int:
-    """Hamming distance of two equal-length strings."""
-    if len(a) != len(b):
-        raise ValueError("hamming_distance requires equal-length strings")
-    return sum(1 for x, y in zip(a, b) if x != y)

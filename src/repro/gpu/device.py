@@ -68,11 +68,6 @@ class GpuSpec:
             * self.word_ops_per_cycle_per_core
         )
 
-    @property
-    def concurrent_threads(self) -> int:
-        """Maximum resident threads across the device."""
-        return self.sm_count * self.max_threads_per_sm
-
 
 @dataclass(frozen=True)
 class CpuSpec:

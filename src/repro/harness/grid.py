@@ -122,9 +122,11 @@ class ExperimentGrid:
         ``serial`` (the scalar :class:`~repro.core.aligner.GenASMAligner`),
         ``vectorized`` (the :class:`~repro.batch.BatchAlignmentEngine`),
         ``shared`` (that engine on a warm :data:`SHARED_WORKERS`-process
-        :class:`~repro.parallel.shm.SharedMemoryExecutor`, one per window
-        size) or ``streaming`` (the
-        :class:`~repro.pipeline.StreamingPipeline`).  ``wave_size``
+        :class:`~repro.parallel.pool.WorkerPool`, one per window size) or
+        ``streaming`` (the :class:`~repro.pipeline.StreamingPipeline`).
+        The ``shared`` label outlived the shared-memory handoff it once
+        named: ``backend`` is one of the fields that group bench rows into
+        trends, so a new label would cut that cell's history.  ``wave_size``
         reaches the vectorized engine as ``max_lanes`` and the streaming
         pipeline as its accumulator wave size; ``serial`` and ``shared``
         never read it, so each gets one cell per workload × window, with
@@ -285,7 +287,7 @@ class GridRunner:
         """Align the cell's workload once with its backend: (alignments, seconds).
 
         The backend's aligner is built before the timer starts; ``pool``
-        is the warm executor of a ``shared`` cell.
+        is the warm worker pool of a ``shared`` cell.
         """
         from repro.batch.engine import BatchAlignmentEngine
         from repro.core.aligner import GenASMAligner
@@ -352,18 +354,18 @@ class GridRunner:
         ``grid_history`` through the recorder, provenance-stamped;
         ``save`` persists the bench file afterwards.
         """
-        from repro.parallel.shm import SharedMemoryExecutor
+        from repro.parallel.pool import WorkerPool
 
         rows: List[Dict[str, object]] = []
         with ExitStack() as stack:
-            pools: Dict[int, SharedMemoryExecutor] = {}
+            pools: Dict[int, WorkerPool] = {}
             for cell in self.grid.cells():
                 config = self.grid.config_for(cell.window_size)
                 pool = None
                 if cell.backend == "shared":
                     if cell.window_size not in pools:
                         pools[cell.window_size] = stack.enter_context(
-                            SharedMemoryExecutor(workers=SHARED_WORKERS, config=config)
+                            WorkerPool(workers=SHARED_WORKERS, config=config)
                         )
                         pools[cell.window_size].warm()
                     pool = pools[cell.window_size]

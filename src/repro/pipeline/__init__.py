@@ -13,9 +13,9 @@ counterpart:
   expected-work grouping with a ``max_pending`` backpressure bound and
   flush-on-size / flush-on-timeout (:class:`WaveAccumulator`);
 * :mod:`~repro.pipeline.alignstage` — wave-granular dispatch to
-  :class:`repro.batch.BatchAlignmentEngine`, in process or on a
-  shared-memory executor's workers, which receive pre-built waves as
-  shared-memory descriptors (:class:`AlignStage`);
+  :class:`repro.batch.BatchAlignmentEngine`, in process or on a worker
+  pool's workers, which receive each wave's pairs by pickle
+  (:class:`AlignStage`);
 * :mod:`~repro.pipeline.stats` — per-stage wall time, queue occupancy and
   wave fill efficiency (:class:`PipelineStats`);
 * :mod:`~repro.pipeline.pipeline` — the driver

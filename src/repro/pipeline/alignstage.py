@@ -2,10 +2,9 @@
 
 Without an executor each wave runs on an in-process
 :class:`repro.batch.BatchAlignmentEngine`.  With an ``executor``
-(:class:`repro.parallel.shm.SharedMemoryExecutor`) each wave is packed
-into a shared-memory segment and only its layout descriptor crosses the
-process boundary, into workers holding warm, already-constructed engines
-— the one way waves leave the calling process.  Short-read
+(:class:`repro.parallel.pool.WorkerPool`) each wave's pairs are pickled
+to workers holding warm, already-constructed engines — the one way
+waves leave the calling process.  Short-read
 (``window_size > 64``) configurations dispatch the same way, on the
 engine's multi-word lanes, and the accumulator feeding this stage
 groups lanes by the engine's windows × words/lane cost model
@@ -44,21 +43,20 @@ class AlignStage:
         Aligner configuration shared by every wave.
     executor:
         Optional started-or-startable
-        :class:`repro.parallel.shm.SharedMemoryExecutor`; when given,
-        waves are dispatched to it as shared-memory descriptors.  The
-        executor stays caller-owned, so one warm pool can serve many
-        runs.  Its config must equal this stage's.  At most
-        ``max(2, 2 * executor.workers)`` waves are in flight before
-        :meth:`collect` blocks on the oldest (2 without an executor).
+        :class:`repro.parallel.pool.WorkerPool`; when given, waves are
+        dispatched to its workers.  The pool stays caller-owned, so one
+        warm pool can serve many runs.  Its config must equal this
+        stage's.  At most ``max(2, 2 * executor.workers)`` waves are in
+        flight before :meth:`collect` blocks on the oldest (2 without an
+        executor).
     name:
         Forwarded to :class:`BatchAlignmentEngine`.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  Each submitted
         wave gets a monotonically increasing ``wave_id`` and an
         ``align.wave`` span (in-process execution) or an
-        ``align.dispatch`` span (the handoff to the shared-memory
-        executor; the executor's own tracer covers worker-side
-        execution).
+        ``align.dispatch`` span (the handoff to the worker pool; the
+        pool's own tracer covers worker-side execution).
     """
 
     def __init__(
@@ -77,7 +75,7 @@ class AlignStage:
         self.engine = BatchAlignmentEngine(config, name=name)
         if executor is not None and executor.config != self.engine.config:
             raise ValueError(
-                "shared-memory executor was built with a different config "
+                "worker pool was built with a different config "
                 "than this align stage"
             )
         workers = executor.workers if executor is not None else 1

@@ -4,7 +4,7 @@
 one overlapped dataflow.  Reads are pulled lazily from the source, mapped
 to candidate pairs inline, accumulated into work-sorted waves with bounded
 backpressure, aligned wave-at-a-time by the vectorized engine (in process,
-or on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`), and
+or on a caller's :class:`~repro.parallel.pool.WorkerPool`), and
 emitted as :class:`MappedAlignment` results **in candidate input order**
 — the exact order, CIGARs and metadata of the offline path
 (:meth:`Mapper.map_reads` → :meth:`BatchAlignmentEngine.align_pairs`),
@@ -13,8 +13,8 @@ which the differential tests pin byte for byte.
 The offline harness instead materialises every candidate pair before the
 first wave runs; here each wave is dispatched as soon as it fills, while
 later reads are still to be ingested and mapped, and with an executor
-independent waves run on worker processes — receiving pre-built wave
-inputs as shared-memory descriptors — while this process maps on.
+independent waves run on worker processes — each receiving its wave's
+pairs by pickle — while this process maps on.
 """
 
 from __future__ import annotations
@@ -88,18 +88,18 @@ class StreamingPipeline:
     linger_seconds:
         Accumulator flush timeout; ``None`` disables it.
     executor:
-        Optional :class:`repro.parallel.shm.SharedMemoryExecutor`.  Waves
-        are dispatched to it as shared-memory descriptors; reads are
-        always mapped inline, in this process.  Caller-owned and reusable
-        across runs; keep it warm (:meth:`~SharedMemoryExecutor.warm`) to
-        pay worker spawn once, not per run.
+        Optional :class:`repro.parallel.pool.WorkerPool`.  Waves are
+        aligned on its workers; reads are always mapped inline, in this
+        process.  Caller-owned and reusable across runs; keep it warm
+        (:meth:`~repro.parallel.pool.WorkerPool.warm`) to pay worker
+        spawn once, not per run.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, each
         stage block records a ``stage.{ingest,map,batch,align,emit}`` span,
         the accumulator emits ``wave.flush`` instants, the align stage
         records per-wave spans (and worker-side ``worker.align.wave``
         spans arrive through a traced
-        :class:`~repro.parallel.shm.SharedMemoryExecutor`), and the whole
+        :class:`~repro.parallel.pool.WorkerPool`), and the whole
         run closes with one ``pipeline.run`` span — export with
         :func:`repro.telemetry.exporters.write_chrome_trace`.  Defaults to
         the no-op :data:`~repro.telemetry.trace.NULL_TRACER`.

@@ -7,12 +7,11 @@ and how well-packed the dispatched waves were (fill efficiency).  The
 differential tests use the counts to assert the pipeline saw every read
 and candidate.
 
-Stage times are *pipeline-loop wait times*: with a shared-memory
-executor serving the map or align stage, a stage's seconds measure how
-long the pipeline loop blocked on that stage (submission plus waiting for
-results), so overlapped work shows up as ``wall_seconds`` smaller than
-the sum of the equivalent offline phases rather than as inflated
-per-stage numbers.
+Stage times are *pipeline-loop wait times*: with a worker pool serving
+the align stage, a stage's seconds measure how long the pipeline loop
+blocked on that stage (submission plus waiting for results), so
+overlapped work shows up as ``wall_seconds`` smaller than the sum of the
+equivalent offline phases rather than as inflated per-stage numbers.
 
 Every number lives in :attr:`PipelineStats.registry`, a
 :class:`~repro.telemetry.metrics.MetricsRegistry` under ``pipeline_*``

@@ -19,7 +19,7 @@ Design:
   wrapper exposes ``pattern``/``text``), and completed lanes are routed
   back to the submitting request's future — a wave's lanes typically
   resolve several different clients' requests.  Waves run in-process, or
-  on a caller's :class:`~repro.parallel.shm.SharedMemoryExecutor`.
+  on a caller's :class:`~repro.parallel.pool.WorkerPool`.
 * **Per-tenant fairness.**  Admission is a round-robin sweep taking one
   pair per tenant per cycle, and each tenant is capped at
   ``max_inflight_per_tenant`` admitted-but-unrouted pairs, so one huge
@@ -129,9 +129,9 @@ class AlignmentService:
         Fairness cap: pairs one tenant may have admitted-but-unrouted at
         once.  Defaults to ``2 * wave_size``; ``0`` disables the limit.
     executor:
-        Optional shared-memory executor (whose config must match),
-        forwarded to :class:`AlignStage`; waves run in-process without
-        one.  The executor stays caller-owned.
+        Optional :class:`~repro.parallel.pool.WorkerPool` (whose config
+        must match), forwarded to :class:`AlignStage`; waves run
+        in-process without one.  The pool stays caller-owned.
     clock:
         Monotonic time source for linger expiry and request latency
         (injectable for deterministic tests).

@@ -8,7 +8,7 @@ persisted measurements.  This package is the one seam they plug into:
 * :mod:`~repro.telemetry.trace` — :class:`Tracer` spans and instant
   events with monotonic injectable clocks, a near-zero-overhead
   :data:`NULL_TRACER` when disabled, and cross-process absorption of
-  worker-side spans (:mod:`repro.parallel.shm` ships them back with wave
+  worker-side spans (:mod:`repro.parallel.pool` ships them back with wave
   results, so one timeline covers driver stages and worker waves);
 * :mod:`~repro.telemetry.metrics` — :class:`MetricsRegistry` of named,
   labelled counters/gauges/histograms: the one store behind

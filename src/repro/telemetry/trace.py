@@ -23,7 +23,7 @@ Design constraints, in order:
    alignment metadata, not spans) and the pipeline/service
    instrumentation behind this no-op path.
 2. **Cross-process timelines.**  Worker processes build their own
-   :class:`Tracer` (:mod:`repro.parallel.shm` enables it in the worker
+   :class:`Tracer` (:mod:`repro.parallel.pool` enables it in the worker
    initializer), record wave spans, and :meth:`Tracer.drain` them into the
    picklable :class:`SpanRecord` list shipped back alongside the wave's
    alignments; the driver-side tracer :meth:`Tracer.absorb`\\ s them so one

@@ -12,7 +12,7 @@ from repro.core.config import GenASMConfig
 # Hypothesis profiles.  Tier-1 runs the bounded one; CI runs the mapping
 # property tests, the alignment properties and the generated batches
 # (``test_properties.py``, ``test_batch_traceback.py``,
-# ``test_shared_memory.py``) again under ``--hypothesis-profile=ci``, ten
+# ``test_worker_pool.py``) again under ``--hypothesis-profile=ci``, ten
 # times longer.  No test pins its own ``max_examples``.
 settings.register_profile("bounded", max_examples=100)
 settings.register_profile("ci", max_examples=1_000)
@@ -78,19 +78,20 @@ def baseline_config() -> GenASMConfig:
     return GenASMConfig.baseline()
 
 
-def segment_exists(name: str) -> bool:
-    """True if the named shared-memory segment still exists system-wide."""
-    from multiprocessing import resource_tracker, shared_memory
+@pytest.fixture
+def submitted_waves(monkeypatch):
+    """Every wave a :class:`WorkerPool` is sent, as ``(pool, lanes)``."""
+    from repro.parallel.pool import WorkerPool
 
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    # Probing attached us; undo the tracker registration and detach so the
-    # probe itself neither leaks nor double-unlinks.
-    resource_tracker.unregister(shm._name, "shared_memory")
-    shm.close()
-    return True
+    waves = []
+    submit_wave = WorkerPool.submit_wave
+
+    def spy(pool, pairs, **kwargs):
+        waves.append((pool, len(pairs)))
+        return submit_wave(pool, pairs, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "submit_wave", spy)
+    return waves
 
 
 def related_pair(rng: random.Random, length: int, error_rate: float = 0.1):

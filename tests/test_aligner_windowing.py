@@ -127,11 +127,6 @@ class TestGenASMAligner:
         alignment = align_pair("ACGT", "ACGT")
         assert alignment.edit_distance == 0
 
-    def test_window_footprint_model(self):
-        aligner = GenASMAligner()
-        footprint = aligner.window_footprint()
-        assert footprint.baseline_bytes > footprint.improved_bytes
-
     def test_default_name_reflects_configuration(self):
         assert GenASMAligner().name == "genasm-improved"
         assert GenASMAligner(GenASMConfig.baseline()).name == "genasm-baseline"

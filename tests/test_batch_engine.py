@@ -1,26 +1,32 @@
-"""Tests for the vectorized batch engine, its shared-memory executor and
-the degenerate-input windowing paths.
+"""Tests for the vectorized batch engine, its worker pool and the
+degenerate-input windowing paths.
 
 The central contract: the vectorized lockstep engine produces
 byte-identical CIGARs and edit distances to the scalar path on the
-simulated-read corpus, and so does a two-worker
-:class:`SharedMemoryExecutor` running it.
+simulated-read corpus, and so does a two-worker :class:`WorkerPool`
+running it.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.batch import (
     BatchAlignmentEngine,
     LaneJob,
     SoAWave,
+    WaveDCState,
     lockstep_stats,
     run_dc_wave_state,
 )
+from repro.batch.engine import _shl1
+from repro.batch.soa import lane_words
 from repro.core.aligner import GenASMAligner
+from repro.core.bitvector import all_ones
 from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc
@@ -31,7 +37,7 @@ from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
-from repro.parallel.shm import SharedMemoryExecutor
+from repro.parallel.pool import WorkerPool
 from tests.conftest import assert_same_dc_table, mutate, random_dna
 
 
@@ -293,6 +299,64 @@ class TestWaveMasks:
         )
 
 
+WORD_ONES = 2**64 - 1
+
+
+def _to_words(value: int, words: int):
+    """Split an integer bitvector into ``uint64`` words, word 0 lowest."""
+    return [(value >> (64 * w)) & WORD_ONES for w in range(words)]
+
+
+class TestLaneWords:
+    """Multi-word lanes carry the integer bitvectors of the scalar path."""
+
+    def test_lane_words(self):
+        widths = (0, 1, 64, 65, 128, 129)
+        assert [lane_words(bits) for bits in widths] == [1, 1, 1, 2, 2, 3]
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6))
+    def test_wave_ones_reassemble_to_all_ones(self, lengths):
+        wave = SoAWave(
+            [LaneJob(pattern="A" * m, text="ACGT", max_errors=1) for m in lengths],
+            traceback_band=True,
+        )
+        assert wave.words == lane_words(max(lengths))
+        assert WaveDCState._lane_ints(wave.ones) == [all_ones(m) for m in lengths]
+
+    def test_msb_word_and_shift_locate_the_top_pattern_bit(self):
+        lengths = (1, 63, 64, 65, 128, 130)
+        wave = SoAWave(
+            [LaneJob(pattern="A" * m, text="ACGT", max_errors=1) for m in lengths],
+            traceback_band=True,
+        )
+        assert wave.msb_word.tolist() == [(m - 1) // 64 for m in lengths]
+        assert wave.msb_shift.tolist() == [(m - 1) % 64 for m in lengths]
+
+    def test_lane_ints_joins_words_low_word_first(self):
+        value = (1 << 100) | 0xABCDEF
+        words = np.array([[w] for w in _to_words(value, 2)], dtype=np.uint64)
+        assert WaveDCState._lane_ints(words) == [value]
+        assert WaveDCState._lane_ints(words[:1]) == [0xABCDEF]
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=200), st.data())
+    def test_shl1_matches_int_shift(self, length, data):
+        # The DC recurrence's R << 1 carries bit 63 of each word into the
+        # next word; only the top word's carry falls off.
+        values = data.draw(
+            st.lists(st.integers(min_value=0, max_value=all_ones(length)), min_size=1, max_size=4)
+        )
+        words = lane_words(length)
+        columns = np.array(
+            [list(column) for column in zip(*(_to_words(v, words) for v in values))],
+            dtype=np.uint64,
+        )
+        shifted = _shl1(columns[None])[0]
+        want = [(v << 1) & all_ones(64 * words) for v in values]
+        assert WaveDCState._lane_ints(shifted) == want
+
+
 class TestDegenerateWindowing:
     """Degenerate inputs through align_window / align_windowed."""
 
@@ -334,28 +398,27 @@ class TestDegenerateWindowing:
 
 
 class TestSharedExecutorBatch:
-    """``SharedMemoryExecutor.run_alignments`` ≡ ``GenASMAligner.align_batch``."""
+    """``WorkerPool.run_alignments`` ≡ ``GenASMAligner.align_batch``."""
 
     @pytest.fixture(scope="class")
     def pool(self):
-        with SharedMemoryExecutor(workers=2, config=GenASMConfig()) as executor:
+        with WorkerPool(workers=2, config=GenASMConfig()) as executor:
             yield executor
 
     def test_two_workers_match_align_batch(self, rng):
         pairs = _random_pairs(rng, [(60, 4), (90, 7), (150, 12)])
         config = GenASMConfig()
-        with SharedMemoryExecutor(workers=2, config=config) as executor:
+        with WorkerPool(workers=2, config=config) as executor:
             shared = executor.run_alignments(pairs)
         _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
 
-    def test_one_worker_runs_on_its_pool(self, rng):
-        # One worker still means a pool: the batch crosses a shared segment.
+    def test_one_worker_runs_on_its_pool(self, rng, submitted_waves):
+        # One worker still means a pool: the batch ships as one wave.
         pairs = _random_pairs(rng, [(60, 4), (90, 7)])
         config = GenASMConfig()
-        with SharedMemoryExecutor(workers=1, config=config) as executor:
+        with WorkerPool(workers=1, config=config) as executor:
             shared = executor.run_alignments(pairs)
-            assert len(executor.segment_names()) == 1
-            assert executor.outstanding_waves() == 0
+        assert submitted_waves == [(executor, len(pairs))]
         _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
 
     def test_pool_stays_warm_across_batches(self, rng, pool):
@@ -364,8 +427,26 @@ class TestSharedExecutorBatch:
         for specs in ([(60, 4), (90, 7), (120, 9)], [(200, 15)] * 5):
             pairs = _random_pairs(rng, specs)
             _assert_identical(aligner.align_batch(pairs), pool.run_alignments(pairs))
-            assert pool.outstanding_waves() == 0
         assert pool.started and pool.warm() == pids
+
+    def test_run_alignments_sends_one_wave_per_worker(self, rng, pool, submitted_waves):
+        # Two workers: a lone pair ships as one wave, five pairs as 3 + 2.
+        aligner = GenASMAligner(pool.config)
+        one = _random_pairs(rng, [(60, 4)])
+        five = _random_pairs(rng, [(60, 4), (90, 7), (120, 9), (40, 3), (70, 5)])
+        _assert_identical(aligner.align_batch(one), pool.run_alignments(one))
+        _assert_identical(aligner.align_batch(five), pool.run_alignments(five))
+        assert submitted_waves == [(pool, 1), (pool, 3), (pool, 2)]
+
+    def test_a_failing_wave_leaves_the_pool_serving(self, rng, pool):
+        # A bytes pattern pickles, then fails in the worker's SoAWave; the
+        # worker survives it and aligns the next batch.
+        with pytest.raises(AttributeError):
+            pool.submit_wave([(b"ACGTACGT", "ACGTACGT")]).result(timeout=60)
+        pairs = _random_pairs(rng, [(60, 4), (90, 7)])
+        _assert_identical(
+            GenASMAligner(pool.config).align_batch(pairs), pool.run_alignments(pairs)
+        )
 
     def test_degenerate_pairs_match_align_batch(self, pool):
         pairs = [("", "ACGT"), ("ACGT", ""), ("A", "A"), ("", ""), ("ACGT" * 30, "ACG")]
@@ -374,7 +455,7 @@ class TestSharedExecutorBatch:
         _assert_identical(GenASMAligner(pool.config).align_batch(pairs), shared)
 
     def test_empty_batch_starts_no_pool(self):
-        executor = SharedMemoryExecutor(workers=2)
+        executor = WorkerPool(workers=2)
         try:
             assert executor.run_alignments([]) == []
             assert not executor.started
@@ -385,7 +466,7 @@ class TestSharedExecutorBatch:
         # The pool aligns under the config it was built with.
         config = GenASMConfig.short_read(150)
         pairs = _random_pairs(rng, [(150, 6), (150, 12), (120, 3), (150, 9)])
-        with SharedMemoryExecutor(workers=2, config=config) as executor:
+        with WorkerPool(workers=2, config=config) as executor:
             shared = executor.run_alignments(pairs)
         _assert_identical(GenASMAligner(config).align_batch(pairs), shared)
         default = GenASMAligner(GenASMConfig()).align_batch(pairs)

@@ -1,26 +1,13 @@
 """Unit tests for the bitvector substrate."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.bitvector import (
-    WORD_BITS,
     all_ones,
-    bit_is_one,
     bit_is_zero,
-    count_zero_bits,
-    from_words,
-    highest_zero_bit,
-    lowest_zero_bit,
-    pattern_bitmask_words,
     pattern_bitmasks,
     pattern_bitmasks_zero_match,
     popcount,
-    shift_left_one,
-    shift_left_one_words,
-    to_words,
-    words_needed,
 )
 
 
@@ -44,34 +31,15 @@ class TestBitPredicates:
         assert bit_is_zero(0b101, 1)
         assert not bit_is_zero(0b101, 0)
 
-    def test_bit_is_one(self):
-        assert bit_is_one(0b101, 2)
-        assert not bit_is_one(0b101, 1)
-
     def test_popcount(self):
         assert popcount(0) == 0
         assert popcount(0b10110) == 3
 
-    def test_count_zero_bits(self):
-        assert count_zero_bits(0b101, 3) == 1
-        assert count_zero_bits(0, 8) == 8
-
-    def test_lowest_and_highest_zero_bit(self):
-        value = 0b11011010
-        assert lowest_zero_bit(value, 8) == 0
-        assert highest_zero_bit(value, 8) == 5
-
     def test_zero_bit_queries_on_all_ones(self):
-        assert lowest_zero_bit(all_ones(6), 6) == -1
-        assert highest_zero_bit(all_ones(6), 6) == -1
-
-
-class TestShift:
-    def test_shift_left_keeps_length(self):
-        assert shift_left_one(0b1000, 4) == 0  # top bit shifted out
-
-    def test_shift_left_inserts_zero(self):
-        assert shift_left_one(0b0110, 4) == 0b1100
+        # The empty GenASM bitvector has no active bit inside its length.
+        assert not any(bit_is_zero(all_ones(6), bit) for bit in range(6))
+        assert bit_is_zero(all_ones(6), 6)
+        assert popcount(all_ones(6)) == 6
 
 
 class TestPatternMasks:
@@ -95,41 +63,4 @@ class TestPatternMasks:
         # Position 1 holds 'N', which is outside the alphabet: no zero bit
         # anywhere for it.
         for c in "ACGT":
-            assert bit_is_one(masks[c], 1)
-
-
-class TestWordConversion:
-    def test_words_needed(self):
-        assert words_needed(1) == 1
-        assert words_needed(64) == 1
-        assert words_needed(65) == 2
-        assert words_needed(0) == 1
-
-    def test_roundtrip_small(self):
-        value = 0b101101
-        assert from_words(to_words(value, 6), 6) == value
-
-    def test_roundtrip_multiword(self):
-        value = (1 << 100) | 0xABCDEF
-        words = to_words(value, 101)
-        assert len(words) == 2
-        assert from_words(words, 101) == value
-
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    def test_roundtrip_property(self, length, data):
-        value = data.draw(st.integers(min_value=0, max_value=all_ones(length)))
-        assert from_words(to_words(value, length), length) == value
-
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    def test_word_shift_matches_int_shift(self, length, data):
-        value = data.draw(st.integers(min_value=0, max_value=all_ones(length)))
-        words = to_words(value, length)
-        shifted = shift_left_one_words(words, length)
-        assert from_words(shifted, length) == shift_left_one(value, length)
-
-    def test_pattern_bitmask_words_match_int_masks(self):
-        pattern = "ACGT" * 20  # 80 bases -> 2 words
-        int_masks = pattern_bitmasks_zero_match(pattern)
-        word_masks = pattern_bitmask_words(pattern)
-        for c in "ACGT":
-            assert from_words(word_masks[c], len(pattern)) == int_masks[c]
+            assert not bit_is_zero(masks[c], 1)

@@ -56,7 +56,6 @@ class TestDerivedQuantities:
     def test_soft_clip_consumes_pattern_only(self):
         c = Cigar.from_string("3S5=")
         assert c.pattern_length == 8
-        assert c.aligned_pattern_length == 5
         assert c.text_length == 5
 
 

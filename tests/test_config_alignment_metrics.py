@@ -1,11 +1,14 @@
 """Unit tests for GenASMConfig, Alignment and the memory metrics."""
 
+import itertools
+
 import pytest
 
 from repro.core.alignment import Alignment, pretty_alignment
 from repro.core.cigar import Cigar
 from repro.core.config import GenASMConfig
-from repro.core.metrics import AccessCounter, MemoryFootprint, footprint_report
+from repro.core.improvements import entry_bytes
+from repro.core.metrics import AccessCounter, MemoryFootprint
 
 
 class TestConfig:
@@ -80,12 +83,6 @@ class TestAlignment:
         text = pretty_alignment(aln)
         assert "ACGT" in text.replace(" ", "") or "|" in text
 
-    def test_to_dict_contains_metadata(self):
-        aln = Alignment("AC", "AC", Cigar.from_string("2="), 0, metadata={"windows": 1})
-        d = aln.to_dict()
-        assert d["windows"] == 1
-        assert d["edit_distance"] == 0
-
 
 class TestAccessCounter:
     def test_record_and_totals(self):
@@ -139,10 +136,39 @@ class TestMemoryFootprint:
         assert fp.text_window == 72
         assert fp.committed_columns == 40
 
-    def test_footprint_report_keys(self):
-        report = footprint_report(GenASMConfig(), rows_used=8)
-        assert report["reduction_factor"] > 1
-        assert report["baseline_kib"] > report["improved_kib"]
+    def test_config_footprints_bracket_the_improvement_sets(self):
+        fp = MemoryFootprint.from_config(GenASMConfig(), rows_used=8)
+        assert fp.bytes_for_config(GenASMConfig()) == fp.improved_bytes
+        assert fp.bytes_for_config(GenASMConfig.baseline()) == fp.baseline_bytes
+        assert fp.improved_bytes < fp.baseline_bytes
+
+    def test_bytes_for_multiplies_columns_rows_vectors_and_entries(self):
+        fp = MemoryFootprint(
+            pattern_window=64, text_window=72, max_errors=10, rows_used=8, committed_columns=40
+        )
+        for ec, et, tb in itertools.product([False, True], repeat=3):
+            want = (
+                fp.columns(traceback_band=tb)
+                * fp.rows(early_termination=et)
+                * (1 if ec else 4)
+                * entry_bytes(64, 10, traceback_band=tb)
+            )
+            got = fp.bytes_for(entry_compression=ec, early_termination=et, traceback_band=tb)
+            assert got == want, (ec, et, tb)
+
+    def test_rows_and_columns_honour_each_improvement(self):
+        fp = MemoryFootprint(
+            pattern_window=64, text_window=72, max_errors=10, rows_used=8, committed_columns=40
+        )
+        assert fp.rows(early_termination=False) == 11
+        assert fp.rows(early_termination=True) == 8
+        assert fp.columns(traceback_band=False) == 72
+        assert fp.columns(traceback_band=True) == 40 + 10 + 2
+        # rows_used past the budget is clamped; no rows_used or no
+        # committed columns leaves that improvement nothing to trim.
+        assert MemoryFootprint(64, 72, 10, rows_used=50).rows(early_termination=True) == 11
+        assert MemoryFootprint(64, 72, 10).rows(early_termination=True) == 11
+        assert MemoryFootprint(64, 72, 10).columns(traceback_band=True) == 72
 
 
 class TestIdentityWithClassicM:

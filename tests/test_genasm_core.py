@@ -13,11 +13,9 @@ from repro.core.cigar import Cigar, CigarOp
 from repro.core.genasm_dc import DCTable, genasm_dc, genasm_distance_only
 from repro.core.genasm_tb import TracebackError, genasm_traceback
 from repro.core.improvements import (
-    band_bit,
     band_bounds,
     band_width,
     entry_bytes,
-    pack_band,
     reachable_column_start,
     solution_found,
     vectors_per_entry,
@@ -38,16 +36,6 @@ class TestImprovementHelpers:
         assert band_width(64, 10) == 22
         assert band_width(16, 10) == 16  # never wider than the pattern
 
-    def test_pack_and_read_band(self):
-        value = 0b101100 << 10
-        stored = pack_band(value, lo=10, width=6)
-        assert stored == 0b101100
-        assert band_bit(stored, bit=11, lo=10, width=6)  # logical bit 11 is 0? -> value bit 1
-        assert not band_bit(stored, bit=12, lo=10, width=6)
-
-    def test_band_bit_outside_band_is_inactive(self):
-        assert not band_bit(0, bit=100, lo=10, width=6)
-
     def test_vectors_per_entry(self):
         assert vectors_per_entry(True) == 1
         assert vectors_per_entry(False) == 4
@@ -63,6 +51,89 @@ class TestImprovementHelpers:
     def test_entry_bytes_band_vs_full(self):
         assert entry_bytes(64, 10, traceback_band=False) == 8
         assert entry_bytes(64, 10, traceback_band=True) == 4  # 22 bits -> uint32
+
+
+def _banded_and_full(pattern: str, text: str, k: int, **toggles):
+    """The same DC run stored band-packed and full-width."""
+    banded = genasm_dc(pattern, text, k, traceback_band=True, **toggles)
+    full = genasm_dc(pattern, text, k, traceback_band=False, **toggles)
+    assert banded.rows_computed == full.rows_computed
+    return banded, full
+
+
+class TestBandedStorage:
+    """The DC kernel stores ``(R >> lo) & all_ones(width)``; reads invert it."""
+
+    PATTERN = "ACGTTGCAAGCTTACGGATCCATGCAGTCA"  # m = 30 > 2k + 2: a real band
+    TEXT = "ACGTTGCTAGCTTACGATCCATGCAGGTCAGG"
+    K = 5
+
+    def test_stored_values_are_the_band_slice_of_the_full_vectors(self):
+        banded, full = _banded_and_full(self.PATTERN, self.TEXT, self.K)
+        width = band_width(len(self.PATTERN), self.K)
+        assert width < len(self.PATTERN)
+        for d in range(banded.rows_computed):
+            for j in range(len(self.TEXT) + 1):
+                lo = banded.band_lo(j)
+                want = (full.stored_r[d][j] >> lo) & all_ones(width)
+                assert banded.stored_r[d][j] == want, (d, j)
+
+    def test_band_lo_follows_band_bounds(self):
+        banded, full = _banded_and_full(self.PATTERN, self.TEXT, self.K)
+        n, m = len(self.TEXT), len(self.PATTERN)
+        los = [banded.band_lo(j) for j in range(n + 1)]
+        assert los == [band_bounds(j, n, m, self.K)[0] for j in range(n + 1)]
+        assert max(los) > 0
+        assert all(full.band_lo(j) == 0 for j in range(n + 1))
+
+    def test_r_bit_inside_the_band_reads_the_full_vector(self):
+        banded, full = _banded_and_full(self.PATTERN, self.TEXT, self.K)
+        width = band_width(len(self.PATTERN), self.K)
+        for d in range(banded.rows_computed):
+            for j in range(len(self.TEXT) + 1):
+                lo = banded.band_lo(j)
+                for bit in range(lo, min(lo + width, len(self.PATTERN))):
+                    assert banded.r_bit(d, j, bit) == full.r_bit(d, j, bit), (d, j, bit)
+
+    def test_r_bit_outside_the_band_is_inactive(self):
+        banded, full = _banded_and_full(self.PATTERN, self.TEXT, self.K)
+        width = band_width(len(self.PATTERN), self.K)
+        outside = 0
+        for d in range(banded.rows_computed):
+            for j in range(len(self.TEXT) + 1):
+                lo = banded.band_lo(j)
+                for bit in [*range(lo), *range(lo + width, len(self.PATTERN))]:
+                    assert not banded.r_bit(d, j, bit), (d, j, bit)
+                    outside += full.r_bit(d, j, bit)
+        # The full vectors do have active bits out there: the band drops them.
+        assert outside > 0
+
+    def test_quad_bit_inside_the_band_reads_the_full_intermediates(self):
+        banded, full = _banded_and_full(
+            self.PATTERN, self.TEXT, self.K, entry_compression=False
+        )
+        width = band_width(len(self.PATTERN), self.K)
+        for d in range(banded.rows_computed):
+            for j in range(1, len(self.TEXT) + 1):
+                lo = banded.band_lo(j)
+                for which in range(4):
+                    for bit in range(len(self.PATTERN)):
+                        got = banded.quad_bit(d, j, which, bit)
+                        if lo <= bit < lo + width:
+                            assert got == full.quad_bit(d, j, which, bit)
+                        else:
+                            assert not got
+
+    @pytest.mark.parametrize("entry_compression", [True, False], ids=["r", "quad"])
+    def test_negative_bit_is_active_and_reads_nothing(self, entry_compression):
+        # Bit -1 models the zero a left shift brings in; no stored entry is read.
+        table = genasm_dc(self.PATTERN, self.TEXT, self.K, entry_compression=entry_compression)
+        before = table.counter.dp_reads
+        if entry_compression:
+            assert table.r_bit(0, 1, -1)
+        else:
+            assert all(table.quad_bit(0, 1, which, -1) for which in range(4))
+        assert table.counter.dp_reads == before
 
 
 class TestDistanceOnly:

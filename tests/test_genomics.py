@@ -13,7 +13,6 @@ from repro.genomics.sequences import (
     decode_sequence,
     encode_sequence,
     gc_content,
-    hamming_distance,
     kmers,
     random_dna,
     reverse_complement,
@@ -91,11 +90,6 @@ class TestSequences:
         with pytest.raises(ValueError):
             list(kmers("ACGT", 0))
 
-    def test_hamming(self):
-        assert hamming_distance("ACGT", "ACGA") == 1
-        with pytest.raises(ValueError):
-            hamming_distance("AC", "ACG")
-
 
 class TestErrorModel:
     def test_total_rate_and_accuracy(self):
@@ -115,6 +109,16 @@ class TestErrorModel:
         mutated, cigar = mutate_sequence(seq, ErrorModel.exact(), rng)
         assert mutated == seq
         assert cigar.edit_distance == 0
+
+    def test_presets_follow_their_platforms(self):
+        # PacBio CLR: ~10 %, insertion-dominated.  Illumina: ~0.5 %,
+        # substitution-dominated.
+        clr = ErrorModel.pacbio_clr()
+        assert clr.total_rate == pytest.approx(0.10)
+        assert clr.insertion_rate > max(clr.deletion_rate, clr.substitution_rate)
+        illumina = ErrorModel.illumina()
+        assert illumina.total_rate == pytest.approx(0.005)
+        assert illumina.substitution_rate > illumina.insertion_rate + illumina.deletion_rate
 
     def test_mutation_rate_roughly_matches_model(self):
         rng = np.random.default_rng(3)
@@ -168,12 +172,6 @@ class TestSyntheticGenome:
         genome = SyntheticGenome.random({"a": 100}, seed=0, repeat_fraction=0.0)
         with pytest.raises(ValueError):
             genome.random_location(500)
-
-    def test_iter_windows(self):
-        genome = SyntheticGenome.random({"a": 1_000}, seed=0, repeat_fraction=0.0)
-        windows = list(genome.iter_windows(200, 200))
-        assert len(windows) == 5
-        assert all(len(seq) == 200 for _, _, seq in windows[:-1])
 
 
 class TestReadSimulators:

@@ -21,7 +21,6 @@ def _make_pairs(rng, count=4, length=400):
 class TestDeviceSpecs:
     def test_a6000_peak_throughput(self):
         assert A6000.peak_word_ops_per_second > 5e12
-        assert A6000.concurrent_threads == 84 * 1536
 
     def test_cpu_threads(self):
         assert XEON_GOLD_5118.hardware_threads == 48
@@ -60,6 +59,30 @@ class TestKernelSpec:
         a.merge(b)
         assert a.compute_ops == 30
         assert a.working_set_bytes == 100
+
+
+class TestOccupancy:
+    """Resident thread slots per SM, out of ``max_threads_per_sm``."""
+
+    def test_block_limit_bounds_occupancy_without_a_working_set(self):
+        kernel = GenASMKernelSpec(GenASMConfig())
+        # 16 blocks of one 32-thread warp fill 512 of the 1536 slots.
+        assert GpuSimulator(A6000).occupancy(kernel, 0) == pytest.approx(512 / 1536)
+
+    def test_on_chip_memory_caps_resident_blocks(self):
+        kernel = GenASMKernelSpec(GenASMConfig())
+        simulator = GpuSimulator(A6000)
+        # 12.5 KiB per block: eight copies fill the SM's 100 KiB.
+        assert kernel.fits_in_shared(A6000, 12_800)
+        assert simulator.occupancy(kernel, 12_800) == pytest.approx(8 * 32 / 1536)
+        # A small working set leaves the block limit in charge.
+        assert simulator.occupancy(kernel, 4_000) == pytest.approx(16 * 32 / 1536)
+
+    def test_spilled_working_set_does_not_limit_occupancy(self):
+        kernel = GenASMKernelSpec(GenASMConfig())
+        simulator = GpuSimulator(A6000)
+        assert not kernel.fits_in_shared(A6000, 80_000)
+        assert simulator.occupancy(kernel, 80_000) == simulator.occupancy(kernel, 0)
 
 
 class TestSimulator:

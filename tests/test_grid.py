@@ -12,9 +12,8 @@ from repro.harness.grid import (
     GridCell,
     GridRunner,
 )
-from repro.parallel.shm import SharedMemoryExecutor
+from repro.parallel.pool import WorkerPool
 from repro.telemetry.bench import BenchRecorder
-from tests.conftest import segment_exists
 
 TINY_WORKLOAD = {
     "read_count": 6,
@@ -200,7 +199,7 @@ class TestCellAligners:
 
         spy(GenASMAligner, "align_batch", "serial")
         spy(BatchAlignmentEngine, "align_pairs", "vectorized")
-        spy(SharedMemoryExecutor, "run_alignments", "shared")
+        spy(WorkerPool, "run_alignments", "shared")
         spy(StreamingPipeline, "align_pairs", "streaming")
         return recorded
 
@@ -332,38 +331,41 @@ class TestGridRunner:
 
 
 class TestSharedCellPool:
-    """The shared cells' pool leaves no segment behind, however run() ends."""
+    """The shared cells' pool is closed, however run() ends."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
         created = []
-        real_init = SharedMemoryExecutor.__init__
+        real_init = WorkerPool.__init__
 
         def spy_init(self, *args, **kwargs):
             real_init(self, *args, **kwargs)
             created.append(self)
 
-        monkeypatch.setattr(SharedMemoryExecutor, "__init__", spy_init)
+        monkeypatch.setattr(WorkerPool, "__init__", spy_init)
         return created
 
     @staticmethod
-    def assert_closed_without_leaks(pools):
+    def assert_closed(pools, submitted_waves):
         assert len(pools) == 1  # one pool per window size
         (pool,) = pools
         assert not pool.started
-        assert pool.segment_names()  # the shared cells really sent waves
-        assert not [name for name in pool.segment_names() if segment_exists(name)]
+        # The shared cells really sent waves, all to this pool.
+        assert submitted_waves
+        assert {sender for sender, _ in submitted_waves} == {pool}
 
-    def test_pool_closed_when_run_returns(self, bench_path, pools):
+    def test_pool_closed_when_run_returns(self, bench_path, pools, submitted_waves):
         grid = ExperimentGrid.from_dict(
             tiny_spec(backends=["shared"], wave_sizes=[32, 64], gates=[])
         )
         rows = GridRunner(grid, bench_path).run(append=False)
         assert [row["backend"] for row in rows] == ["shared"]
         assert all(row["identical"] for row in rows)
-        self.assert_closed_without_leaks(pools)
+        self.assert_closed(pools, submitted_waves)
 
-    def test_pool_closed_when_run_raises(self, bench_path, pools, monkeypatch):
+    def test_pool_closed_when_run_raises(
+        self, bench_path, pools, submitted_waves, monkeypatch
+    ):
         from repro.pipeline import StreamingPipeline
 
         def boom(self, pairs):
@@ -375,5 +377,5 @@ class TestSharedCellPool:
         )
         with pytest.raises(RuntimeError, match="cell failed"):
             GridRunner(grid, bench_path).run()
-        self.assert_closed_without_leaks(pools)
+        self.assert_closed(pools, submitted_waves)
         assert bench_path.read_text() == "{}\n"

@@ -101,8 +101,10 @@ class TestShortReadPipeline:
 
     def test_affine_scoring_of_genasm_alignment(self):
         genome = SyntheticGenome.random({"chr1": 20_000}, seed=41, repeat_fraction=0.0)
+        # ~1 % error, as in PacBio HiFi reads.
+        hifi = ErrorModel(substitution_rate=0.004, insertion_rate=0.003, deletion_rate=0.003)
         reads = PacBioSimulator(
-            mean_length=400, std_length=50, seed=42, error_model=ErrorModel.pacbio_hifi()
+            mean_length=400, std_length=50, seed=42, error_model=hifi
         ).simulate(genome, 3)
         mapper = Mapper(genome)
         genasm = GenASMAligner()

@@ -4,7 +4,7 @@ The subsystem contract: :class:`StreamingPipeline` produces **byte-identical
 alignments in identical order** to the offline path — candidate pairs
 materialised by :meth:`Mapper.map_reads` and aligned by
 :meth:`BatchAlignmentEngine.align_pairs` — regardless of wave size, chunk
-boundaries, shared-memory executors, or flush policy.  Wave grouping and
+boundaries, worker pools, or flush policy.  Wave grouping and
 concurrency may only move throughput and latency, never a single CIGAR
 byte.
 """
@@ -26,7 +26,7 @@ from repro.genomics.fasta import write_fasta, write_fastq
 from repro.harness.dataset import build_paper_dataset
 from repro.io import SamSink
 from repro.mapping.mapper import Mapper
-from repro.parallel.shm import SharedMemoryExecutor
+from repro.parallel.pool import WorkerPool
 from repro.pipeline import (
     ReadRecord,
     StreamingPipeline,
@@ -34,7 +34,7 @@ from repro.pipeline import (
     stream_reads,
 )
 from repro.telemetry import Tracer
-from tests.conftest import mutate, random_dna, segment_exists
+from tests.conftest import mutate, random_dna
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -358,7 +358,7 @@ class TestStreamingEquivalence:
     def test_executors_do_not_change_results(self, workload, mapper, offline):
         # Reads map inline; the executor only aligns the waves.
         candidates, _pairs, reference = offline
-        executor = SharedMemoryExecutor(workers=2, config=GenASMConfig())
+        executor = WorkerPool(workers=2, config=GenASMConfig())
         try:
             pipeline = StreamingPipeline(
                 mapper, wave_size=8, max_pending=16, executor=executor
@@ -369,7 +369,17 @@ class TestStreamingEquivalence:
             assert_same_alignments(reference, [m.alignment for m in results])
         finally:
             executor.close()
-        assert not [n for n in executor.segment_names() if segment_exists(n)]
+
+    def test_align_pairs_on_a_pool_ships_every_wave_there(self, offline, submitted_waves):
+        # Every wave the pipeline cuts goes to the pool as its pairs, and
+        # the alignments come back as the offline ones, in input order.
+        _candidates, pairs, reference = offline
+        with WorkerPool(workers=1, config=GenASMConfig()) as executor:
+            pipeline = StreamingPipeline(wave_size=4, max_pending=8, executor=executor)
+            assert_same_alignments(reference, pipeline.align_pairs(pairs))
+        assert len(submitted_waves) == pipeline.stats.waves > 1
+        assert {sender for sender, _ in submitted_waves} == {executor}
+        assert sum(lanes for _, lanes in submitted_waves) == len(pairs)
 
     @pytest.mark.parametrize("with_executor", [False, True], ids=["inline", "executor"])
     def test_each_read_maps_once_in_this_process(
@@ -388,7 +398,7 @@ class TestStreamingEquivalence:
         monkeypatch.setattr(Mapper, "map_sequence", recording_map_sequence)
         executor = None
         if with_executor:
-            executor = SharedMemoryExecutor(workers=1, config=GenASMConfig())
+            executor = WorkerPool(workers=1, config=GenASMConfig())
         try:
             pipeline = StreamingPipeline(
                 mapper, wave_size=8, max_pending=16, executor=executor
@@ -411,7 +421,7 @@ class TestStreamingEquivalence:
         # stage built with another config refuses it before any pool starts.
         from repro.pipeline.alignstage import AlignStage
 
-        executor = SharedMemoryExecutor(workers=2, config=GenASMConfig(window_size=32))
+        executor = WorkerPool(workers=2, config=GenASMConfig(window_size=32))
         try:
             with pytest.raises(ValueError, match="different config"):
                 if caller == "align-stage":
@@ -475,13 +485,13 @@ class TestWaveFailure:
         self._assert_failure_between_good_waves(collected, RuntimeError)
 
     def test_worker_failure_comes_back_with_its_wave(self):
-        # A pattern that cannot be packed fails at the handoff to the
-        # executor; the failure is queued with its wave, between the two
-        # good waves the worker aligns.
+        # A bytes pattern fails in the worker, where the engine builds its
+        # wave; the failure is queued with its wave, between the two good
+        # waves the worker aligns.
         from repro.pipeline.alignstage import AlignStage
 
         waves = [[self.GOOD[0]], [(b"ACGTACGT", "ACGTACGT")], [self.GOOD[1]]]
-        with SharedMemoryExecutor(workers=1, config=GenASMConfig()) as executor:
+        with WorkerPool(workers=1, config=GenASMConfig()) as executor:
             stage = AlignStage(GenASMConfig(), executor=executor)
             collected = self._drain(stage, waves)
         self._assert_failure_between_good_waves(collected, AttributeError)

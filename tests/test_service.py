@@ -23,7 +23,7 @@ import pytest
 
 from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
-from repro.parallel.shm import SharedMemoryExecutor
+from repro.parallel.pool import WorkerPool
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
 from repro.service import (
     AlignmentService,
@@ -31,7 +31,7 @@ from repro.service import (
     ServiceStats,
     percentile,
 )
-from tests.conftest import segment_exists
+from repro.telemetry import Tracer
 
 CONFIG = GenASMConfig()
 
@@ -368,7 +368,7 @@ class TestWaveFailure:
     def test_worker_death_fails_in_flight_requests_and_counts_them(self):
         served_pairs = _simulate_short_read_pairs(3, 150, 0.05, 5)
         doomed_pairs = _simulate_short_read_pairs(5, 150, 0.05, 6)
-        executor = SharedMemoryExecutor(workers=1, config=CONFIG)
+        executor = WorkerPool(workers=1, config=CONFIG)
         try:
             executor.warm(delay=0.0)
             service = AlignmentService(CONFIG, wave_size=4, executor=executor)
@@ -391,7 +391,6 @@ class TestWaveFailure:
                     future.result(timeout=0)
         finally:
             executor.close()
-        assert not [name for name in executor.segment_names() if segment_exists(name)]
         stats = service.stats
         assert (stats.requests_submitted, stats.requests_completed) == (8, 3)
         assert stats.requests_failed == 5
@@ -399,10 +398,10 @@ class TestWaveFailure:
         assert "failed=5" in stats.summary()
 
     def test_worker_failure_reaches_the_request(self):
-        # A pattern that cannot be packed fails at the handoff to the
-        # executor; the failure reaches that request, and the rest is served.
+        # A bytes pattern fails in the worker, where the engine builds its
+        # wave; the failure reaches that request, and the rest is served.
         good = _simulate_short_read_pairs(2, 150, 0.05, 4)
-        with SharedMemoryExecutor(workers=1, config=CONFIG) as executor:
+        with WorkerPool(workers=1, config=CONFIG) as executor:
             with AlignmentService(CONFIG, wave_size=1, executor=executor) as service:
                 doomed = service.submit([(b"ACGTACGT", "ACGTACGT")], tenant="b")
                 served = service.submit(good, tenant="a")
@@ -419,7 +418,7 @@ class TestCloseInFlight:
         workloads = [
             _simulate_short_read_pairs(3, 150, 0.05, 40 + index) for index in range(12)
         ]
-        executor = SharedMemoryExecutor(workers=2, config=CONFIG)
+        executor = WorkerPool(workers=2, config=CONFIG)
         try:
             executor.warm()
             service = AlignmentService(CONFIG, wave_size=4, executor=executor)
@@ -437,7 +436,6 @@ class TestCloseInFlight:
                 )
         finally:
             executor.close()
-        assert not [name for name in executor.segment_names() if segment_exists(name)]
         stats = service.stats
         assert (stats.requests_submitted, stats.requests_completed) == (12, 12)
 
@@ -445,6 +443,32 @@ class TestCloseInFlight:
 # --------------------------------------------------------------------------- #
 # Latency stats primitives and the E3s experiment
 # --------------------------------------------------------------------------- #
+class TestTracedPool:
+    def test_worker_spans_carry_the_dispatched_waves(self):
+        # The service's align stage names each wave it sends; the worker's
+        # span comes back with that wave's id and width.
+        pairs = _simulate_short_read_pairs(6, 150, 0.05, 7)
+        tracer = Tracer(process_name="service")
+        with WorkerPool(workers=1, config=CONFIG, tracer=tracer) as executor:
+            with AlignmentService(
+                CONFIG, wave_size=4, executor=executor, tracer=tracer
+            ) as service:
+                served = service.submit(pairs, tenant="a")
+                assert_same_alignments(
+                    offline_alignments(pairs), served.result(timeout=60)
+                )
+
+        def waves(name):
+            return sorted(
+                (record.attrs["wave_id"], record.attrs["lanes"])
+                for record in tracer.records()
+                if record.name == name
+            )
+
+        assert waves("align.dispatch")
+        assert waves("worker.align.wave") == waves("align.dispatch")
+
+
 class TestLatencyPrimitives:
     def test_percentile_nearest_rank(self):
         samples = [0.01, 0.02, 0.03, 0.04, 0.05]

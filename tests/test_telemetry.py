@@ -90,9 +90,9 @@ class TestTracer:
         worker = SpanRecord(
             name="worker.align.wave", start=1.0, end=2.0, pid=99999, tid=1
         )
-        driver.absorb([worker], process_name="shm-worker-99999")
+        driver.absorb([worker], process_name="pool-worker-99999")
         assert worker in driver.records()
-        assert driver.process_names[99999] == "shm-worker-99999"
+        assert driver.process_names[99999] == "pool-worker-99999"
         assert driver.process_names[driver.pid] == "driver"
 
     def test_drain_empties_the_buffer(self):

@@ -1,22 +1,23 @@
-"""Lifecycle, equivalence and leak tests for the shared-memory layer.
+"""Lifecycle and equivalence tests for the worker pool.
 
-Covers the zero-copy execution core end to end:
+Covers multi-process execution end to end:
 
-* segment-layout and pair-block round trips (:mod:`repro.parallel.shm`);
-* :class:`SharedMemoryExecutor` segment hygiene — every segment the
-  executor ever creates is gone from the system after a normal close,
-  after a worker crash mid-stream, and after a cancellation close, traced
-  or not, with every returned future settled;
+* :class:`WorkerPool` lifecycle (:mod:`repro.parallel.pool`) — one wave
+  per worker, a wave's pairs sent as they were at submit, a traced
+  wave's span coming back with its alignments, a worker crash failing
+  its wave's future, a cancellation close or a cancelled queued wave
+  settling every future, traced or not, and a closed pool staying
+  closed;
 * generated batches (the engine's adversarial hypothesis strategy) run
-  on a warm two-worker executor, equal to the scalar aligner and to the
+  on a warm two-worker pool, equal to the scalar aligner and to the
   in-process engine's metadata;
 * a traced streaming pipeline mapping inline and aligning on a two-worker
-  executor: offline-equal results, every stage plus the worker wave spans
-  on one timeline;
+  pool: offline-equal results, every stage plus the worker wave spans
+  on one timeline, each worker span carrying its wave's id and width;
 * the streaming pipeline's in-order emission staying byte-identical to
   the offline vectorized path under a work-sorted stress mix.
 
-The executor tests spawn real worker processes; they are kept small
+The pool tests spawn real worker processes; they are kept small
 (mostly single-worker pools, short pair lists) so the whole module stays
 in tier-1 time budgets.
 """
@@ -25,10 +26,8 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from concurrent.futures import CancelledError
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -38,17 +37,10 @@ from repro.core.config import GenASMConfig
 from repro.genomics.genome import SyntheticGenome
 from repro.genomics.read_simulator import PacBioSimulator
 from repro.mapping.mapper import Mapper
-from repro.parallel.shm import (
-    SegmentLayout,
-    SharedMemoryExecutor,
-    SharedSegment,
-    pack_arrays,
-    pack_pairs,
-    unpack_pairs,
-)
+from repro.parallel.pool import WorkerPool
 from repro.pipeline import StreamingPipeline
 from repro.telemetry import Tracer, chrome_trace
-from tests.conftest import mutate, random_dna, segment_exists
+from tests.conftest import mutate, random_dna
 from tests.test_batch_traceback import engine_batch
 
 
@@ -80,118 +72,48 @@ def corpus():
 
 
 # --------------------------------------------------------------------------- #
-# Segments and layouts
+# Pool lifecycle: normal exit, worker crash, cancellation
 # --------------------------------------------------------------------------- #
-class TestSegmentsAndLayouts:
-    def test_pack_arrays_round_trip(self):
-        arrays = {
-            "a": np.arange(17, dtype=np.uint64),
-            "b": np.array([[1, -2], [3, -4]], dtype=np.int32),
-            "c": np.array([1], dtype=np.int8),
-            "d": np.arange(5, dtype=np.float64),
-        }
-        segment, layout = pack_arrays(arrays, meta={"tag": "x"})
-        try:
-            assert layout.segment == segment.name
-            assert layout.meta == {"tag": "x"}
-            views = layout.views(segment.buf)
-            for name, array in arrays.items():
-                np.testing.assert_array_equal(views[name], array)
-            # Every offset is 8-byte aligned regardless of dtype mix.
-            assert all(offset % 8 == 0 for _, _, _, offset in layout.arrays)
-            del views
-        finally:
-            segment.unlink()
-        segment.unlink()  # idempotent
-        assert not segment_exists(layout.segment)
-
-    def test_layout_attach_round_trip(self):
-        data = {"values": np.arange(100, dtype=np.int64)}
-        segment, layout = pack_arrays(data)
-        shm, views = layout.attach()
-        np.testing.assert_array_equal(views["values"], data["values"])
-        del views
-        shm.close()
-        segment.unlink()
-        assert not segment_exists(layout.segment)
-
-    def test_layout_without_segment_rejects_attach(self):
-        layout = SegmentLayout(nbytes=8, arrays=(("x", "<i8", (1,), 0),))
-        with pytest.raises(ValueError):
-            layout.attach()
-
-    def test_pair_block_round_trip(self, rng):
-        pairs = [
-            (random_dna(rng, length), random_dna(rng, length + 9))
-            for length in (1, 3, 64, 65, 200)
-        ]
-        segment, layout = pack_pairs(pairs)
-        assert layout.meta["count"] == len(pairs)
-        assert unpack_pairs(layout) == pairs
-        segment.unlink()
-        assert not segment_exists(layout.segment)
-
-    def test_empty_pair_block(self):
-        segment, layout = pack_pairs([])
-        assert unpack_pairs(layout) == []
-        segment.unlink()
-
-    def test_segment_context_manager_unlinks(self):
-        with SharedSegment(64) as segment:
-            name = segment.name
-            segment.buf[:4] = b"ping"
-        assert not segment_exists(name)
-
-
-# --------------------------------------------------------------------------- #
-# Executor lifecycle: normal exit, worker crash, cancellation
-# --------------------------------------------------------------------------- #
-class TestExecutorLifecycle:
-    def test_normal_exit_unlinks_every_segment(self, corpus):
+class TestPoolLifecycle:
+    def test_one_worker_aligns_the_batch_as_one_wave(self, corpus, submitted_waves):
         _, _, _, pairs = corpus
         config = GenASMConfig()
         expected = BatchAlignmentEngine(config).align_pairs(pairs)
-        with SharedMemoryExecutor(workers=1, config=config) as ex:
-            ex.warm(delay=0.0)
-            assert_same_alignments(ex.run_alignments(pairs), expected)
-            names = ex.segment_names()
-            assert len(names) == 1  # one worker: the batch ships as one wave
-        assert ex.outstanding_waves() == 0
-        leaked = [name for name in names if segment_exists(name)]
-        assert not leaked
+        with WorkerPool(workers=1, config=config) as pool:
+            pool.warm(delay=0.0)
+            assert_same_alignments(pool.run_alignments(pairs), expected)
+        assert submitted_waves == [(pool, len(pairs))]
 
-    def test_worker_crash_releases_wave_segments(self, corpus):
+    def test_worker_crash_fails_the_wave(self, corpus):
         _, _, _, pairs = corpus
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig())
+        pool = WorkerPool(workers=1, config=GenASMConfig())
         try:
-            ex.warm(delay=0.0)
+            pool.warm(delay=0.0)
             # Kill the pool's only worker, then queue a wave behind the
             # crash.  Depending on when the pool notices the dead process,
             # the submission itself may raise (broken pool) or the wave's
-            # future may fail; the wave segment must be unlinked either way.
-            ex._pool.submit(os._exit, 1)
+            # future may fail.
+            pool._pool.submit(os._exit, 1)
             try:
-                future = ex.submit_wave(pairs[:4])
+                future = pool.submit_wave(pairs[:4])
             except Exception:
                 pass  # pool already marked broken at submit time
             else:
                 with pytest.raises(Exception):
                     future.result(timeout=60)
         finally:
-            ex.close()
-        leaked = [name for name in ex.segment_names() if segment_exists(name)]
-        assert not leaked
+            pool.close()
 
     def test_traced_worker_crash_fails_the_returned_future(self, corpus):
         # Traced, the caller holds a future wrapping the pool's: a wave lost
         # to a worker crash must fail that future, not leave it pending.
         _, _, _, pairs = corpus
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig(), tracer=Tracer())
+        pool = WorkerPool(workers=1, config=GenASMConfig(), tracer=Tracer())
         try:
-            ex.warm(delay=0.0)
-            ex._pool.submit(os._exit, 1)
+            pool.warm(delay=0.0)
+            pool._pool.submit(os._exit, 1)
             try:
-                future = ex.submit_wave(pairs[:4])
+                future = pool.submit_wave(pairs[:4])
             except Exception:
                 pass  # pool already marked broken at submit time
             else:
@@ -199,29 +121,24 @@ class TestExecutorLifecycle:
                     future.result(timeout=60)
                 assert future.done() and not future.cancelled()
         finally:
-            ex.close()
-        leaked = [name for name in ex.segment_names() if segment_exists(name)]
-        assert not leaked
+            pool.close()
 
     @pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
-    def test_midstream_cancellation_releases_segments(self, corpus, tracer):
+    def test_midstream_cancellation_settles_every_future(self, corpus, tracer):
         _, _, _, pairs = corpus
         config = GenASMConfig()
         expected = BatchAlignmentEngine(config).align_pairs(pairs)
-        ex = SharedMemoryExecutor(workers=1, config=config, tracer=tracer)
+        pool = WorkerPool(workers=1, config=config, tracer=tracer)
         starts = range(0, len(pairs), 4)
         futures = []
         try:
-            ex.start()
+            pool.start()
             # Queue more waves than the single worker can start; close with
             # cancel=True drops the queued ones mid-stream.
             for start in starts:
-                futures.append(ex.submit_wave(pairs[start : start + 4]))
+                futures.append(pool.submit_wave(pairs[start : start + 4]))
         finally:
-            ex.close(cancel=True)
-        assert ex.outstanding_waves() == 0
-        leaked = [name for name in ex.segment_names() if segment_exists(name)]
-        assert not leaked
+            pool.close(cancel=True)
         # Every future has settled: a wave that started returns its
         # alignments, and a dropped one raises CancelledError.
         assert all(future.done() for future in futures)
@@ -233,77 +150,94 @@ class TestExecutorLifecycle:
             assert_same_alignments(alignments, expected[start : start + 4])
 
     @pytest.mark.parametrize("tracer", [None, Tracer()], ids=["untraced", "traced"])
-    def test_cancelling_a_queued_wave_releases_its_segment(self, corpus, tracer):
+    def test_cancelling_a_queued_wave_drops_only_it(self, corpus, tracer):
         _, _, _, pairs = corpus
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig(), tracer=tracer)
+        pool = WorkerPool(workers=1, config=GenASMConfig(), tracer=tracer)
         try:
             # The only worker is still spawning, so the last of four waves
-            # has not started: cancelling its future drops the wave and
-            # its segment at once, and the waves before it still align.
+            # has not started: cancelling its future drops the wave at
+            # once, and the waves before it still align.
             futures = [
-                ex.submit_wave(pairs[start : start + 4])
+                pool.submit_wave(pairs[start : start + 4])
                 for start in range(0, len(pairs), 4)
             ]
             assert len(futures) == 4
             assert futures[-1].cancel()
-            assert ex.outstanding_waves() == 3
             assert [len(f.result(timeout=60)) for f in futures[:-1]] == [4, 4, 4]
         finally:
-            ex.close()
+            pool.close()
         assert futures[-1].cancelled()
-        assert not [name for name in ex.segment_names() if segment_exists(name)]
 
-    def test_executor_rejects_reuse_after_close(self):
-        ex = SharedMemoryExecutor(workers=1, config=GenASMConfig())
-        ex.close()
+    def test_submit_wave_sends_the_pairs_as_submitted(self, corpus):
+        # The pool pickles a wave's pairs on its feeder thread, after
+        # submit_wave has returned: a caller reusing its list must not
+        # change the wave.
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        wave = list(pairs[:4])
+        expected = BatchAlignmentEngine(config).align_pairs(wave)
+        with WorkerPool(workers=1, config=config) as pool:
+            future = pool.submit_wave(wave)
+            wave[:] = [("ACGT", "TTTT")] * 4
+            assert_same_alignments(future.result(timeout=60), expected)
+
+    def test_traced_wave_resolves_to_alignments_and_ships_its_span(self, corpus):
+        _, _, _, pairs = corpus
+        config = GenASMConfig()
+        tracer = Tracer(process_name="driver")
+        with WorkerPool(workers=1, config=config, tracer=tracer) as pool:
+            alignments = pool.submit_wave(pairs[:3], wave_id=41).result(timeout=60)
+        assert_same_alignments(
+            alignments, BatchAlignmentEngine(config).align_pairs(pairs[:3])
+        )
+        (span,) = [r for r in tracer.records() if r.name == "worker.align.wave"]
+        assert (span.attrs["wave_id"], span.attrs["lanes"]) == (41, 3)
+        assert span.pid != os.getpid()
+        assert tracer.process_names[span.pid] == f"pool-worker-{span.pid}"
+
+    def test_context_exit_closes_the_pool_for_good(self):
+        with WorkerPool(workers=1, config=GenASMConfig()) as pool:
+            assert pool.started
+        assert not pool.started
+        pool.close()  # closing again changes nothing
         with pytest.raises(RuntimeError):
-            ex.start()
+            pool.submit_wave([("ACGT", "ACGT")])
 
-    def test_executor_validates_workers(self):
+    def test_pool_rejects_reuse_after_close(self):
+        pool = WorkerPool(workers=1, config=GenASMConfig())
+        pool.close()
+        with pytest.raises(RuntimeError):
+            pool.start()
+
+    def test_pool_validates_workers(self):
         with pytest.raises(ValueError):
-            SharedMemoryExecutor(workers=0)
+            WorkerPool(workers=0)
 
 
 # --------------------------------------------------------------------------- #
 # Generated batches on a warm pool
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module", params=["default", "short_read"])
-def warm_executor(request):
-    """A warm two-worker executor per configuration, closed after its tests."""
+def warm_pool(request):
+    """A warm two-worker pool per configuration, closed after its tests."""
     if request.param == "default":
         config = GenASMConfig()
     else:
         config = GenASMConfig.short_read(150)
-    executor = SharedMemoryExecutor(workers=2, config=config)
-    executor.warm(delay=0.0)
-    yield executor
-    executor.close()
-    assert not [name for name in executor.segment_names() if segment_exists(name)]
-
-
-def wave_segments_released(executor, timeout: float = 5.0) -> bool:
-    """Wait for the executor to release its wave segments.
-
-    A wave's segment is unlinked by a done-callback that the pool runs
-    just after it sets the wave's result, so ``run_alignments`` can return
-    a moment before the release.
-    """
-    deadline = time.monotonic() + timeout
-    while executor.outstanding_waves() and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return executor.outstanding_waves() == 0
+    with WorkerPool(workers=2, config=config) as pool:
+        pool.warm(delay=0.0)
+        yield pool
 
 
 class TestGeneratedBatches:
     @settings(deadline=None)
     @given(pairs=engine_batch())
-    def test_run_alignments_equals_the_in_process_aligners(self, warm_executor, pairs):
-        config = warm_executor.config
-        got = warm_executor.run_alignments(pairs)
+    def test_run_alignments_equals_the_in_process_aligners(self, warm_pool, pairs):
+        config = warm_pool.config
+        got = warm_pool.run_alignments(pairs)
         assert_same_alignments(got, GenASMAligner(config).align_batch(pairs))
         engine = BatchAlignmentEngine(config).align_pairs(pairs)
         assert [a.metadata for a in got] == [a.metadata for a in engine]
-        assert wave_segments_released(warm_executor)
 
 
 # --------------------------------------------------------------------------- #
@@ -326,27 +260,41 @@ class TestTracedPoolPipeline:
         config = GenASMConfig()
         expected = BatchAlignmentEngine(config).align_pairs(pairs)
         tracer = Tracer(process_name="driver")
-        with SharedMemoryExecutor(workers=2, config=config, tracer=tracer) as executor:
-            executor.warm()
+        with WorkerPool(workers=2, config=config, tracer=tracer) as pool:
+            pool.warm()
+            # Waves of four split the corpus's 14 pairs into several waves,
+            # so each worker span must name its own wave.
             pipeline = StreamingPipeline(
                 mapper,
                 config,
-                wave_size=512,
-                max_pending=512,
-                executor=executor,
+                wave_size=4,
+                max_pending=8,
+                executor=pool,
                 tracer=tracer,
             )
             results = pipeline.run_all(reads)
-            names = executor.segment_names()
         assert_same_alignments([mapped.alignment for mapped in results], expected)
-        assert REQUIRED_SPANS <= {record.name for record in tracer.records()}
+        records = tracer.records()
+        assert REQUIRED_SPANS <= {record.name for record in records}
         tracks = {
             event["pid"]
             for event in chrome_trace(tracer)["traceEvents"]
             if event["name"] == "process_name"
         }
         assert len(tracks) >= 2
-        assert not [name for name in names if segment_exists(name)]
+        # Each worker span carries the id and width of the wave the driver
+        # dispatched: one worker span per dispatched wave.
+        dispatched = [
+            (record.attrs["wave_id"], record.attrs["lanes"])
+            for record in records
+            if record.name == "align.dispatch"
+        ]
+        worked = [
+            (record.attrs["wave_id"], record.attrs["lanes"])
+            for record in records
+            if record.name == "worker.align.wave"
+        ]
+        assert len(dispatched) > 1 and sorted(worked) == sorted(dispatched)
 
 
 # --------------------------------------------------------------------------- #
