@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import GenASMConfig
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
-from repro.gpu.simulator import CpuModel, GpuSimulator
+from repro.gpu.simulator import GpuSimulator
 from repro.harness.experiments import run_gpu_speed_experiment
 
 from conftest import report_rows

@@ -9,8 +9,8 @@ byte-identical to the scalar path in :mod:`repro.core`.
 
 * :class:`BatchAlignmentEngine` — batch aligner producing
   :class:`repro.core.alignment.Alignment` objects.
-* :func:`run_dc_wave_state` / :class:`SoAWave` / :class:`LaneJob` — the
-  lockstep GenASM-DC kernel and its lane layout.
+* :func:`run_dc_wave_state` / :class:`SoAWave` — the lockstep GenASM-DC
+  kernel and its lane layout (one lane per reversed window pair).
 * :func:`build_wave_decisions` / :func:`lockstep_traceback` — the lockstep
   GenASM-TB kernel (see below).
 * :func:`lockstep_stats` — lockstep (SIMT warp divergence) efficiency
@@ -25,11 +25,12 @@ once every lane has found its solution row.  Rows do not depend on the
 budget, so that row names the rung of the scalar budget ladder that
 would have solved the lane; every rung the lane climbed is charged, and
 the retry wave is masked with the solving rung's band and reachability
-column (:meth:`SoAWave.set_budgets`).  A DC wave stores its rows as SoA
-arrays (``stored[d]`` is the full-width ``R`` row ``(W, lanes,
-n_max + 1)`` with ``W`` words per lane, or a quad tuple without entry
-compression; the scalar path's band packing and reachability
-placeholders are imposed lazily via :meth:`SoAWave.zero_view_mask`).
+column (:meth:`SoAWave.set_budgets`).  A DC wave stores its rows as one
+SoA array (``stored_rows[d]`` is the full-width ``R`` row ``(W, lanes,
+n_max + 1)`` with ``W`` words per lane, or the row's four intermediates
+``(4, W, lanes, n_max)`` without entry compression; the scalar path's
+band packing and reachability placeholders are imposed lazily via
+:meth:`SoAWave.zero_view_mask`).
 Once every lane has solved, the rows its walk can reach —
 ``0..min_errors`` of the scan that solved it — are expanded into
 **decision words**: four ``uint64`` planes of shape
@@ -69,7 +70,7 @@ from repro.batch.engine import (
     WaveDCState,
     run_dc_wave_state,
 )
-from repro.batch.soa import LaneJob, SoAWave, lane_words, lockstep_stats
+from repro.batch.soa import SoAWave, lane_words, lockstep_stats
 from repro.batch.traceback import (
     LaneTraceback,
     WaveDecisions,
@@ -81,7 +82,6 @@ __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
     "run_dc_wave_state",
-    "LaneJob",
     "SoAWave",
     "lane_words",
     "lockstep_stats",

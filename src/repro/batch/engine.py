@@ -41,14 +41,19 @@ Structure
   wider than 64 characters (short-read configs) vectorize too.
 * :class:`BatchAlignmentEngine` — the windowed aligner: all pairs advance
   their current window together, and finished pairs drop out of
-  subsequent steps.  A windowing step runs at most two DC scans: one wave
-  over every lane at its base budget, then, if some lane failed, one
-  budget retry over the failed lanes at the window's full budget, which
-  stops once every lane has found its solution row; every rung of the
-  scalar budget ladder is charged from that row.  It then traces every
-  lane at once: one decision build over only the rows each lane can
-  reach and one lockstep walk.  Mixed-length batches are scheduled into
-  waves by expected lockstep work — window count × words per lane (see
+  subsequent steps.  Each pair's cursors, DP accounting and metadata
+  tallies are int64 arrays over the chunk, updated once per windowing
+  step for the lanes it ran.  A windowing step runs at most two DC scans:
+  one wave over every lane at its base budget, then, if some lane failed,
+  one budget retry over the failed lanes at the window's full budget,
+  which stops once every lane has found its solution row; every rung of
+  the scalar budget ladder is charged from that row, by the one formula
+  every attempt is charged with (:func:`_attempt_charges`).  It then
+  traces every lane at once: one decision build over only the rows each
+  lane can reach and one lockstep walk.  Each pair's CIGAR is built once
+  per chunk, from one run-length encoding of every op the steps emitted.
+  Mixed-length batches are scheduled into waves by expected lockstep work
+  — window count × words per lane (see
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
   lockstep with similarly-sized neighbours.
 
@@ -58,15 +63,22 @@ Every configuration takes this lockstep path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.batch.soa import MAX_LANE_BITS, LaneJob, SoAWave, lane_words, lockstep_stats
+from repro.batch.soa import (
+    MAX_LANE_BITS,
+    SoAWave,
+    entry_bytes,
+    lane_words,
+    lockstep_stats,
+)
 from repro.batch.traceback import (
     OPS_BY_CODE,
+    LaneTraceback,
     build_wave_decisions,
     lockstep_traceback,
 )
@@ -74,7 +86,6 @@ from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import DCTable
-from repro.core.improvements import entry_bytes, reachable_column_start
 from repro.core.metrics import AccessCounter, MemoryFootprint
 
 __all__ = [
@@ -89,6 +100,19 @@ _U63 = np.uint64(MAX_LANE_BITS - 1)
 
 #: Packed op code of an insertion (see repro.batch.traceback.OPS_BY_CODE).
 _INSERTION_CODE = list(OPS_BY_CODE).index(CigarOp.INSERTION)
+
+#: The AccessCounter fields, then the per-pair window tallies the windowing
+#: loop keeps beside them as arrays over a chunk.
+_COUNTER_FIELDS = tuple(field.name for field in fields(AccessCounter))
+_TALLIES = _COUNTER_FIELDS + (
+    "window_rows",
+    "peak_window_bytes",
+    "total_stored_bytes",
+    "tb_walk_steps",
+    "tb_walk_steps_saved",
+    "tb_match_runs",
+    "tb_match_run_ops",
+)
 
 #: ``_CLEAR_LOW[c]`` clears the ``c`` low bits (``c`` in 0..64); used to
 #: build row 0 (``(ones << d) & ones``) without undefined 64-bit shifts.
@@ -112,32 +136,61 @@ def _shl1(value: np.ndarray) -> np.ndarray:
     return out
 
 
+def _attempt_charges(
+    budget: np.ndarray,
+    rows: np.ndarray,
+    n: np.ndarray,
+    store_from: np.ndarray,
+    entry_store: np.ndarray,
+    entry_compression: bool,
+) -> Dict[str, np.ndarray]:
+    """Per-lane DP accounting of one GenASM-DC attempt, by counter field.
+
+    Exactly what :func:`repro.core.genasm_dc.genasm_dc` charges an attempt
+    at ``budget`` that evaluates ``rows`` of its ``budget + 1`` rows (early
+    termination skips the rest) over an ``n``-column text, storing the
+    columns from ``store_from`` at ``entry_store`` bytes per entry; its
+    per-row updates are constant per attempt.  Takes ints or per-lane
+    arrays alike.
+    """
+    stored_columns = n - np.maximum(0, store_from - 1)
+    if entry_compression:
+        writes = rows * (stored_columns + (store_from == 0))
+    else:
+        writes = rows * 4 * stored_columns
+    return {
+        "entries_computed": rows * n,
+        "rows_computed": rows,
+        "dp_writes": writes,
+        "bytes_written": writes * entry_store,
+        "rows_skipped": budget + 1 - rows,
+    }
+
+
 @dataclass
 class WaveDCState:
     """Raw SoA outcome of one lockstep GenASM-DC wave.
 
-    Keeps the stored rows exactly as the wave computed them — full-width
-    multi-word ``uint64`` arrays ``(W, L, n_max + 1)`` (or quad tuples of
-    ``(W, L, n_max)`` without entry compression) — so the lockstep
-    traceback can derive its decision words without ever materialising
-    per-lane Python lists.  Band packing and traceback-reachability
-    placeholders are applied lazily: :meth:`table` reproduces the scalar
-    path's packed storage value for value, and
+    Keeps the stored rows exactly as the wave computed them, as one
+    full-width multi-word ``uint64`` array — ``(rows, W, L, n_max + 1)``,
+    a slice of the scan's table, or ``(rows, 4, W, L, n_max)`` of quad
+    intermediates without entry compression — so the lockstep traceback
+    can derive its decision words without ever materialising per-lane
+    Python lists.  Band packing and traceback-reachability placeholders
+    are applied lazily: :meth:`table` reproduces the scalar path's packed
+    storage value for value, and
     :meth:`repro.batch.soa.SoAWave.zero_view_mask` imposes the same
-    semantics on the decision planes.  Per-lane DP accounting has already
-    been charged to each :class:`~repro.batch.soa.LaneJob` counter when
-    this object exists; :meth:`tables` only reshapes state.
+    semantics on the decision planes.  The scan charges no DP accounting:
+    the engine charges each attempt from :func:`_attempt_charges`.
     """
 
     wave: SoAWave
     entry_compression: bool
     early_termination: bool
-    #: per row up to ``rows_computed.max()``: full-width R
-    #: ``(W, L, n_max + 1)`` (a view of the scan's one table) or 4-tuple of
-    #: ``(W, L, n_max)`` intermediates, in SoA layout
-    stored_rows: List[object]
-    #: final-column value per evaluated row, ``(W, L)`` each
-    final_cols: List[np.ndarray]
+    #: rows ``0 .. rows_computed.max() - 1``, in SoA layout
+    stored_rows: np.ndarray
+    #: final-column value per evaluated row, ``(rows, W, L)``
+    final_cols: np.ndarray
     rows_computed: np.ndarray
     #: minimum error level per lane, ``-1`` when the budget failed
     min_errors: np.ndarray
@@ -171,10 +224,10 @@ class WaveDCState:
         engine's hot path.  The full-width wave rows
         are band-packed and placeholder-substituted here, reproducing the
         scalar storage exactly (``tests/test_batch_engine.py`` pins this
-        state for state).
+        state for state), and the table's counter holds the lane's
+        attempt at the wave's budget, as :func:`_attempt_charges` charges it.
         """
         wave = self.wave
-        job = wave.jobs[lane]
         rows_i = int(self.rows_computed[lane])
         n_i = int(wave.n[lane])
         m_i = int(wave.m[lane])
@@ -185,25 +238,27 @@ class WaveDCState:
         band_lo = [int(x) for x in wave.band_lo[lane, : n_i + 1]]
         band_mask_int = (1 << int(wave.band_width[lane])) - 1
 
+        charges = _attempt_charges(
+            int(wave.k[lane]),
+            rows_i,
+            n_i,
+            store_from,
+            int(wave.entry_store[lane]),
+            self.entry_compression,
+        )
         table = DCTable(
-            pattern=job.pattern,
-            text=job.text,
+            pattern=wave.patterns[lane],
+            text=wave.texts[lane],
             max_errors=int(wave.k[lane]),
             entry_compression=self.entry_compression,
             early_termination=self.early_termination,
             traceback_band=band,
             store_from_column=store_from,
-            counter=job.counter,
+            counter=AccessCounter(**{name: int(v) for name, v in charges.items()}),
         )
         table.rows_computed = rows_i
         table.min_errors = found if found >= 0 else None
-        table.final_column = [
-            sum(
-                int(self.final_cols[d][w, lane]) << (MAX_LANE_BITS * w)
-                for w in range(wave.words)
-            )
-            for d in range(rows_i)
-        ]
+        table.final_column = self._lane_ints(self.final_cols[:rows_i, :, lane].T)
         if self.entry_compression:
             stored_r: List[List[int]] = []
             for d in range(rows_i):
@@ -263,42 +318,16 @@ def _ladder(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.stack(rungs)
 
 
-def _store_from(n: int, commit: int, budget: int, band: bool) -> int:
-    """First stored text column of an attempt that commits ``commit`` columns.
+def _store_from(
+    n: np.ndarray, commit: np.ndarray, budget: np.ndarray, band: bool
+) -> np.ndarray:
+    """First stored text column of attempts that commit ``commit`` columns.
 
-    Traceback-reachability pruning, as :func:`repro.core.windowing.align_window`
-    applies it: 0 without the band improvement.
+    :func:`repro.core.improvements.reachable_column_start` per lane, as
+    :func:`repro.core.windowing.align_window` applies it: 0 without the
+    band improvement.
     """
-    return reachable_column_start(n, commit, budget) if band else 0
-
-
-def _charge_attempt(
-    counter: AccessCounter,
-    *,
-    budget: int,
-    rows: int,
-    n: int,
-    store_from: int,
-    entry_store: int,
-    entry_compression: bool,
-) -> None:
-    """Charge one GenASM-DC attempt's modelled DP accounting to ``counter``.
-
-    Exactly what :func:`repro.core.genasm_dc.genasm_dc` charges for an
-    attempt at ``budget`` that evaluates ``rows`` of its ``budget + 1``
-    rows (early termination skips the rest) over an ``n``-column text,
-    storing the columns from ``store_from`` at ``entry_store`` bytes per
-    entry; its per-row updates are constant per attempt.
-    """
-    stored_columns = n - max(0, store_from - 1)
-    if entry_compression:
-        writes_per_row = stored_columns + (store_from == 0)
-    else:
-        writes_per_row = 4 * stored_columns
-    counter.entries_computed += rows * n
-    counter.rows_computed += rows
-    counter.record_write(rows * writes_per_row, entry_store)
-    counter.rows_skipped += budget + 1 - rows
+    return np.maximum(0, n - commit - budget - 1) if band else np.zeros_like(n)
 
 
 def run_dc_wave_state(
@@ -325,17 +354,16 @@ def run_dc_wave_state(
     is then the last rung of the doubling ladder
     ``ladder_from -> 2 ladder_from -> ...`` (``ladder_from`` is the budget
     its first attempt failed at), and without early termination the model
-    charges a lane the rows of the first rung at or above its solution
+    keeps a lane the rows of the first rung at or above its solution
     row.  A retry stops at the first anti-diagonal where every lane has
     those rows: from diagonal ``t = n_max`` on, row ``d = t - n_max`` is
     complete in every lane's final column, so each step tests the
     solution bits that settle row ``d``, and the scan takes ``n_max + d``
     steps for the deepest row ``d`` a lane needs instead of
-    ``n_max + k_max``.  A retry charges nothing: its caller charges every
-    rung the lane climbed (:meth:`BatchAlignmentEngine._run_wave`).  Any
-    other scan evaluates every row (testing the rows would cost more than
-    the few rows early termination leaves unread) and charges each lane's
-    attempt at its own budget to the lane's counter before returning.
+    ``n_max + k_max``.  Any other scan evaluates every row (testing the
+    rows would cost more than the few rows early termination leaves
+    unread).  No scan charges DP accounting: its caller charges every
+    attempt it models (:func:`_attempt_charges`).
     """
     L = wave.lanes
     W = wave.words
@@ -439,105 +467,53 @@ def run_dc_wave_state(
     # placeholders of the scalar storage are applied lazily (table(),
     # zero_view_mask), so the scan never pays per-column packing.
     if entry_compression:
-        stored_rows: List[object] = list(table[:evaluated])
+        stored_rows = table[:evaluated]
     else:
         # Row 0 is the match term alone; ones stand in for the other three.
         shifted = _shl1(table[:evaluated]) & ones[:, :, None]
-        match = shifted[..., :-1] | masks
-        placeholder = np.broadcast_to(ones[:, :, None], (W, L, n_max))
-        stored_rows = [(match[0], placeholder, placeholder, placeholder)]
-        subst, ins = shifted[:-1, ..., :-1], shifted[:-1, ..., 1:]
-        stored_rows.extend(zip(match[1:], subst, ins, table[: evaluated - 1, ..., :-1]))
-
-    if ladder_from is None:
-        for job, budget, rows_i, n_i, store_from, entry_store in zip(
-            wave.jobs,
-            k.tolist(),
-            rows_computed.tolist(),
-            n.tolist(),
-            wave.store_from.tolist(),
-            wave.entry_store.tolist(),
-        ):
-            _charge_attempt(
-                job.counter,
-                budget=budget,
-                rows=rows_i,
-                n=n_i,
-                store_from=store_from,
-                entry_store=entry_store,
-                entry_compression=entry_compression,
-            )
+        stored_rows = np.empty((evaluated, 4, W, L, n_max), dtype=np.uint64)
+        stored_rows[:, 0] = shifted[..., :-1] | masks
+        stored_rows[0, 1:] = ones[:, :, None]
+        stored_rows[1:, 1] = shifted[:-1, ..., :-1]
+        stored_rows[1:, 2] = shifted[:-1, ..., 1:]
+        stored_rows[1:, 3] = table[: evaluated - 1, ..., :-1]
 
     return WaveDCState(
         wave=wave,
         entry_compression=entry_compression,
         early_termination=early_termination,
         stored_rows=stored_rows,
-        final_cols=list(final[:evaluated]),
+        final_cols=final[:evaluated],
         rows_computed=rows_computed,
         min_errors=min_errors,
     )
 
 
-class _PairState:
-    """Mutable per-pair cursor of the lockstep windowing loop."""
+def _cigars(
+    owners: np.ndarray, codes: np.ndarray, pairs: int
+) -> Tuple[List[Cigar], np.ndarray]:
+    """Each pair's CIGAR and edit distance from a chunk's op codes.
 
-    __slots__ = (
-        "pattern",
-        "text",
-        "p",
-        "t",
-        "code_chunks",
-        "windows",
-        "peak_bytes",
-        "total_bytes",
-        "rows_total",
-        "counter",
-        "done",
-        "tb_walk_steps",
-        "tb_steps_saved",
-        "tb_match_runs",
-        "tb_match_run_ops",
+    ``codes[i]`` is an op code (:data:`repro.batch.traceback.OPS_BY_CODE`)
+    of pair ``owners[i]``; each pair's ops appear in emission order.  One
+    run-length encoding over the ops sorted stably by pair splits wherever
+    the op or the pair changes, so every run is maximal.
+    """
+    order = np.argsort(owners, kind="stable")
+    owners, codes = owners[order], codes[order]
+    new_run = np.ones(codes.size, dtype=bool)
+    new_run[1:] = (owners[1:] != owners[:-1]) | (codes[1:] != codes[:-1])
+    starts = np.flatnonzero(new_run)
+    runs = list(
+        zip(
+            np.diff(np.append(starts, codes.size)).tolist(),
+            OPS_BY_CODE[codes[starts]].tolist(),
+        )
     )
-
-    def __init__(self, pattern: str, text: str) -> None:
-        self.pattern = pattern
-        self.text = text
-        self.p = 0
-        self.t = 0
-        #: per-window packed op codes (see repro.batch.traceback.OPS_BY_CODE)
-        self.code_chunks: List[np.ndarray] = []
-        self.windows = 0
-        self.peak_bytes = 0
-        self.total_bytes = 0
-        self.rows_total = 0
-        self.counter = AccessCounter()
-        self.done = len(pattern) == 0
-        #: traceback walk iterations vs emitted ops (skip-ahead savings),
-        #: and the match runs the skip-ahead consumed whole
-        self.tb_walk_steps = 0
-        self.tb_steps_saved = 0
-        self.tb_match_runs = 0
-        self.tb_match_run_ops = 0
-
-    def codes(self) -> np.ndarray:
-        """Every committed window's op codes, in order."""
-        if not self.code_chunks:
-            return np.zeros(0, dtype=np.int8)
-        return np.concatenate(self.code_chunks)
-
-
-def _cigar(codes: np.ndarray) -> Cigar:
-    """Run-length encode packed op codes into a CIGAR."""
-    if not codes.size:
-        return Cigar.from_runs([])
-    boundaries = np.nonzero(np.diff(codes))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [codes.size]))
-    return Cigar.from_runs(
-        (int(end - start), OPS_BY_CODE[codes[start]])
-        for start, end in zip(starts, ends)
-    )
+    ends = np.cumsum(np.bincount(owners[starts], minlength=pairs)).tolist()
+    cigars = [Cigar(tuple(runs[a:b])) for a, b in zip([0] + ends[:-1], ends)]
+    # Every op but a match (code 0) is an edit.
+    return cigars, np.bincount(owners[codes != 0], minlength=pairs)
 
 
 class BatchAlignmentEngine:
@@ -548,8 +524,8 @@ class BatchAlignmentEngine:
     current window and runs the lockstep DC kernel, then one budget retry
     over the lanes whose budget failed, at the window's full budget; it
     charges every rung of the scalar budget ladder, traces every lane back
-    in one lockstep decision-word walk and advances the per-pair cursors
-    exactly as :func:`repro.core.windowing.align_windowed` would.
+    in one lockstep decision-word walk and advances the chunk's cursor
+    arrays exactly as :func:`repro.core.windowing.align_windowed` would.
 
     Parameters
     ----------
@@ -685,259 +661,265 @@ class BatchAlignmentEngine:
     def _align_chunk(
         self, pairs: Sequence[Tuple[str, str]], shared: Optional[AccessCounter]
     ) -> List[Alignment]:
+        """Align one chunk, every pair's cursors and tallies held as arrays.
+
+        Each windowing step windows every live pair, emits a window with no
+        text left as insertions, runs the rest through :meth:`_run_wave`
+        and commits each walked window with one indexed add per tally;
+        the CIGARs are built once, at the end (:func:`_cigars`).
+        """
         config = self.config
-        states = [_PairState(p, t) for p, t in pairs]
+        patterns = [pattern for pattern, _text in pairs]
+        texts = [text for _pattern, text in pairs]
+        m = np.array([len(pattern) for pattern in patterns], dtype=np.int64)
+        n = np.array([len(text) for text in texts], dtype=np.int64)
+        p, t = np.zeros_like(m), np.zeros_like(m)  # pattern and text cursors
+        live = m > 0
+        tally = {name: np.zeros(len(pairs), dtype=np.int64) for name in _TALLIES}
+        # Every op code each windowing step emits, and the pair it belongs to.
+        owners, codes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int8)]
 
-        while True:
-            active = [s for s in states if not s.done]
-            if not active:
-                break
-            wave_members: List[Tuple[_PairState, str, str, int, int]] = []
-            for s in active:
-                remaining = len(s.pattern) - s.p
-                w = min(config.window_size, remaining)
-                text_budget = min(len(s.text) - s.t, w + config.text_slack)
-                window_pattern = s.pattern[s.p : s.p + w]
-                window_text = s.text[s.t : s.t + max(0, text_budget)]
-                last_window = w >= remaining
-                commit = w if last_window else max(1, min(w, min(config.window_step, w)))
-
-                if len(window_text) == 0:
-                    # No DP to run: the committed pattern prefix is emitted
-                    # as insertions (align_window's empty-text early return,
-                    # inlined so _apply_window owns all window accounting).
-                    self._apply_window(
-                        s,
-                        codes=np.full(commit, _INSERTION_CODE, dtype=np.int8),
-                        pattern_consumed=commit,
-                        text_consumed=0,
-                        rows=0,
-                        stored=0,
-                    )
-                    continue
-                wave_members.append((s, window_pattern, window_text, commit, w))
-
-            if wave_members:
-                self._run_wave(wave_members)
-
-            for s in states:
-                if not s.done and s.p >= len(s.pattern):
-                    s.done = True
-
-        footprint = MemoryFootprint.from_config(config)
-        model_bytes = footprint.bytes_for_config(config)
-        alignments: List[Alignment] = []
-        for s in states:
-            codes = s.codes()
-            metadata = {
-                "windows": s.windows,
-                "rows_computed": s.rows_total,
-                "peak_window_bytes": s.peak_bytes,
-                "total_stored_bytes": s.total_bytes,
-                "dp_accesses": s.counter.total_accesses,
-                "dp_bytes": s.counter.total_bytes,
-                "model_window_bytes": model_bytes,
-                "words_per_lane": self.words_per_lane,
-                "tb_walk_steps": s.tb_walk_steps,
-                "tb_walk_steps_saved": s.tb_steps_saved,
-                "tb_match_runs": s.tb_match_runs,
-                "tb_match_run_ops": s.tb_match_run_ops,
-            }
-            alignments.append(
-                Alignment(
-                    pattern=s.pattern,
-                    text=s.text,
-                    cigar=_cigar(codes),
-                    # Every op but a match (code 0) is an edit.
-                    edit_distance=int(np.count_nonzero(codes)),
-                    text_start=0,
-                    text_end=s.t,
-                    aligner=self.name,
-                    metadata=metadata,
-                )
+        while live.any():
+            lanes = np.flatnonzero(live)
+            remaining = m[lanes] - p[lanes]
+            w = np.minimum(config.window_size, remaining)
+            text_w = np.maximum(
+                0, np.minimum(n[lanes] - t[lanes], w + config.text_slack)
             )
-            if shared is not None:
-                shared.merge(s.counter)
-        return alignments
+            commit = np.where(
+                w >= remaining, w, np.maximum(1, np.minimum(w, config.window_step))
+            )
+
+            # No text left: the committed pattern prefix is emitted as
+            # insertions without DP (align_window's empty-text return), one
+            # walk step per op.
+            empty = text_w == 0
+            idle, inserted = lanes[empty], commit[empty]
+            tally["windows"][idle] += 1
+            tally["tb_walk_steps"][idle] += inserted
+            p[idle] += inserted
+            owners.append(np.repeat(idle, inserted))
+            codes.append(np.full(int(inserted.sum()), _INSERTION_CODE, dtype=np.int8))
+
+            if not empty.all():
+                run = ~empty
+                lanes, w, text_w, commit = lanes[run], w[run], text_w[run], commit[run]
+                ids = lanes.tolist()
+                order, tracebacks, rows, stored, entry = self._run_wave(
+                    lanes,
+                    [
+                        patterns[i][a : a + b][::-1]
+                        for i, a, b in zip(ids, p[lanes].tolist(), w.tolist())
+                    ],
+                    [
+                        texts[i][a : a + b][::-1]
+                        for i, a, b in zip(ids, t[lanes].tolist(), text_w.tolist())
+                    ],
+                    commit,
+                    tally,
+                )
+                walked = lanes[order]
+                ops, consumed, stop, reads, steps, runs, run_ops = np.array(
+                    [
+                        (
+                            tb.codes.size,
+                            tb.pattern_consumed,
+                            tb.text_stop,
+                            tb.dp_reads,
+                            tb.walk_steps,
+                            tb.match_runs,
+                            tb.match_run_ops,
+                        )
+                        for tb in tracebacks
+                    ],
+                    dtype=np.int64,
+                ).reshape(-1, 7).T
+                p[walked] += consumed
+                t[walked] += text_w[order] - stop
+                # align_windowed's forward-progress guard.
+                live[walked[consumed == 0]] = False
+                tally["peak_window_bytes"][walked] = np.maximum(
+                    tally["peak_window_bytes"][walked], stored
+                )
+                for name, value in (
+                    ("tb_steps", ops),
+                    ("dp_reads", reads),
+                    ("bytes_read", reads * entry),
+                    ("windows", 1),
+                    ("window_rows", rows),
+                    ("total_stored_bytes", stored),
+                    ("tb_walk_steps", steps),
+                    ("tb_walk_steps_saved", ops - steps),
+                    ("tb_match_runs", runs),
+                    ("tb_match_run_ops", run_ops),
+                ):
+                    tally[name][walked] += value
+                owners.append(np.repeat(walked, ops))
+                codes.append(np.concatenate([tb.codes for tb in tracebacks]))
+            live &= p < m
+
+        cigars, edits = _cigars(
+            np.concatenate(owners), np.concatenate(codes), len(pairs)
+        )
+        if shared is not None:
+            totals = {name: int(tally[name].sum()) for name in _COUNTER_FIELDS}
+            shared.merge(AccessCounter(**totals))
+        model_bytes = MemoryFootprint.from_config(config).bytes_for_config(config)
+        columns = {
+            "windows": tally["windows"],
+            "rows_computed": tally["window_rows"],
+            "peak_window_bytes": tally["peak_window_bytes"],
+            "total_stored_bytes": tally["total_stored_bytes"],
+            "dp_accesses": tally["dp_reads"] + tally["dp_writes"],
+            "dp_bytes": tally["bytes_read"] + tally["bytes_written"],
+            "model_window_bytes": np.full(len(pairs), model_bytes),
+            "words_per_lane": np.full(len(pairs), self.words_per_lane),
+            "tb_walk_steps": tally["tb_walk_steps"],
+            "tb_walk_steps_saved": tally["tb_walk_steps_saved"],
+            "tb_match_runs": tally["tb_match_runs"],
+            "tb_match_run_ops": tally["tb_match_run_ops"],
+        }
+        per_pair = zip(*(values.tolist() for values in columns.values()))
+        return [
+            Alignment(
+                pattern=pattern,
+                text=text,
+                cigar=cigar,
+                edit_distance=edit,
+                text_start=0,
+                text_end=end,
+                aligner=self.name,
+                metadata=dict(zip(columns, row)),
+            )
+            for pattern, text, cigar, edit, end, row in zip(
+                patterns, texts, cigars, edits.tolist(), t.tolist(), per_pair
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     def _run_wave(
-        self, members: Sequence[Tuple[_PairState, str, str, int, int]]
-    ) -> None:
-        """Run one windowing step for every member: at most two DC scans, one walk.
+        self,
+        pairs: np.ndarray,
+        patterns: List[str],
+        texts: List[str],
+        commit: np.ndarray,
+        tally: Dict[str, np.ndarray],
+    ) -> Tuple[np.ndarray, List[LaneTraceback], np.ndarray, np.ndarray, np.ndarray]:
+        """Run one windowing step for every lane: at most two DC scans, one walk.
 
-        The base attempt is one :class:`SoAWave` and one DC scan
-        (:func:`run_dc_wave_state`) over every member at its base budget.
-        If some lane failed, one retry scan runs the failed lanes at the
-        window's full budget — the last rung of the doubling ladder of
-        :func:`repro.core.windowing.align_window`, which always solves —
-        and stops at the first anti-diagonal where every lane has found its
-        solution row ``e``.  GenASM-DC's rows do not depend on the budget,
-        so ``e`` names the rung that would have solved the lane: each
-        failed rung and the solving rung are charged exactly the DP
-        accounting the scalar ladder charges (:func:`_charge_attempt`), and
-        the retry wave is masked with each lane's solving rung
-        (:meth:`SoAWave.set_budgets`).  Then one decision build lays out,
-        per member, rows ``0..min_errors`` of the scan that solved it
+        Lane ``l`` aligns the reversed windows ``patterns[l]`` and
+        ``texts[l]`` of the chunk's pair ``pairs[l]`` and commits
+        ``commit[l]`` pattern columns.  The base attempt is one
+        :class:`SoAWave` and one DC scan (:func:`run_dc_wave_state`) over
+        every lane at its base budget.  If some lane failed, one retry scan
+        runs the failed lanes at the window's full budget — the last rung
+        of the doubling ladder of :func:`repro.core.windowing.align_window`,
+        which always solves — and stops at the first anti-diagonal where
+        every lane has found its solution row ``e``.  GenASM-DC's rows do
+        not depend on the budget, so ``e`` names the rung that would have
+        solved the lane: the first attempt, each failed rung and the
+        solving rung are charged exactly the DP accounting the scalar
+        ladder charges (:func:`_attempt_charges`), and the retry wave is
+        masked with each lane's solving rung (:meth:`SoAWave.set_budgets`).
+        Then one decision build lays out, per lane, rows ``0..min_errors``
+        of the scan that solved it
         (:func:`repro.batch.traceback.build_wave_decisions`), and one
-        lockstep walk traces every member
+        lockstep walk traces every lane
         (:func:`repro.batch.traceback.lockstep_traceback`).
+
+        Adds every attempt's DP accounting to the pairs' columns of
+        ``tally`` and returns the lanes in walk order, the walk's records
+        and, per walked lane, the rows, stored bytes and entry size of the
+        scan that solved it; the caller commits the windows.
         """
         config = self.config
         band = config.traceback_band
-        windows = [
-            (s, wp[::-1], wt[::-1], commit) for s, wp, wt, commit, _w in members
-        ]
+        m = np.array([len(pattern) for pattern in patterns], dtype=np.int64)
+        n = np.array([len(text) for text in texts], dtype=np.int64)
 
-        def scan(indices, budgets, ladder_from=None) -> WaveDCState:
-            jobs = [
-                LaneJob(
-                    pattern=windows[index][1],
-                    text=windows[index][2],
-                    max_errors=budget,
-                    store_from=_store_from(
-                        len(windows[index][2]), windows[index][3], budget, band
-                    ),
-                    counter=windows[index][0].counter,
-                )
-                for index, budget in zip(indices, budgets)
-            ]
+        def charge(lanes: np.ndarray, values: Dict[str, np.ndarray]) -> None:
+            for name, value in values.items():
+                tally[name][pairs[lanes]] += value
+
+        def scan(lanes: np.ndarray, budgets: np.ndarray, ladder_from=None):
+            wave = SoAWave(
+                [patterns[lane] for lane in lanes.tolist()],
+                [texts[lane] for lane in lanes.tolist()],
+                budgets,
+                _store_from(n[lanes], commit[lanes], budgets, band),
+                traceback_band=band,
+            )
             return run_dc_wave_state(
-                SoAWave(jobs, traceback_band=band),
+                wave,
                 entry_compression=config.entry_compression,
                 early_termination=config.early_termination,
                 ladder_from=ladder_from,
             )
 
-        budgets = np.array(
-            [max(1, min(w, config.k)) for *_, w in members], dtype=np.int64
+        every = np.arange(pairs.size)
+        budgets = np.maximum(1, np.minimum(m, config.k))
+        state = scan(every, budgets)
+        wave = state.wave
+        charge(
+            every,
+            _attempt_charges(
+                wave.k,
+                state.rows_computed,
+                wave.n,
+                wave.store_from,
+                wave.entry_store,
+                config.entry_compression,
+            ),
         )
-        state = scan(range(len(members)), budgets.tolist())
         solved = state.min_errors >= 0
-        traced = np.nonzero(solved)[0]
         blocks = [(state, np.where(solved, state.min_errors + 1, 0))]
-        # Per block: its state, its traced lanes and their members.
-        picks = [(state, traced, traced)]
-        failed = np.nonzero(~solved)[0]
+        rows = state.rows_computed.copy()
+        stored = state.stored_bytes()
+        entry = wave.entry_store.copy()
+        failed = np.flatnonzero(~solved)
         if failed.size:
-            # The window's full budget, the ladder's last rung.
-            full = state.wave.m[failed].tolist()
-            retry = scan(failed.tolist(), full, ladder_from=budgets[failed])
-            if (retry.min_errors < 0).any():
+            first, full = budgets[failed], m[failed]
+            retry = scan(failed, full, ladder_from=first)
+            e = retry.min_errors
+            if (e < 0).any():
                 raise AssertionError(
                     "GenASM window failed with a full error budget (internal error)"
                 )
-            self._climb_ladder(
-                retry,
-                budgets[failed].tolist(),
-                [windows[index][3] for index in failed.tolist()],
+            # Each rung past the first up to the first at or above e is an
+            # attempt align_window would have run: a failed rung b evaluates
+            # b + 1 rows, the solving rung e + 1 with early termination.
+            ladder = _ladder(first, full)
+            for below, rung in zip(ladder[:-1], ladder[1:]):
+                climbed = np.flatnonzero(below < e)
+                if not climbed.size:
+                    break
+                lanes, budget = failed[climbed], rung[climbed]
+                evaluated = budget + 1
+                if config.early_termination:
+                    evaluated = np.minimum(budget, e[climbed]) + 1
+                charge(
+                    lanes,
+                    _attempt_charges(
+                        budget,
+                        evaluated,
+                        n[lanes],
+                        _store_from(n[lanes], commit[lanes], budget, band),
+                        entry_bytes(m[lanes], budget, band),
+                        config.entry_compression,
+                    ),
+                )
+            solving = np.where(ladder >= e, ladder, full).min(axis=0)
+            retry.wave.set_budgets(
+                solving, _store_from(n[failed], commit[failed], solving, band)
             )
-            blocks.append((retry, retry.min_errors + 1))
-            picks.append((retry, np.arange(failed.size), failed))
+            blocks.append((retry, e + 1))
+            rows[failed] = retry.rows_computed
+            stored[failed] = retry.stored_bytes()
+            entry[failed] = retry.wave.entry_store
 
         decisions = build_wave_decisions(blocks)
-        order = np.concatenate([index for _state, _lanes, index in picks]).tolist()
-        rows = np.concatenate([st.rows_computed[lanes] for st, lanes, _ in picks])
-        stored = np.concatenate([st.stored_bytes()[lanes] for st, lanes, _ in picks])
-        entry = np.concatenate([st.wave.entry_store[lanes] for st, lanes, _ in picks])
+        order = np.concatenate([np.flatnonzero(solved), failed])
         tracebacks = lockstep_traceback(
-            decisions,
-            budgets=np.array([windows[index][3] for index in order], dtype=np.int64),
-            priority=config.match_priority,
+            decisions, budgets=commit[order], priority=config.match_priority
         )
-        for index, rows_i, stored_i, entry_i, tb in zip(
-            order, rows.tolist(), stored.tolist(), entry.tolist(), tracebacks
-        ):
-            s, _wp, window_text, _commit, _w = members[index]
-            s.counter.tb_steps += int(tb.codes.size)
-            s.counter.record_read(tb.dp_reads, entry_i)
-            self._apply_window(
-                s,
-                codes=tb.codes,
-                pattern_consumed=tb.pattern_consumed,
-                text_consumed=len(window_text) - tb.text_stop,
-                rows=rows_i,
-                stored=stored_i,
-                walk_steps=tb.walk_steps,
-                match_runs=tb.match_runs,
-                match_run_ops=tb.match_run_ops,
-            )
-
-    def _climb_ladder(
-        self, retry: WaveDCState, first: List[int], commits: List[int]
-    ) -> None:
-        """Charge every rung each retry lane climbed; mask it at the solving rung.
-
-        Lane ``l`` of ``retry`` commits ``commits[l]`` columns and failed
-        its first attempt at budget ``first[l]``.  Each rung past that up
-        to the first at or above the lane's solution row ``e`` is an
-        attempt :func:`repro.core.windowing.align_window` would have run
-        and is charged as such: a failed rung ``b`` evaluates ``b + 1``
-        rows, the solving rung ``e + 1`` with early termination.
-        """
-        config = self.config
-        band = config.traceback_band
-        wave = retry.wave
-        solving, solving_store_from = [], []
-        for job, n, m, e, budget, commit in zip(
-            wave.jobs,
-            wave.n.tolist(),
-            wave.m.tolist(),
-            retry.min_errors.tolist(),
-            first,
-            commits,
-        ):
-            while budget < e:
-                budget = min(m, 2 * budget)
-                rows = budget + 1
-                if budget >= e and config.early_termination:
-                    rows = e + 1
-                _charge_attempt(
-                    job.counter,
-                    budget=budget,
-                    rows=rows,
-                    n=n,
-                    store_from=_store_from(n, commit, budget, band),
-                    entry_store=entry_bytes(m, budget, band),
-                    entry_compression=config.entry_compression,
-                )
-            solving.append(budget)
-            solving_store_from.append(_store_from(n, commit, budget, band))
-        wave.set_budgets(np.array(solving), np.array(solving_store_from))
-
-    def _apply_window(
-        self,
-        s: _PairState,
-        *,
-        codes: np.ndarray,
-        pattern_consumed: int,
-        text_consumed: int,
-        rows: int,
-        stored: int,
-        walk_steps: Optional[int] = None,
-        match_runs: int = 0,
-        match_run_ops: int = 0,
-    ) -> None:
-        # Single home of window accounting: the E-series counter and the
-        # per-pair metadata tally advance together, once per committed
-        # window (never per budget attempt).  Untraced insert-only windows
-        # count one walk step per op and save nothing.
-        if walk_steps is None:
-            walk_steps = int(codes.size)
-        saved = int(codes.size) - walk_steps
-        s.tb_walk_steps += walk_steps
-        s.tb_steps_saved += saved
-        s.tb_match_runs += match_runs
-        s.tb_match_run_ops += match_run_ops
-        s.windows += 1
-        s.counter.windows += 1
-        s.peak_bytes = max(s.peak_bytes, stored)
-        s.total_bytes += stored
-        s.rows_total += rows
-        s.code_chunks.append(codes)
-        s.p += pattern_consumed
-        s.t += text_consumed
-        if pattern_consumed == 0:
-            # Defensive: mirror align_windowed's forward-progress guard.
-            s.done = True
-
+        return order, tracebacks, rows[order], stored[order], entry[order]

@@ -3,9 +3,10 @@
 The vectorized batch engine evaluates many window pairs *in lockstep*: at
 DP step ``(d, j)`` every lane (one lane = one window pair) performs the same
 bitvector operation on its own machine words.  This module owns the lane
-layout — the transposition from a list of per-window Python objects into
-NumPy ``uint64`` arrays indexed ``[word, lane]`` or ``[word, lane, column]``
-— so the engine's hot loop touches only contiguous arrays.
+layout — the transposition of a wave's reversed window strings and
+per-lane budgets into NumPy ``uint64`` arrays indexed ``[word, lane]`` or
+``[word, lane, column]`` — so the engine's hot loop touches only
+contiguous arrays.
 
 A lane is **multi-word**: a window of ``m`` pattern characters occupies
 ``W = ceil(m / 64)`` ``uint64`` words, with word 0 holding logical bits
@@ -27,16 +28,13 @@ to model warp divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bitvector import DNA_ALPHABET
-from repro.core.metrics import AccessCounter
 
 __all__ = [
-    "LaneJob",
     "SoAWave",
     "lockstep_stats",
     "lane_words",
@@ -64,6 +62,25 @@ def lane_words(pattern_bits: int) -> int:
     return max(1, -(-max(pattern_bits, 1) // MAX_LANE_BITS))
 
 
+def entry_bytes(m: np.ndarray, k: np.ndarray, traceback_band: bool) -> np.ndarray:
+    """:func:`repro.core.improvements.entry_bytes`, vectorized over lanes.
+
+    Full words without the band improvement, else the smallest
+    power-of-two unit (8..64 bits) that holds the band width
+    ``min(m, 2k + 2)``, taken ``ceil(width / unit)`` times when the band is
+    wider than a word.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    if not traceback_band:
+        return np.maximum(1, -(-m // MAX_LANE_BITS)) * 8
+    width = np.minimum(m, 2 * np.asarray(k, dtype=np.int64) + 2)
+    target = np.minimum(width, MAX_LANE_BITS)
+    unit = np.full(width.shape, 8, dtype=np.int64)
+    while (unit < target).any():  # 8 -> 16 -> 32 -> 64
+        unit = np.where(unit < target, unit * 2, unit)
+    return (unit // 8) * np.maximum(1, -(-width // unit))
+
+
 def _per_word_ones(m: np.ndarray, words: int) -> np.ndarray:
     """All-ones words for per-lane bit widths ``m``: shape ``(words, L)``.
 
@@ -78,35 +95,19 @@ def _per_word_ones(m: np.ndarray, words: int) -> np.ndarray:
     return _LOW_ONES[width]
 
 
-@dataclass
-class LaneJob:
-    """One window pair occupying one (possibly multi-word) lane of a wave.
-
-    ``pattern`` and ``text`` are the *reversed* window sequences (the same
-    anchoring trick :mod:`repro.core.windowing` uses), ``max_errors`` the
-    clamped per-lane error budget, and ``store_from`` the first text column
-    whose entries are persisted (traceback-reachability pruning).  Patterns
-    wider than 64 characters simply occupy more words per lane.
-    """
-
-    pattern: str
-    text: str
-    max_errors: int
-    store_from: int = 0
-    counter: AccessCounter = field(default_factory=AccessCounter)
-
-    def __post_init__(self) -> None:
-        if len(self.pattern) == 0:
-            raise ValueError("lane pattern must be non-empty")
-        if len(self.text) == 0:
-            raise ValueError("lane text must be non-empty (empty windows are handled scalar-side)")
-
-
 class SoAWave:
     """SoA arrays for one wave of lanes, ready for the lockstep DP.
 
+    Lane ``l`` aligns ``patterns[l]`` against ``texts[l]``, both *reversed*
+    windows (the anchoring trick of :mod:`repro.core.windowing`) and
+    neither empty, at error budget ``max_errors[l]``, persisting the text
+    columns from ``store_from[l]`` on (traceback-reachability pruning).
+    Patterns wider than 64 characters occupy more words per lane.
+
     Attributes (``L`` lanes, ``W`` words/lane, ``n_max`` = longest lane text):
 
+    ``patterns``, ``texts``
+        The lanes' window strings, as given.
     ``words``
         ``W = max(ceil(m / 64))`` over the wave's lanes — every lane's
         bitvectors are carried in this many ``uint64`` words.
@@ -139,28 +140,38 @@ class SoAWave:
     them, and can derive them again for other budgets.
     """
 
-    def __init__(self, jobs: Sequence[LaneJob], *, traceback_band: bool) -> None:
-        if not jobs:
+    def __init__(
+        self,
+        patterns: Sequence[str],
+        texts: Sequence[str],
+        max_errors: Sequence[int],
+        store_from: Sequence[int],
+        *,
+        traceback_band: bool,
+    ) -> None:
+        if not patterns:
             raise ValueError("a wave needs at least one lane")
-        self.jobs = list(jobs)
-        L = len(self.jobs)
+        self.patterns = list(patterns)
+        self.texts = list(texts)
+        L = len(self.patterns)
         self.lanes = L
         self.traceback_band = traceback_band
 
-        self.m = np.array([len(j.pattern) for j in self.jobs], dtype=np.int64)
-        self.n = np.array([len(j.text) for j in self.jobs], dtype=np.int64)
+        self.m = np.array([len(pattern) for pattern in self.patterns], dtype=np.int64)
+        self.n = np.array([len(text) for text in self.texts], dtype=np.int64)
+        if not self.m.all():
+            raise ValueError("lane pattern must be non-empty")
+        if not self.n.all():
+            raise ValueError("lane text must be non-empty (empty windows take no DP)")
         self.n_max = int(self.n.max())
         self.words = lane_words(int(self.m.max()))
-        self.ones = _per_word_ones(self.m, self.words)  # m >= 1 per LaneJob
+        self.ones = _per_word_ones(self.m, self.words)
         self.msb_word = (self.m - 1) // MAX_LANE_BITS
         self.msb_shift = ((self.m - 1) % MAX_LANE_BITS).astype(np.uint64)
         self.masks = self._build_masks()
-        self.set_budgets(
-            np.array([j.max_errors for j in self.jobs], dtype=np.int64),
-            np.array([j.store_from for j in self.jobs], dtype=np.int64),
-        )
+        self.set_budgets(max_errors, store_from)
 
-    def set_budgets(self, max_errors: np.ndarray, store_from: np.ndarray) -> None:
+    def set_budgets(self, max_errors: Sequence[int], store_from: Sequence[int]) -> None:
         """Derive every field that depends on the lanes' error budgets.
 
         ``max_errors`` and ``store_from`` are per-lane ``(L,)`` arrays,
@@ -168,7 +179,7 @@ class SoAWave:
         clamps them.  Sets ``k``, ``k_max``, ``store_from``, ``band_lo``,
         ``band_width``, ``store_col`` and ``entry_store``, and drops the
         cached :meth:`zero_view_mask`.  The constructor calls it with the
-        jobs' budgets; the batch engine calls it again on a budget retry's
+        lanes' budgets; the batch engine calls it again on a budget retry's
         wave with the rung that solved each lane, so the lane's stored
         state is masked as that rung's attempt would have stored it.  The
         text masks do not depend on the budget and are kept.
@@ -195,19 +206,7 @@ class SoAWave:
         self.store_col = (cols[None, :] >= self.store_from[:, None]) & (
             cols[None, :] <= self.n[:, None]
         )
-        # entry_bytes, vectorized: full words without the band improvement,
-        # else the smallest power-of-two unit (8..64 bits), taken
-        # ceil(width / unit) times when the band is wider than a word.
-        if not self.traceback_band:
-            self.entry_store = np.maximum(1, -(-self.m // MAX_LANE_BITS)) * 8
-        else:
-            target = np.minimum(self.band_width, MAX_LANE_BITS)
-            unit = np.full(L, 8, dtype=np.int64)
-            while (unit < target).any():  # 8 -> 16 -> 32 -> 64
-                unit = np.where(unit < target, unit * 2, unit)
-            self.entry_store = (
-                (unit // 8) * np.maximum(1, -(-self.band_width // unit))
-            ).astype(np.int64)
+        self.entry_store = entry_bytes(self.m, self.k, self.traceback_band)
 
     # ------------------------------------------------------------------ #
     def zero_view_mask(self) -> np.ndarray:
@@ -256,12 +255,12 @@ class SoAWave:
         W = self.words
         pad = W * MAX_LANE_BITS
         pattern_buffer = b"".join(
-            job.pattern.encode("latin-1", "replace").ljust(pad, b"\x00")
-            for job in self.jobs
+            pattern.encode("latin-1", "replace").ljust(pad, b"\x00")
+            for pattern in self.patterns
         ).translate(_PATTERN_BYTES)
         text_buffer = b"".join(
-            job.text.encode("latin-1", "replace").ljust(self.n_max, b"\x00")
-            for job in self.jobs
+            text.encode("latin-1", "replace").ljust(self.n_max, b"\x00")
+            for text in self.texts
         ).translate(_TEXT_BYTES)
 
         patterns = np.frombuffer(pattern_buffer, dtype=np.uint8).reshape(L, pad)

@@ -216,14 +216,6 @@ def _shl1_or1(zero: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(
-    rows: Sequence[np.ndarray], row: np.ndarray, lane: np.ndarray
-) -> np.ndarray:
-    """Slot ``s`` holds ``rows[row[s]][:, lane[s]]``: ``(W, slots, cols)``
-    out of per-row ``(W, lanes, cols)`` arrays."""
-    return np.stack(rows)[row, :, lane].transpose(1, 0, 2)
-
-
 def build_wave_decisions(
     blocks: Sequence[Tuple[WaveDCState, np.ndarray]],
 ) -> WaveDecisions:
@@ -280,17 +272,16 @@ def build_wave_decisions(
         # lane's pattern, a persisted column, and (with banding) the band
         # this wave's budget stores.
         active = wave.zero_view_mask()[:, source]
-        stored = state.stored_rows[: int(rows.max())]
+        # Row row[s] of lane source[s], word axis first: (W, slots, cols),
+        # or (4, W, slots, n_max) for quad storage.
+        stored = np.moveaxis(state.stored_rows, 0, -3)[..., row, source, :]
         if compressed:
-            zero[:words, block, :wave_cols] = ~_gather(stored, row, source) & active
-            continue
-        # Quad storage keeps the four already-shifted intermediates of row d
-        # at column j, so each plane is a direct zero-bit view of one
-        # stored vector.
-        for plane, component in zip(planes, zip(*stored)):
-            plane[:words, block, 1:wave_cols] = (
-                ~_gather(component, row, source) & active[..., 1:]
-            )
+            zero[:words, block, :wave_cols] = ~stored & active
+        else:
+            # Quad storage keeps the four already-shifted intermediates of
+            # row d at column j, so each plane is a direct zero-bit view of
+            # one stored vector.
+            planes[:, :words, block, 1:wave_cols] = ~stored & active[..., 1:]
 
     if compressed:
         # One stored R word per entry; the four conditions re-derive their

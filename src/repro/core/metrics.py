@@ -211,18 +211,3 @@ class MemoryFootprint:
     def reduction_factor(self) -> float:
         """Baseline / improved footprint ratio (the paper reports 24×)."""
         return self.baseline_bytes / max(1, self.improved_bytes)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Per-improvement footprint contributions, for the ablation bench."""
-        base = self.baseline_bytes
-        out: Dict[str, float] = {"baseline_bytes": base}
-        for name, kwargs in (
-            ("entry_compression", dict(entry_compression=True, early_termination=False, traceback_band=False)),
-            ("early_termination", dict(entry_compression=False, early_termination=True, traceback_band=False)),
-            ("traceback_band", dict(entry_compression=False, early_termination=False, traceback_band=True)),
-            ("all", dict(entry_compression=True, early_termination=True, traceback_band=True)),
-        ):
-            b = self.bytes_for(**kwargs)
-            out[f"{name}_bytes"] = b
-            out[f"{name}_reduction"] = base / max(1, b)
-        return out

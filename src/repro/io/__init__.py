@@ -6,10 +6,11 @@ toolchain consumes.  :mod:`repro.io.records` joins alignments with their
 mapping provenance (reference placement, primary/secondary election, a
 minimap2-style MAPQ from the chain-score gap and identity);
 :mod:`repro.io.sam` and :mod:`repro.io.paf` render the records.  Both
-formats have an offline writer (``write_sam``/``write_paf``) and a
-streaming sink (``SamSink``/``PafSink``) for
-:meth:`repro.pipeline.StreamingPipeline.run`'s ``sink=`` seam — the two
-paths are byte-identical on the same results.
+formats have a streaming sink (``SamSink``/``PafSink``) for
+:meth:`repro.pipeline.StreamingPipeline.run`'s ``sink=`` seam and an
+offline writer (``write_sam``/``write_paf``) that drives the same sink
+over a result list, so the two paths are byte-identical on the same
+results and both refuse a read whose results are not contiguous.
 """
 
 from repro.io.paf import PafEmitter, PafSink, paf_record_line, write_paf
@@ -20,7 +21,6 @@ from repro.io.records import (
     as_pair,
     build_records,
     compute_mapq,
-    group_by_read,
 )
 from repro.io.sam import (
     FLAG_REVERSE,
@@ -47,7 +47,6 @@ __all__ = [
     "SamSink",
     "build_records",
     "compute_mapq",
-    "group_by_read",
     "paf_record_line",
     "sam_header_lines",
     "sam_record_line",

@@ -7,8 +7,9 @@ all coordinates 0-based, BED-like) plus ``NM:i``/``AS:i`` tags, the
 ``tp:A:P``/``tp:A:S`` primary/secondary marker and the ``cg:Z`` CIGAR
 tag minimap2 emits under ``-c``.
 
-Same two front-ends as :mod:`repro.io.sam`: :func:`write_paf` offline,
-:class:`PafSink` streaming through the pipeline's ``sink=`` seam.
+Same two front-ends as :mod:`repro.io.sam`: :class:`PafSink` streaming
+through the pipeline's ``sink=`` seam, and :func:`write_paf` driving one
+over an offline result list.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, List, Sequence, Tuple, Union
 
 from repro.genomics.genome import SyntheticGenome
-from repro.io.records import AlignmentRecord, GroupingSink, build_records, group_by_read
+from repro.io.records import AlignmentRecord, GroupingSink, build_records
 
 __all__ = ["PafEmitter", "PafSink", "paf_record_line", "write_paf"]
 
@@ -78,13 +79,14 @@ def write_paf(
 ) -> int:
     """Write an offline result list as PAF; returns the record count.
 
-    Accepts the same result shapes as :func:`repro.io.sam.write_sam`.
+    Accepts the same result shapes as :func:`repro.io.sam.write_sam`, and
+    drives a :class:`PafSink` the same way.
     """
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="ascii") as handle:
             return write_paf(handle, results, genome)
-    emitter = PafEmitter(destination, genome)
-    count = 0
-    for _, group in group_by_read(results):
-        count += len(emitter.emit_group(group))
-    return count
+    sink = PafSink(destination, genome)
+    for result in results:
+        sink.write(result)
+    sink.finish()
+    return sink.records

@@ -11,10 +11,9 @@ quality — which :mod:`repro.io.sam` and :mod:`repro.io.paf` then render.
 Grouping matters: MAPQ is a property of one read's *set* of candidate
 alignments (the score gap between the primary chain and the best
 secondary), so records are built per read group (:func:`build_records`)
-rather than per alignment.  :func:`group_by_read` batches the offline
-result lists; :class:`GroupingSink` does the same for streamed results so
-:meth:`repro.pipeline.StreamingPipeline.run` can write straight to a
-SAM/PAF handle.
+rather than per alignment.  :class:`GroupingSink` groups results as they
+arrive, for :meth:`repro.pipeline.StreamingPipeline.run` and the offline
+writers alike, and refuses a read whose results are split.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.alignment import Alignment
 from repro.core.cigar import Cigar, CigarOp
@@ -36,7 +34,6 @@ __all__ = [
     "as_pair",
     "build_records",
     "compute_mapq",
-    "group_by_read",
 ]
 
 #: Cap on reported mapping quality (minimap2's ceiling).
@@ -146,20 +143,6 @@ def as_pair(item: object) -> Tuple[CandidateMapping, Alignment]:
             "emission needs mapping provenance to place the read"
         )
     return candidate, alignment
-
-
-def group_by_read(
-    items: Iterable[object],
-) -> Iterator[Tuple[str, List[Tuple[CandidateMapping, Alignment]]]]:
-    """Batch a result stream into contiguous per-read groups.
-
-    The mapper emits each read's candidates contiguously (and the ordered
-    pipeline preserves that), so plain :func:`itertools.groupby` on the
-    candidate's ``read_name`` recovers the per-read group MAPQ needs.
-    """
-    pairs = (as_pair(item) for item in items)
-    for name, group in groupby(pairs, key=lambda pair: pair[0].read_name):
-        yield name, list(group)
 
 
 def _trim_terminal_deletions(cigar: Cigar) -> Tuple[Cigar, int, int]:

@@ -11,11 +11,12 @@ exactly.
 
 Two front-ends share the rendering:
 
-* :func:`write_sam` — offline: any iterable of pipeline results or
-  ``(candidate, alignment)`` pairs, grouped per read internally;
 * :class:`SamSink` — streaming: pass to
   :meth:`repro.pipeline.StreamingPipeline.run` (``sink=``) and records are
-  written while the pipeline runs, byte-identical to the offline path.
+  written while the pipeline runs;
+* :func:`write_sam` — offline: drives a :class:`SamSink` over any iterable
+  of pipeline results or ``(candidate, alignment)`` pairs, so its output
+  is the streamed output byte for byte.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from pathlib import Path
 from typing import IO, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.genomics.genome import SyntheticGenome
-from repro.io.records import (
-    AlignmentRecord,
-    GroupingSink,
-    build_records,
-    group_by_read,
-)
+from repro.io.records import AlignmentRecord, GroupingSink, build_records
 
 __all__ = [
     "FLAG_REVERSE",
@@ -171,17 +167,19 @@ def write_sam(
 
     ``results`` is any iterable of pipeline results
     (:class:`~repro.pipeline.pipeline.MappedAlignment`) or
-    ``(candidate, alignment)`` pairs, grouped per read internally (reads
-    must be contiguous, as the mapper and the ordered pipeline emit them).
-    ``destination`` may be a path or an open text handle.
+    ``(candidate, alignment)`` pairs.  They go through a :class:`SamSink`,
+    so each read's results must be contiguous, as the mapper and the
+    ordered pipeline emit them: a read that reappears after another read
+    raises ``ValueError``.  ``destination`` may be a path or an open text
+    handle.
     """
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="ascii") as handle:
             return write_sam(
                 handle, results, genome, qualities=qualities, **emitter_kwargs
             )
-    emitter = SamEmitter(destination, genome, qualities=qualities, **emitter_kwargs)
-    count = 0
-    for _, group in group_by_read(results):
-        count += len(emitter.emit_group(group))
-    return count
+    sink = SamSink(destination, genome, qualities=qualities, **emitter_kwargs)
+    for result in results:
+        sink.write(result)
+    sink.finish()
+    return sink.records

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from repro.batch import SoAWave
 from repro.core.config import GenASMConfig
 
 # Hypothesis profiles.  Tier-1 runs the bounded one; CI runs the mapping
@@ -50,6 +51,15 @@ def mutate(rng: random.Random, sequence: str, edits: int) -> str:
         else:
             del out[pos]
     return "".join(out)
+
+
+def lane_wave(lanes, *, traceback_band: bool) -> SoAWave:
+    """A :class:`SoAWave` over ``(pattern, text, max_errors[, store_from])``
+    lanes; ``store_from`` is 0 where a lane leaves it out."""
+    patterns, texts, budgets, store_from = zip(
+        *(tuple(lane) + (0,) * (4 - len(lane)) for lane in lanes)
+    )
+    return SoAWave(patterns, texts, budgets, store_from, traceback_band=traceback_band)
 
 
 def assert_same_dc_table(got, want, context=None) -> None:

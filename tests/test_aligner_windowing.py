@@ -1,7 +1,5 @@
 """Tests for windowed alignment and the public GenASMAligner API."""
 
-import pytest
-
 from repro.baselines.needleman_wunsch import prefix_edit_distance
 from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.cigar import CigarOp

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batch import (
     BatchAlignmentEngine,
-    LaneJob,
     SoAWave,
     WaveDCState,
     lockstep_stats,
@@ -38,7 +37,7 @@ from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
 from repro.parallel.pool import WorkerPool
-from tests.conftest import assert_same_dc_table, mutate, random_dna
+from tests.conftest import assert_same_dc_table, lane_wave, mutate, random_dna
 
 
 def _random_pairs(rng, specs):
@@ -178,13 +177,11 @@ class TestDCWave:
             text = mutate(rng, pattern, max(1, length // 8)) + random_dna(rng, 4)
             lanes.append((pattern, text, k))
         lanes.extend(self._edge_lanes(rng))
-        jobs = []
+        wave_lanes = []
         scalar_tables = []
         for pattern, text, k in lanes:
             store_from = 2 if traceback_band and len(pattern) > 4 else 0
-            jobs.append(
-                LaneJob(pattern=pattern, text=text, max_errors=k, store_from=store_from)
-            )
+            wave_lanes.append((pattern, text, k, store_from))
             scalar_tables.append(
                 genasm_dc(
                     pattern,
@@ -202,7 +199,7 @@ class TestDCWave:
         assert scalar_tables[8].min_errors == 0
         assert scalar_tables[9].min_errors is None
         assert scalar_tables[10].min_errors is not None
-        wave = SoAWave(jobs, traceback_band=traceback_band)
+        wave = lane_wave(wave_lanes, traceback_band=traceback_band)
         assert wave.words == 3 and wave.n_max > 100
         tables = run_dc_wave_state(
             wave,
@@ -222,25 +219,21 @@ class TestDCWave:
             for m in (1, 7, 8, 9, 16, 17, 33, 64, 65, 128, 129, 150)
             for k in (0, 1, 3, 7, 15, 31, 40)
         ]
-        wave = SoAWave(
-            [LaneJob(pattern="A" * m, text="ACGT", max_errors=k) for m, k in lanes],
-            traceback_band=traceback_band,
+        wave = lane_wave(
+            [("A" * m, "ACGT", k) for m, k in lanes], traceback_band=traceback_band
         )
         want = [entry_bytes(m, min(k, m), traceback_band) for m, k in lanes]
         assert wave.entry_store.tolist() == want
 
     def test_lane_job_validation(self):
         with pytest.raises(ValueError):
-            LaneJob(pattern="", text="ACGT", max_errors=1)
+            lane_wave([("ACGT", "ACGT", 1), ("", "ACGT", 1)], traceback_band=True)
         with pytest.raises(ValueError):
-            LaneJob(pattern="ACGT", text="", max_errors=1)
+            lane_wave([("ACGT", "ACGT", 1), ("ACGT", "", 1)], traceback_band=True)
         with pytest.raises(ValueError):
-            SoAWave([], traceback_band=True)
+            SoAWave([], [], [], [], traceback_band=True)
         # Patterns wider than one word are valid multi-word lanes now.
-        wave = SoAWave(
-            [LaneJob(pattern="A" * 65, text="ACGT", max_errors=1)],
-            traceback_band=True,
-        )
+        wave = lane_wave([("A" * 65, "ACGT", 1)], traceback_band=True)
         assert wave.words == 2
 
 
@@ -256,22 +249,20 @@ class TestWaveMasks:
         # Bit i of text character c's mask is 0 iff pattern[i] == c and c
         # is one of ACGT: a character outside ACGT matches nothing, itself
         # included.
-        jobs = []
+        lanes = []
         for length in (5, 64, 65, 130):
             pattern = "".join(rng.choice(alphabet) for _ in range(length))
             noise = "".join(rng.choice(alphabet) for _ in range(9))
-            jobs.append(
-                LaneJob(pattern=pattern, text=pattern[: length // 2] + noise, max_errors=4)
-            )
-        wave = SoAWave(jobs, traceback_band=True)
-        for lane, job in enumerate(jobs):
-            ones = (1 << len(job.pattern)) - 1
+            lanes.append((pattern, pattern[: length // 2] + noise, 4))
+        wave = lane_wave(lanes, traceback_band=True)
+        for lane, (pattern, text, _k) in enumerate(lanes):
+            ones = (1 << len(pattern)) - 1
             columns = [
                 ones
-                ^ sum(1 << i for i, p in enumerate(job.pattern) if p == c and c in "ACGT")
-                for c in job.text
+                ^ sum(1 << i for i, p in enumerate(pattern) if p == c and c in "ACGT")
+                for c in text
             ]
-            columns += [ones] * (wave.n_max - len(job.text))
+            columns += [ones] * (wave.n_max - len(text))
             for w in range(wave.words):
                 want = [(value >> (64 * w)) & (2**64 - 1) for value in columns]
                 assert [int(v) for v in wave.masks[w, lane]] == want, (lane, w)
@@ -317,19 +308,13 @@ class TestLaneWords:
     @settings(deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6))
     def test_wave_ones_reassemble_to_all_ones(self, lengths):
-        wave = SoAWave(
-            [LaneJob(pattern="A" * m, text="ACGT", max_errors=1) for m in lengths],
-            traceback_band=True,
-        )
+        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths], traceback_band=True)
         assert wave.words == lane_words(max(lengths))
         assert WaveDCState._lane_ints(wave.ones) == [all_ones(m) for m in lengths]
 
     def test_msb_word_and_shift_locate_the_top_pattern_bit(self):
         lengths = (1, 63, 64, 65, 128, 130)
-        wave = SoAWave(
-            [LaneJob(pattern="A" * m, text="ACGT", max_errors=1) for m in lengths],
-            traceback_band=True,
-        )
+        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths], traceback_band=True)
         assert wave.msb_word.tolist() == [(m - 1) // 64 for m in lengths]
         assert wave.msb_shift.tolist() == [(m - 1) % 64 for m in lengths]
 

@@ -26,8 +26,6 @@ from hypothesis import given, settings, strategies as st
 import repro.batch.engine as engine_module
 from repro.batch import (
     BatchAlignmentEngine,
-    LaneJob,
-    SoAWave,
     build_wave_decisions,
     lockstep_stats,
     lockstep_traceback,
@@ -41,7 +39,7 @@ from repro.core.metrics import AccessCounter
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
-from tests.conftest import mutate, random_dna
+from tests.conftest import lane_wave, mutate, random_dna
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -304,12 +302,12 @@ class TestDecisionWords:
     def test_planes_match_scalar_predicates(
         self, rng, entry_compression, traceback_band
     ):
-        jobs = []
+        lanes = []
         for length, k in [(6, 2), (9, 3), (1, 1)]:
             pattern = random_dna(rng, length)
             text = mutate(rng, pattern, 1) + random_dna(rng, 3)
-            jobs.append(LaneJob(pattern=pattern, text=text, max_errors=k))
-        wave = SoAWave(jobs, traceback_band=traceback_band)
+            lanes.append((pattern, text, k))
+        wave = lane_wave(lanes, traceback_band=traceback_band)
         self._assert_planes_match(wave, entry_compression, traceback_band)
 
     @pytest.mark.parametrize("entry_compression", [False, True])
@@ -320,12 +318,12 @@ class TestDecisionWords:
         # 2- and 3-word lanes mixed with a 1-word lane in the same wave:
         # every decision bit — in particular the i % 64 == 0 stitches at
         # bits 64 and 128 — must equal the scalar predicate verdicts.
-        jobs = []
+        lanes = []
         for length, k in [(70, 3), (65, 2), (130, 3), (20, 2)]:
             pattern = random_dna(rng, length)
             text = mutate(rng, pattern, 2)[: length // 10 + 8]
-            jobs.append(LaneJob(pattern=pattern, text=text, max_errors=k))
-        wave = SoAWave(jobs, traceback_band=traceback_band)
+            lanes.append((pattern, text, k))
+        wave = lane_wave(lanes, traceback_band=traceback_band)
         assert wave.words == 3
         self._assert_planes_match(wave, entry_compression, traceback_band)
 
@@ -333,14 +331,12 @@ class TestDecisionWords:
         # Three lanes with 4, 2 and 3 rows: each probe reads its lane's
         # block, and a row the lane does not hold raises instead of reading
         # into the neighbouring block.
-        jobs = [
-            LaneJob(pattern="A" * 6, text="C" * 4, max_errors=3),
-            LaneJob(pattern="ACGTAC", text="ACGAAC", max_errors=3),
-            LaneJob(
-                pattern=random_dna(rng, 70), text=random_dna(rng, 20), max_errors=2
-            ),
+        lanes = [
+            ("A" * 6, "C" * 4, 3),
+            ("ACGTAC", "ACGAAC", 3),
+            (random_dna(rng, 70), random_dna(rng, 20), 2),
         ]
-        wave = SoAWave(jobs, traceback_band=True)
+        wave = lane_wave(lanes, traceback_band=True)
         state = run_dc_wave_state(wave)
         assert list(state.rows_computed) == [4, 2, 3]
         decisions = build_wave_decisions([(state, state.rows_computed)])
@@ -370,9 +366,11 @@ class TestDecisionWords:
         assert decisions.planes.shape[2] == state.rows_computed.sum()
         tables = state.tables()
 
-        for lane, (job, table) in enumerate(zip(wave.jobs, tables)):
+        for lane, (pattern, text, table) in enumerate(
+            zip(wave.patterns, wave.texts, tables)
+        ):
             conditions = traceback_conditions(table)
-            m, n = len(job.pattern), len(job.text)
+            m, n = len(pattern), len(text)
             for d in range(table.rows_computed):
                 for j in range(1, n + 1):
                     for i in range(m):
@@ -805,23 +803,21 @@ class TestMatchRuns:
     def test_run_lengths_at_chunk_and_plane_edges(self, rng, entry_compression):
         lanes = run_lanes(rng)
         assert {-(-len(pattern) // 64) for pattern, *_ in lanes} == {1, 2, 3}
-        jobs = [LaneJob(pattern=p, text=t, max_errors=k) for p, t, k, _run in lanes]
         # Each lane alone (its own word count) and all lanes in one wave
         # (three words, blocks at non-zero slot bases).
-        waves = [[job] for job in jobs] + [jobs]
-        for wave_jobs in waves:
+        waves = [[lane] for lane in lanes] + [lanes]
+        for wave_lanes in waves:
             state = run_dc_wave_state(
-                SoAWave(wave_jobs, traceback_band=False),
+                lane_wave([lane[:3] for lane in wave_lanes], traceback_band=False),
                 entry_compression=entry_compression,
             )
             decisions = build_wave_decisions([(state, state.rows_computed)])
-            for lane, job in enumerate(wave_jobs):
-                expected = lanes[jobs.index(job)][3]
+            for lane, (pattern, text, _k, expected) in enumerate(wave_lanes):
                 d = int(decisions.rows[lane]) - 1
-                j, i = len(job.text), len(job.pattern) - 1
+                j, i = len(text), len(pattern) - 1
                 assert bitwise_run(decisions, lane, d, j, i) == expected
                 assert decisions.match_run_length(lane, d, j, i) == expected, (
-                    f"pattern={len(job.pattern)} text={len(job.text)} "
+                    f"pattern={len(pattern)} text={len(text)} "
                     f"words={decisions.planes.shape[1]} ec={entry_compression}"
                 )
 
@@ -832,9 +828,9 @@ class TestMatchRuns:
         # charged as the scalar traceback charges the same window.
         lanes = run_lanes(rng)
         picked = [(lanes[4], 70), (lanes[1], 64), (lanes[7], 30)]
-        jobs = [LaneJob(pattern=p, text=t, max_errors=k) for (p, t, k, _), _b in picked]
         state = run_dc_wave_state(
-            SoAWave(jobs, traceback_band=False), entry_compression=entry_compression
+            lane_wave([lane[:3] for lane, _b in picked], traceback_band=False),
+            entry_compression=entry_compression,
         )
         decisions = build_wave_decisions([(state, state.rows_computed)])
         budgets = np.array([budget for _lane, budget in picked])
@@ -868,17 +864,13 @@ class TestWalkErrorPath:
         # live state, so lane 2 is no longer at its own index there.
         long_pattern = random_dna(rng, 40)
         victim = random_dna(rng, 30)
-        jobs = [
-            LaneJob(pattern="AC", text="AC", max_errors=1),
-            LaneJob(
-                pattern=long_pattern,
-                text=substituted(rng, long_pattern, 2),
-                max_errors=2,
-            ),
-            LaneJob(pattern=victim, text=substituted_at(victim, 10), max_errors=1),
+        lanes = [
+            ("AC", "AC", 1),
+            (long_pattern, substituted(rng, long_pattern, 2), 2),
+            (victim, substituted_at(victim, 10), 1),
         ]
         state = run_dc_wave_state(
-            SoAWave(jobs, traceback_band=False), entry_compression=entry_compression
+            lane_wave(lanes, traceback_band=False), entry_compression=entry_compression
         )
         decisions = build_wave_decisions([(state, state.rows_computed)])
         assert list(decisions.rows) == [1, 3, 2]
@@ -1005,6 +997,23 @@ def test_generated_batches_equal_scalar_aligner(
         meta = alignment.metadata
         emitted = sum(length for length, _op in alignment.cigar.runs)
         assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == emitted, context
+    # The walks' tallies reach the metadata intact; an insert-only window
+    # (no text left) is not walked and counts one walk step per op.
+    records = [tb for tracebacks in walks for tb in tracebacks]
+
+    def total(key):
+        return sum(alignment.metadata[key] for alignment in batch)
+
+    walked_ops = sum(len(tb.codes) for tb in records)
+    inserted_ops = sum(len(alignment.cigar) for alignment in batch) - walked_ops
+    assert total("tb_match_runs") == sum(tb.match_runs for tb in records), context
+    assert total("tb_match_run_ops") == sum(tb.match_run_ops for tb in records), context
+    assert total("tb_walk_steps_saved") == walked_ops - sum(
+        tb.walk_steps for tb in records
+    ), context
+    assert total("tb_walk_steps") == sum(
+        tb.walk_steps for tb in records
+    ) + inserted_ops, context
     # A windowing step (one decision build) runs at most two DC scans, each
     # on a wave of its own, and walks every lane some scan solved once.
     assert len(scans) <= 2 * len(builds), context

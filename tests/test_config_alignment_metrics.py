@@ -123,11 +123,19 @@ class TestMemoryFootprint:
         fp = MemoryFootprint(
             pattern_window=64, text_window=72, max_errors=10, rows_used=6, committed_columns=40
         )
-        breakdown = fp.breakdown()
-        assert breakdown["entry_compression_reduction"] == pytest.approx(4.0)
-        assert breakdown["early_termination_reduction"] > 1.5
-        assert breakdown["traceback_band_reduction"] > 1.5
-        assert breakdown["all_reduction"] == pytest.approx(fp.reduction_factor)
+
+        def reduction(**improvements):
+            alone = dict(
+                entry_compression=False, early_termination=False, traceback_band=False
+            )
+            return fp.baseline_bytes / fp.bytes_for(**{**alone, **improvements})
+
+        assert reduction(entry_compression=True) == pytest.approx(4.0)
+        assert reduction(early_termination=True) > 1.5
+        assert reduction(traceback_band=True) > 1.5
+        assert reduction(
+            entry_compression=True, early_termination=True, traceback_band=True
+        ) == pytest.approx(fp.reduction_factor)
 
     def test_from_config_uses_window_parameters(self):
         cfg = GenASMConfig(window_size=64, window_overlap=24, text_slack=8)

@@ -1,7 +1,5 @@
 """Unit tests for GenASM-DC, GenASM-TB and the improvement helpers."""
 
-import random
-
 import pytest
 
 from repro.baselines.needleman_wunsch import (
@@ -9,8 +7,8 @@ from repro.baselines.needleman_wunsch import (
     semiglobal_edit_distance,
 )
 from repro.core.bitvector import all_ones
-from repro.core.cigar import Cigar, CigarOp
-from repro.core.genasm_dc import DCTable, genasm_dc, genasm_distance_only
+from repro.core.cigar import Cigar
+from repro.core.genasm_dc import genasm_dc, genasm_distance_only
 from repro.core.genasm_tb import TracebackError, genasm_traceback
 from repro.core.improvements import (
     band_bounds,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cigar import CigarOp
 from repro.genomics.errors import ErrorModel, mutate_sequence
 from repro.genomics.fasta import read_fasta, read_fastq, write_fasta, write_fastq
 from repro.genomics.genome import SyntheticGenome

@@ -1,7 +1,5 @@
 """Tests for the experiment harness (dataset, experiments, report)."""
 
-import math
-
 import pytest
 
 from repro.harness.dataset import AlignmentWorkload, build_paper_dataset

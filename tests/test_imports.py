@@ -1,9 +1,11 @@
-"""Every name a module under ``src/repro`` imports is referenced in it.
+"""Every name a module under ``src``, ``tests``, ``benchmarks`` or
+``examples`` imports is referenced in it.
 
 The scan parses each non-``__init__`` module with :mod:`ast` (package
 ``__init__`` files import to re-export).  A name counts as used when it
 appears as a name anywhere in the module or inside a string annotation;
-``from __future__`` imports are exempt.
+``from __future__`` imports are exempt.  ``perfbench/`` is left out: it
+changes only with the benchmark.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import ast
 from pathlib import Path
 from typing import List, Set
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _annotation_names(annotation: ast.expr) -> Set[str]:
@@ -49,12 +53,13 @@ def unused_imports(source: str) -> List[str]:
     return [name for name in imported if name not in used]
 
 
-def test_no_module_imports_an_unused_name():
-    paths = [p for p in sorted((SRC / "repro").rglob("*.py")) if p.name != "__init__.py"]
-    assert paths, f"no modules found under {SRC}"
+@pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "examples"])
+def test_no_module_imports_an_unused_name(tree):
+    paths = [p for p in sorted((ROOT / tree).rglob("*.py")) if p.name != "__init__.py"]
+    assert paths, f"no modules found under {ROOT / tree}"
     problems = []
     for path in paths:
-        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        module = path.relative_to(ROOT).as_posix()
         problems += [f"{module}: {name}" for name in unused_imports(path.read_text())]
     assert not problems, "unused imports:\n  " + "\n  ".join(problems)
 

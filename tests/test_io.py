@@ -24,7 +24,6 @@ from repro.io import (
     as_pair,
     build_records,
     compute_mapq,
-    group_by_read,
     write_paf,
     write_sam,
 )
@@ -151,16 +150,6 @@ class TestAsPairAndGrouping:
         )
         with pytest.raises(ValueError, match="no CandidateMapping"):
             as_pair(shaped)
-
-    def test_groups_contiguous_reads(self):
-        alignment = make_alignment("AC", "AC", "2=")
-        items = [
-            (make_candidate(name="r1"), alignment),
-            (make_candidate(name="r1", chain_score=20.0, is_primary=False), alignment),
-            (make_candidate(name="r2"), alignment),
-        ]
-        groups = list(group_by_read(items))
-        assert [(name, len(group)) for name, group in groups] == [("r1", 2), ("r2", 1)]
 
 
 class TestBuildRecords:
@@ -361,6 +350,18 @@ class TestGroupingSink:
         sink.write(self._item("r2"))  # flushes r1
         with pytest.raises(ValueError, match="reappeared"):
             sink.write(self._item("r1"))
+
+    @pytest.mark.parametrize("write", [write_sam, write_paf], ids=["sam", "paf"])
+    def test_offline_writers_refuse_a_split_read(self, genome, write):
+        # Grouped per contiguous run, r1 would be written twice as primary,
+        # each fragment with its own MAPQ.
+        items = [
+            self._item("r1"),
+            self._item("r2"),
+            self._item("r1", score=20.0, primary=False),
+        ]
+        with pytest.raises(ValueError, match="reappeared"):
+            write(io.StringIO(), items, genome)
 
 
 class TestWorkloadEmission:

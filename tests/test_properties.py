@@ -15,8 +15,6 @@ from repro.baselines.needleman_wunsch import (
 )
 from repro.batch import (
     BatchAlignmentEngine,
-    LaneJob,
-    SoAWave,
     build_wave_decisions,
     lockstep_stats,
     run_dc_wave_state,
@@ -25,7 +23,7 @@ from repro.core.aligner import GenASMAligner
 from repro.core.config import GenASMConfig
 from repro.core.genasm_dc import genasm_dc, genasm_distance_only
 from repro.core.genasm_tb import traceback_conditions
-from tests.conftest import assert_same_dc_table
+from tests.conftest import assert_same_dc_table, lane_wave
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=48)
 dna_nonempty = st.text(alphabet="ACGT", min_size=1, max_size=48)
@@ -110,9 +108,9 @@ def test_cigar_consumes_whole_pattern(pattern, text):
 # the scalar predicates, in particular at pattern bits i with i % 64 == 0
 # (the stitch where bit 63 of word w carries into bit 0 of word w + 1).
 # --------------------------------------------------------------------------- #
-def _failing_lane(k: int) -> LaneJob:
+def _failing_lane(k: int):
     """A lane whose budget of ``k + 1`` fails, so it keeps ``k + 2`` rows."""
-    return LaneJob(pattern="A" * (k + 3), text="C" * 4, max_errors=k + 1)
+    return "A" * (k + 3), "C" * 4, k + 1
 
 
 @settings(deadline=None)
@@ -131,9 +129,8 @@ def test_multi_word_decision_planes_equal_scalar_predicates(
     # It is lane 1, behind a lane whose budget fails with k + 2 rows, so
     # its block of row slots starts at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
-    wave = SoAWave(
-        [_failing_lane(k), LaneJob(pattern=pattern, text=text, max_errors=k)],
-        traceback_band=traceback_band,
+    wave = lane_wave(
+        [_failing_lane(k), (pattern, text, k)], traceback_band=traceback_band
     )
     state = run_dc_wave_state(wave, entry_compression=entry_compression)
     decisions = build_wave_decisions([(state, state.rows_computed)])
@@ -225,10 +222,7 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
     # The pair is lane 1, behind a failing lane of k + 2 rows, so the runs
     # are read from a block at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
-    wave = SoAWave(
-        [_failing_lane(k), LaneJob(pattern=pattern, text=text, max_errors=k)],
-        traceback_band=False,
-    )
+    wave = lane_wave([_failing_lane(k), (pattern, text, k)], traceback_band=False)
     state = run_dc_wave_state(wave, entry_compression=entry_compression)
     decisions = build_wave_decisions([(state, state.rows_computed)])
     assert decisions.base[1] == k + 2
@@ -304,13 +298,7 @@ def test_generated_dc_waves_equal_scalar_genasm_dc(lanes):
     for entry_compression, early_termination, traceback_band in itertools.product(
         (False, True), repeat=3
     ):
-        wave = SoAWave(
-            [
-                LaneJob(pattern=p, text=t, max_errors=k, store_from=s)
-                for p, t, k, s in lanes
-            ],
-            traceback_band=traceback_band,
-        )
+        wave = lane_wave(lanes, traceback_band=traceback_band)
         tables = run_dc_wave_state(
             wave,
             entry_compression=entry_compression,

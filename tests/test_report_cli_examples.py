@@ -1,10 +1,7 @@
 """Tests for the report CLI and the quickstart example."""
 
 import runpy
-import sys
 from pathlib import Path
-
-import pytest
 
 from repro.harness.report import main as report_main
 
