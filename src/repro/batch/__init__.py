@@ -7,6 +7,15 @@ with windows wider than one machine word vectorize too) — replacing the
 per-pair Python-int hot loop for batch workloads.  Results are
 byte-identical to the scalar path in :mod:`repro.core`.
 
+The engine runs one configuration: GenASM with the paper's three
+improvements (entry compression, early termination, the traceback band)
+and the ``MSDI`` tie-break order, as ``GenASMConfig()`` and
+``GenASMConfig.short_read(...)`` set them; any other configuration is
+refused (:func:`~repro.batch.engine.check_engine_config`).  The MICRO-2020
+baseline and the ablations align on the scalar
+:class:`repro.core.aligner.GenASMAligner`, which keeps every toggle and
+tie-break order as the reference.
+
 * :class:`BatchAlignmentEngine` — batch aligner producing
   :class:`repro.core.alignment.Alignment` objects.
 * :func:`run_dc_wave_state` / :class:`SoAWave` — the lockstep GenASM-DC
@@ -27,10 +36,9 @@ would have solved the lane; every rung the lane climbed is charged, and
 the retry wave is masked with the solving rung's band and reachability
 column (:meth:`SoAWave.set_budgets`).  A DC wave stores its rows as one
 SoA array (``stored_rows[d]`` is the full-width ``R`` row ``(W, lanes,
-n_max + 1)`` with ``W`` words per lane, or the row's four intermediates
-``(4, W, lanes, n_max)`` without entry compression; the scalar path's
-band packing and reachability placeholders are imposed lazily via
-:meth:`SoAWave.zero_view_mask`).
+n_max + 1)`` with ``W`` words per lane — entry compression's one stored
+vector per entry; the scalar path's band packing and reachability
+placeholders are imposed lazily via :meth:`SoAWave.zero_view_mask`).
 Once every lane has solved, the rows its walk can reach —
 ``0..min_errors`` of the scan that solved it — are expanded into
 **decision words**: four ``uint64`` planes of shape
@@ -51,7 +59,7 @@ The traceback then walks **all live lanes in lockstep**, one walk per
 windowing step: per emitted CIGAR column, one gather fetches word
 ``i // 64`` of slot ``base + d`` of each lane's four decision planes and
 its character-equality word, a 16-entry lookup table resolves the
-first-true operation under ``match_priority``, and a second table replays
+first-true operation in the ``MSDI`` order, and a second table replays
 the scalar loop's short-circuit read accounting (``dp_reads`` /
 ``bytes_read``).  A lane that chose a match reads its whole match run
 off the match plane's diagonal in the same step.  The walk carries

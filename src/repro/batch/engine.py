@@ -27,9 +27,18 @@ over that state with the lockstep decision-word traceback of
 read accounting.  Alignments (CIGAR, edit distance, consumed text span) and
 the E-series accounting (DP accesses, stored bytes, windows, rows) are
 therefore identical to the scalar path — the differential test harness
-(``tests/test_batch_traceback.py``) asserts this per field across every
-improvement-toggle combination and over single- and multi-word window
+(``tests/test_batch_traceback.py``) asserts this per field on the default
+and short-read configurations and over single- and multi-word window
 widths (32..150).
+
+One configuration
+-----------------
+The engine runs GenASM as the paper improves it: entry compression, early
+termination and the traceback band all on, and the ``MSDI`` tie-break
+order (:func:`check_engine_config` refuses any other configuration).  The
+MICRO-2020 baseline and the ablations are comparison points, and they
+align on the scalar :class:`repro.core.aligner.GenASMAligner`, which
+keeps every toggle and tie-break order as the reference.
 
 Structure
 ---------
@@ -56,8 +65,6 @@ Structure
   — window count × words per lane (see
   :meth:`BatchAlignmentEngine.schedule`) — so chunked lanes run in
   lockstep with similarly-sized neighbours.
-
-Every configuration takes this lockstep path.
 """
 
 from __future__ import annotations
@@ -91,6 +98,7 @@ from repro.core.metrics import AccessCounter, MemoryFootprint
 __all__ = [
     "BatchAlignmentEngine",
     "WaveDCState",
+    "check_engine_config",
     "run_dc_wave_state",
 ]
 
@@ -136,13 +144,44 @@ def _shl1(value: np.ndarray) -> np.ndarray:
     return out
 
 
+#: The configuration the engine runs, field by field: the paper's three
+#: improvements and GenASM's tie-break order.
+_ENGINE_CONFIG = {
+    "entry_compression": True,
+    "early_termination": True,
+    "traceback_band": True,
+    "match_priority": "MSDI",
+}
+
+
+def check_engine_config(config: GenASMConfig) -> None:
+    """Refuse a configuration :class:`BatchAlignmentEngine` does not run.
+
+    The engine runs the improved GenASM only (module docstring, "One
+    configuration"); any other toggle or tie-break order raises a
+    ``ValueError`` that points at :class:`repro.core.aligner.GenASMAligner`.
+    The worker pool calls this before it spawns a worker, and the
+    streaming pipeline before it ingests a read.
+    """
+    other = [
+        f"{name}={getattr(config, name)!r}"
+        for name, value in _ENGINE_CONFIG.items()
+        if getattr(config, name) != value
+    ]
+    if other:
+        raise ValueError(
+            "BatchAlignmentEngine runs GenASM with all three improvements and "
+            f"match_priority 'MSDI' only, not {', '.join(other)}; align baseline "
+            "and ablation configurations with GenASMAligner"
+        )
+
+
 def _attempt_charges(
     budget: np.ndarray,
     rows: np.ndarray,
     n: np.ndarray,
     store_from: np.ndarray,
     entry_store: np.ndarray,
-    entry_compression: bool,
 ) -> Dict[str, np.ndarray]:
     """Per-lane DP accounting of one GenASM-DC attempt, by counter field.
 
@@ -153,11 +192,7 @@ def _attempt_charges(
     per-row updates are constant per attempt.  Takes ints or per-lane
     arrays alike.
     """
-    stored_columns = n - np.maximum(0, store_from - 1)
-    if entry_compression:
-        writes = rows * (stored_columns + (store_from == 0))
-    else:
-        writes = rows * 4 * stored_columns
+    writes = rows * (n - np.maximum(0, store_from - 1) + (store_from == 0))
     return {
         "entries_computed": rows * n,
         "rows_computed": rows,
@@ -173,20 +208,18 @@ class WaveDCState:
 
     Keeps the stored rows exactly as the wave computed them, as one
     full-width multi-word ``uint64`` array — ``(rows, W, L, n_max + 1)``,
-    a slice of the scan's table, or ``(rows, 4, W, L, n_max)`` of quad
-    intermediates without entry compression — so the lockstep traceback
-    can derive its decision words without ever materialising per-lane
-    Python lists.  Band packing and traceback-reachability placeholders
-    are applied lazily: :meth:`table` reproduces the scalar path's packed
-    storage value for value, and
-    :meth:`repro.batch.soa.SoAWave.zero_view_mask` imposes the same
-    semantics on the decision planes.  The scan charges no DP accounting:
-    the engine charges each attempt from :func:`_attempt_charges`.
+    a slice of the scan's table, one compressed ``R`` entry per (row,
+    lane, column) — so the lockstep traceback can derive its decision
+    words without ever materialising per-lane Python lists.  Band packing
+    and traceback-reachability placeholders are applied lazily:
+    :meth:`table` reproduces the scalar path's packed storage value for
+    value, and :meth:`repro.batch.soa.SoAWave.zero_view_mask` imposes the
+    same semantics on the decision planes.  The scan charges no DP
+    accounting: the engine charges each attempt from
+    :func:`_attempt_charges`.
     """
 
     wave: SoAWave
-    entry_compression: bool
-    early_termination: bool
     #: rows ``0 .. rows_computed.max() - 1``, in SoA layout
     stored_rows: np.ndarray
     #: final-column value per evaluated row, ``(rows, W, L)``
@@ -198,13 +231,8 @@ class WaveDCState:
     def stored_bytes(self) -> np.ndarray:
         """Per-lane bytes of retained traceback state (E3 accounting)."""
         wave = self.wave
-        per_entry = wave.entry_store * (1 if self.entry_compression else 4)
         columns = wave.n + 1 - wave.store_from
-        if self.entry_compression:
-            entries = self.rows_computed * np.maximum(0, columns)
-        else:
-            entries = self.rows_computed * np.maximum(0, np.minimum(columns, wave.n))
-        return entries * per_entry
+        return self.rows_computed * np.maximum(0, columns) * wave.entry_store
 
     @staticmethod
     def _lane_ints(words: np.ndarray) -> List[int]:
@@ -230,71 +258,37 @@ class WaveDCState:
         wave = self.wave
         rows_i = int(self.rows_computed[lane])
         n_i = int(wave.n[lane])
-        m_i = int(wave.m[lane])
         found = int(self.min_errors[lane])
         store_from = int(wave.store_from[lane])
-        band = wave.traceback_band
-        ones_int = (1 << m_i) - 1
+        ones_int = (1 << int(wave.m[lane])) - 1
         band_lo = [int(x) for x in wave.band_lo[lane, : n_i + 1]]
         band_mask_int = (1 << int(wave.band_width[lane])) - 1
 
         charges = _attempt_charges(
-            int(wave.k[lane]),
-            rows_i,
-            n_i,
-            store_from,
-            int(wave.entry_store[lane]),
-            self.entry_compression,
+            int(wave.k[lane]), rows_i, n_i, store_from, int(wave.entry_store[lane])
         )
         table = DCTable(
             pattern=wave.patterns[lane],
             text=wave.texts[lane],
             max_errors=int(wave.k[lane]),
-            entry_compression=self.entry_compression,
-            early_termination=self.early_termination,
-            traceback_band=band,
+            entry_compression=True,
+            early_termination=True,
+            traceback_band=True,
             store_from_column=store_from,
             counter=AccessCounter(**{name: int(v) for name, v in charges.items()}),
         )
         table.rows_computed = rows_i
         table.min_errors = found if found >= 0 else None
         table.final_column = self._lane_ints(self.final_cols[:rows_i, :, lane].T)
-        if self.entry_compression:
-            stored_r: List[List[int]] = []
-            for d in range(rows_i):
-                values = self._lane_ints(self.stored_rows[d][:, lane, : n_i + 1])
-                if band:
-                    values = [
-                        ((value >> band_lo[j]) & band_mask_int)
-                        if j >= store_from
-                        else ones_int
-                        for j, value in enumerate(values)
-                    ]
-                stored_r.append(values)
-            table.stored_r = stored_r
-        else:
-            stored_quad: List[List[Tuple[int, int, int, int]]] = []
-            for d in range(rows_i):
-                quads = [
-                    self._lane_ints(component[:, lane, :n_i])
-                    for component in self.stored_rows[d]
-                ]
-                row = []
-                for j in range(1, n_i + 1):
-                    if j < store_from:
-                        row.append((ones_int,) * 4)
-                    elif band:
-                        lo = band_lo[j]
-                        row.append(
-                            tuple(
-                                (component[j - 1] >> lo) & band_mask_int
-                                for component in quads
-                            )
-                        )
-                    else:
-                        row.append(tuple(component[j - 1] for component in quads))
-                stored_quad.append(row)
-            table.stored_quad = stored_quad
+        table.stored_r = [
+            [
+                ((value >> band_lo[j]) & band_mask_int) if j >= store_from else ones_int
+                for j, value in enumerate(
+                    self._lane_ints(self.stored_rows[d][:, lane, : n_i + 1])
+                )
+            ]
+            for d in range(rows_i)
+        ]
         table._band_lo = band_lo
         table._band_width = None  # lazily derived; identical to scalar
         return table
@@ -318,25 +312,16 @@ def _ladder(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.stack(rungs)
 
 
-def _store_from(
-    n: np.ndarray, commit: np.ndarray, budget: np.ndarray, band: bool
-) -> np.ndarray:
+def _store_from(n: np.ndarray, commit: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """First stored text column of attempts that commit ``commit`` columns.
 
     :func:`repro.core.improvements.reachable_column_start` per lane, as
-    :func:`repro.core.windowing.align_window` applies it: 0 without the
-    band improvement.
+    :func:`repro.core.windowing.align_window` applies it.
     """
-    return np.maximum(0, n - commit - budget - 1) if band else np.zeros_like(n)
+    return np.maximum(0, n - commit - budget - 1)
 
 
-def run_dc_wave_state(
-    wave: SoAWave,
-    *,
-    entry_compression: bool = True,
-    early_termination: bool = True,
-    ladder_from: Optional[np.ndarray] = None,
-) -> WaveDCState:
+def run_dc_wave_state(wave: SoAWave, *, retry: bool = False) -> WaveDCState:
     """Run GenASM-DC over every lane of ``wave``, keeping the SoA state.
 
     This is the batch engine's hot path: the returned
@@ -347,30 +332,26 @@ def run_dc_wave_state(
     diagonals ``t - 1`` and ``t - 2``, ``n_max + k_max`` steps per wave.
     Shifts carry bit 63 of word ``w`` into bit 0 of word ``w + 1``
     (:func:`_shl1`).  Each lane's ``min_errors``, ``rows_computed`` (early
-    termination included) and stored rows are read off the finished
-    table, exactly where a row-by-row scan would have stopped.
+    termination's ``min_errors + 1``) and stored rows are read off the
+    finished table, exactly where a row-by-row scan would have stopped.
 
-    ``ladder_from`` marks a budget retry.  Each lane's budget ``wave.k``
-    is then the last rung of the doubling ladder
-    ``ladder_from -> 2 ladder_from -> ...`` (``ladder_from`` is the budget
-    its first attempt failed at), and without early termination the model
-    keeps a lane the rows of the first rung at or above its solution
-    row.  A retry stops at the first anti-diagonal where every lane has
-    those rows: from diagonal ``t = n_max`` on, row ``d = t - n_max`` is
-    complete in every lane's final column, so each step tests the
-    solution bits that settle row ``d``, and the scan takes ``n_max + d``
-    steps for the deepest row ``d`` a lane needs instead of
-    ``n_max + k_max``.  Any other scan evaluates every row (testing the
-    rows would cost more than the few rows early termination leaves
-    unread).  No scan charges DP accounting: its caller charges every
-    attempt it models (:func:`_attempt_charges`).
+    ``retry`` marks a budget retry, whose lanes' budgets ``wave.k`` are
+    the window's full budget, at which every lane solves.  A retry stops
+    at the first anti-diagonal where every lane has its solution row:
+    from diagonal ``t = n_max`` on, row ``d = t - n_max`` is complete in
+    every lane's final column, so each step tests the solution bits of
+    row ``d``, and the scan takes ``n_max + d`` steps for the deepest
+    solution row ``d`` instead of ``n_max + k_max``.  Any other scan
+    evaluates every row (testing the rows would cost more than the few
+    rows early termination leaves unread).  No scan charges DP
+    accounting: its caller charges every attempt it models
+    (:func:`_attempt_charges`).
     """
     L = wave.lanes
     W = wave.words
     n_max = wave.n_max
     rows = wave.k_max + 1
     n, k, ones, masks = wave.n, wave.k, wave.ones, wave.masks
-    ladder = _ladder(k if ladder_from is None else ladder_from, k)
     lane_idx = np.arange(L)
     row_idx = np.arange(rows)
 
@@ -392,24 +373,15 @@ def run_dc_wave_state(
     # forward slice.
     masks_rev = np.ascontiguousarray(masks.transpose(2, 0, 1)[::-1])
 
-    if ladder_from is not None:
-        # Row d settles lane l once the solution bit is zero in row
-        # checkpoint[d, l]: row d itself with early termination, else the
-        # deepest rung <= d.  Rows only gain solutions as d grows, so that
-        # bit is zero iff the row the lane needs is at most d.  A lane
-        # with no rung <= d yet probes row 0 at column 0, which holds its
-        # ones and so no solution.
-        depth = np.broadcast_to(row_idx[:, None], (rows, L))
-        if early_termination:
-            checkpoint = depth
-        else:
-            reached = ladder[:, None, :] <= depth
-            checkpoint = np.where(reached, ladder[:, None, :], -1).max(axis=0)
+    if retry:
+        # Row d settles lane l once the solution bit is zero in row d of
+        # its final column.  Rows only gain solutions as d grows, so that
+        # bit is zero iff the lane's solution row is at most d.
         probes = (
-            np.maximum(checkpoint, 0) * s_row
+            row_idx[:, None] * s_row
             + wave.msb_word * s_word
             + lane_idx * s_lane
-            + np.where(checkpoint >= 0, n, 0) * s_col
+            + n * s_col
         ) // table.itemsize
         flat = table.reshape(-1)
         solution_bit = _U1 << wave.msb_shift
@@ -442,7 +414,7 @@ def run_dc_wave_state(
         # Row t - n_max is complete in every final column: cell (d, n) was
         # written on diagonal d + n <= t.
         if (
-            ladder_from is not None
+            retry
             and t >= n_max
             and not (flat.take(probes[t - n_max]) & solution_bit).any()
         ):
@@ -456,33 +428,15 @@ def run_dc_wave_state(
     solution &= row_idx[:scanned, None] <= k
     found = solution.any(axis=0)
     min_errors = np.where(found, solution.argmax(axis=0), -1)
-    if early_termination:
-        last_row = min_errors
-    else:  # the first rung at or above the solution row
-        last_row = np.where(ladder >= min_errors, ladder, k).min(axis=0)
-    rows_computed = np.where(found, last_row, k) + 1
+    rows_computed = np.where(found, min_errors, k) + 1
     evaluated = int(rows_computed.max())
 
     # Persist the rows full-width; the band packing and pruned-column
     # placeholders of the scalar storage are applied lazily (table(),
     # zero_view_mask), so the scan never pays per-column packing.
-    if entry_compression:
-        stored_rows = table[:evaluated]
-    else:
-        # Row 0 is the match term alone; ones stand in for the other three.
-        shifted = _shl1(table[:evaluated]) & ones[:, :, None]
-        stored_rows = np.empty((evaluated, 4, W, L, n_max), dtype=np.uint64)
-        stored_rows[:, 0] = shifted[..., :-1] | masks
-        stored_rows[0, 1:] = ones[:, :, None]
-        stored_rows[1:, 1] = shifted[:-1, ..., :-1]
-        stored_rows[1:, 2] = shifted[:-1, ..., 1:]
-        stored_rows[1:, 3] = table[: evaluated - 1, ..., :-1]
-
     return WaveDCState(
         wave=wave,
-        entry_compression=entry_compression,
-        early_termination=early_termination,
-        stored_rows=stored_rows,
+        stored_rows=table[:evaluated],
         final_cols=final[:evaluated],
         rows_computed=rows_computed,
         min_errors=min_errors,
@@ -530,10 +484,13 @@ class BatchAlignmentEngine:
     Parameters
     ----------
     config:
-        Aligner configuration.  Windows of any width vectorize — a window
-        of ``W`` characters occupies ``ceil(W / 64)`` ``uint64`` words per
-        lane (:attr:`words_per_lane`), so ``GenASMConfig.short_read``
-        workloads take the lockstep path too.
+        Aligner configuration, with the paper's three improvements on and
+        the ``MSDI`` tie-break order (:func:`check_engine_config` refuses
+        any other; align those with
+        :class:`repro.core.aligner.GenASMAligner`).  Windows of any width
+        vectorize — a window of ``W`` characters occupies ``ceil(W / 64)``
+        ``uint64`` words per lane (:attr:`words_per_lane`), so
+        ``GenASMConfig.short_read`` workloads take the lockstep path too.
     name:
         Label attached to produced alignments.
     max_lanes:
@@ -555,6 +512,7 @@ class BatchAlignmentEngine:
         max_lanes: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else GenASMConfig()
+        check_engine_config(self.config)
         self.name = name
         if max_lanes is not None and max_lanes < 1:
             raise ValueError("max_lanes must be at least 1")
@@ -833,7 +791,6 @@ class BatchAlignmentEngine:
         scan that solved it; the caller commits the windows.
         """
         config = self.config
-        band = config.traceback_band
         m = np.array([len(pattern) for pattern in patterns], dtype=np.int64)
         n = np.array([len(text) for text in texts], dtype=np.int64)
 
@@ -841,20 +798,14 @@ class BatchAlignmentEngine:
             for name, value in values.items():
                 tally[name][pairs[lanes]] += value
 
-        def scan(lanes: np.ndarray, budgets: np.ndarray, ladder_from=None):
+        def scan(lanes: np.ndarray, budgets: np.ndarray, retry: bool = False):
             wave = SoAWave(
                 [patterns[lane] for lane in lanes.tolist()],
                 [texts[lane] for lane in lanes.tolist()],
                 budgets,
-                _store_from(n[lanes], commit[lanes], budgets, band),
-                traceback_band=band,
+                _store_from(n[lanes], commit[lanes], budgets),
             )
-            return run_dc_wave_state(
-                wave,
-                entry_compression=config.entry_compression,
-                early_termination=config.early_termination,
-                ladder_from=ladder_from,
-            )
+            return run_dc_wave_state(wave, retry=retry)
 
         every = np.arange(pairs.size)
         budgets = np.maximum(1, np.minimum(m, config.k))
@@ -863,12 +814,7 @@ class BatchAlignmentEngine:
         charge(
             every,
             _attempt_charges(
-                wave.k,
-                state.rows_computed,
-                wave.n,
-                wave.store_from,
-                wave.entry_store,
-                config.entry_compression,
+                wave.k, state.rows_computed, wave.n, wave.store_from, wave.entry_store
             ),
         )
         solved = state.min_errors >= 0
@@ -879,7 +825,7 @@ class BatchAlignmentEngine:
         failed = np.flatnonzero(~solved)
         if failed.size:
             first, full = budgets[failed], m[failed]
-            retry = scan(failed, full, ladder_from=first)
+            retry = scan(failed, full, retry=True)
             e = retry.min_errors
             if (e < 0).any():
                 raise AssertionError(
@@ -887,30 +833,26 @@ class BatchAlignmentEngine:
                 )
             # Each rung past the first up to the first at or above e is an
             # attempt align_window would have run: a failed rung b evaluates
-            # b + 1 rows, the solving rung e + 1 with early termination.
+            # b + 1 rows, the solving rung e + 1 (early termination).
             ladder = _ladder(first, full)
             for below, rung in zip(ladder[:-1], ladder[1:]):
                 climbed = np.flatnonzero(below < e)
                 if not climbed.size:
                     break
                 lanes, budget = failed[climbed], rung[climbed]
-                evaluated = budget + 1
-                if config.early_termination:
-                    evaluated = np.minimum(budget, e[climbed]) + 1
                 charge(
                     lanes,
                     _attempt_charges(
                         budget,
-                        evaluated,
+                        np.minimum(budget, e[climbed]) + 1,
                         n[lanes],
-                        _store_from(n[lanes], commit[lanes], budget, band),
-                        entry_bytes(m[lanes], budget, band),
-                        config.entry_compression,
+                        _store_from(n[lanes], commit[lanes], budget),
+                        entry_bytes(m[lanes], budget),
                     ),
                 )
             solving = np.where(ladder >= e, ladder, full).min(axis=0)
             retry.wave.set_budgets(
-                solving, _store_from(n[failed], commit[failed], solving, band)
+                solving, _store_from(n[failed], commit[failed], solving)
             )
             blocks.append((retry, e + 1))
             rows[failed] = retry.rows_computed
@@ -919,7 +861,5 @@ class BatchAlignmentEngine:
 
         decisions = build_wave_decisions(blocks)
         order = np.concatenate([np.flatnonzero(solved), failed])
-        tracebacks = lockstep_traceback(
-            decisions, budgets=commit[order], priority=config.match_priority
-        )
+        tracebacks = lockstep_traceback(decisions, budgets=commit[order])
         return order, tracebacks, rows[order], stored[order], entry[order]

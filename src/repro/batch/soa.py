@@ -18,6 +18,12 @@ and the DC recurrence propagates the shifted bit across words (see
 :func:`repro.batch.engine.run_dc_wave_state`).  ``W == 1`` reproduces the
 original single-word layout exactly.
 
+Lanes are laid out for the one configuration the engine runs: the
+paper's entry compression, early termination and traceback band, so
+every wave carries its lanes' band offsets and reachability columns
+(baseline and ablation configurations align on the scalar
+:class:`repro.core.aligner.GenASMAligner`).
+
 The same layout is what a GPU implementation would use: one warp lane per
 window pair (W words per lane in registers), pattern masks staged in shared
 memory, per-lane band offsets in registers.  :func:`lockstep_stats`
@@ -62,18 +68,15 @@ def lane_words(pattern_bits: int) -> int:
     return max(1, -(-max(pattern_bits, 1) // MAX_LANE_BITS))
 
 
-def entry_bytes(m: np.ndarray, k: np.ndarray, traceback_band: bool) -> np.ndarray:
-    """:func:`repro.core.improvements.entry_bytes`, vectorized over lanes.
+def entry_bytes(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """:func:`repro.core.improvements.entry_bytes` with the band, vectorized.
 
-    Full words without the band improvement, else the smallest
-    power-of-two unit (8..64 bits) that holds the band width
+    The smallest power-of-two unit (8..64 bits) that holds the band width
     ``min(m, 2k + 2)``, taken ``ceil(width / unit)`` times when the band is
     wider than a word.
     """
-    m = np.asarray(m, dtype=np.int64)
-    if not traceback_band:
-        return np.maximum(1, -(-m // MAX_LANE_BITS)) * 8
-    width = np.minimum(m, 2 * np.asarray(k, dtype=np.int64) + 2)
+    m, k = np.asarray(m, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    width = np.minimum(m, 2 * k + 2)
     target = np.minimum(width, MAX_LANE_BITS)
     unit = np.full(width.shape, 8, dtype=np.int64)
     while (unit < target).any():  # 8 -> 16 -> 32 -> 64
@@ -124,8 +127,8 @@ class SoAWave:
         lane's most significant pattern bit (``m - 1``), for the
         solution-found test.
     ``band_lo``
-        int64 ``(L, n_max + 1)`` — *logical* band offset per column (all
-        zeros when the band improvement is off), clamped to ``[0, m - 1]``.
+        int64 ``(L, n_max + 1)`` — *logical* band offset per column,
+        clamped to ``[0, m - 1]``.
         Unlike the stored-row layout of the scalar path, wave rows are kept
         full-width; banding is applied lazily via :meth:`zero_view_mask`
         and :meth:`repro.batch.engine.WaveDCState.table`.
@@ -146,8 +149,6 @@ class SoAWave:
         texts: Sequence[str],
         max_errors: Sequence[int],
         store_from: Sequence[int],
-        *,
-        traceback_band: bool,
     ) -> None:
         if not patterns:
             raise ValueError("a wave needs at least one lane")
@@ -155,7 +156,6 @@ class SoAWave:
         self.texts = list(texts)
         L = len(self.patterns)
         self.lanes = L
-        self.traceback_band = traceback_band
 
         self.m = np.array([len(pattern) for pattern in self.patterns], dtype=np.int64)
         self.n = np.array([len(text) for text in self.texts], dtype=np.int64)
@@ -184,21 +184,14 @@ class SoAWave:
         state is masked as that rung's attempt would have stored it.  The
         text masks do not depend on the budget and are kept.
         """
-        L = self.lanes
         self.k = np.clip(np.asarray(max_errors, dtype=np.int64), 0, self.m)
         self.k_max = int(self.k.max())
-        if self.traceback_band:
-            self.store_from = np.clip(np.asarray(store_from, dtype=np.int64), 0, self.n)
-        else:
-            self.store_from = np.zeros(L, dtype=np.int64)
+        self.store_from = np.clip(np.asarray(store_from, dtype=np.int64), 0, self.n)
         self._zero_view_mask: Optional[np.ndarray] = None
 
         cols = np.arange(self.n_max + 1, dtype=np.int64)
-        if self.traceback_band:
-            lo = (self.m[:, None] - 1) - (self.n[:, None] - cols[None, :]) - self.k[:, None]
-            self.band_lo = np.clip(lo, 0, np.maximum(self.m - 1, 0)[:, None])
-        else:
-            self.band_lo = np.zeros((L, self.n_max + 1), dtype=np.int64)
+        lo = (self.m[:, None] - 1) - (self.n[:, None] - cols[None, :]) - self.k[:, None]
+        self.band_lo = np.clip(lo, 0, np.maximum(self.m - 1, 0)[:, None])
         # band_width(m, k), vectorized; never zero because m >= 1.
         self.band_width = np.minimum(self.m, 2 * self.k + 2)
         #: columns that are persisted per lane (inside the lane's text and
@@ -206,35 +199,33 @@ class SoAWave:
         self.store_col = (cols[None, :] >= self.store_from[:, None]) & (
             cols[None, :] <= self.n[:, None]
         )
-        self.entry_store = entry_bytes(self.m, self.k, self.traceback_band)
+        self.entry_store = entry_bytes(self.m, self.k)
 
     # ------------------------------------------------------------------ #
     def zero_view_mask(self) -> np.ndarray:
         """Word mask of bits that may read as *active* through the scalar accessors.
 
         Shape ``(W, L, n_max + 1)``.  Bit ``b`` of word ``w`` is set iff the
-        scalar band-aware accessors (:meth:`repro.core.genasm_dc.DCTable.r_bit`
-        / ``quad_bit``) could report logical bit ``64 w + b`` of that
-        (lane, column) entry as zero-active: the bit lies inside the lane's
-        pattern, the column is persisted (``store_col``), and — with the
-        band improvement — the bit falls inside the stored band
-        ``[band_lo, band_lo + band_width)``.  The decision-plane builder
-        ANDs this into its zero views, which is what lets wave rows stay
-        full-width (no store-time band packing) while remaining
+        scalar band-aware accessor :meth:`repro.core.genasm_dc.DCTable.r_bit`
+        could report logical bit ``64 w + b`` of that (lane, column) entry
+        as zero-active: the bit lies inside the lane's pattern, the column
+        is persisted (``store_col``), and the bit falls inside the stored
+        band ``[band_lo, band_lo + band_width)``.  The decision-plane
+        builder ANDs this into its zero views, which is what lets wave rows
+        stay full-width (no store-time band packing) while remaining
         bit-identical to the scalar packed storage.
         """
         if self._zero_view_mask is None:
             mask = np.where(self.store_col[None, :, :], self.ones[:, :, None], _U0)
-            if self.traceback_band:
-                word_base = (np.arange(self.words, dtype=np.int64) * MAX_LANE_BITS)[
-                    :, None, None
-                ]
-                lo = self.band_lo[None, :, :]
-                hi = lo + self.band_width[:, None][None, :, :]
-                window = _LOW_ONES[np.clip(hi - word_base, 0, MAX_LANE_BITS)] & ~_LOW_ONES[
-                    np.clip(lo - word_base, 0, MAX_LANE_BITS)
-                ]
-                mask &= window
+            word_base = (np.arange(self.words, dtype=np.int64) * MAX_LANE_BITS)[
+                :, None, None
+            ]
+            lo = self.band_lo[None, :, :]
+            hi = lo + self.band_width[:, None][None, :, :]
+            window = _LOW_ONES[np.clip(hi - word_base, 0, MAX_LANE_BITS)] & ~_LOW_ONES[
+                np.clip(lo - word_base, 0, MAX_LANE_BITS)
+            ]
+            mask &= window
             self._zero_view_mask = mask
         return self._zero_view_mask
 

@@ -33,21 +33,26 @@ DC kernel.  This module removes that scalar hot path in two moves:
    budget, so a step costs only what the lanes still walking cost; the
    finished lanes a GPU warp would idle on
    (:func:`repro.batch.soa.lockstep_stats`) are not carried.
-3. **Match-run skip-ahead**: when a lane's chosen op is ``M`` and ``M``
-   leads the priority order, the walk consumes the *entire* run of
-   consecutive matches in that one step.  A match step moves ``(j-1,
-   i-1)`` at fixed ``d``, so the run lies on a diagonal of the ``(j, i)``
-   grid: :func:`_match_runs` reads bit ``i - t`` of column ``j - t`` of
-   the lane's own match-plane slot for ``t = 0, 1, …``, gathered 64
-   positions at a time for the lanes that chose ``M`` only, until each
-   run ends (at an unset bit, at bit ``-1``, or at column 0, which every
-   plane leaves zero).  Cursor, emitted opcode run, ``tb_steps`` and
-   ``dp_reads`` all advance by the whole run at once, cutting walk steps
-   ~4× at the 10-15 % error rates the paper evaluates.  Runs are only
-   taken when ``M`` is the *first* priority letter (the GenASM default):
-   a legal match then is always the chosen op, so the diagonal bit run is
-   exactly the scalar loop's op sequence; any other priority degrades to
-   one column per step, byte-identically.
+3. **Match-run skip-ahead**: when a lane's chosen op is ``M``, the walk
+   consumes the *entire* run of consecutive matches in that one step.  A
+   match step moves ``(j-1, i-1)`` at fixed ``d``, so the run lies on a
+   diagonal of the ``(j, i)`` grid: :func:`_match_runs` reads bit
+   ``i - t`` of column ``j - t`` of the lane's own match-plane slot for
+   ``t = 0, 1, …``, gathered 64 positions at a time for the lanes that
+   chose ``M`` only, until each run ends (at an unset bit, at bit ``-1``,
+   or at column 0, which every plane leaves zero).  Cursor, emitted
+   opcode run, ``tb_steps`` and ``dp_reads`` all advance by the whole run
+   at once, cutting walk steps ~4× at the 10-15 % error rates the paper
+   evaluates.  ``M`` leads the ``MSDI`` tie-break order, so a legal match
+   is always the chosen op and the diagonal bit run is exactly the scalar
+   loop's op sequence.
+
+The walk serves the one configuration the batch engine runs: entry
+compression (one stored ``R`` word per entry, from which the four
+predicates are re-derived), early termination, the traceback band and the
+``MSDI`` order.  The scalar traceback keeps quad storage and every
+tie-break order for the baseline and ablation alignments, which run on
+:class:`repro.core.aligner.GenASMAligner`.
 
 Equivalence contract
 --------------------
@@ -58,8 +63,8 @@ replicates the short-circuit evaluation order of the scalar priority loop
 or a ``d < 1`` guard never reached the stored table).  The batch engine
 charges both, with ``bytes_read`` at the solving wave's entry size, to
 each pair's counter.  The differential test harness
-(``tests/test_batch_traceback.py``) asserts this per-field across every
-improvement-toggle combination and across window widths spanning 1-3
+(``tests/test_batch_traceback.py``) asserts this per-field on the default
+and short-read configurations and across window widths spanning 1-3
 words per lane; the cross-word carry itself is property-tested against the
 scalar predicates in ``tests/test_properties.py``.
 """
@@ -94,7 +99,7 @@ _U63 = np.uint64(MAX_LANE_BITS - 1)
 _RUN_CHUNK = 64
 _RUN_OFFSETS = np.arange(_RUN_CHUNK, dtype=np.int64)
 
-#: Fixed op codes used in the packed opcode buffer (independent of priority).
+#: Fixed op codes used in the packed opcode buffer.
 _CODE_BY_LETTER = {"M": 0, "S": 1, "I": 2, "D": 3}
 OPS_BY_CODE = np.array(
     [CigarOp.MATCH, CigarOp.MISMATCH, CigarOp.INSERTION, CigarOp.DELETION],
@@ -132,7 +137,6 @@ class WaveDecisions:
     #: pattern and text length of each lane's window, ``(lanes,)`` int64
     m: np.ndarray
     n: np.ndarray
-    compressed: bool
 
     @property
     def lanes(self) -> int:
@@ -205,7 +209,7 @@ def _shl1_or1(zero: np.ndarray) -> np.ndarray:
     """Multi-word ``(zero << 1) | 1`` with cross-word carry.
 
     The "bit ``i - 1``, with bit ``-1`` always active" indexing of the
-    compressed-storage predicates: logical bit 63 of word ``w`` carries
+    predicates over compressed storage: logical bit 63 of word ``w`` carries
     into bit 0 of word ``w + 1`` (the ``i % 64 == 0`` stitch), and bit 0
     of word 0 is forced on (a ``bit < 0`` probe is always active).
     """
@@ -231,12 +235,8 @@ def build_wave_decisions(
     and reachability pruning are that wave's budget's, and the block
     reproduces, for every ``(d, j, i)``, the verdicts of
     :func:`repro.core.genasm_tb.traceback_conditions` over the scalar
-    path's stored state.  Every state must share one storage mode.
+    path's stored state.
     """
-    modes = {state.entry_compression for state, _rows in blocks}
-    if len(modes) != 1:
-        raise ValueError("decision blocks need exactly one storage mode")
-    (compressed,) = modes
     parts = []
     for state, rows in blocks:
         rows = np.asarray(rows, dtype=np.int64)
@@ -254,8 +254,8 @@ def build_wave_decisions(
 
     planes = np.zeros((4, W, slots, cols), dtype=np.uint64)
     char_eq = np.zeros((W, L, cols), dtype=np.uint64)
-    # With entry compression, the zero-bit view of each slot's stored R.
-    zero = np.zeros((W, slots, cols), dtype=np.uint64) if compressed else None
+    # The zero-bit view of each slot's stored R.
+    zero = np.zeros((W, slots, cols), dtype=np.uint64)
     lane_end = slot_end = 0
     for state, traced, rows in parts:
         wave = state.wave
@@ -269,33 +269,23 @@ def build_wave_decisions(
         ]
         row, source = slot_row[block], np.repeat(traced, rows)
         # Bits the scalar accessors could ever report as active: inside the
-        # lane's pattern, a persisted column, and (with banding) the band
-        # this wave's budget stores.
+        # lane's pattern, a persisted column, and the band this wave's
+        # budget stores.
         active = wave.zero_view_mask()[:, source]
-        # Row row[s] of lane source[s], word axis first: (W, slots, cols),
-        # or (4, W, slots, n_max) for quad storage.
+        # Row row[s] of lane source[s], word axis first: (W, slots, cols).
         stored = np.moveaxis(state.stored_rows, 0, -3)[..., row, source, :]
-        if compressed:
-            zero[:words, block, :wave_cols] = ~stored & active
-        else:
-            # Quad storage keeps the four already-shifted intermediates of
-            # row d at column j, so each plane is a direct zero-bit view of
-            # one stored vector.
-            planes[:, :words, block, 1:wave_cols] = ~stored & active[..., 1:]
+        zero[:words, block, :wave_cols] = ~stored & active
 
-    if compressed:
-        # One stored R word per entry; the four conditions re-derive their
-        # verdicts from neighbouring R entries, shifted so bit i of the
-        # plane asks about bit i-1 of R (with bit -1 always active).  Past
-        # a block's first slot, slot s - 1 holds row d - 1 of the same lane.
-        cm, cs, ci, cd = planes
-        shifted = _shl1_or1(zero)
-        np.bitwise_and(
-            char_eq[:, slot_lane, 1:], shifted[:, :, :-1], out=cm[:, :, 1:]
-        )
-        cs[:, 1:, 1:] = shifted[:, :-1, :-1]
-        ci[:, 1:, 1:] = shifted[:, :-1, 1:]
-        cd[:, 1:, 1:] = zero[:, :-1, :-1]
+    # One stored R word per entry; the four conditions re-derive their
+    # verdicts from neighbouring R entries, shifted so bit i of the
+    # plane asks about bit i-1 of R (with bit -1 always active).  Past
+    # a block's first slot, slot s - 1 holds row d - 1 of the same lane.
+    cm, cs, ci, cd = planes
+    shifted = _shl1_or1(zero)
+    np.bitwise_and(char_eq[:, slot_lane, 1:], shifted[:, :, :-1], out=cm[:, :, 1:])
+    cs[:, 1:, 1:] = shifted[:, :-1, :-1]
+    ci[:, 1:, 1:] = shifted[:, :-1, 1:]
+    cd[:, 1:, 1:] = zero[:, :-1, :-1]
     # A block's row 0 has no subst/ins/del steps (d < 1).
     planes[1:, :, base] = 0
 
@@ -306,7 +296,6 @@ def build_wave_decisions(
         rows=lane_rows,
         m=np.concatenate([state.wave.m[traced] for state, traced, _rows in parts]),
         n=np.concatenate([state.wave.n[traced] for state, traced, _rows in parts]),
-        compressed=compressed,
     )
 
 
@@ -339,59 +328,33 @@ class LaneTraceback:
         return OPS_BY_CODE[self.codes].tolist()
 
 
-#: Cache of per-(priority, compressed) step lookup tables; the walk folds
-#: the scalar priority loop (first true condition wins) and its
-#: short-circuit read accounting into three tiny gathers per step.
-_STEP_LUTS: dict = {}
+def _probe_reads(pos: int, gates: int) -> int:
+    """DP reads of the scalar ``MSDI`` loop evaluating positions ``0..pos``.
 
-
-def _step_luts(priority: str, compressed: bool):
-    """(POS, CODE, READS) lookup tables for one priority/storage mode.
-
-    ``key = b0*8 + b1*4 + b2*2 + b3`` packs the four condition bits in
-    priority order; ``POS[key]`` is the first true position (4 if none) and
-    ``CODE[key]`` the fixed op code of that letter.  ``READS[pos * 8 + g]``
-    — with gate bits ``g = char*4 + (d>=1)*2 + (i>=1)`` — counts the DP
-    reads the scalar loop performs evaluating positions ``0..pos``:
-    a compressed match probe reads only when the characters match and
-    ``i >= 1``; compressed subst/ins probes need ``d >= 1`` and ``i >= 1``;
-    deletion (and every quad-mode probe) needs only ``d >= 1``; quad-mode
-    match always reads.
+    ``gates = char * 4 + (d >= 1) * 2 + (i >= 1)``: the match probe reads
+    the stored table only when the characters match and ``i >= 1``, the
+    substitution and insertion probes need ``d >= 1`` and ``i >= 1``, and
+    the deletion probe ``d >= 1``.
     """
-    cached = _STEP_LUTS.get((priority, compressed))
-    if cached is not None:
-        return cached
+    char, d_ge1, i_ge1 = gates >> 2 & 1, gates >> 1 & 1, gates & 1
+    by_position = (char & i_ge1, d_ge1 & i_ge1, d_ge1, d_ge1 & i_ge1)  # M, S, D, I
+    return sum(by_position[: min(pos, 3) + 1])
 
-    pos_lut = np.full(16, 4, dtype=np.uint64)
-    code_lut = np.full(16, _CODE_BY_LETTER["I"], dtype=np.int64)
-    for key in range(16):
-        for pos in range(4):
-            if key & (8 >> pos):
-                pos_lut[key] = pos
-                code_lut[key] = _CODE_BY_LETTER[priority[pos]]
-                break
 
-    def gate(letter: str, char: bool, dge1: bool, ige1: bool) -> bool:
-        if compressed:
-            if letter == "M":
-                return char and ige1
-            if letter == "D":
-                return dge1
-            return dge1 and ige1
-        return True if letter == "M" else dge1
-
-    reads_lut = np.zeros(5 * 8, dtype=np.int64)
-    for pos in range(5):
-        for g in range(8):
-            char, dge1, ige1 = bool(g & 4), bool(g & 2), bool(g & 1)
-            evaluated = priority[: min(pos, 3) + 1]
-            reads_lut[pos * 8 + g] = sum(
-                gate(letter, char, dge1, ige1) for letter in evaluated
-            )
-
-    luts = (pos_lut, code_lut, reads_lut)
-    _STEP_LUTS[(priority, compressed)] = luts
-    return luts
+#: The walk's step tables, which fold the scalar ``MSDI`` loop (first true
+#: condition wins) and its short-circuit read accounting into three tiny
+#: gathers per step.  ``key = b0*8 + b1*4 + b2*2 + b3`` packs the four
+#: condition bits in priority order (plane p of the fixed M, S, I, D
+#: storage order weighs ``_KEY_WEIGHTS[p]``); ``_POS[key]`` is the first
+#: true position (4 if none), ``_CODE[key]`` the fixed op code of its
+#: letter (an insertion if none) and ``_READS[pos * 8 + gates]`` the reads
+#: of :func:`_probe_reads`.
+_KEY_WEIGHTS = np.array([8, 4, 1, 2], dtype=np.uint64)[:, None]
+_POS = np.array([4 - key.bit_length() for key in range(16)], dtype=np.uint64)
+_CODE = np.array([_CODE_BY_LETTER[letter] for letter in "MSDII"], dtype=np.int64)[_POS]
+_READS = np.array(
+    [_probe_reads(pos, gates) for pos in range(5) for gates in range(8)], dtype=np.int64
+)
 
 
 #: Cursor deltas per op code (M, S, I, D): text column, error level,
@@ -405,7 +368,6 @@ def lockstep_traceback(
     decisions: WaveDecisions,
     *,
     budgets: np.ndarray,
-    priority: str = "MSDI",
 ) -> List[LaneTraceback]:
     """Walk every lane of ``decisions`` back in lockstep NumPy steps.
 
@@ -420,12 +382,9 @@ def lockstep_traceback(
     budgets:
         Per-lane ``max_pattern_columns`` (the committed window columns);
         clamped to the lane's pattern length, as the scalar traceback does.
-    priority:
-        Tie-break order over {M, S, D, I}, shared by the whole walk.
 
-    When ``M`` leads ``priority`` the walk consumes whole match runs per
-    step (module docstring item 3); otherwise a legal match need not be
-    the chosen op and the walk takes one column per step.
+    Ties break in the ``MSDI`` order, and the walk consumes whole match
+    runs per step (module docstring item 3).
 
     Each result carries exactly the ``tb_steps`` (one per emitted op) and
     ``dp_reads`` the scalar traceback would have charged for the same
@@ -451,25 +410,14 @@ def lockstep_traceback(
     pattern_consumed = np.zeros(L, dtype=np.int64)
     dp_reads = np.zeros(L, dtype=np.int64)
 
-    pos_lut, code_lut, reads_lut = _step_luts(priority, decisions.compressed)
-    # Flat-index views of the planes (no copies).  Plane p (fixed M,S,I,D
-    # storage order) contributes key weight 8 >> its-position-in-priority,
-    # so `key` packs the condition bits in priority order for the LUTs.
-    # A lane's cursor bit i selects word i // 64 of its entries (the
-    # multi-word lane layout), and its error level d the slot base + d of
-    # its block.
+    # Flat-index views of the planes (no copies).  A lane's cursor bit i
+    # selects word i // 64 of its entries (the multi-word lane layout),
+    # and its error level d the slot base + d of its block.
     slots, cols = decisions.planes.shape[2:]
     planes_flat = decisions.planes.reshape(4, -1)
     char_flat = decisions.char_eq.reshape(-1)
-    weights = np.array(
-        [8 >> priority.index(letter) for letter in "MSID"], dtype=np.uint64
-    )[:, None]
     word_stride = slots * cols
     char_word_stride = L * cols
-    # Skip-ahead is sound only when M leads the priority: then a legal
-    # match is always the chosen op, so the diagonal bit run is exactly
-    # the op sequence the scalar first-true loop would emit.
-    skip = priority[0] == "M"
 
     # Cursor state of the live lanes only, one row per field, compacted
     # together whenever lanes finish; the names below are views of its rows.
@@ -504,7 +452,7 @@ def lockstep_traceback(
         words = planes_flat[:, wq * word_stride + slot * cols + jq]  # (4, live)
         bits = (words >> shift) & _U1
         char_bit = (char_flat[wq * char_word_stride + lane_cols + jq] >> shift) & _U1
-        key = (bits * weights).sum(axis=0)
+        key = (bits * _KEY_WEIGHTS).sum(axis=0)
 
         at0 = j == 0
         bad = ~at0 & (key == 0)
@@ -518,31 +466,29 @@ def lockstep_traceback(
         # Read accounting for the scalar priority loop, via the LUT over
         # (first-true position, gate bits).
         gates = char_bit * np.uint64(4) + (d >= 1) * np.uint64(2) + (i >= 1) * _U1
-        reads += np.where(at0, 0, reads_lut[pos_lut[key] * np.uint64(8) + gates])
+        reads += np.where(at0, 0, _READS[_POS[key] * np.uint64(8) + gates])
 
         # j == 0 lanes take the unconditional-insertion branch, which is
         # the same cursor update as a chosen "I" step.
-        code = np.where(at0, _CODE_BY_LETTER["I"], code_lut[key])
+        code = np.where(at0, _CODE_BY_LETTER["I"], _CODE[key])
 
+        # M leads the priority, so a legal match is always the chosen op
+        # and the diagonal bit run is exactly the op sequence the scalar
+        # first-true loop would emit.
         run = np.ones(lanes.size, dtype=np.int64)
-        if skip:
-            mk = np.nonzero(code == _CODE_BY_LETTER["M"])[0]
-            if mk.size:
-                # The scalar loop stops mid-run when the pattern budget
-                # runs out; clamping replicates its early exit.
-                run[mk] = np.minimum(
-                    _match_runs(decisions.planes[0], slot[mk], j[mk], i[mk]),
-                    lane_budget[mk] - consumed[mk],
-                )
-                # Each skipped step re-runs only the match probe (M is
-                # first and true); it reads the stored table under the
-                # same gate the LUT applies — compressed probes need the
-                # step's own i >= 1 (run steps at i-1 .. i-run+1), quad
-                # probes always read.
-                extra = run[mk] - 1
-                if decisions.compressed:
-                    extra = np.minimum(extra, np.maximum(i[mk] - 1, 0))
-                reads[mk] += extra
+        mk = np.nonzero(code == _CODE_BY_LETTER["M"])[0]
+        if mk.size:
+            # The scalar loop stops mid-run when the pattern budget runs
+            # out; clamping replicates its early exit.
+            run[mk] = np.minimum(
+                _match_runs(decisions.planes[0], slot[mk], j[mk], i[mk]),
+                lane_budget[mk] - consumed[mk],
+            )
+            # Each skipped step re-runs only the match probe (M is first
+            # and true); it reads the stored table under the same gate
+            # the LUT applies: the step's own i >= 1 (run steps at
+            # i-1 .. i-run+1).
+            reads[mk] += np.minimum(run[mk] - 1, np.maximum(i[mk] - 1, 0))
 
         opcodes[step, lanes] = code
         opcounts[step, lanes] = run
@@ -564,8 +510,8 @@ def lockstep_traceback(
 
     opcodes, opcounts = opcodes[:step], opcounts[:step]
     walked = opcounts > 0
-    # Under skip-ahead every M iteration took a match run.
-    runs = walked & (opcodes == _CODE_BY_LETTER["M"]) & skip
+    # Every M iteration took a match run.
+    runs = walked & (opcodes == _CODE_BY_LETTER["M"])
     # Lane-major, one lane's iterations after another: one repeat expands
     # every lane's codes, split at the lanes' op totals.
     ops = opcounts.sum(axis=0)

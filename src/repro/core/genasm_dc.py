@@ -256,7 +256,9 @@ def genasm_dc(
     band_mask = all_ones(width)
     # Band offset per column, precomputed so the hot loop stays branch-light.
     if traceback_band:
-        band_lo = [band_bounds(j, n, m, k)[0] for j in range(n + 1)]
+        # band_bounds(j, n, m, k)[0] for every column, in closed form.
+        shift = n - m + 1 + k
+        band_lo = [max(0, j - shift) for j in range(n + 1)]
     else:
         band_lo = [0] * (n + 1)
     table._band_lo = band_lo
@@ -270,32 +272,44 @@ def genasm_dc(
         # Column 0: pattern prefixes alignable against the empty text suffix
         # (only by deleting pattern characters, hence d of them at most).
         row[0] = (ones << d) & ones if d < m else 0
-        if entry_compression:
-            if store_from == 0:
-                first = ((row[0] >> band_lo[0]) & band_mask) if traceback_band else row[0]
-                stored_row = [first]
-            else:
-                stored_row = [ones]
-        else:
-            stored_quad_row: List[Tuple[int, int, int, int]] = []
 
-        # Hot loop: everything the recurrence needs is bound to locals.
+        # Hot loops: everything the recurrence needs is bound to locals.
         prev_value = row[0]
         prev_row = previous_row
         masks = text_masks
-        if d == 0:
-            for j in range(1, n + 1):
-                value = ((prev_value << 1) & ones) | masks[j - 1]
-                row[j] = value
-                prev_value = value
-                if entry_compression:
-                    if j >= store_from:
-                        stored_row.append(
-                            ((value >> band_lo[j]) & band_mask) if traceback_band else value
-                        )
-                    else:
-                        stored_row.append(ones)
-                else:
+        if entry_compression:
+            # One stored value per entry, R itself: compute the row, then
+            # band-pack it in one pass.
+            if d == 0:
+                for j in range(1, n + 1):
+                    prev_value = ((prev_value << 1) & ones) | masks[j - 1]
+                    row[j] = prev_value
+            else:
+                # With no intermediates to store the terms fuse: the AND
+                # with the m-bit diagonal drops every shift's carry-out.
+                shifted = [value << 1 for value in prev_row]
+                for j in range(1, n + 1):
+                    prev_value = (
+                        ((prev_value << 1) | masks[j - 1])
+                        & shifted[j - 1]
+                        & shifted[j]
+                        & prev_row[j - 1]
+                    )
+                    row[j] = prev_value
+            if traceback_band:
+                stored_row = [ones] * store_from + [
+                    (value >> lo) & band_mask
+                    for value, lo in zip(row[store_from:], band_lo[store_from:])
+                ]
+            else:
+                stored_row = row  # never written again; store_from is 0
+        else:
+            stored_quad_row: List[Tuple[int, int, int, int]] = []
+            if d == 0:
+                for j in range(1, n + 1):
+                    value = ((prev_value << 1) & ones) | masks[j - 1]
+                    row[j] = value
+                    prev_value = value
                     if j >= store_from:
                         if traceback_band:
                             lo = band_lo[j]
@@ -311,23 +325,15 @@ def genasm_dc(
                             stored_quad_row.append((value, ones, ones, ones))
                     else:
                         stored_quad_row.append((ones, ones, ones, ones))
-        else:
-            for j in range(1, n + 1):
-                prev_diag = prev_row[j - 1]
-                match = ((prev_value << 1) & ones) | masks[j - 1]
-                subst = (prev_diag << 1) & ones
-                ins = (prev_row[j] << 1) & ones
-                value = match & subst & ins & prev_diag
-                row[j] = value
-                prev_value = value
-                if entry_compression:
-                    if j >= store_from:
-                        stored_row.append(
-                            ((value >> band_lo[j]) & band_mask) if traceback_band else value
-                        )
-                    else:
-                        stored_row.append(ones)
-                else:
+            else:
+                for j in range(1, n + 1):
+                    prev_diag = prev_row[j - 1]
+                    match = ((prev_value << 1) & ones) | masks[j - 1]
+                    subst = (prev_diag << 1) & ones
+                    ins = (prev_row[j] << 1) & ones
+                    value = match & subst & ins & prev_diag
+                    row[j] = value
+                    prev_value = value
                     if j >= store_from:
                         if traceback_band:
                             lo = band_lo[j]

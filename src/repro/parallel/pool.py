@@ -102,7 +102,9 @@ class WorkerPool:
         Worker process count.
     config:
         Aligner configuration shipped once at pool start (defaults to the
-        paper's improved GenASM).
+        paper's improved GenASM).  A configuration the engine does not run
+        is refused when the pool starts, before any worker spawns
+        (:func:`~repro.batch.engine.check_engine_config`).
     tracer:
         Optional driver-side :class:`~repro.telemetry.trace.Tracer`.  When
         given (and enabled), each worker builds its own tracer, records a
@@ -147,6 +149,10 @@ class WorkerPool:
             raise RuntimeError("worker pool already closed")
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
+
+        from repro.batch.engine import check_engine_config
+
+        check_engine_config(self.config)
 
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.batch.engine import check_engine_config
 from repro.core.alignment import Alignment
 from repro.core.config import GenASMConfig
 from repro.mapping.mapper import CandidateMapping, Mapper
@@ -80,6 +81,9 @@ class StreamingPipeline:
         :meth:`align_pairs` streams pre-built pairs without one.
     config:
         Aligner configuration (defaults to the paper's improved GenASM).
+        :meth:`run` and :meth:`align_pairs` refuse one the engine does not
+        run before they ingest anything
+        (:func:`~repro.batch.engine.check_engine_config`).
     wave_size:
         Lanes per dispatched wave (also the engine's ``max_lanes``).
     max_pending:
@@ -177,6 +181,9 @@ class StreamingPipeline:
                 "StreamingPipeline.run needs a mapper (pass one at "
                 "construction); use align_pairs() for pre-built pairs"
             )
+        # The align stage's engine refuses a configuration it does not run
+        # only once the lazy stream starts; refuse it here, at the call.
+        check_engine_config(self.config)
         stats = PipelineStats(wave_size=self.wave_size)
         self.stats = stats
         results = self._execute(self._mapped_works(reads, stats), stats)

@@ -33,7 +33,7 @@ from typing import Deque, Dict, Iterator, Optional
 
 from repro.telemetry.metrics import Stored, MetricsRegistry
 
-__all__ = ["FLUSH_CAUSES", "PIPELINE_STAGES", "PipelineStats"]
+__all__ = ["FLUSH_CAUSES", "PIPELINE_STAGES", "PipelineStats", "WAVE_WINDOW"]
 
 #: The stages every run is accounted under, in dataflow order.
 PIPELINE_STAGES = ("ingest", "map", "batch", "align", "emit")
@@ -45,6 +45,10 @@ PIPELINE_STAGES = ("ingest", "map", "batch", "align", "emit")
 #: attribute docs on :class:`PipelineStats` must list exactly these causes
 #: (``tests/test_service.py`` asserts the two stay in sync).
 FLUSH_CAUSES = ("size", "timeout", "final", "idle")
+
+#: Dispatched waves whose lane counts :attr:`PipelineStats.wave_lane_counts`
+#: keeps.
+WAVE_WINDOW = 1024
 
 #: The alignment-metadata keys :meth:`PipelineStats.record_traceback` folds in.
 _TRACEBACK_KEYS = (
@@ -75,15 +79,13 @@ class PipelineStats:
         End-to-end wall time of the run.
     wave_lane_counts:
         Lane counts of the most recent dispatched waves, in dispatch
-        order, bounded to the last :attr:`wave_window` entries — a
+        order, bounded to the last :data:`WAVE_WINDOW` entries — a
         long-lived service stream dispatches waves forever, so the full
         history cannot be retained.  :attr:`full_waves` and
         :attr:`wave_fill_efficiency` are computed from running totals
         (:attr:`lanes_total`, :attr:`capacity_total`,
         :attr:`full_wave_count`) and stay exact over the whole run
         regardless of the window.
-    wave_window:
-        Capacity of the :attr:`wave_lane_counts` window.
     max_pending, pending_samples, pending_total:
         Accumulator queue occupancy: high-water mark plus the running
         sum/count of per-push samples (see :attr:`mean_pending`).
@@ -128,14 +130,10 @@ class PipelineStats:
         self,
         *,
         wave_size: int = 0,
-        wave_window: int = 1024,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if wave_window < 1:
-            raise ValueError("wave_window must be at least 1")
         self.wave_size = wave_size
-        self.wave_window = wave_window
-        self.wave_lane_counts: Deque[int] = deque(maxlen=wave_window)
+        self.wave_lane_counts: Deque[int] = deque(maxlen=WAVE_WINDOW)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._metrics = Stored.bind(self, self.registry)
         self._stage_seconds = {

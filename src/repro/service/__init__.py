@@ -18,7 +18,7 @@ Results are byte-identical to offline runs over the same pairs; see
 
 from repro.service.frontend import AlignmentService, ServiceRequest, ServiceWork
 from repro.service.stats import (
-    DEFAULT_LATENCY_WINDOW,
+    LATENCY_WINDOW,
     LatencyStats,
     ServiceStats,
     percentile,
@@ -28,7 +28,7 @@ __all__ = [
     "AlignmentService",
     "ServiceRequest",
     "ServiceWork",
-    "DEFAULT_LATENCY_WINDOW",
+    "LATENCY_WINDOW",
     "LatencyStats",
     "ServiceStats",
     "percentile",

@@ -118,7 +118,9 @@ class AlignmentService:
     ----------
     config:
         Aligner configuration shared by every request (defaults to the
-        paper's improved GenASM).
+        paper's improved GenASM).  One the batch engine does not run is
+        refused at construction
+        (:func:`~repro.batch.engine.check_engine_config`).
     wave_size, max_pending, linger_seconds:
         Wave-coalescing policy, forwarded to the
         :class:`WaveAccumulator`.  ``linger_seconds`` bounds how long the

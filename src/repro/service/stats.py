@@ -7,9 +7,10 @@ is what the paper's "millions of users" framing actually constrains, so
 :class:`LatencyStats` records a completion-latency sample per request and
 reports nearest-rank percentiles (p50/p95/p99) per tenant and overall.
 
-Samples are kept in a bounded per-tenant window (a long-lived service
-serves requests forever); the running count/sum/max stay exact over the
-whole run, and the percentiles describe the recent window — the same
+Samples are kept in a bounded per-tenant window of the last
+:data:`LATENCY_WINDOW` (a long-lived service serves requests forever);
+the running count/sum/max stay exact over the whole run, and the
+percentiles describe the recent window — the same
 bounded-window-plus-exact-totals contract
 :attr:`PipelineStats.wave_lane_counts <repro.pipeline.stats.PipelineStats.wave_lane_counts>`
 follows.
@@ -38,14 +39,14 @@ from repro.pipeline.stats import PipelineStats
 from repro.telemetry.metrics import MetricsRegistry, Stored
 
 __all__ = [
-    "DEFAULT_LATENCY_WINDOW",
+    "LATENCY_WINDOW",
     "LatencyStats",
     "ServiceStats",
     "percentile",
 ]
 
 #: Per-tenant latency samples retained for percentile estimation.
-DEFAULT_LATENCY_WINDOW = 4096
+LATENCY_WINDOW = 4096
 
 #: Bucket bounds of the per-tenant request-latency histogram (seconds).
 LATENCY_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -84,21 +85,13 @@ class LatencyStats:
     ``service_request_latency_max_seconds{tenant}`` gauges.
     """
 
-    def __init__(
-        self,
-        *,
-        window: int = DEFAULT_LATENCY_WINDOW,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = window
+    def __init__(self, *, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._samples: Dict[str, Deque[float]] = {}
 
     def record(self, tenant: str, seconds: float) -> None:
         """Record one request's submit-to-complete latency."""
-        self._samples.setdefault(tenant, deque(maxlen=self.window)).append(seconds)
+        self._samples.setdefault(tenant, deque(maxlen=LATENCY_WINDOW)).append(seconds)
         self.registry.histogram(
             _LATENCY,
             "submit-to-complete request latency",

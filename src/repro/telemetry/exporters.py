@@ -134,14 +134,12 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"# TYPE {metric.name} {metric_type}")
         if metric.metric_type == "histogram":
             value = metric.value()
-            cumulative = 0
             for bound, running in value["buckets"]:
                 lines.append(
                     f"{metric.name}_bucket"
                     f"{_label_text(metric.labels, [('le', _format_value(bound))])}"
                     f" {running}"
                 )
-                cumulative = running
             lines.append(
                 f"{metric.name}_bucket"
                 f"{_label_text(metric.labels, [('le', '+Inf')])} {value['count']}"

@@ -1,12 +1,73 @@
 """Tests for windowed alignment and the public GenASMAligner API."""
 
+import itertools
+
+import pytest
+
 from repro.baselines.needleman_wunsch import prefix_edit_distance
 from repro.core.aligner import GenASMAligner, align_pair
 from repro.core.cigar import CigarOp
 from repro.core.config import GenASMConfig
 from repro.core.metrics import AccessCounter
 from repro.core.windowing import align_window, align_windowed
-from tests.conftest import mutate, random_dna
+from tests.conftest import (
+    WINDOW_SIZES,
+    adversarial_pairs,
+    mutate,
+    random_dna,
+    random_pairs,
+    window_boundary_pairs,
+    window_config,
+)
+
+#: All eight combinations of the three improvement toggles, as
+#: ``(entry_compression, early_termination, traceback_band)``.
+TOGGLE_COMBOS = list(itertools.product([False, True], repeat=3))
+TOGGLE_IDS = ["ec{:d}-et{:d}-tb{:d}".format(*toggles) for toggles in TOGGLE_COMBOS]
+#: A representative set of traceback tie-break orders (permutations of MSDI).
+PRIORITIES = ["MSDI", "MDIS", "DIMS", "ISDM"]
+#: Per-pair costs that turning an improvement on may lower but never raise.
+COST_KEYS = (
+    "rows_computed",
+    "peak_window_bytes",
+    "total_stored_bytes",
+    "dp_accesses",
+    "dp_bytes",
+)
+
+
+def toggled(config, toggles):
+    """``config`` with its three improvement toggles set to ``toggles``."""
+    entry_compression, early_termination, traceback_band = toggles
+    return config.with_improvements(
+        entry_compression=entry_compression,
+        early_termination=early_termination,
+        traceback_band=traceback_band,
+    )
+
+
+def assert_improvements_change_only_costs(config, pairs):
+    """``config`` aligns each pair as the all-improvements config with the
+    same window and tie-break order does, at costs between that config's
+    and the baseline's."""
+    aligner = GenASMAligner(config)
+    improved = GenASMAligner(toggled(config, (True, True, True)))
+    baseline = GenASMAligner(toggled(config, (False, False, False)))
+    for pattern, text in pairs:
+        got = aligner.align(pattern, text)
+        low = improved.align(pattern, text)
+        high = baseline.align(pattern, text)
+        context = (pattern, text)
+        assert str(got.cigar) == str(low.cigar), context
+        assert got.edit_distance == low.edit_distance, context
+        assert got.text_end == low.text_end, context
+        assert got.metadata["windows"] == low.metadata["windows"], context
+        for key in COST_KEYS:
+            assert low.metadata[key] <= got.metadata[key] <= high.metadata[key], (key, context)
+        # validate() compares raw characters, while GenASM never matches a
+        # character outside ACGT (N against N is an X).
+        if set(pattern + text) <= set("ACGT"):
+            got.validate()
 
 
 class TestAlignWindow:
@@ -128,3 +189,34 @@ class TestGenASMAligner:
     def test_default_name_reflects_configuration(self):
         assert GenASMAligner().name == "genasm-improved"
         assert GenASMAligner(GenASMConfig.baseline()).name == "genasm-baseline"
+
+
+class TestImprovementToggles:
+    """The reference for every configuration the batch engine refuses.
+
+    ``GenASMAligner`` runs every improvement toggle and tie-break order;
+    the batch engine runs only the default and short-read configs.  An
+    improvement changes what a window stores and reads, never the
+    alignment: under any toggles, window width and tie-break order the
+    CIGAR, edit distance, text span and window count are the improved
+    config's, and every cost lies between the improved and baseline ones.
+    """
+
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    @pytest.mark.parametrize("toggles", TOGGLE_COMBOS, ids=TOGGLE_IDS)
+    def test_toggles_and_priorities(self, rng, toggles, priority):
+        config = toggled(GenASMConfig(match_priority=priority), toggles)
+        assert_improvements_change_only_costs(config, random_pairs(rng) + adversarial_pairs())
+
+    @pytest.mark.parametrize("window_size", WINDOW_SIZES)
+    @pytest.mark.parametrize("toggles", TOGGLE_COMBOS, ids=TOGGLE_IDS)
+    def test_window_widths_across_toggles(self, rng, window_size, toggles):
+        config = toggled(window_config(window_size), toggles)
+        assert_improvements_change_only_costs(config, window_boundary_pairs(rng, window_size))
+
+    @pytest.mark.parametrize("window_size", WINDOW_SIZES)
+    @pytest.mark.parametrize("priority", PRIORITIES)
+    def test_window_widths_across_priorities(self, rng, window_size, priority):
+        # The baseline against the improved config, tie-break order by order.
+        config = toggled(window_config(window_size, match_priority=priority), (False,) * 3)
+        assert_improvements_change_only_costs(config, window_boundary_pairs(rng, window_size))

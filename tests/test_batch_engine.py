@@ -9,8 +9,6 @@ running it.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +32,20 @@ from repro.core.metrics import AccessCounter
 from repro.core.windowing import align_window, align_windowed
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
+from repro.genomics.genome import SyntheticGenome
 from repro.gpu.simulator import GpuSimulator
 from repro.harness.dataset import build_paper_dataset
+from repro.mapping.mapper import Mapper
 from repro.parallel.pool import WorkerPool
-from tests.conftest import assert_same_dc_table, lane_wave, mutate, random_dna
+from repro.pipeline import StreamingPipeline
+from repro.service import AlignmentService
+from tests.conftest import (
+    ENGINE_CONFIGS,
+    assert_same_dc_table,
+    lane_wave,
+    mutate,
+    random_dna,
+)
 
 
 def _random_pairs(rng, specs):
@@ -82,18 +90,8 @@ class TestVectorizedEquivalence:
             batch.align_pairs(workload.pairs),
         )
 
-    @pytest.mark.parametrize(
-        "entry_compression,early_termination,traceback_band",
-        list(itertools.product([False, True], repeat=3)),
-    )
-    def test_identical_across_improvement_toggles(
-        self, rng, entry_compression, early_termination, traceback_band
-    ):
-        config = GenASMConfig(
-            entry_compression=entry_compression,
-            early_termination=early_termination,
-            traceback_band=traceback_band,
-        )
+    @ENGINE_CONFIGS
+    def test_identical_on_engine_configs(self, rng, config):
         pairs = _random_pairs(rng, [(5, 1), (63, 6), (64, 5), (65, 4), (150, 15)])
         pairs += [("", "ACGT"), ("ACGT", ""), ("ACGTACGT", "TTTT")]
         scalar = GenASMAligner(config)
@@ -138,6 +136,87 @@ class TestVectorizedEquivalence:
         _assert_identical(whole, chunked)
 
 
+#: One configuration per path the engine does not run, and the MICRO-2020
+#: baseline the experiments align on GenASMAligner.
+REFUSED_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        GenASMConfig(entry_compression=False),
+        GenASMConfig(early_termination=False),
+        GenASMConfig(traceback_band=False),
+        GenASMConfig(match_priority="MDSI"),
+        GenASMConfig.baseline(),
+    ],
+    ids=[
+        "no-entry-compression",
+        "no-early-termination",
+        "no-band",
+        "priority-MDSI",
+        "baseline",
+    ],
+)
+
+
+class TestOneConfiguration:
+    """Every way into the engine refuses a configuration it does not run,
+    naming the scalar aligner that runs it, before doing any work."""
+
+    @REFUSED_CONFIGS
+    def test_engine_refuses(self, config):
+        with pytest.raises(ValueError, match="GenASMAligner"):
+            BatchAlignmentEngine(config)
+
+    @REFUSED_CONFIGS
+    def test_pool_refuses_before_a_worker_spawns(self, config):
+        pool = WorkerPool(workers=2, config=config)
+        pairs = [("ACGT", "ACGT")]
+        try:
+            for begin in (
+                pool.start,
+                pool.warm,
+                pool.__enter__,
+                lambda: pool.submit_wave(pairs),
+                lambda: pool.run_alignments(pairs),
+            ):
+                with pytest.raises(ValueError, match="GenASMAligner"):
+                    begin()
+                assert not pool.started
+        finally:
+            pool.close()
+
+    @REFUSED_CONFIGS
+    def test_pipeline_refuses_before_ingesting(self, config):
+        pulled = []
+
+        def source(items):
+            for item in items:
+                pulled.append(item)
+                yield item
+
+        genome = SyntheticGenome.random({"chr1": 2_000}, seed=0)
+        pipeline = StreamingPipeline(Mapper(genome), config)
+        with pytest.raises(ValueError, match="GenASMAligner"):
+            pipeline.run(source([("read", genome.fetch("chr1", 100, 400))]))
+        with pytest.raises(ValueError, match="GenASMAligner"):
+            pipeline.align_pairs(source([("ACGT", "ACGT")]))
+        assert pulled == []
+
+    @REFUSED_CONFIGS
+    def test_service_refuses_at_construction(self, config):
+        with pytest.raises(ValueError, match="GenASMAligner"):
+            AlignmentService(config)
+
+    @ENGINE_CONFIGS
+    def test_engine_configs_are_accepted(self, config):
+        # The pool is started with both configs by TestSharedExecutorBatch
+        # and the generated-batch pools of tests/test_worker_pool.py.
+        assert BatchAlignmentEngine(config).config == config
+        assert len(StreamingPipeline(config=config).align_pairs([("ACGT", "ACGT")])) == 1
+        service = AlignmentService(config, autostart=False)
+        assert service.config == config
+        service.close()
+
+
 class TestDCWave:
     """The lockstep DC kernel against the scalar genasm_dc, state for state."""
 
@@ -165,12 +244,7 @@ class TestDCWave:
             (p129, mutate(rng, p129, 8) + random_dna(rng, 4), 12),
         ]
 
-    @pytest.mark.parametrize("early_termination", [False, True])
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_stored_state_matches_scalar(
-        self, rng, entry_compression, traceback_band, early_termination
-    ):
+    def test_stored_state_matches_scalar(self, rng):
         lanes = []
         for length, k in [(12, 3), (40, 7), (64, 9), (1, 1), (65, 6), (100, 11), (150, 9)]:
             pattern = random_dna(rng, length)
@@ -180,37 +254,21 @@ class TestDCWave:
         wave_lanes = []
         scalar_tables = []
         for pattern, text, k in lanes:
-            store_from = 2 if traceback_band and len(pattern) > 4 else 0
+            store_from = 2 if len(pattern) > 4 else 0
             wave_lanes.append((pattern, text, k, store_from))
-            scalar_tables.append(
-                genasm_dc(
-                    pattern,
-                    text,
-                    k,
-                    entry_compression=entry_compression,
-                    early_termination=early_termination,
-                    traceback_band=traceback_band,
-                    store_from_column=store_from,
-                )
-            )
+            scalar_tables.append(genasm_dc(pattern, text, k, store_from_column=store_from))
         # The edges are really exercised: a failing budget and a k=0 lane
         # of each outcome, and lanes far shorter than the longest text.
         assert scalar_tables[7].min_errors is None
         assert scalar_tables[8].min_errors == 0
         assert scalar_tables[9].min_errors is None
         assert scalar_tables[10].min_errors is not None
-        wave = lane_wave(wave_lanes, traceback_band=traceback_band)
+        wave = lane_wave(wave_lanes)
         assert wave.words == 3 and wave.n_max > 100
-        tables = run_dc_wave_state(
-            wave,
-            entry_compression=entry_compression,
-            early_termination=early_termination,
-        ).tables()
-        for got, want in zip(tables, scalar_tables):
+        for got, want in zip(run_dc_wave_state(wave).tables(), scalar_tables):
             assert_same_dc_table(got, want)
 
-    @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_entry_store_follows_entry_bytes(self, traceback_band):
+    def test_entry_store_follows_entry_bytes(self):
         # SoAWave keeps a vectorized copy of the scalar entry-size rule;
         # these widths cross every storage unit (8..64 bits) and the
         # one-, two- and three-word lanes.
@@ -219,21 +277,19 @@ class TestDCWave:
             for m in (1, 7, 8, 9, 16, 17, 33, 64, 65, 128, 129, 150)
             for k in (0, 1, 3, 7, 15, 31, 40)
         ]
-        wave = lane_wave(
-            [("A" * m, "ACGT", k) for m, k in lanes], traceback_band=traceback_band
-        )
-        want = [entry_bytes(m, min(k, m), traceback_band) for m, k in lanes]
+        wave = lane_wave([("A" * m, "ACGT", k) for m, k in lanes])
+        want = [entry_bytes(m, min(k, m), traceback_band=True) for m, k in lanes]
         assert wave.entry_store.tolist() == want
 
     def test_lane_job_validation(self):
         with pytest.raises(ValueError):
-            lane_wave([("ACGT", "ACGT", 1), ("", "ACGT", 1)], traceback_band=True)
+            lane_wave([("ACGT", "ACGT", 1), ("", "ACGT", 1)])
         with pytest.raises(ValueError):
-            lane_wave([("ACGT", "ACGT", 1), ("ACGT", "", 1)], traceback_band=True)
+            lane_wave([("ACGT", "ACGT", 1), ("ACGT", "", 1)])
         with pytest.raises(ValueError):
-            SoAWave([], [], [], [], traceback_band=True)
+            SoAWave([], [], [], [])
         # Patterns wider than one word are valid multi-word lanes now.
-        wave = lane_wave([("A" * 65, "ACGT", 1)], traceback_band=True)
+        wave = lane_wave([("A" * 65, "ACGT", 1)])
         assert wave.words == 2
 
 
@@ -254,7 +310,7 @@ class TestWaveMasks:
             pattern = "".join(rng.choice(alphabet) for _ in range(length))
             noise = "".join(rng.choice(alphabet) for _ in range(9))
             lanes.append((pattern, pattern[: length // 2] + noise, 4))
-        wave = lane_wave(lanes, traceback_band=True)
+        wave = lane_wave(lanes)
         for lane, (pattern, text, _k) in enumerate(lanes):
             ones = (1 << len(pattern)) - 1
             columns = [
@@ -308,13 +364,13 @@ class TestLaneWords:
     @settings(deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6))
     def test_wave_ones_reassemble_to_all_ones(self, lengths):
-        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths], traceback_band=True)
+        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths])
         assert wave.words == lane_words(max(lengths))
         assert WaveDCState._lane_ints(wave.ones) == [all_ones(m) for m in lengths]
 
     def test_msb_word_and_shift_locate_the_top_pattern_bit(self):
         lengths = (1, 63, 64, 65, 128, 130)
-        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths], traceback_band=True)
+        wave = lane_wave([("A" * m, "ACGT", 1) for m in lengths])
         assert wave.msb_word.tolist() == [(m - 1) // 64 for m in lengths]
         assert wave.msb_shift.tolist() == [(m - 1) % 64 for m in lengths]
 

@@ -1,20 +1,24 @@
 """Differential test harness for the lockstep decision-word traceback.
 
-The PR-2 contract: the vectorized batch path (lockstep DC wave + lockstep
+The contract: the vectorized batch path (lockstep DC wave + lockstep
 decision-word traceback + wave scheduling) is **byte-identical** to the
 scalar ``align_windowed`` reference — CIGARs, edit distances, consumed text
-spans, per-pair metadata and every :class:`AccessCounter` field — across
-every improvement-toggle combination, every ``match_priority`` tie-break
-order, randomized inputs and adversarial shapes (all-match, all-mismatch,
-homopolymer, empty-window).  The decision words themselves are checked bit
-by bit against the scalar predicates exposed by
+spans, per-pair metadata and every :class:`AccessCounter` field — on the
+configurations the engine runs (the default and the short-read one: all
+three improvements on, ``MSDI`` tie-breaks), over window widths of 1-3
+words, budgets down to 0, randomized inputs and adversarial shapes
+(all-match, all-mismatch, homopolymer, empty-window).  The engine runs no
+other configuration; the baseline and the ablations align on
+:class:`GenASMAligner`, whose toggles and tie-break orders the
+``repro.core`` tests cover (``TestImprovementToggles`` in
+``tests/test_aligner_windowing.py``).  The decision words themselves are
+checked bit by bit against the scalar predicates exposed by
 :func:`repro.core.genasm_tb.traceback_conditions`, and a golden
 simulated-read corpus pins both paths to checked-in expected output.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import pathlib
 from unittest.mock import patch
@@ -39,67 +43,24 @@ from repro.core.metrics import AccessCounter
 from repro.gpu.device import A6000
 from repro.gpu.kernel import GenASMKernelSpec
 from repro.gpu.simulator import GpuSimulator
-from tests.conftest import lane_wave, mutate, random_dna
+from tests.conftest import (
+    ENGINE_CONFIGS,
+    WINDOW_SIZES,
+    adversarial_pairs,
+    lane_wave,
+    mutate,
+    random_dna,
+    random_pairs,
+    window_boundary_pairs,
+    window_config,
+)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
-#: All eight combinations of the paper's three improvement toggles.
-TOGGLE_COMBOS = list(itertools.product([False, True], repeat=3))
-#: A representative set of traceback tie-break orders (permutations of MSDI).
-PRIORITIES = ["MSDI", "MDIS", "DIMS", "ISDM"]
-#: Window widths spanning 1, 2 and 3 uint64 words per lane, including the
-#: exact single-word boundary (64) and the first multi-word width (65).
-WINDOW_SIZES = [32, 64, 65, 96, 128, 150]
 #: Engine ``max_lanes``: whole-batch waves, and one-lane waves in which the
 #: lockstep walk traces a single lane at a time.
 WAVE_WIDTHS = [None, 1]
 WAVE_WIDTH_IDS = ["full-waves", "one-lane-waves"]
-
-
-def window_config(window_size: int, **overrides) -> GenASMConfig:
-    """A window_size-parametrized config (short-read style above one word)."""
-    if window_size <= 64:
-        return GenASMConfig(
-            window_size=window_size,
-            window_overlap=min(24, window_size - 1),
-            **overrides,
-        )
-    return GenASMConfig.short_read(window_size, **overrides)
-
-
-def adversarial_pairs():
-    """Input shapes that stress distinct traceback branches.
-
-    All-match (pure diagonal runs), all-mismatch with starved text (budget
-    doubling to the full window plus trailing insertions), homopolymer
-    (every tie-break order is live at every step), empty-window shapes
-    (text exhausted mid-alignment, empty pattern, empty text), a
-    single-character window, and characters outside ACGT (``N``,
-    lowercase, ``U``), which match nothing — not even themselves.
-    """
-    return [
-        ("ACGT" * 32, "ACGT" * 32 + "ACGT"),
-        ("A" * 80, "T" * 30),
-        ("A" * 120, "A" * 115),
-        ("ACGT" * 30, "ACGTA"),
-        ("", "ACGT"),
-        ("ACGT" * 20, ""),
-        ("A", "A"),
-        ("ACGTNACGT", "ACGTNACGT"),
-        ("acgtacgt", "acgtacgt"),
-        ("ACGUACGU", "ACGUACGU"),
-        ("ACGTN" * 30, "ACGTN" * 30 + "AC"),
-    ]
-
-
-def random_pairs(rng):
-    """Mutated-copy pairs spanning the single/multi-word boundary lengths."""
-    specs = [(5, 1), (63, 6), (64, 5), (65, 7), (130, 12), (200, 20)]
-    pairs = []
-    for length, edits in specs:
-        pattern = random_dna(rng, length)
-        pairs.append((pattern, mutate(rng, pattern, edits) + random_dna(rng, 8)))
-    return pairs
 
 
 def assert_pairwise_identical(scalar_alignments, batch_alignments, context=""):
@@ -120,26 +81,12 @@ def assert_pairwise_identical(scalar_alignments, batch_alignments, context=""):
 
 
 class TestDifferentialEquivalence:
-    """Vectorized path ≡ scalar path per field, over the full toggle sweep."""
+    """Vectorized path ≡ scalar path per field, on the engine's configs."""
 
-    @pytest.mark.parametrize("priority", PRIORITIES)
-    @pytest.mark.parametrize(
-        "entry_compression,early_termination,traceback_band", TOGGLE_COMBOS
-    )
-    def test_toggles_and_priorities(
-        self, rng, entry_compression, early_termination, traceback_band, priority
-    ):
-        config = GenASMConfig(
-            entry_compression=entry_compression,
-            early_termination=early_termination,
-            traceback_band=traceback_band,
-            match_priority=priority,
-        )
+    @ENGINE_CONFIGS
+    def test_engine_configs(self, rng, config):
         pairs = random_pairs(rng) + adversarial_pairs()
-        context = (
-            f"ec={entry_compression} et={early_termination} "
-            f"tb={traceback_band} priority={priority}"
-        )
+        context = f"window={config.window_size}"
 
         # Per-pair scalar counters (a shared align_batch counter would
         # snapshot running totals into metadata), merged for the
@@ -181,39 +128,14 @@ class TestDifferentialEquivalence:
             alignment.validate()
 
 
-def window_boundary_pairs(rng, window_size):
-    """Pairs that straddle the window width and the 64-bit word boundaries."""
-    specs = [
-        (window_size, max(2, window_size // 10)),
-        (max(1, window_size - 1), 2),
-        (window_size + 1, 3),
-        (2 * window_size + 10, max(4, window_size // 8)),
-        (40, 2),
-        (64, 4),
-        (65, 4),
-    ]
-    pairs = []
-    for length, edits in specs:
-        pattern = random_dna(rng, length)
-        pairs.append((pattern, mutate(rng, pattern, edits) + random_dna(rng, 6)))
-    # Adversarial shapes per window width: pure matches, budget doubling to
-    # the full window, homopolymer ties, text exhausted mid-alignment.
-    pairs.append(("ACGT" * (window_size // 2), "ACGT" * (window_size // 2) + "AC"))
-    pairs.append(("A" * window_size, "T" * max(1, window_size // 3)))
-    pairs.append(("A" * (window_size + 9), "A" * (window_size + 4)))
-    pairs.append(("ACGT" * window_size, "ACGTACGT"))
-    return pairs
-
-
 class TestMultiWordDifferential:
     """Windows spanning 1-3 words/lane, pinned byte-identical to scalar.
 
-    The multi-word satellite of the PR-2 harness: the same per-field
-    equivalence contract (CIGARs, edit distances, spans, metadata, every
-    AccessCounter field), parametrized over ``window_size`` so word counts
-    1, 2 and 3 — including the exact 64/65 boundary pair — are all
-    exercised, across the improvement toggles, the tie-break orders and
-    work-sorted chunked waves.
+    The same per-field equivalence contract (CIGARs, edit distances,
+    spans, metadata, every AccessCounter field), parametrized over
+    ``window_size`` so word counts 1, 2 and 3 — including the exact 64/65
+    boundary pair — are all exercised, in whole-batch and work-sorted
+    chunked waves.
     """
 
     def _scalar_reference(self, config, pairs):
@@ -227,23 +149,10 @@ class TestMultiWordDifferential:
         return alignments, counter
 
     @pytest.mark.parametrize("window_size", WINDOW_SIZES)
-    @pytest.mark.parametrize(
-        "entry_compression,early_termination,traceback_band", TOGGLE_COMBOS
-    )
-    def test_window_widths_across_toggles(
-        self, rng, window_size, entry_compression, early_termination, traceback_band
-    ):
-        config = window_config(
-            window_size,
-            entry_compression=entry_compression,
-            early_termination=early_termination,
-            traceback_band=traceback_band,
-        )
+    def test_window_widths(self, rng, window_size):
+        config = window_config(window_size)
         pairs = window_boundary_pairs(rng, window_size)
-        context = (
-            f"window={window_size} ec={entry_compression} "
-            f"et={early_termination} tb={traceback_band}"
-        )
+        context = f"window={window_size}"
         scalar, scalar_counter = self._scalar_reference(config, pairs)
         batch_counter = AccessCounter()
         engine = BatchAlignmentEngine(config)
@@ -253,18 +162,6 @@ class TestMultiWordDifferential:
         expected_words = -(-window_size // 64)
         for alignment in batch:
             assert alignment.metadata["words_per_lane"] == expected_words, context
-
-    @pytest.mark.parametrize("window_size", WINDOW_SIZES)
-    @pytest.mark.parametrize("priority", PRIORITIES)
-    def test_window_widths_across_priorities(self, rng, window_size, priority):
-        config = window_config(window_size, match_priority=priority)
-        pairs = window_boundary_pairs(rng, window_size)
-        context = f"window={window_size} priority={priority}"
-        scalar, scalar_counter = self._scalar_reference(config, pairs)
-        batch_counter = AccessCounter()
-        batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
-        assert_pairwise_identical(scalar, batch, context)
-        assert batch_counter.as_dict() == scalar_counter.as_dict(), context
 
     @pytest.mark.parametrize("window_size", [65, 96, 150])
     @pytest.mark.parametrize("max_lanes", [2, 3])
@@ -297,24 +194,15 @@ class TestMultiWordDifferential:
 class TestDecisionWords:
     """Decision planes ≡ the scalar predicates, bit by bit."""
 
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_planes_match_scalar_predicates(
-        self, rng, entry_compression, traceback_band
-    ):
+    def test_planes_match_scalar_predicates(self, rng):
         lanes = []
         for length, k in [(6, 2), (9, 3), (1, 1)]:
             pattern = random_dna(rng, length)
             text = mutate(rng, pattern, 1) + random_dna(rng, 3)
             lanes.append((pattern, text, k))
-        wave = lane_wave(lanes, traceback_band=traceback_band)
-        self._assert_planes_match(wave, entry_compression, traceback_band)
+        self._assert_planes_match(lane_wave(lanes))
 
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_multi_word_planes_match_scalar_predicates(
-        self, rng, entry_compression, traceback_band
-    ):
+    def test_multi_word_planes_match_scalar_predicates(self, rng):
         # 2- and 3-word lanes mixed with a 1-word lane in the same wave:
         # every decision bit — in particular the i % 64 == 0 stitches at
         # bits 64 and 128 — must equal the scalar predicate verdicts.
@@ -323,9 +211,9 @@ class TestDecisionWords:
             pattern = random_dna(rng, length)
             text = mutate(rng, pattern, 2)[: length // 10 + 8]
             lanes.append((pattern, text, k))
-        wave = lane_wave(lanes, traceback_band=traceback_band)
+        wave = lane_wave(lanes)
         assert wave.words == 3
-        self._assert_planes_match(wave, entry_compression, traceback_band)
+        self._assert_planes_match(wave)
 
     def test_probes_address_each_lanes_own_block(self, rng):
         # Three lanes with 4, 2 and 3 rows: each probe reads its lane's
@@ -336,8 +224,7 @@ class TestDecisionWords:
             ("ACGTAC", "ACGAAC", 3),
             (random_dna(rng, 70), random_dna(rng, 20), 2),
         ]
-        wave = lane_wave(lanes, traceback_band=True)
-        state = run_dc_wave_state(wave)
+        state = run_dc_wave_state(lane_wave(lanes))
         assert list(state.rows_computed) == [4, 2, 3]
         decisions = build_wave_decisions([(state, state.rows_computed)])
         assert list(decisions.base) == [0, 4, 6]
@@ -360,8 +247,8 @@ class TestDecisionWords:
                             letter, 1, d, j, i
                         )
 
-    def _assert_planes_match(self, wave, entry_compression, traceback_band):
-        state = run_dc_wave_state(wave, entry_compression=entry_compression)
+    def _assert_planes_match(self, wave):
+        state = run_dc_wave_state(wave)
         decisions = build_wave_decisions([(state, state.rows_computed)])
         assert decisions.planes.shape[2] == state.rows_computed.sum()
         tables = state.tables()
@@ -378,8 +265,7 @@ class TestDecisionWords:
                             assert decisions.bit(letter, lane, d, j, i) == conditions[
                                 letter
                             ](j, d, i), (
-                                f"lane={lane} letter={letter} d={d} j={j} i={i} "
-                                f"ec={entry_compression} band={traceback_band}"
+                                f"lane={lane} letter={letter} d={d} j={j} i={i}"
                             )
 
 
@@ -612,24 +498,13 @@ def substituted(rng, sequence, edits):
 class TestOneWalkPerWindowingStep:
     """A windowing step is traced once, whatever attempt solved each lane."""
 
-    @pytest.mark.parametrize("priority", ["MSDI", "DIMS"])
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    @pytest.mark.parametrize("traceback_band", [False, True])
-    def test_lanes_solving_at_four_attempts(
-        self, rng, monkeypatch, entry_compression, traceback_band, priority
-    ):
+    def test_lanes_solving_at_four_attempts(self, rng, monkeypatch):
         # Every pattern fits the 150-column window, so the batch is one
         # windowing step.  With k = 1 the budgets climb 1 -> 2 -> 4 -> 8, and
         # 0, 2, 4 and 7 substitutions put lanes on each of the four rungs;
         # 40 bp lanes take one word and 150 bp lanes three.  The base scan
         # solves the first rung; one retry scan solves the other three.
-        config = GenASMConfig.short_read(
-            150,
-            max_errors=1,
-            entry_compression=entry_compression,
-            traceback_band=traceback_band,
-            match_priority=priority,
-        )
+        config = GenASMConfig.short_read(150, max_errors=1)
         pairs = []
         for length in (40, 150):
             for edits in (0, 2, 4, 7):
@@ -663,9 +538,8 @@ class TestOneWalkPerWindowingStep:
             scalar_counter.merge(pair_counter)
         batch_counter = AccessCounter()
         batch = BatchAlignmentEngine(config).align_pairs(pairs, counter=batch_counter)
-        context = f"ec={entry_compression} tb={traceback_band} priority={priority}"
-        assert_pairwise_identical(scalar, batch, context)
-        assert batch_counter.as_dict() == scalar_counter.as_dict(), context
+        assert_pairwise_identical(scalar, batch, "four attempts")
+        assert batch_counter.as_dict() == scalar_counter.as_dict()
 
         # One decision build and one walk for the one windowing step.
         assert len(builds) == len(walks) == 1
@@ -730,16 +604,13 @@ class TestSkipAheadTraceback:
             emitted = sum(length for length, _op in alignment.cigar.runs)
             assert meta["tb_walk_steps"] + meta["tb_walk_steps_saved"] == emitted
 
-    @pytest.mark.parametrize("priority", PRIORITIES)
-    def test_every_op_walked_or_skipped(self, rng, priority):
-        # Under any tie-break order each emitted op is a walk step or part
-        # of a skipped match run, and runs are skipped only when M leads.
+    @ENGINE_CONFIGS
+    def test_every_op_walked_or_skipped(self, rng, config):
+        # Each emitted op is a walk step or part of a skipped match run.
         pattern = random_dna(rng, 120)
         pairs = [(pattern, mutate(rng, pattern, 6) + "ACGT") for _ in range(4)]
         pairs += random_pairs(rng) + adversarial_pairs()
-        alignments = BatchAlignmentEngine(
-            GenASMConfig(match_priority=priority)
-        ).align_pairs(pairs)
+        alignments = BatchAlignmentEngine(config).align_pairs(pairs)
         for alignment in alignments:
             meta = alignment.metadata
             emitted = sum(length for length, _op in alignment.cigar.runs)
@@ -747,10 +618,7 @@ class TestSkipAheadTraceback:
             assert meta["tb_match_run_ops"] >= meta["tb_match_runs"]
         saved = sum(a.metadata["tb_walk_steps_saved"] for a in alignments)
         runs = sum(a.metadata["tb_match_runs"] for a in alignments)
-        if priority.startswith("M"):
-            assert saved > 0 and runs > 0
-        else:
-            assert saved == 0 and runs == 0
+        assert saved > 0 and runs > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -799,18 +667,14 @@ def run_lanes(rng):
 class TestMatchRuns:
     """The walk's run helper at its chunk edges and the plane's edges."""
 
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    def test_run_lengths_at_chunk_and_plane_edges(self, rng, entry_compression):
+    def test_run_lengths_at_chunk_and_plane_edges(self, rng):
         lanes = run_lanes(rng)
         assert {-(-len(pattern) // 64) for pattern, *_ in lanes} == {1, 2, 3}
         # Each lane alone (its own word count) and all lanes in one wave
         # (three words, blocks at non-zero slot bases).
         waves = [[lane] for lane in lanes] + [lanes]
         for wave_lanes in waves:
-            state = run_dc_wave_state(
-                lane_wave([lane[:3] for lane in wave_lanes], traceback_band=False),
-                entry_compression=entry_compression,
-            )
+            state = run_dc_wave_state(lane_wave([lane[:3] for lane in wave_lanes]))
             decisions = build_wave_decisions([(state, state.rows_computed)])
             for lane, (pattern, text, _k, expected) in enumerate(wave_lanes):
                 d = int(decisions.rows[lane]) - 1
@@ -818,20 +682,16 @@ class TestMatchRuns:
                 assert bitwise_run(decisions, lane, d, j, i) == expected
                 assert decisions.match_run_length(lane, d, j, i) == expected, (
                     f"pattern={len(pattern)} text={len(text)} "
-                    f"words={decisions.planes.shape[1]} ec={entry_compression}"
+                    f"words={decisions.planes.shape[1]}"
                 )
 
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    def test_walk_clamps_runs_to_the_pattern_budget(self, rng, entry_compression):
+    def test_walk_clamps_runs_to_the_pattern_budget(self, rng):
         # A 129-bit run with 70 columns committed, a 64-bit run with exactly
         # 64 and a 65-bit run with 30: each walk is one match-run step,
         # charged as the scalar traceback charges the same window.
         lanes = run_lanes(rng)
         picked = [(lanes[4], 70), (lanes[1], 64), (lanes[7], 30)]
-        state = run_dc_wave_state(
-            lane_wave([lane[:3] for lane, _b in picked], traceback_band=False),
-            entry_compression=entry_compression,
-        )
+        state = run_dc_wave_state(lane_wave([lane[:3] for lane, _b in picked]))
         decisions = build_wave_decisions([(state, state.rows_computed)])
         budgets = np.array([budget for _lane, budget in picked])
         tracebacks = lockstep_traceback(decisions, budgets=budgets)
@@ -853,10 +713,7 @@ class TestMatchRuns:
 class TestWalkErrorPath:
     """A walk that finds no legal step names the stuck lane's own cursor."""
 
-    @pytest.mark.parametrize("entry_compression", [False, True])
-    def test_error_after_compaction_names_the_lanes_own_cursor(
-        self, rng, entry_compression
-    ):
+    def test_error_after_compaction_names_the_lanes_own_cursor(self, rng):
         # Lane 0 finishes in one step; lane 1 walks five (three match runs
         # around two substitutions); lane 2 walks a 19-match run, then a
         # substitution down to row 0 at text column 10, bit 9, where its
@@ -869,9 +726,7 @@ class TestWalkErrorPath:
             (long_pattern, substituted(rng, long_pattern, 2), 2),
             (victim, substituted_at(victim, 10), 1),
         ]
-        state = run_dc_wave_state(
-            lane_wave(lanes, traceback_band=False), entry_compression=entry_compression
-        )
+        state = run_dc_wave_state(lane_wave(lanes))
         decisions = build_wave_decisions([(state, state.rows_computed)])
         assert list(decisions.rows) == [1, 3, 2]
         budgets = decisions.m.copy()
@@ -953,28 +808,16 @@ def _recording(name: str, log: list):
 @given(
     engine_batch(),
     st.sampled_from(("default", "short_read")),
-    st.sampled_from(("MSDI", "MDSI", "SMDI", "DIMS")),
-    st.sampled_from(TOGGLE_COMBOS),
     st.sampled_from((None, 0, 1, 2)),
 )
-def test_generated_batches_equal_scalar_aligner(
-    pairs, shape, priority, toggles, max_errors
-):
+def test_generated_batches_equal_scalar_aligner(pairs, shape, max_errors):
     # Budgets of 0..2 start the budget ladder at 1, so a failed lane climbs
     # up to eight rungs (1 -> 2 -> ... -> 128 -> 150 in a 150 bp window).
-    entry_compression, early_termination, traceback_band = toggles
-    options = dict(
-        match_priority=priority,
-        max_errors=max_errors,
-        entry_compression=entry_compression,
-        early_termination=early_termination,
-        traceback_band=traceback_band,
-    )
     if shape == "default":
-        config = GenASMConfig(**options)
+        config = GenASMConfig(max_errors=max_errors)
     else:
-        config = GenASMConfig.short_read(150, **options)
-    context = f"{shape} {options}"
+        config = GenASMConfig.short_read(150, max_errors=max_errors)
+    context = f"{shape} max_errors={max_errors}"
     scalar_counter = AccessCounter()
     aligner = GenASMAligner(config)
     scalar = []

@@ -1,5 +1,7 @@
 """Unit tests for GenASM-DC, GenASM-TB and the improvement helpers."""
 
+import itertools
+
 import pytest
 
 from repro.baselines.needleman_wunsch import (
@@ -250,6 +252,45 @@ class TestGenasmTB:
             assert cigar.pattern_length == len(pattern)
             # The emitted ops are in forward order for the reversed window.
             cigar.validate(pattern, text[: cigar.text_length], partial_text=False)
+
+    @pytest.mark.parametrize(
+        "entry_compression,early_termination,traceback_band",
+        list(itertools.product([False, True], repeat=3)),
+    )
+    def test_toggles_keep_the_solution(
+        self, rng, entry_compression, early_termination, traceback_band
+    ):
+        # Reversed windows, as align_window runs them, across the 64-bit word
+        # boundary, plus a failing budget and both outcomes of a 0 budget.
+        windows = []
+        for length, k in [(12, 3), (40, 7), (64, 9), (1, 1), (65, 6), (100, 11), (150, 9)]:
+            pattern = random_dna(rng, length)
+            windows.append((pattern, mutate(rng, pattern, k // 2) + random_dna(rng, 5), k))
+        windows += [
+            ("ACGTACGTAA", "TTTTTTTTTT", 2),
+            ("ACGTACGT", "ACGTACGT", 0),
+            ("ACGTACGT", "ACGAACGT", 0),
+        ]
+        toggles = dict(
+            entry_compression=entry_compression,
+            early_termination=early_termination,
+            traceback_band=traceback_band,
+        )
+        baseline = dict.fromkeys(toggles, False)
+        solved = 0
+        for pattern, text, k in windows:
+            got, want, most = (
+                genasm_dc(pattern[::-1], text[::-1], k, **kwargs)
+                for kwargs in (toggles, {}, baseline)
+            )
+            assert got.min_errors == want.min_errors, (pattern, text, k)
+            if want.min_errors is not None:
+                solved += 1
+                assert genasm_traceback(got) == genasm_traceback(want), (pattern, text, k)
+            assert want.rows_computed <= got.rows_computed <= most.rows_computed
+            assert want.stored_bytes() <= got.stored_bytes() <= most.stored_bytes()
+            assert want.counter.dp_writes <= got.counter.dp_writes <= most.counter.dp_writes
+        assert solved == len(windows) - 2
 
     def test_compressed_and_quad_traceback_agree(self, rng):
         for _ in range(25):

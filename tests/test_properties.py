@@ -1,9 +1,7 @@
 """Property-based tests (hypothesis) for the core alignment invariants,
 plus the multi-word lane invariants of the vectorized batch engine (the
 cross-word carry at pattern bits ``i % 64 == 0``) and generated waves for
-its DC kernel."""
-
-import itertools
+its DC kernel, which runs the improved configuration only."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -118,21 +116,14 @@ def _failing_lane(k: int):
     dna_straddling,
     st.text(alphabet="ACGT", min_size=0, max_size=20),
     st.integers(min_value=1, max_value=4),
-    st.booleans(),
-    st.booleans(),
 )
-def test_multi_word_decision_planes_equal_scalar_predicates(
-    pattern, noise, k, entry_compression, traceback_band
-):
+def test_multi_word_decision_planes_equal_scalar_predicates(pattern, noise, k):
     # Text derived from the pattern so the DP has real match structure;
     # the pair straddles word boundaries by construction (m in 60..140).
     # It is lane 1, behind a lane whose budget fails with k + 2 rows, so
     # its block of row slots starts at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
-    wave = lane_wave(
-        [_failing_lane(k), (pattern, text, k)], traceback_band=traceback_band
-    )
-    state = run_dc_wave_state(wave, entry_compression=entry_compression)
+    state = run_dc_wave_state(lane_wave([_failing_lane(k), (pattern, text, k)]))
     decisions = build_wave_decisions([(state, state.rows_computed)])
     assert list(decisions.rows) == list(state.rows_computed)
     assert decisions.rows[0] == k + 2 > decisions.rows[1]
@@ -149,10 +140,7 @@ def test_multi_word_decision_planes_equal_scalar_predicates(
                 for letter in "MSID":
                     assert decisions.bit(letter, 1, d, j, i) == conditions[letter](
                         j, d, i
-                    ), (
-                        f"letter={letter} d={d} j={j} i={i} "
-                        f"ec={entry_compression} band={traceback_band}"
-                    )
+                    ), f"letter={letter} d={d} j={j} i={i}"
 
 
 @settings(deadline=None)
@@ -211,9 +199,8 @@ def test_lockstep_scheduling_invariants_hold_for_multi_word_lanes(lengths, group
     dna_straddling,
     st.text(alphabet="ACGT", min_size=0, max_size=20),
     st.integers(min_value=1, max_value=4),
-    st.booleans(),
 )
-def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compression):
+def test_match_run_length_equals_bitwise_walk(pattern, noise, k):
     # The skip-ahead walk's run helper (behind match_run_length) must
     # count exactly the consecutive legal-match bits the per-step walk
     # would consume: run(j, d, i) == number of t >= 0 with M legal at
@@ -222,8 +209,7 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
     # The pair is lane 1, behind a failing lane of k + 2 rows, so the runs
     # are read from a block at a non-zero slot base.
     text = pattern[: len(pattern) // 2] + noise
-    wave = lane_wave([_failing_lane(k), (pattern, text, k)], traceback_band=False)
-    state = run_dc_wave_state(wave, entry_compression=entry_compression)
+    state = run_dc_wave_state(lane_wave([_failing_lane(k), (pattern, text, k)]))
     decisions = build_wave_decisions([(state, state.rows_computed)])
     assert decisions.base[1] == k + 2
     m, n = len(pattern), len(text)
@@ -241,9 +227,7 @@ def test_match_run_length_equals_bitwise_walk(pattern, noise, k, entry_compressi
                     and decisions.bit("M", 1, d, j - brute, i - brute)
                 ):
                     brute += 1
-                assert decisions.match_run_length(1, d, j, i) == brute, (
-                    f"d={d} j={j} i={i} ec={entry_compression}"
-                )
+                assert decisions.match_run_length(1, d, j, i) == brute, (d, j, i)
 
 
 # --------------------------------------------------------------------------- #
@@ -290,30 +274,10 @@ def _dc_wave(draw):
     return draw(st.lists(_dc_lane(alphabet), min_size=1, max_size=6))
 
 
-# Bounded for tier-1: each example checks 8 toggle combinations against the
-# scalar kernel, so 30 examples take a few seconds.
 @settings(deadline=None)
 @given(_dc_wave())
 def test_generated_dc_waves_equal_scalar_genasm_dc(lanes):
-    for entry_compression, early_termination, traceback_band in itertools.product(
-        (False, True), repeat=3
-    ):
-        wave = lane_wave(lanes, traceback_band=traceback_band)
-        tables = run_dc_wave_state(
-            wave,
-            entry_compression=entry_compression,
-            early_termination=early_termination,
-        ).tables()
-        for got, (pattern, text, k, store_from) in zip(tables, lanes):
-            want = genasm_dc(
-                pattern,
-                text,
-                k,
-                entry_compression=entry_compression,
-                early_termination=early_termination,
-                traceback_band=traceback_band,
-                store_from_column=store_from,
-            )
-            assert_same_dc_table(
-                got, want, (entry_compression, early_termination, traceback_band)
-            )
+    tables = run_dc_wave_state(lane_wave(lanes)).tables()
+    for got, (pattern, text, k, store_from) in zip(tables, lanes):
+        want = genasm_dc(pattern, text, k, store_from_column=store_from)
+        assert_same_dc_table(got, want, (pattern, text, k, store_from))

@@ -25,7 +25,9 @@ from repro.batch.engine import BatchAlignmentEngine
 from repro.core.config import GenASMConfig
 from repro.parallel.pool import WorkerPool
 from repro.pipeline import FLUSH_CAUSES, PipelineStats, WaveAccumulator
+from repro.pipeline.stats import WAVE_WINDOW
 from repro.service import (
+    LATENCY_WINDOW,
     AlignmentService,
     LatencyStats,
     ServiceStats,
@@ -104,23 +106,22 @@ class TestStatsBugfixes:
         assert documented == set(FLUSH_CAUSES)
 
     def test_wave_lane_counts_window_is_bounded(self):
-        stats = PipelineStats(wave_size=4, wave_window=8)
-        for _ in range(100):
+        stats = PipelineStats(wave_size=4)
+        full = WAVE_WINDOW + 100
+        for _ in range(full):
             stats.record_wave(4, "size")
         for _ in range(50):
             stats.record_wave(2, "timeout")
-        assert len(stats.wave_lane_counts) == 8
+        # The window keeps the most recent waves: the 50 partial ones last.
+        assert len(stats.wave_lane_counts) == WAVE_WINDOW
+        assert list(stats.wave_lane_counts)[-51:] == [4] + [2] * 50
         # Running aggregates stay exact over the whole run regardless of
-        # the window: 100 full waves of 4 lanes + 50 partial waves of 2.
-        assert stats.waves == 150
-        assert stats.full_waves == 100
+        # the window: every full wave of 4 lanes + 50 partial waves of 2.
+        assert stats.waves == full + 50
+        assert stats.full_waves == full
         assert stats.wave_fill_efficiency == pytest.approx(
-            (100 * 4 + 50 * 2) / (150 * 4)
+            (full * 4 + 50 * 2) / ((full + 50) * 4)
         )
-
-    def test_wave_window_validation(self):
-        with pytest.raises(ValueError, match="wave_window"):
-            PipelineStats(wave_window=0)
 
     def test_merged_wave_counts_as_full_capacity(self):
         stats = PipelineStats(wave_size=4)
@@ -489,16 +490,19 @@ class TestLatencyPrimitives:
             percentile([], -1)
 
     def test_latency_window_bounded_with_exact_aggregates(self):
-        stats = LatencyStats(window=4)
-        for i in range(10):
+        stats = LatencyStats()
+        count = LATENCY_WINDOW + 6
+        for i in range(count):
             stats.record("t", float(i))
-        assert stats.count("t") == 10
+        assert stats.count("t") == count
         summary = stats.summary("t")
-        assert summary["requests"] == 10
-        assert summary["max_ms"] == pytest.approx(9000.0)
-        assert summary["mean_ms"] == pytest.approx(4500.0)
-        # Percentiles describe the bounded recent window (6..9).
-        assert summary["p50_ms"] == pytest.approx(7000.0)
+        assert summary["requests"] == count
+        assert summary["max_ms"] == pytest.approx((count - 1) * 1000.0)
+        assert summary["mean_ms"] == pytest.approx((count - 1) / 2 * 1000.0)
+        # Percentiles describe the bounded recent window (6..count - 1):
+        # its nearest-rank median is its (LATENCY_WINDOW / 2)-th sample.
+        median = 6 + LATENCY_WINDOW // 2 - 1
+        assert summary["p50_ms"] == pytest.approx(median * 1000.0)
 
 
 class TestConcurrentStats:
